@@ -40,7 +40,7 @@ from fracfp.functionals import (
     weighted_norm,
 )
 from fracfp.functionals import _pair_ops, carre_du_champ
-from fracfp.rates import decay_fit, harris_contraction, lyapunov_check
+from fracfp.rates import MIN_FIT_POINTS, decay_fit, harris_contraction, lyapunov_check
 from fracfp.steady import (
     closed_form_equilibrium,
     leading_eigenpair,
@@ -309,7 +309,10 @@ def _suite_rates(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> Non
     )
     floor = max(1e-12, 50.0 * diffs.min())
     keep = diffs > floor
-    if cfg.gamma >= 2.0:
+    if keep.sum() < MIN_FIT_POINTS:
+        # the distance to equilibrium reached its floor too early for a fit
+        report.add("rate-fit-window", keep.sum(), MIN_FIT_POINTS, False)
+    elif cfg.gamma >= 2.0:
         rep = decay_fit(np.array(tr.times)[keep], diffs[keep])
         rate_rows.append(("exponential-L1m", rep))
         report.add("exponential-rate-positive", rep.fitted, 0.0, rep.fitted > 0.0)

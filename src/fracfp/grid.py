@@ -73,7 +73,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Real values sampled at the nodes of a grid."""
+    """Real values sampled at the nodes of a grid.
+
+    Construction checks the shape and finiteness, so Fields are built at API
+    boundaries; inner loops (the time stepper) work on the raw value arrays.
+    """
 
     grid: Grid
     values: np.ndarray

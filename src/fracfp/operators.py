@@ -59,6 +59,9 @@ __all__ = [
     "capped_convolution",
     "drift_divergence",
     "drift_gradient_adjoint",
+    "face_slices",
+    "flux_divergence",
+    "upwind_divergence",
     "generator_apply",
     "adjoint_apply",
     "assemble_generator_matrix",
@@ -67,6 +70,12 @@ __all__ = [
 ]
 
 MAX_DENSE = 4096  # dense-assembly guard on n^d
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """Mark a cached result immutable: every caller shares the one array."""
+    a.flags.writeable = False
+    return a
 
 
 def norm_constant(alpha: float, d: int) -> float:
@@ -450,11 +459,11 @@ def spectral_symbol(grid: Grid, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     if grid.d == 1:
         xi = np.fft.rfftfreq(grid.n, d=grid.h)
-        return -((2.0 * math.pi * np.abs(xi)) ** alpha)
+        return _readonly(-((2.0 * math.pi * np.abs(xi)) ** alpha))
     xi1 = np.fft.fftfreq(grid.n, d=grid.h)
     xi2 = np.fft.rfftfreq(grid.n, d=grid.h)
     absxi = np.hypot(xi1[:, None], xi2[None, :])
-    return -((2.0 * math.pi * absxi) ** alpha)
+    return _readonly(-((2.0 * math.pi * absxi) ** alpha))
 
 
 def spectral_fraclap(f: Field, alpha: float) -> Field:
@@ -535,7 +544,7 @@ def _plain_conv_kernel(grid: Grid, kernel: JumpKernel) -> np.ndarray:
         ker[n + 1 :] = w
         ker[:n] = w[::-1]
         ker[n] = 2.0 * float(kernel.moment(0.0, h / 2, 0))
-        return ker
+        return _readonly(ker)
     off = np.arange(-n, n + 1) * h
     c1, c2 = np.meshgrid(off, off, indexing="ij")
     m0, _ = _gl_cell_integrals_2d(kernel, c1, c2, h)
@@ -545,7 +554,7 @@ def _plain_conv_kernel(grid: Grid, kernel: JumpKernel) -> np.ndarray:
         return kernel.moment(0.0, rmax, 1)
 
     m0[n, n] = _theta_quad(self_mass, 0.0, 2.0 * math.pi)
-    return m0
+    return _readonly(m0)
 
 
 def capped_convolution(f: Field, cfg: OperatorConfig, r: float) -> Field:
@@ -575,7 +584,7 @@ def _face_velocities(grid: Grid, force: ForceField) -> tuple[np.ndarray, ...]:
     if grid.d == 1:
         xf = ax[:-1] + grid.h / 2
         ef = force.at(xf, 1)
-        return (np.maximum(ef, 0.0), np.minimum(ef, 0.0))
+        return tuple(map(_readonly, (np.maximum(ef, 0.0), np.minimum(ef, 0.0))))
     out = []
     for axis in (0, 1):
         xf = ax[:-1] + grid.h / 2
@@ -587,7 +596,45 @@ def _face_velocities(grid: Grid, force: ForceField) -> tuple[np.ndarray, ...]:
         ef = force.at(pts, 2)[..., axis]
         out.append(np.maximum(ef, 0.0))
         out.append(np.minimum(ef, 0.0))
+    return tuple(map(_readonly, out))
+
+
+@lru_cache(maxsize=4)
+def face_slices(d: int) -> tuple:
+    """Per axis, the index tuples (hi, lo) of the cells above and below the
+    interior faces: values[hi] - values[lo] is the difference across each face."""
+    out = []
+    for axis in range(d):
+        hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(d))
+        lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(d))
+        out.append((hi, lo))
     return tuple(out)
+
+
+def flux_divergence(fluxes, shape: tuple, h: float, slices: tuple) -> np.ndarray:
+    """Sum over axes of (F[i+1/2] - F[i-1/2]) / h for per-axis interior-face
+    fluxes F; the box boundary faces carry zero flux, so the sum telescopes."""
+    out = None
+    for flux, (hi, lo) in zip(fluxes, slices):
+        term = np.zeros(shape)
+        term[lo] = flux
+        term[hi] -= flux
+        term /= h
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+def upwind_divergence(values: np.ndarray, faces: tuple, h: float, slices: tuple) -> np.ndarray:
+    """Raw-array kernel of drift_divergence: faces is the (E+, E-) per axis
+    tuple of _face_velocities, slices the face_slices of the dimension."""
+    return flux_divergence(
+        [faces[2 * a] * values[hi] + faces[2 * a + 1] * values[lo]
+         for a, (hi, lo) in enumerate(slices)],
+        values.shape, h, slices,
+    )
 
 
 def drift_divergence(f: Field, force: ForceField) -> Field:
@@ -597,50 +644,24 @@ def drift_divergence(f: Field, force: ForceField) -> Field:
     keeps the stencil Metzler and the discrete maximum principle intact.
     """
     grid = f.grid
-    v = f.values
-    h = grid.h
-    if grid.d == 1:
-        ep, em = _face_velocities(grid, force)
-        flux = ep * v[1:] + em * v[:-1]
-        out = (np.concatenate([flux, [0.0]]) - np.concatenate([[0.0], flux])) / h
-        return f.with_values(out)
-    ep0, em0, ep1, em1 = _face_velocities(grid, force)
-    flux0 = ep0 * v[1:, :] + em0 * v[:-1, :]
-    flux1 = ep1 * v[:, 1:] + em1 * v[:, :-1]
-    z0 = np.zeros((1, grid.n))
-    z1 = np.zeros((grid.n, 1))
-    out = (
-        np.concatenate([flux0, z0], axis=0) - np.concatenate([z0, flux0], axis=0)
-    ) / h + (
-        np.concatenate([flux1, z1], axis=1) - np.concatenate([z1, flux1], axis=1)
-    ) / h
-    return f.with_values(out)
+    faces = _face_velocities(grid, force)
+    return f.with_values(upwind_divergence(f.values, faces, grid.h, face_slices(grid.d)))
 
 
 def drift_gradient_adjoint(g: Field, force: ForceField) -> Field:
     """-E . grad g, the exact transpose of the upwind divergence.
 
     Differences are taken on the downwind side relative to -E, so the matrix
-    identity (div_upwind)^T = -E.grad_downwind holds entrywise.
+    identity (div_upwind)^T = -E.grad_downwind holds entrywise: (D^T g)_i
+    includes E+_{i-1/2} (g_{i-1} - g_i)/h and E-_{i+1/2} (g_i - g_{i+1})/h.
     """
-    grid = g.grid
+    faces = _face_velocities(g.grid, force)
     v = g.values
-    h = grid.h
-    if grid.d == 1:
-        ep, em = _face_velocities(grid, force)
-        dv = (v[1:] - v[:-1]) / h
-        out = np.zeros_like(v)
-        out[1:] -= ep * dv  # (D^T g)_i includes E+_{i-1/2} (g_{i-1} - g_i)/h
-        out[:-1] -= em * dv  # and E-_{i+1/2} (g_i - g_{i+1})/h
-        return g.with_values(out)
-    ep0, em0, ep1, em1 = _face_velocities(grid, force)
     out = np.zeros_like(v)
-    dv0 = (v[1:, :] - v[:-1, :]) / h
-    out[1:, :] -= ep0 * dv0
-    out[:-1, :] -= em0 * dv0
-    dv1 = (v[:, 1:] - v[:, :-1]) / h
-    out[:, 1:] -= ep1 * dv1
-    out[:, :-1] -= em1 * dv1
+    for a, (hi, lo) in enumerate(face_slices(g.grid.d)):
+        dv = (v[hi] - v[lo]) / g.grid.h
+        out[hi] -= faces[2 * a] * dv
+        out[lo] -= faces[2 * a + 1] * dv
     return g.with_values(out)
 
 
@@ -649,49 +670,24 @@ def drift_divergence_centered(f: Field, force: ForceField) -> Field:
     but not Metzler (no discrete maximum principle).  Used where equilibrium
     accuracy outranks sign structure."""
     grid = f.grid
+    faces = _face_velocities(grid, force)
     v = f.values
-    h = grid.h
-    if grid.d == 1:
-        ep, em = _face_velocities(grid, force)
-        ef = ep + em
-        flux = ef * 0.5 * (v[1:] + v[:-1])
-        out = (np.concatenate([flux, [0.0]]) - np.concatenate([[0.0], flux])) / h
-        return f.with_values(out)
-    ep0, em0, ep1, em1 = _face_velocities(grid, force)
-    f0 = (ep0 + em0) * 0.5 * (v[1:, :] + v[:-1, :])
-    f1 = (ep1 + em1) * 0.5 * (v[:, 1:] + v[:, :-1])
-    z0 = np.zeros((1, grid.n))
-    z1 = np.zeros((grid.n, 1))
-    out = (
-        np.concatenate([f0, z0], axis=0) - np.concatenate([z0, f0], axis=0)
-    ) / h + (
-        np.concatenate([f1, z1], axis=1) - np.concatenate([z1, f1], axis=1)
-    ) / h
-    return f.with_values(out)
+    slices = face_slices(grid.d)
+    fluxes = [(faces[2 * a] + faces[2 * a + 1]) * 0.5 * (v[hi] + v[lo])
+              for a, (hi, lo) in enumerate(slices)]
+    return f.with_values(flux_divergence(fluxes, v.shape, grid.h, slices))
 
 
 def drift_gradient_adjoint_centered(g: Field, force: ForceField) -> Field:
     """Exact transpose of the centered flux divergence: -E.grad with
     face-averaged centered differences."""
-    grid = g.grid
+    faces = _face_velocities(g.grid, force)
     v = g.values
-    h = grid.h
-    if grid.d == 1:
-        ep, em = _face_velocities(grid, force)
-        ef = ep + em
-        dv = ef * (v[1:] - v[:-1]) / h
-        out = np.zeros_like(v)
-        out[1:] -= 0.5 * dv
-        out[:-1] -= 0.5 * dv
-        return g.with_values(out)
-    ep0, em0, ep1, em1 = _face_velocities(grid, force)
     out = np.zeros_like(v)
-    dv0 = (ep0 + em0) * (v[1:, :] - v[:-1, :]) / h
-    out[1:, :] -= 0.5 * dv0
-    out[:-1, :] -= 0.5 * dv0
-    dv1 = (ep1 + em1) * (v[:, 1:] - v[:, :-1]) / h
-    out[:, 1:] -= 0.5 * dv1
-    out[:, :-1] -= 0.5 * dv1
+    for a, (hi, lo) in enumerate(face_slices(g.grid.d)):
+        dv = (faces[2 * a] + faces[2 * a + 1]) * (v[hi] - v[lo]) / g.grid.h
+        out[hi] -= 0.5 * dv
+        out[lo] -= 0.5 * dv
     return g.with_values(out)
 
 
@@ -779,7 +775,7 @@ def _jump_matrix(grid: Grid, alpha: float) -> np.ndarray:
         a = a.reshape(n * n, n * n).copy()
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=0))
-    return a
+    return _readonly(a)
 
 
 def idx_diff(n: int) -> np.ndarray:

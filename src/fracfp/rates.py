@@ -51,6 +51,9 @@ class RateReport:
         return self.verdict == "bound-respected"
 
 
+MIN_FIT_POINTS = 10  # fewest points decay_fit accepts in its window
+
+
 def _model_values(model: str, ts: np.ndarray, rate: float) -> np.ndarray:
     if model == "exponential":
         return np.exp(-rate * ts)
@@ -81,8 +84,8 @@ def decay_fit(
     if window is not None:
         mask = (ts >= window[0]) & (ts <= window[1])
         ts, values = ts[mask], values[mask]
-    if len(ts) < 10:
-        raise ValueError(f"need at least 10 points in the fit window, got {len(ts)}")
+    if len(ts) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points in the fit window, got {len(ts)}")
     if ts[-1] <= ts[0]:
         raise ValueError("degenerate fit window")
     x = ts if model == "exponential" else 0.5 * np.log1p(ts**2)

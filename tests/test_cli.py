@@ -224,3 +224,18 @@ def test_run_scenario_polynomial_regime(tmp_path):
     assert rep.overall_pass
     names = {r.name for r in rep.records}
     assert "polynomial-envelope-respected" in names
+
+
+def test_short_fit_window_is_a_fail_record(tmp_path, capsys):
+    # strong confinement: the distance to equilibrium reaches its floor after
+    # 9 of the 16 snapshots, too few for decay_fit
+    p = write_cfg(
+        tmp_path,
+        "name = short\nd = 1\nL = 12\nn = 128\nalpha = 1.5\ngamma = 2.5\nk = 0.5\n"
+        "p = 1.2\nsuite = rates\nhorizon = 8\n",
+    )
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().out.strip().endswith("FAIL")
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    assert "rate-fit-window: measured=9 predicted=- tol=10 -> FAIL" in report
+    assert report[-1] == "FAIL"

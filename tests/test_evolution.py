@@ -249,3 +249,23 @@ def test_evolve_from_steady_state_stays():
     tr = evolve(F, 10.0, cfg)
     drift = float(np.sum(np.abs(tr.snapshots[-1].values - F.values)) * g.h)
     assert drift <= 1e-4
+
+
+def test_evolve_raises_on_non_finite_step():
+    # finite at t = 0 (so the Field accepts it), overflowing in the first step
+    g = build_grid(1, 10.0, 128)
+    f0 = Field(g, 1e308 * np.exp(-g.radius2()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite values at step 1"):
+            evolve(f0, 0.5, OperatorConfig(alpha=1.0, gamma=2.0))
+
+
+def test_evolve_raises_on_mass_drift(monkeypatch):
+    from fracfp.evolution import MASS_DRIFT_TOL, _Stepper
+
+    advance = _Stepper.advance
+    monkeypatch.setattr(_Stepper, "advance", lambda self, v: advance(self, v) * (1.0 + 1e-5))
+    assert 1e-5 > MASS_DRIFT_TOL
+    g = build_grid(1, 10.0, 128)
+    with pytest.raises(FloatingPointError, match="mass drifted by 1.000e-05 at t="):
+        evolve(normalized_gaussian(g), 0.5, OperatorConfig(alpha=1.0, gamma=2.0))

@@ -302,6 +302,31 @@ def test_drift_mass_telescopes():
     assert abs(integrate(out)) < 1e-12 * np.max(np.abs(u))
 
 
+def test_cached_arrays_are_read_only():
+    from fracfp.evolution import _diffusion_multiplier
+    from fracfp.operators import (
+        _face_velocities,
+        _jump_matrix,
+        _plain_conv_kernel,
+        far_kernel,
+        spectral_symbol,
+    )
+
+    g = build_grid(1, 10.0, 64)
+    cached = [
+        *_face_velocities(g, make_force(2.0)),
+        spectral_symbol(g, 1.0),
+        _diffusion_multiplier(g, 1.0, 0.01),
+        _jump_matrix(g, 1.0),
+        _plain_conv_kernel(g, far_kernel(1.0, 1, g.h)),
+    ]
+    for arr in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+
+
 def test_drift_2d_divergence_identity():
     g = build_grid(2, 8.0, 32)
     out = drift_divergence(Field(g, np.ones((32, 32))), make_force(2.0))
