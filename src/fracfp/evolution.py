@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.linalg import expm, lu_factor, lu_solve
 
-from fracfp.grid import Field, Grid, weight_field
+from fracfp.grid import Field, Grid, smooth_indicator, weight_field
 from fracfp.operators import (
     MAX_DENSE,
     _face_velocities,
@@ -42,6 +42,7 @@ from fracfp.operators import (
     flux_divergence,
     get_stencil,
     max_drift_speed,
+    offset_matrix,
     spectral_symbol,
     upwind_divergence,
     windowed_kernel,
@@ -151,9 +152,8 @@ class _Stepper:
         if cfg.drift == "centered":
             self._drift = self._drift_lw
             # E at the nodes and at the faces, per axis
-            pts = grid.axis if grid.d == 1 else np.stack(grid.coords(), axis=-1)
-            e_node = force.at(pts, grid.d).reshape(grid.shape + (-1,))
-            self.lw = [(e_node[..., a], self.faces[2 * a] + self.faces[2 * a + 1])
+            e_node = force.components(grid.coords())
+            self.lw = [(e_node[a], self.faces[2 * a] + self.faces[2 * a + 1])
                        for a in range(grid.d)]
         else:
             self._drift = self._drift_heun
@@ -306,9 +306,7 @@ def evolve(
 
 def radial_cutoff(grid: Grid, eps: float) -> Field:
     """Radially decreasing cutoff: 1 on B(0, 1/eps), 0 outside B(0, 2/eps)."""
-    r = np.sqrt(grid.radius2())
-    s = np.clip((r - 1.0 / eps) * eps, 0.0, 1.0)
-    return Field(grid, 1.0 - (3.0 * s**2 - 2.0 * s**3))
+    return Field(grid, smooth_indicator(grid, 1.0 / eps))
 
 
 def viscosity_generator_apply(f: Field, eps: float, cfg: OperatorConfig) -> Field:
@@ -333,17 +331,11 @@ def viscosity_generator_apply(f: Field, eps: float, cfg: OperatorConfig) -> Fiel
 
 
 def _discrete_laplacian(grid: Grid, v: np.ndarray) -> np.ndarray:
-    h2 = grid.h**2
-    out = -2.0 * grid.d * v.copy()
-    if grid.d == 1:
-        out[1:] += v[:-1]
-        out[:-1] += v[1:]
-    else:
-        out[1:, :] += v[:-1, :]
-        out[:-1, :] += v[1:, :]
-        out[:, 1:] += v[:, :-1]
-        out[:, :-1] += v[:, 1:]
-    return out / h2
+    out = -2.0 * grid.d * v
+    for hi, lo in face_slices(grid.d):
+        out[hi] += v[lo]
+        out[lo] += v[hi]
+    return out / grid.h**2
 
 
 def viscosity_step(f: Field, eps: float, cfg: OperatorConfig, scheme: SchemeConfig | None = None) -> Field:
@@ -372,17 +364,6 @@ def viscosity_step(f: Field, eps: float, cfg: OperatorConfig, scheme: SchemeConf
 # ---------------------------------------------------------------------------
 
 
-def _conv_matrix(grid: Grid, ker: np.ndarray) -> np.ndarray:
-    n = grid.n
-    if grid.d == 1:
-        idx = np.arange(n)
-        return ker[n + idx[:, None] - idx[None, :]].copy()
-    i = np.arange(n)
-    dd = n + (i[:, None] - i[None, :])
-    a = ker[dd[:, None, :, None], dd[None, :, None, :]]
-    return a.reshape(n * n, n * n).copy()
-
-
 def duhamel_residual(
     t: float,
     grid: Grid,
@@ -407,11 +388,10 @@ def duhamel_residual(
     lam = assemble_generator_matrix(grid, cfg).mat
     if splitting == "kernel":
         rr = r if r is not None else grid.h
-        a = _conv_matrix(grid, _plain_conv_kernel(grid, far_kernel(cfg.alpha, grid.d, rr)))
+        ker = _plain_conv_kernel(grid, far_kernel(cfg.alpha, grid.d, rr))
+        a = offset_matrix(ker, grid.n, grid.n)
     elif splitting == "cutoff":
-        s = np.clip((np.sqrt(grid.radius2()) - R) / R, 0.0, 1.0)
-        chi = 1.0 - (3.0 * s**2 - 2.0 * s**3)
-        a = M * np.diag(chi.ravel(order="C"))
+        a = M * np.diag(smooth_indicator(grid, R).ravel(order="C"))
     elif splitting == "none":
         a = np.zeros_like(lam)
     else:

@@ -16,7 +16,7 @@ inside the p-dissipation for sign-changing fields.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from fracfp.operators import (
     JumpKernel,
     OperatorConfig,
     _gl_cell_integrals_2d,
+    _hat_weights,
+    _theta_quad,
     full_kernel,
     get_stencil,
     norm_constant,
@@ -117,16 +119,9 @@ def _seminorm_weights(grid: Grid, s: float, p: float):
     ker = JumpKernel(c=c, alpha=p * s, d=grid.d)
     if grid.d == 1:
         # hat-weight product integration of |u(x+z)-u(x)|^p / z^p against
-        # kappa z^p, mirroring the operator stencil construction
-        zn = np.arange(0, n + 1) * h
-        mp = ker.moment(zn[:-1], zn[1:], p)
-        mp1 = ker.moment(zn[:-1], zn[1:], p + 1.0)
-        gw = np.zeros(n + 1)
-        gw[1:] += (mp1 - zn[:-1] * mp) / h
-        gw[:-1] += (zn[1:] * mp - mp1) / h
-        w = gw[1:] / (np.arange(1, n + 1) * h) ** p
-        selfw = gw[0]
-        return w, selfw
+        # kappa z^p, as in the operator stencil
+        gw = _hat_weights(ker, n, h, p)
+        return gw[1:] / (np.arange(1, n + 1) * h) ** p, gw[0]
     off = np.arange(-n, n + 1) * h
     c1, c2 = np.meshgrid(off, off, indexing="ij")
     m0, mp = _gl_cell_integrals_2d(ker, c1, c2, h, moment=p)
@@ -138,8 +133,6 @@ def _seminorm_weights(grid: Grid, s: float, p: float):
     def self_rad(t):
         rmax = (h / 2) / np.maximum(np.abs(np.cos(t)), np.abs(np.sin(t)))
         return ker.moment(0.0, rmax, p + 1)
-
-    from fracfp.operators import _theta_quad
 
     selfw = _theta_quad(self_rad, 0.0, 2.0 * math.pi)
     return w, selfw
@@ -223,19 +216,11 @@ def confinement_profile(grid: Grid, cfg: OperatorConfig, k: float, p: float):
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
     q = p / (p - 1.0)
-    force = cfg.force_field()
-    h = grid.h
     br2 = 1.0 + grid.radius2()
-    if grid.d == 1:
-        x = grid.axis
-        e = force.at(x, 1)
-        div_e = np.gradient(e, h)
-        e_dot_x = e * x
-    else:
-        pts = np.stack(grid.coords(), axis=-1)
-        e = force.at(pts, 2)
-        div_e = np.gradient(e[..., 0], h, axis=0) + np.gradient(e[..., 1], h, axis=1)
-        e_dot_x = np.sum(e * pts, axis=-1)
+    coords = grid.coords()
+    e = cfg.force_field().components(coords)
+    div_e = sum(np.gradient(ea, grid.h, axis=a) for a, ea in enumerate(e))
+    e_dot_x = sum(ea * xa for ea, xa in zip(e, coords))
     phi = div_e / q - k * e_dot_x / br2
     out = {"phi": Field(grid, phi), "p_gamma": threshold_p_gamma(k, cfg.gamma, grid.d)}
     out["p_admissible"] = p < out["p_gamma"]
@@ -299,21 +284,15 @@ def local_mean_control_check(u: Field, mu: Field, radius: float, p: float, cfg: 
         np.sum((signed_power(u.values, p - 1.0) * (u.values - mean) * muv)[om]) * vol
     )
     dp = p_dissipation_field(u, p, cfg).values
-    diam = _omega_diameter(grid, om)
-    c_pw = diam ** (grid.d + cfg.alpha) * float(np.max(muv[om])) / (
-        norm_constant(cfg.alpha, grid.d) * mu_om
-    )
+    c_pw = _pw_constant(grid, om, muv, mu_om, cfg.alpha)
     rhs = c_pw * float(np.sum((dp * muv)[om]) * vol)
     return {"middle": middle, "rhs": rhs, "c_pw": c_pw, "passes": -1e-12 <= middle <= rhs * (1 + 1e-9) + 1e-15}
 
 
-def _omega_diameter(grid: Grid, mask: np.ndarray) -> float:
-    if grid.d == 1:
-        xs = grid.axis[mask]
-        return float(xs.max() - xs.min())
-    pts = grid.nodes()[mask.ravel(order="C")]
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    return float(np.hypot(*spans))
+def _pw_constant(grid: Grid, om: np.ndarray, muv: np.ndarray, mu_om: float, alpha: float) -> float:
+    """C_PW = diam(Om)^(d+alpha) ||mu||_inf(Om) / (c_{alpha,d} mu(Om))."""
+    diam = float(reduce(np.hypot, [c[om].max() - c[om].min() for c in grid.coords()]))
+    return diam ** (grid.d + alpha) * float(np.max(muv[om])) / (norm_constant(alpha, grid.d) * mu_om)
 
 
 def poincare_wirtinger_check(
@@ -336,10 +315,7 @@ def poincare_wirtinger_check(
         raise ValueError("v must have zero mu-mean on the whole grid")
     lhs = float(np.sum((np.abs(v.values) ** p * muv)[om]) * vol)
     dp = p_dissipation_field(v, p, cfg).values
-    diam = _omega_diameter(grid, om)
-    c_pw = diam ** (grid.d + cfg.alpha) * float(np.max(muv[om])) / (
-        norm_constant(cfg.alpha, grid.d) * mu_om
-    )
+    c_pw = _pw_constant(grid, om, muv, mu_om, cfg.alpha)
     eps_om = mu_out / mu_om
     norm_in = float(np.sum((np.abs(v.values) ** p * muv)[om]) * vol) ** ((p - 1.0) / p)
     norm_out = float(np.sum((np.abs(v.values) ** p * muv)[~om]) * vol) ** (1.0 / p)

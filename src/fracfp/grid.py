@@ -6,7 +6,9 @@ centering keeps the node set symmetric under x -> -x and keeps the singular
 jump kernel away from zero offsets.  All quadrature is the midpoint rule,
 integral(u) ~ sum(u) * h^d.
 
-Weights are powers of the Japanese bracket <x> = sqrt(1 + |x|^2).
+Weights are powers of the Japanese bracket <x> = sqrt(1 + |x|^2).  Also here,
+two helpers shared across modules: the smoothstep radial cutoff and the
+least-squares line fit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["Grid", "Field", "build_grid", "weight_field", "integrate"]
+__all__ = ["Grid", "Field", "build_grid", "weight_field", "integrate",
+           "smooth_indicator", "line_fit"]
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,7 @@ class Grid:
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays, one per axis, each shaped like a field."""
-        if self.d == 1:
-            return (self.axis,)
-        x, y = np.meshgrid(self.axis, self.axis, indexing="ij")
-        return (x, y)
+        return tuple(np.meshgrid(*[self.axis] * self.d, indexing="ij"))
 
     def nodes(self) -> np.ndarray:
         """All node coordinates as an (n^d, d) array in row-major order."""
@@ -127,3 +127,18 @@ def weight_field(grid: Grid, k: float) -> Field:
 def integrate(f: Field) -> float:
     """Midpoint-rule integral: sum of values times the cell volume."""
     return float(np.sum(f.values) * f.grid.cell_volume)
+
+
+def smooth_indicator(grid: Grid, R: float) -> np.ndarray:
+    """Smoothstep radial cutoff with 1_{B_R} <= chi <= 1_{B_2R}."""
+    s = np.clip((np.sqrt(grid.radius2()) - R) / R, 0.0, 1.0)
+    return 1.0 - (3.0 * s**2 - 2.0 * s**3)
+
+
+def line_fit(x: np.ndarray, y: np.ndarray):
+    """Least-squares line y ~ slope x + intercept: (slope, intercept, r^2)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return slope, intercept, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0

@@ -36,12 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy import signal as _signal
 from scipy.special import gamma as _gamma
 
 from fracfp.grid import Field, Grid
@@ -56,6 +54,9 @@ __all__ = [
     "spectral_fraclap",
     "quadrature_fraclap",
     "split_fraclap",
+    "box_frequencies",
+    "fourier_multiply",
+    "convolve_same",
     "capped_convolution",
     "drift_divergence",
     "drift_gradient_adjoint",
@@ -65,6 +66,7 @@ __all__ = [
     "generator_apply",
     "adjoint_apply",
     "assemble_generator_matrix",
+    "offset_matrix",
     "fraclap_of_weight",
     "fraclap_reference",
 ]
@@ -120,6 +122,14 @@ class ForceField:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """1d evaluation shorthand."""
         return self.at(x, 1)
+
+    def components(self, coords) -> list:
+        """E per axis at the points whose per-axis coordinates are the equally
+        shaped arrays coords (as returned by Grid.coords)."""
+        d = len(coords)
+        pts = coords[0] if d == 1 else np.stack(coords, axis=-1)
+        e = self.at(pts, d).reshape(np.shape(coords[0]) + (-1,))
+        return [e[..., a] for a in range(d)]
 
     @property
     def is_canonical(self) -> bool:
@@ -237,7 +247,7 @@ class JumpKernel:
 
     def l1_mass(self) -> float:
         """Analytic ||kappa||_L1 over R^d (infinite for the uncapped kernel)."""
-        surf = 2.0 if self.d == 1 else 2.0 * math.pi
+        surf = 2.0 * math.pi ** (self.d / 2.0) / math.gamma(self.d / 2.0)  # |S^(d-1)|
         return float(surf * self.moment(0.0, math.inf, self.d - 1))
 
 
@@ -257,6 +267,40 @@ def windowed_kernel(alpha: float, d: int, eps: float) -> JumpKernel:
     return JumpKernel(
         c=norm_constant(alpha, d), alpha=alpha, d=d, lo=eps, hi=1.0 / eps
     )
+
+
+# ---------------------------------------------------------------------------
+# FFT layer on numpy.fft: Fourier multipliers and zero-padded convolutions
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def box_frequencies(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Per-axis frequencies of the rfftn layout of a field, each shaped to
+    broadcast against it: fftfreq on the leading axes, rfftfreq on the last."""
+    xi = [np.fft.fftfreq(grid.n, d=grid.h)] * (grid.d - 1) + [np.fft.rfftfreq(grid.n, d=grid.h)]
+    return tuple(map(_readonly, np.meshgrid(*xi, indexing="ij", sparse=True)))
+
+
+def fourier_multiply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """irfftn(rfftn(values) * mult): the multiplier mult, given in the rfftn
+    layout, applied to a field on the periodic box."""
+    axes = tuple(range(values.ndim))
+    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) * mult, values.shape, axes=axes)
+
+
+def convolve_same(values: np.ndarray, ker: np.ndarray) -> np.ndarray:
+    """Linear convolution of values with ker (zero padding, no wrap-around),
+    cropped to the centered values.shape block: ker's center acts at offset 0.
+
+    The unscaled inverse is scaled once by 1/N, N the padded size, not once
+    per axis: that keeps 2d sums bit-identical to the earlier scipy route."""
+    axes = tuple(range(values.ndim))
+    full = tuple(a + b - 1 for a, b in zip(values.shape, ker.shape))
+    spec = np.fft.rfftn(values, full, axes=axes) * np.fft.rfftn(ker, full, axes=axes)
+    out = np.fft.irfftn(spec, full, axes=axes, norm="forward") * (1.0 / math.prod(full))
+    return out[tuple(slice((f - s) // 2, (f - s) // 2 + s)
+                     for f, s in zip(full, values.shape))].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +327,7 @@ class JumpStencil:
     folded: np.ndarray
 
     def pair_sum(self, values: np.ndarray) -> np.ndarray:
-        return _signal.fftconvolve(values, self.ker, mode="same")
+        return convolve_same(values, self.ker)
 
     def apply(self, values: np.ndarray, exterior: str) -> np.ndarray:
         out = self.pair_sum(values) - self.deg_in * values
@@ -294,15 +338,9 @@ class JumpStencil:
     def apply_periodic(self, values: np.ndarray) -> np.ndarray:
         """Periodic-wrap jump operator: the real-space twin of the spectral
         route, with exactly zero column sums at every node."""
-        g = self.grid
         deg = float(self.folded.sum())
-        if g.d == 1:
-            conv = np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(self.folded), n=g.n)
-        else:
-            conv = np.fft.irfft2(
-                np.fft.rfft2(values) * np.fft.rfft2(self.folded), s=g.shape
-            )
-        return conv - deg * values
+        mult = np.fft.rfftn(self.folded, axes=tuple(range(self.folded.ndim)))
+        return fourier_multiply(values, mult) - deg * values
 
 
 def _fold_kernel(ker: np.ndarray, grid: Grid, kernel: JumpKernel) -> np.ndarray:
@@ -355,20 +393,26 @@ def get_stencil(grid: Grid, kernel: JumpKernel) -> JumpStencil:
     return _build_stencil_2d(grid, kernel)
 
 
+def _hat_weights(kernel: JumpKernel, n: int, h: float, m: float) -> np.ndarray:
+    """Weights on the offset nodes 0, h, ..., nh that integrate kappa(z) z^m g(z)
+    over (0, nh] for the piecewise-linear interpolant of g: the kernel moments
+    are integrated exactly against each hat."""
+    zn = np.arange(0, n + 1) * h
+    mm = kernel.moment(zn[:-1], zn[1:], m)
+    mm1 = kernel.moment(zn[:-1], zn[1:], m + 1)
+    gw = np.zeros(n + 1)
+    gw[1:] += (mm1 - zn[:-1] * mm) / h  # rising side of the hat at z_j
+    gw[:-1] += (zn[1:] * mm - mm1) / h  # falling side of the hat at z_{j-1}
+    return gw
+
+
 def _build_stencil_1d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
     n, h = grid.n, grid.h
-    j = np.arange(1, n + 1)
-    zc = j * h
-    # product integration of g(z) = S(z)/z^2 against kappa z^2: integrate the
-    # kernel moment exactly against the piecewise-linear interpolant of g on
-    # the offset nodes 0, h, ..., nh (hat weights; exact for linear g, so no
-    # first-moment sampling error and clean second order uniformly in alpha)
-    zn = np.arange(0, n + 1) * h
-    m2 = kernel.moment(zn[:-1], zn[1:], 2)
-    m3 = kernel.moment(zn[:-1], zn[1:], 3)
-    gw = np.zeros(n + 1)
-    gw[1:] += (m3 - zn[:-1] * m2) / h  # rising side of the hat at z_j
-    gw[:-1] += (zn[1:] * m2 - m3) / h  # falling side of the hat at z_{j-1}
+    zc = np.arange(1, n + 1) * h
+    # product integration of g(z) = S(z)/z^2 against kappa z^2 (hat weights:
+    # exact for linear g, so no first-moment sampling error and clean second
+    # order uniformly in alpha)
+    gw = _hat_weights(kernel, n, h, 2)
     nu = gw[1:] / zc**2
     # the z = 0 node value is the discrete second derivative S_1/h^2
     nu[0] += gw[0] / h**2
@@ -431,10 +475,10 @@ def _build_stencil_2d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
         ker[mid + di, mid + dj] += mc / (2.0 * h**2)
 
     ones = np.ones(grid.shape)
-    deg_in = _signal.fftconvolve(ones, ker, mode="same")
+    deg_in = convolve_same(ones, ker)
 
     # exterior: plain masses of not-covered cells + analytic beyond-square tail
-    cov0 = _signal.fftconvolve(ones, m0, mode="same")
+    cov0 = convolve_same(ones, m0)
     zmax = (n + 0.5) * h
 
     def beyond_integrand(t):
@@ -457,23 +501,13 @@ def spectral_symbol(grid: Grid, alpha: float) -> np.ndarray:
     """Multiplier -(2 pi |xi|)^alpha on the discrete frequencies of the box."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if grid.d == 1:
-        xi = np.fft.rfftfreq(grid.n, d=grid.h)
-        return _readonly(-((2.0 * math.pi * np.abs(xi)) ** alpha))
-    xi1 = np.fft.fftfreq(grid.n, d=grid.h)
-    xi2 = np.fft.rfftfreq(grid.n, d=grid.h)
-    absxi = np.hypot(xi1[:, None], xi2[None, :])
+    absxi = reduce(np.hypot, box_frequencies(grid))
     return _readonly(-((2.0 * math.pi * absxi) ** alpha))
 
 
 def spectral_fraclap(f: Field, alpha: float) -> Field:
     """I(f) through the Fourier multiplier (periodic interpretation of the box)."""
-    sym = spectral_symbol(f.grid, float(alpha))
-    if f.grid.d == 1:
-        out = np.fft.irfft(sym * np.fft.rfft(f.values), n=f.grid.n)
-    else:
-        out = np.fft.irfft2(sym * np.fft.rfft2(f.values), s=f.grid.shape)
-    return f.with_values(out)
+    return f.with_values(fourier_multiply(f.values, spectral_symbol(f.grid, float(alpha))))
 
 
 BOUNDARY_DECAY_TOL = 1e-3
@@ -485,11 +519,8 @@ def check_boundary_decay(f: Field, tol: float = BOUNDARY_DECAY_TOL) -> float:
     top = float(v.max())
     if top == 0.0:
         return 0.0
-    if f.grid.d == 1:
-        edge = max(v[0], v[-1])
-    else:
-        edge = max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max())
-    ratio = float(edge / top)
+    edge = max(float(np.take(v, i, axis=a).max()) for a in range(v.ndim) for i in (0, -1))
+    ratio = edge / top
     if ratio > tol:
         raise ValueError(
             f"field does not decay at the box boundary (edge/max = {ratio:.3e} "
@@ -564,7 +595,7 @@ def capped_convolution(f: Field, cfg: OperatorConfig, r: float) -> Field:
     convolution rule with all weights nonnegative (positivity is structural).
     """
     ker = _plain_conv_kernel(f.grid, far_kernel(cfg.alpha, f.grid.d, r))
-    return f.with_values(_signal.fftconvolve(f.values, ker, mode="same"))
+    return f.with_values(convolve_same(f.values, ker))
 
 
 # ---------------------------------------------------------------------------
@@ -581,21 +612,12 @@ def _face_velocities(grid: Grid, force: ForceField) -> tuple[np.ndarray, ...]:
     and the flux form telescopes to exact mass conservation.
     """
     ax = grid.axis
-    if grid.d == 1:
-        xf = ax[:-1] + grid.h / 2
-        ef = force.at(xf, 1)
-        return tuple(map(_readonly, (np.maximum(ef, 0.0), np.minimum(ef, 0.0))))
+    xf = ax[:-1] + grid.h / 2
     out = []
-    for axis in (0, 1):
-        xf = ax[:-1] + grid.h / 2
-        if axis == 0:
-            p1, p2 = np.meshgrid(xf, ax, indexing="ij")
-        else:
-            p1, p2 = np.meshgrid(ax, xf, indexing="ij")
-        pts = np.stack([p1, p2], axis=-1)
-        ef = force.at(pts, 2)[..., axis]
-        out.append(np.maximum(ef, 0.0))
-        out.append(np.minimum(ef, 0.0))
+    for a in range(grid.d):
+        faces = np.meshgrid(*(xf if b == a else ax for b in range(grid.d)), indexing="ij")
+        ef = force.components(faces)[a]
+        out += [np.maximum(ef, 0.0), np.minimum(ef, 0.0)]
     return tuple(map(_readonly, out))
 
 
@@ -765,22 +787,26 @@ class GeneratorMatrix:
 def _jump_matrix(grid: Grid, alpha: float) -> np.ndarray:
     """Periodic-wrap jump matrix: circulant symmetric Metzler, column sums zero."""
     st = get_stencil(grid, full_kernel(alpha, grid.d))
-    n = grid.n
-    if grid.d == 1:
-        dd = idx_diff(n) % n
-        a = st.folded[dd].copy()
-    else:
-        dd = idx_diff(n) % n
-        a = st.folded[dd[:, None, :, None], dd[None, :, None, :]]
-        a = a.reshape(n * n, n * n).copy()
+    a = offset_matrix(st.folded, grid.n, 0)
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=0))
     return _readonly(a)
 
 
-def idx_diff(n: int) -> np.ndarray:
+def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:
+    """Dense matrix of a translation-invariant operator on the n^d nodes in
+    row-major order: the entry of nodes (i, j) is table[(center + i_a - j_a)
+    mod m per axis a], m the table's axis length.  A circulant row (m = n)
+    has center 0; an offset kernel over -n..n (m = 2n + 1) has center n."""
     i = np.arange(n)
-    return i[:, None] - i[None, :]
+    index = (center + i[:, None] - i[None, :]) % table.shape[0]
+    d = table.ndim
+    gather = []
+    for a in range(d):
+        shape = [1] * (2 * d)
+        shape[a] = shape[d + a] = n
+        gather.append(index.reshape(shape))
+    return table[tuple(gather)].reshape(n**d, n**d)
 
 
 def _drift_matrix(grid: Grid, cfg: OperatorConfig) -> np.ndarray:
@@ -831,6 +857,8 @@ def fraclap_reference(
     endpoint singularity, and an infinite-range quadrature beyond.  Works for
     any smooth func with growth below |x|^alpha (weights, Gaussians, ...).
     """
+    from scipy import integrate  # its only user; not loaded by the CLI
+
     c = norm_constant(alpha, 1)
     p = 1.0 / (2.0 - alpha)
     z_floor = 1e-4  # below this the centered second difference cancels badly
@@ -850,7 +878,7 @@ def fraclap_reference(
                 return g_floor
             return second_diff(z) / z**2
 
-        near, _ = _sciint.quad(inner, 0.0, 1.0, limit=200)
+        near, _ = integrate.quad(inner, 0.0, 1.0, limit=200)
         near *= c * p  # kappa z^2 dz = c z^(1-alpha) dz = (c/p') dw under w = z^(2-alpha)
 
         def outer(z):
@@ -860,8 +888,8 @@ def fraclap_reference(
         # quadrature cannot step over the bump on the infinite range
         zcut = max(2.0 * abs(x) + 20.0, 50.0)
         pts = sorted({min(max(q, 1.0), zcut) for q in (abs(x) - 8, abs(x), abs(x) + 8)})
-        far1, _ = _sciint.quad(outer, 1.0, zcut, points=pts, limit=400)
-        far2, _ = _sciint.quad(outer, zcut, np.inf, limit=200)
+        far1, _ = integrate.quad(outer, 1.0, zcut, points=pts, limit=400)
+        far2, _ = integrate.quad(outer, zcut, np.inf, limit=200)
         flat[i] = near + c * (far1 + far2)
     return out
 
@@ -898,25 +926,12 @@ def verify_force_hypotheses(force: ForceField, gamma: float, grid: Grid) -> dict
     grad E uses centered differences with step h.
     """
     h = grid.h
-    br = grid.bracket()
-    if grid.d == 1:
-        x = grid.axis
-        e = force(x)
-        de = np.gradient(e, h)
-        grad_norm = np.abs(de)
-        ex = e * x
-        r2 = x**2
-    else:
-        pts = np.stack(grid.coords(), axis=-1)
-        e = force.at(pts, 2)
-        d00 = np.gradient(e[..., 0], h, axis=0)
-        d01 = np.gradient(e[..., 0], h, axis=1)
-        d10 = np.gradient(e[..., 1], h, axis=0)
-        d11 = np.gradient(e[..., 1], h, axis=1)
-        grad_norm = np.sqrt(d00**2 + d01**2 + d10**2 + d11**2)
-        ex = np.sum(e * pts, axis=-1)
-        r2 = grid.radius2()
-    decay = br ** (gamma - 2.0)
+    coords = grid.coords()
+    e = force.components(coords)
+    grad_norm = np.sqrt(sum(np.gradient(ea, h, axis=b) ** 2 for ea in e for b in range(grid.d)))
+    ex = sum(ea * xa for ea, xa in zip(e, coords))
+    r2 = grid.radius2()
+    decay = grid.bracket() ** (gamma - 2.0)
     sup_grad = float(np.max(grad_norm / decay))
     mask = r2 > h**2
     inf_conf = float(np.min(ex[mask] / (decay[mask] * r2[mask])))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from fracfp.grid import Field, Grid, weight_field
+from fracfp.grid import Field, Grid, line_fit, smooth_indicator, weight_field
 from fracfp.operators import GeneratorMatrix, OperatorConfig
 from fracfp.evolution import SchemeConfig, auto_dt, evolve
 from fracfp.functionals import signed_power, weighted_norm
@@ -89,12 +89,7 @@ def decay_fit(
     if ts[-1] <= ts[0]:
         raise ValueError("degenerate fit window")
     x = ts if model == "exponential" else 0.5 * np.log1p(ts**2)
-    y = np.log(values)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, _, r2 = line_fit(x, np.log(values))
     fitted = float(-slope)
 
     rate_for_bound = predicted if predicted is not None else fitted
@@ -167,11 +162,7 @@ def _steepest_window_fit(ts, vals, min_pts=10, keep_frac=0.85):
     sel = slice(start, start + length + 1)
     if length + 1 < min_pts:
         sel = slice(None)  # fall back to the full window
-    slope, _ = np.polyfit(lx[sel], ly[sel], 1)
-    pred = np.polyval(np.polyfit(lx[sel], ly[sel], 1), lx[sel])
-    ss_res = float(np.sum((ly[sel] - pred) ** 2))
-    ss_tot = float(np.sum((ly[sel] - np.mean(ly[sel])) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, _, r2 = line_fit(lx[sel], ly[sel])
     return float(-slope), r2, (float(ts[sel][0]), float(ts[sel][-1]))
 
 
@@ -311,12 +302,6 @@ def polynomial_rate_check(
 # ---------------------------------------------------------------------------
 # dissipative-part semigroup decay
 # ---------------------------------------------------------------------------
-
-
-def smooth_indicator(grid: Grid, R: float) -> np.ndarray:
-    """Radial cutoff with 1_{B_R} <= chi <= 1_{B_2R}."""
-    s = np.clip((np.sqrt(grid.radius2()) - R) / R, 0.0, 1.0)
-    return 1.0 - (3.0 * s**2 - 2.0 * s**3)
 
 
 def weighted_opnorm(mat: np.ndarray, p: float, w_out: np.ndarray, w_in: np.ndarray,

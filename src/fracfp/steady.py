@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import linalg as _la
 
-from fracfp.grid import Field, Grid, integrate
-from fracfp.operators import GeneratorMatrix, OperatorConfig, generator_apply
+from fracfp.grid import Field, Grid, integrate, line_fit
+from fracfp.operators import GeneratorMatrix, OperatorConfig, box_frequencies, generator_apply
 from fracfp.evolution import SchemeConfig, evolve
 
 __all__ = [
@@ -60,20 +61,12 @@ def closed_form_equilibrium(alpha: float, grid: Grid, gamma: float = 2.0) -> Fie
         raise ValueError("the closed form is specific to the linear drift (gamma = 2)")
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    xi = box_frequencies(grid)
+    fhat = np.exp(-((2.0 * math.pi * reduce(np.hypot, xi)) ** alpha) / alpha).astype(complex)
     # phase shift puts the inverse transform on the cell centers -L + (j+1/2)h
-    if grid.d == 1:
-        xi = np.fft.rfftfreq(grid.n, d=grid.h)
-        fhat = np.exp(-((2.0 * math.pi * xi) ** alpha) / alpha).astype(complex)
-        fhat *= np.exp(2j * math.pi * xi * (-grid.L + grid.h / 2.0))
-        vals = np.fft.irfft(fhat, n=grid.n) / grid.h
-    else:
-        xi1 = np.fft.fftfreq(grid.n, d=grid.h)
-        xi2 = np.fft.rfftfreq(grid.n, d=grid.h)
-        absxi = np.hypot(xi1[:, None], xi2[None, :])
-        fhat = np.exp(-((2.0 * math.pi * absxi) ** alpha) / alpha).astype(complex)
-        shift = -grid.L + grid.h / 2.0
-        fhat *= np.exp(2j * math.pi * (xi1[:, None] + xi2[None, :]) * shift)
-        vals = np.fft.irfft2(fhat, s=grid.shape) / grid.cell_volume
+    fhat *= np.exp(2j * math.pi * reduce(np.add, xi) * (-grid.L + grid.h / 2.0))
+    axes = tuple(range(grid.d))
+    vals = np.fft.irfftn(fhat, grid.shape, axes=axes) / grid.cell_volume
     vals = vals / (np.sum(vals) * grid.cell_volume)
     return Field(grid, vals, tag="density")
 
@@ -182,10 +175,5 @@ def tail_exponent(F: Field, window: tuple[float, float] | None = None):
     if np.count_nonzero(mask) < 8:
         raise ValueError("tail-fit window contains fewer than 8 usable nodes")
     lx = 0.5 * np.log1p(r2[mask])  # log <x>
-    ly = np.log(vals[mask])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2fit = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, _, r2fit = line_fit(lx, np.log(vals[mask]))
     return float(-slope), r2fit

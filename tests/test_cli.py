@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import fracfp
 
 from fracfp.cli import (
     ConfigError,
@@ -239,3 +246,32 @@ def test_short_fit_window_is_a_fail_record(tmp_path, capsys):
     report = (tmp_path / "o" / "report.txt").read_text().splitlines()
     assert "rate-fit-window: measured=9 predicted=- tol=10 -> FAIL" in report
     assert report[-1] == "FAIL"
+
+
+def test_nonpositive_steady_state_is_a_fail_record(tmp_path, capsys):
+    # the centered drift has no discrete maximum principle: this steady state
+    # dips to -0.093, so it cannot be the relative-entropy reference
+    p = write_cfg(
+        tmp_path,
+        "name = negative\nd = 2\nL = 8\nn = 8\nalpha = 0.8\ngamma = 3.0\nk = 0.4\n"
+        "p = 1.05\ndrift = centered\nsuite = rates\nhorizon = 4\n",
+    )
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().out.strip().endswith("FAIL")
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    record = next(line for line in report if line.startswith("entropy-reference-positive:"))
+    assert record.endswith("tol=0 -> FAIL")
+    assert float(record.split("measured=")[1].split()[0]) < 0.0
+    assert not any(line.startswith("entropy-nonincreasing:") for line in report)
+    assert report[-1] == "FAIL"
+    assert (tmp_path / "o" / "monitors.csv").read_text().splitlines()[1].endswith(",nan")
+
+
+def test_cli_import_leaves_out_unused_scipy_subpackages():
+    src = Path(fracfp.__file__).resolve().parents[1]
+    code = ("import sys, fracfp.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

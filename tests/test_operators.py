@@ -9,12 +9,14 @@ from fracfp.operators import (
     adjoint_apply,
     assemble_generator_matrix,
     capped_convolution,
+    convolve_same,
     drift_divergence,
     fraclap_of_weight,
     fraclap_reference,
     generator_apply,
     make_force,
     norm_constant,
+    offset_matrix,
     quadrature_fraclap,
     spectral_fraclap,
     split_fraclap,
@@ -24,6 +26,53 @@ from fracfp.operators import (
 
 def gaussian_field(grid, s2=1.0):
     return Field(grid, np.exp(-grid.radius2() / s2))
+
+
+# ---------------------------------------------------------------- FFT layer
+
+
+def test_convolve_same_1d_matches_numpy_convolve():
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(64)
+    short = rng.standard_normal(9)
+    assert np.allclose(convolve_same(v, short), np.convolve(v, short, mode="same"),
+                       rtol=0.0, atol=1e-12)
+    # the stencil shape (2n+1,): "same" is the centered n-block of "full"
+    wide = rng.standard_normal(2 * 64 + 1)
+    full = np.convolve(v, wide, mode="full")
+    assert np.allclose(convolve_same(v, wide), full[64:128], rtol=0.0, atol=1e-12)
+
+
+def test_convolve_same_2d_matches_direct_double_sum():
+    rng = np.random.default_rng(12)
+    n = 8
+    v = rng.standard_normal((n, n))
+    ker = rng.standard_normal((2 * n + 1, 2 * n + 1))
+    direct = np.zeros((n, n))
+    for i1 in range(n):
+        for i2 in range(n):
+            for j1 in range(n):
+                for j2 in range(n):
+                    direct[i1, i2] += v[j1, j2] * ker[n + i1 - j1, n + i2 - j2]
+    assert np.allclose(convolve_same(v, ker), direct, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
+def test_offset_matrix_matches_capped_convolution(d, n):
+    from fracfp.operators import _plain_conv_kernel, far_kernel
+
+    g = build_grid(d, 6.0, n)
+    cfg = OperatorConfig(alpha=0.8, method="quadrature")
+    r = 2.0 * g.h
+    mat = offset_matrix(_plain_conv_kernel(g, far_kernel(cfg.alpha, d, r)), n, n)
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal(g.shape)
+    conv = capped_convolution(Field(g, v), cfg, r).values.ravel(order="C")
+    assert np.allclose(mat @ v.ravel(order="C"), conv, rtol=0.0, atol=1e-13 * np.max(np.abs(conv)))
+    # an asymmetric table tells the matrix from its transpose
+    table = rng.standard_normal((2 * n + 1,) * d)
+    conv = convolve_same(v, table).ravel(order="C")
+    assert np.allclose(offset_matrix(table, n, n) @ v.ravel(order="C"), conv, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- spectral
@@ -308,6 +357,7 @@ def test_cached_arrays_are_read_only():
         _face_velocities,
         _jump_matrix,
         _plain_conv_kernel,
+        box_frequencies,
         far_kernel,
         spectral_symbol,
     )
@@ -315,6 +365,7 @@ def test_cached_arrays_are_read_only():
     g = build_grid(1, 10.0, 64)
     cached = [
         *_face_velocities(g, make_force(2.0)),
+        *box_frequencies(g),
         spectral_symbol(g, 1.0),
         _diffusion_multiplier(g, 1.0, 0.01),
         _jump_matrix(g, 1.0),
