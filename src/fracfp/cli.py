@@ -374,13 +374,17 @@ def _suite_inequalities(cfg: ScenarioConfig, report: RunReport, artifacts: dict)
     ss = artifacts.get("steady")
     mu = ss.field if ss is not None else _normalized_gaussian(grid)
     muv = mu.values
-    npass = 0
-    for w in bank:
-        c0 = float(np.sum(w.values * muv) / np.sum(muv))
-        v = Field(grid, w.values - c0)
-        rep = poincare_wirtinger_check(v, mu, grid.L / 4.0, 2.0, op)
-        npass += rep["passes"]
-    report.add("poincare-wirtinger-bank", npass, len(bank), npass == len(bank), len(bank))
+    if muv.min() <= 0.0:
+        # a signed steady state (centered drift) is no Poincare weight
+        report.add("poincare-weight-positive", muv.min(), 0.0, False)
+    else:
+        npass = 0
+        for w in bank:
+            c0 = float(np.sum(w.values * muv) / np.sum(muv))
+            v = Field(grid, w.values - c0)
+            rep = poincare_wirtinger_check(v, mu, grid.L / 4.0, 2.0, op)
+            npass += rep["passes"]
+        report.add("poincare-wirtinger-bank", npass, len(bank), npass == len(bank), len(bank))
 
     nash = nash_chain_check(bank, min(2.0, cfg.p), cfg.k, op)
     report.add("nash-chain-constant", nash["c"], 0.0, nash["passes"])
@@ -529,9 +533,12 @@ def main(argv=None) -> int:
                     for p, cfg in configs
                 }
                 for fut, (p, cfg) in futs.items():
-                    rep = fut.result()
-                    print(f"{p}: {'PASS' if rep.overall_pass else 'FAIL'}")
-                    ok &= rep.overall_pass
+                    try:
+                        verdict = "PASS" if fut.result().overall_pass else "FAIL"
+                    except Exception as exc:  # one bad config never ends the batch
+                        verdict = f"ERROR {type(exc).__name__}: {exc}"
+                    print(f"{p}: {verdict}")
+                    ok &= verdict == "PASS"
             return 0 if ok else 1
         cfg = parse_config(args.config)
         if args.suite:

@@ -2,12 +2,12 @@
 
 The drift substep is an explicit conservative flux-form update (CFL-limited;
 upwind Heun by default, Lax-Wendroff when the operator asks for centered
-drift); the jump substep is either the exact spectral multiplier
+drift); the jump substep is a Fourier multiplier: the exact spectral
 exp(-(2 pi |xi|)^alpha dt) (unconditionally stable, exactly mass preserving)
-or a backward-Euler solve with the periodized quadrature matrix (an
-M-matrix, so the update is a column-stochastic kernel: positivity and mass
-conservation hold to machine precision).  Strang ordering is half-drift /
-full-jump / half-drift.
+or backward Euler with the periodized quadrature circulant, an FFT divide by
+1 - dt*lambda_k (lambda_k: quadrature_symbol).  That M-matrix inverse is a
+column-stochastic kernel, so positivity and mass hold to FFT roundoff at any
+grid size.  Strang ordering is half-drift / full-jump / half-drift.
 
 The step loop works on raw ndarrays: Field validation happens at the API
 boundary (the initial field, snapshots, the result of ``step``), and inside
@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.linalg import expm
 
 from fracfp.grid import Field, Grid, smooth_indicator, weight_field
 from fracfp.operators import (
-    MAX_DENSE,
     _face_velocities,
     OperatorConfig,
-    _jump_matrix,
+    _jump_matrix,  # not called here: perfbench/spans.py LAYERS patches this binding
     _plain_conv_kernel,
     _readonly,
     assemble_generator_matrix,
@@ -43,6 +42,7 @@ from fracfp.operators import (
     get_stencil,
     max_drift_speed,
     offset_matrix,
+    quadrature_symbol,
     spectral_symbol,
     upwind_divergence,
     windowed_kernel,
@@ -123,17 +123,15 @@ def _diffusion_multiplier(grid: Grid, alpha: float, dt: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _implicit_factor(grid: Grid, alpha: float, dt: float):
-    if grid.size > MAX_DENSE:
-        raise ValueError("implicit-matrix diffusion requires n^d <= 4096")
-    jm = _jump_matrix(grid, alpha)
-    return lu_factor(np.eye(grid.size) - dt * jm)
+def _implicit_factor(grid: Grid, alpha: float, dt: float) -> np.ndarray:
+    """Backward-Euler multiplier 1/(1 - dt*lambda_k) of the quadrature circulant."""
+    return _readonly(1.0 / (1.0 - dt * quadrature_symbol(grid, alpha)))
 
 
 class _Stepper:
     """Per-run state of the split step, all on raw arrays: the multiplier and
-    FFT pair (or LU factors) of the jump substep, and per axis the face
-    velocities and slices of the drift substep."""
+    FFT pair of the jump substep, and per axis the face velocities and slices
+    of the drift substep."""
 
     def __init__(self, grid: Grid, cfg: OperatorConfig, scheme: SchemeConfig):
         force = cfg.force_field()
@@ -145,7 +143,6 @@ class _Stepper:
             )
         self.half_dt = 0.5 * self.dt
         self.strang = scheme.splitting == "strang"
-        self.shape = grid.shape
         self.h = grid.h
         self.faces = _face_velocities(grid, force)
         self.slices = face_slices(grid.d)
@@ -157,16 +154,14 @@ class _Stepper:
                        for a in range(grid.d)]
         else:
             self._drift = self._drift_heun
-        if scheme.diffusion_solver == "exact-spectral":
-            self.mult = _diffusion_multiplier(grid, cfg.alpha, self.dt)
-            # the 1d pair skips rfftn's argument handling, about 5% of a step
-            self.rfft, self.irfft = (
-                (np.fft.rfft, partial(np.fft.irfft, n=grid.n)) if grid.d == 1
-                else (np.fft.rfft2, partial(np.fft.irfft2, s=grid.shape))
-            )
-            self.lu = None
-        else:
-            self.lu = _implicit_factor(grid, cfg.alpha, self.dt)
+        multiplier = (_diffusion_multiplier if scheme.diffusion_solver == "exact-spectral"
+                      else _implicit_factor)
+        self.mult = multiplier(grid, cfg.alpha, self.dt)
+        # the 1d pair skips rfftn's argument handling, about 5% of a step
+        self.rfft, self.irfft = (
+            (np.fft.rfft, partial(np.fft.irfft, n=grid.n)) if grid.d == 1
+            else (np.fft.rfft2, partial(np.fft.irfft2, s=grid.shape))
+        )
 
     def _drift_heun(self, values: np.ndarray, dt: float) -> np.ndarray:
         # Heun step: second order in time so Strang keeps its splitting order,
@@ -186,12 +181,10 @@ class _Stepper:
         for (e_node, e_face), (hi, lo) in zip(self.lw, self.slices):
             ef = e_node * values
             fluxes.append(e_face * (0.5 * (values[hi] + values[lo]) + c * (ef[hi] - ef[lo])))
-        return values + dt * flux_divergence(fluxes, self.shape, self.h, self.slices)
+        return values + dt * flux_divergence(fluxes, values.shape, self.h, self.slices)
 
     def _diffuse(self, values: np.ndarray) -> np.ndarray:
-        if self.lu is None:
-            return self.irfft(self.mult * self.rfft(values))
-        return lu_solve(self.lu, values.ravel(order="C")).reshape(self.shape)
+        return self.irfft(self.mult * self.rfft(values))
 
     def advance(self, values: np.ndarray) -> np.ndarray:
         if self.strang:
@@ -381,8 +374,6 @@ def duhamel_residual(
     supported in B_2R, B = L - A.  The time convolution is composite Simpson
     with n_quad intervals (>= 64).
     """
-    if grid.size > MAX_DENSE:
-        raise ValueError(f"dense Duhamel check limited to n^d <= {MAX_DENSE}")
     if n_quad < 64 or n_quad % 2:
         raise ValueError("n_quad must be an even number >= 64")
     lam = assemble_generator_matrix(grid, cfg).mat

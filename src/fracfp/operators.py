@@ -316,8 +316,8 @@ class JumpStencil:
     deg_in   per-node total pair weight toward in-box targets;
     ext_mass per-node exterior kernel mass (plain cell masses + analytic
              beyond-range tail), charged to -u(x) in "tail" mode;
-    folded   the kernel folded modulo n per axis: the circulant of the
-             periodic-wrap variant used by the generator.
+    folded   the kernel folded modulo n per axis: the circulant row of the
+             generator's periodic wrap (its eigenvalues: quadrature_symbol).
     """
 
     grid: Grid
@@ -334,13 +334,6 @@ class JumpStencil:
         if exterior == "tail":
             out = out - self.ext_mass * values
         return out
-
-    def apply_periodic(self, values: np.ndarray) -> np.ndarray:
-        """Periodic-wrap jump operator: the real-space twin of the spectral
-        route, with exactly zero column sums at every node."""
-        deg = float(self.folded.sum())
-        mult = np.fft.rfftn(self.folded, axes=tuple(range(self.folded.ndim)))
-        return fourier_multiply(values, mult) - deg * values
 
 
 def _fold_kernel(ker: np.ndarray, grid: Grid, kernel: JumpKernel) -> np.ndarray:
@@ -503,6 +496,16 @@ def spectral_symbol(grid: Grid, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     absxi = reduce(np.hypot, box_frequencies(grid))
     return _readonly(-((2.0 * math.pi * absxi) ** alpha))
+
+
+@lru_cache(maxsize=32)
+def quadrature_symbol(grid: Grid, alpha: float) -> np.ndarray:
+    """Eigenvalues of the periodic-wrap quadrature circulant (_jump_matrix) in
+    the rfftn layout, real (a symmetric row); the zero mode is exactly 0."""
+    folded = get_stencil(grid, full_kernel(alpha, grid.d)).folded
+    lam = np.fft.rfftn(folded, axes=tuple(range(grid.d))).real - folded.sum()
+    lam.flat[0] = 0.0
+    return _readonly(lam)
 
 
 def spectral_fraclap(f: Field, alpha: float) -> Field:
@@ -749,10 +752,8 @@ def jump_apply(f: Field, cfg: OperatorConfig) -> Field:
     both routes share one equilibrium up to quadrature error.  Standalone
     exterior treatments live in quadrature_fraclap.
     """
-    if cfg.method == "spectral":
-        return spectral_fraclap(f, cfg.alpha)
-    st = get_stencil(f.grid, full_kernel(cfg.alpha, f.grid.d))
-    return f.with_values(st.apply_periodic(f.values))
+    symbol = spectral_symbol if cfg.method == "spectral" else quadrature_symbol
+    return f.with_values(fourier_multiply(f.values, symbol(f.grid, float(cfg.alpha))))
 
 
 def generator_apply(f: Field, cfg: OperatorConfig) -> Field:

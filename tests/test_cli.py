@@ -160,6 +160,23 @@ def test_batch_mode(tmp_path):
     assert (tmp_path / "batch" / "b1" / "report.txt").exists()
 
 
+def test_batch_reports_past_a_failing_config(tmp_path, capsys):
+    body = "d = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\nsuite = evolve\nhorizon = 0.5\n"
+    write_cfg(tmp_path, "name = a_ok\n" + body, "a_ok.cfg")
+    # dt = 10 breaks the drift CFL bound when the run starts, not at parse time
+    write_cfg(tmp_path, "name = b_bad\ndt = 10\n" + body, "b_bad.cfg")
+    code = main(
+        ["run", "unused", "--batch", str(tmp_path / "*.cfg"), "--out", str(tmp_path / "batch")]
+    )
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"{tmp_path / 'a_ok.cfg'}: PASS" in out
+    bad = next(line for line in out if line.startswith(f"{tmp_path / 'b_bad.cfg'}: "))
+    assert bad.startswith(f"{tmp_path / 'b_bad.cfg'}: ERROR ValueError: ")
+    assert "CFL" in bad
+    assert (tmp_path / "batch" / "a_ok" / "report.txt").exists()
+
+
 def test_float_printing_roundtrip(tmp_path, tiny_cfg_text):
     p = write_cfg(tmp_path, tiny_cfg_text)
     cfg = parse_config(p)
@@ -265,6 +282,24 @@ def test_nonpositive_steady_state_is_a_fail_record(tmp_path, capsys):
     assert not any(line.startswith("entropy-nonincreasing:") for line in report)
     assert report[-1] == "FAIL"
     assert (tmp_path / "o" / "monitors.csv").read_text().splitlines()[1].endswith(",nan")
+
+
+def test_nonpositive_steady_state_is_no_poincare_weight(tmp_path, capsys):
+    # the config above, with every suite: the signed steady state is not
+    # used as the Poincare-Wirtinger weight
+    p = write_cfg(
+        tmp_path,
+        "name = negative\nd = 2\nL = 8\nn = 8\nalpha = 0.8\ngamma = 3.0\nk = 0.4\n"
+        "p = 1.05\ndrift = centered\nsuite = all\nhorizon = 4\n",
+    )
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    capsys.readouterr()
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    record = next(line for line in report if line.startswith("poincare-weight-positive:"))
+    assert record.endswith("tol=0 -> FAIL")
+    assert float(record.split("measured=")[1].split()[0]) < 0.0
+    assert not any(line.startswith("poincare-wirtinger-bank:") for line in report)
+    assert report[-1] == "FAIL"
 
 
 def test_cli_import_leaves_out_unused_scipy_subpackages():

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from fracfp.grid import Field, build_grid
-from fracfp.operators import ForceField, OperatorConfig, make_force
+from fracfp.operators import (
+    ForceField,
+    OperatorConfig,
+    _jump_matrix,
+    fourier_multiply,
+    make_force,
+    quadrature_symbol,
+)
 from fracfp.evolution import (
     SchemeConfig,
+    _implicit_factor,
     auto_dt,
     duhamel_residual,
     evolve,
@@ -74,6 +82,30 @@ def test_evolve_implicit_matrix_positivity():
     tr = evolve(f0, 1.0, cfg, SchemeConfig(diffusion_solver="implicit-matrix"))
     assert tr.min_value.min() >= -1e-12 * np.max(f0.values)
     assert np.max(np.abs(tr.mass / tr.mass[0] - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_implicit_factor_is_dense_backward_euler(d, n, alpha):
+    # the quadrature jump matrix is a circulant, so backward Euler with it is
+    # the FFT divide by 1 - dt*lambda_k
+    g = build_grid(d, 8.0, n)
+    dt = 0.1
+    v = np.random.default_rng(7).standard_normal(g.shape)
+    fft = fourier_multiply(v, _implicit_factor(g, alpha, dt)).ravel()
+    dense = np.linalg.solve(np.eye(g.size) - dt * _jump_matrix(g, alpha), v.ravel())
+    assert np.max(np.abs(fft - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert quadrature_symbol(g, alpha).flat[0] == 0.0
+
+
+def test_evolve_implicit_matrix_above_dense_ceiling():
+    # n^d = 8192 > 4096: the implicit route needs no dense matrix
+    g = build_grid(1, 20.0, 8192)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature")
+    f0 = normalized_gaussian(g)
+    tr = evolve(f0, 0.02, cfg, SchemeConfig(diffusion_solver="implicit-matrix"))
+    assert np.max(np.abs(tr.mass / tr.mass[0] - 1.0)) < 1e-12
+    assert tr.min_value.min() >= -1e-12 * np.max(f0.values)
 
 
 def test_evolve_near_delta_stays_nonnegative():

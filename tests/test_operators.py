@@ -352,13 +352,14 @@ def test_drift_mass_telescopes():
 
 
 def test_cached_arrays_are_read_only():
-    from fracfp.evolution import _diffusion_multiplier
+    from fracfp.evolution import _diffusion_multiplier, _implicit_factor
     from fracfp.operators import (
         _face_velocities,
         _jump_matrix,
         _plain_conv_kernel,
         box_frequencies,
         far_kernel,
+        quadrature_symbol,
         spectral_symbol,
     )
 
@@ -368,6 +369,8 @@ def test_cached_arrays_are_read_only():
         *box_frequencies(g),
         spectral_symbol(g, 1.0),
         _diffusion_multiplier(g, 1.0, 0.01),
+        quadrature_symbol(g, 1.0),
+        _implicit_factor(g, 1.0, 0.01),
         _jump_matrix(g, 1.0),
         _plain_conv_kernel(g, far_kernel(1.0, 1, g.h)),
     ]
