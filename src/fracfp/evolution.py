@@ -2,12 +2,16 @@
 
 The drift substep is an explicit conservative flux-form update (CFL-limited;
 upwind Heun by default, Lax-Wendroff when the operator asks for centered
-drift); the jump substep is a Fourier multiplier: the exact spectral
-exp(-(2 pi |xi|)^alpha dt) (unconditionally stable, exactly mass preserving)
-or backward Euler with the periodized quadrature circulant, an FFT divide by
-1 - dt*lambda_k (lambda_k: quadrature_symbol).  That M-matrix inverse is a
-column-stochastic kernel, so positivity and mass hold to FFT roundoff at any
-grid size.  Strang ordering is half-drift / full-jump / half-drift.
+drift), precomposed into one sparse banded matrix (drift_step_matrix), so a
+substep is one matvec.  For upwind that matrix is (I + P @ P)/2 with
+P = I + tau*D >= 0 under the CFL bound: a column-stochastic matrix, so
+positivity and mass survive the substep.  The jump substep is a Fourier
+multiplier: the exact spectral exp(-(2 pi |xi|)^alpha dt) (unconditionally
+stable, exactly mass preserving) or backward Euler with the periodized
+quadrature circulant, an FFT divide by 1 - dt*lambda_k (lambda_k:
+quadrature_symbol).  That M-matrix inverse is a column-stochastic kernel, so
+positivity and mass hold to FFT roundoff at any grid size.  Strang ordering
+is half-drift / full-jump / half-drift.
 
 The step loop works on raw ndarrays: Field validation happens at the API
 boundary (the initial field, snapshots, the result of ``step``), and inside
@@ -29,22 +33,20 @@ from scipy.linalg import expm
 
 from fracfp.grid import Field, Grid, smooth_indicator, weight_field
 from fracfp.operators import (
-    _face_velocities,
     OperatorConfig,
     _jump_matrix,  # not called here: perfbench/spans.py LAYERS patches this binding
     _plain_conv_kernel,
     _readonly,
     assemble_generator_matrix,
     drift_divergence,
+    drift_step_matrix,
     face_slices,
     far_kernel,
-    flux_divergence,
     get_stencil,
     max_drift_speed,
     offset_matrix,
     quadrature_symbol,
     spectral_symbol,
-    upwind_divergence,
     windowed_kernel,
 )
 
@@ -130,30 +132,18 @@ def _implicit_factor(grid: Grid, alpha: float, dt: float) -> np.ndarray:
 
 class _Stepper:
     """Per-run state of the split step, all on raw arrays: the multiplier and
-    FFT pair of the jump substep, and per axis the face velocities and slices
-    of the drift substep."""
+    FFT pair of the jump substep, and the sparse matrix of the drift substep."""
 
     def __init__(self, grid: Grid, cfg: OperatorConfig, scheme: SchemeConfig):
-        force = cfg.force_field()
         limit = auto_dt(grid, cfg, scheme)
         self.dt = scheme.dt if scheme.dt is not None else limit
         if self.dt > limit * (1.0 + 1e-12):
             raise ValueError(
                 f"time step {self.dt:g} violates the drift CFL bound {limit:g}"
             )
-        self.half_dt = 0.5 * self.dt
         self.strang = scheme.splitting == "strang"
-        self.h = grid.h
-        self.faces = _face_velocities(grid, force)
-        self.slices = face_slices(grid.d)
-        if cfg.drift == "centered":
-            self._drift = self._drift_lw
-            # E at the nodes and at the faces, per axis
-            e_node = force.components(grid.coords())
-            self.lw = [(e_node[a], self.faces[2 * a] + self.faces[2 * a + 1])
-                       for a in range(grid.d)]
-        else:
-            self._drift = self._drift_heun
+        tau = 0.5 * self.dt if self.strang else self.dt
+        self.drift = drift_step_matrix(grid, cfg.force_field(), cfg.drift, tau)
         multiplier = (_diffusion_multiplier if scheme.diffusion_solver == "exact-spectral"
                       else _implicit_factor)
         self.mult = multiplier(grid, cfg.alpha, self.dt)
@@ -163,34 +153,16 @@ class _Stepper:
             else (np.fft.rfft2, partial(np.fft.irfft2, s=grid.shape))
         )
 
-    def _drift_heun(self, values: np.ndarray, dt: float) -> np.ndarray:
-        # Heun step: second order in time so Strang keeps its splitting order,
-        # and a convex combination of CFL-stable upwind Euler steps, so
-        # positivity and exact mass conservation survive
-        r1 = upwind_divergence(values, self.faces, self.h, self.slices)
-        mid = values + dt * r1
-        r2 = upwind_divergence(mid, self.faces, self.h, self.slices)
-        return values + 0.5 * dt * (r1 + r2)
-
-    def _drift_lw(self, values: np.ndarray, dt: float) -> np.ndarray:
-        # Lax-Wendroff flux: E [ f_face + (dt/2) d(Ef)/dx ]; the dt^2 term
-        # stabilizes the centered average (dispersive, not monotone; used by
-        # the second-order steady-state routes, not the positivity suites)
-        c = dt / (2.0 * self.h)
-        fluxes = []
-        for (e_node, e_face), (hi, lo) in zip(self.lw, self.slices):
-            ef = e_node * values
-            fluxes.append(e_face * (0.5 * (values[hi] + values[lo]) + c * (ef[hi] - ef[lo])))
-        return values + dt * flux_divergence(fluxes, values.shape, self.h, self.slices)
+    def _drift(self, values: np.ndarray) -> np.ndarray:
+        return (self.drift @ values.ravel()).reshape(values.shape)
 
     def _diffuse(self, values: np.ndarray) -> np.ndarray:
         return self.irfft(self.mult * self.rfft(values))
 
     def advance(self, values: np.ndarray) -> np.ndarray:
         if self.strang:
-            half = self._drift(values, self.half_dt)
-            return self._drift(self._diffuse(half), self.half_dt)
-        return self._diffuse(self._drift(values, self.dt))
+            return self._drift(self._diffuse(self._drift(values)))
+        return self._diffuse(self._drift(values))
 
 
 def step(f: Field, cfg: OperatorConfig, scheme: SchemeConfig) -> Field:

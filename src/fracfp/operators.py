@@ -40,6 +40,7 @@ from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gamma as _gamma
 
 from fracfp.grid import Field, Grid
@@ -60,9 +61,10 @@ __all__ = [
     "capped_convolution",
     "drift_divergence",
     "drift_gradient_adjoint",
+    "drift_matrix",
+    "drift_step_matrix",
     "face_slices",
     "flux_divergence",
-    "upwind_divergence",
     "generator_apply",
     "adjoint_apply",
     "assemble_generator_matrix",
@@ -74,9 +76,11 @@ __all__ = [
 MAX_DENSE = 4096  # dense-assembly guard on n^d
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """Mark a cached result immutable: every caller shares the one array."""
-    a.flags.writeable = False
+def _readonly(a):
+    """Mark a cached result immutable: every caller shares the one array (for
+    a sparse matrix, its data, indices and indptr arrays)."""
+    for arr in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+        arr.flags.writeable = False
     return a
 
 
@@ -315,16 +319,14 @@ class JumpStencil:
     ker      convolution kernel over offsets, shape (2n+1,)*d, zero center;
     deg_in   per-node total pair weight toward in-box targets;
     ext_mass per-node exterior kernel mass (plain cell masses + analytic
-             beyond-range tail), charged to -u(x) in "tail" mode;
-    folded   the kernel folded modulo n per axis: the circulant row of the
-             generator's periodic wrap (its eigenvalues: quadrature_symbol).
+             beyond-range tail), charged to -u(x) in "tail" mode.
+    The arrays are read-only: get_stencil caches and shares them.
     """
 
     grid: Grid
     ker: np.ndarray
     deg_in: np.ndarray
     ext_mass: np.ndarray
-    folded: np.ndarray
 
     def pair_sum(self, values: np.ndarray) -> np.ndarray:
         return convolve_same(values, self.ker)
@@ -336,9 +338,12 @@ class JumpStencil:
         return out
 
 
-def _fold_kernel(ker: np.ndarray, grid: Grid, kernel: JumpKernel) -> np.ndarray:
-    """Exact-periodization circulant row: fold the offset kernel modulo n and
-    add the kernel mass of all periodic images beyond the covered band.
+@lru_cache(maxsize=32)
+def _fold_kernel(grid: Grid, alpha: float) -> np.ndarray:
+    """Exact-periodization circulant row of the full kernel, the generator's
+    periodic wrap (its eigenvalues: quadrature_symbol): fold the offset
+    stencil modulo n and add the kernel mass of all periodic images beyond
+    the covered band.
 
     The image masses make the circulant the discrete kernel of the periodized
     jump process, whose symbol is the whole-space symbol sampled at the box
@@ -346,6 +351,8 @@ def _fold_kernel(ker: np.ndarray, grid: Grid, kernel: JumpKernel) -> np.ndarray:
     one period (a ~kappa-tail relative error, fatal for equilibrium shapes).
     All additions are nonnegative, so the Metzler structure is preserved.
     """
+    kernel = full_kernel(alpha, grid.d)
+    ker = get_stencil(grid, kernel).ker
     n, d, h, period = grid.n, grid.d, grid.h, 2.0 * grid.L
     if d == 1:
         out = np.zeros(n)
@@ -357,7 +364,7 @@ def _fold_kernel(ker: np.ndarray, grid: Grid, kernel: JumpKernel) -> np.ndarray:
         for m in range(1, m_max + 1):
             for dist in (r + period * m, (period - r) + period * m):
                 out += kernel.moment(dist - h / 2, dist + h / 2, 0)
-        return out
+        return _readonly(out)
     out = np.zeros((n, n))
     i = np.arange(-n, n + 1) % n
     i1 = np.broadcast_to(i[:, None], ker.shape)
@@ -376,7 +383,7 @@ def _fold_kernel(ker: np.ndarray, grid: Grid, kernel: JumpKernel) -> np.ndarray:
                 kernel, c1 + period * m1, c2 + period * m2, h, npts=4
             )
             out += m0
-    return out
+    return _readonly(out)
 
 
 @lru_cache(maxsize=64)
@@ -421,9 +428,7 @@ def _build_stencil_1d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
     cw = np.concatenate([[0.0], np.cumsum(wbar)])
     beyond = float(kernel.moment((n + 0.5) * h, math.inf, 0))
     ext = (cw[n] - cw[n - 1 - idx]) + (cw[n] - cw[idx]) + 2.0 * beyond
-    return JumpStencil(
-        grid=grid, ker=ker, deg_in=deg_in, ext_mass=ext, folded=_fold_kernel(ker, grid, kernel)
-    )
+    return JumpStencil(grid, *map(_readonly, (ker, deg_in, ext)))
 
 
 def _gl_cell_integrals_2d(kernel: JumpKernel, centers1, centers2, h, npts=10, moment=2.0):
@@ -479,9 +484,7 @@ def _build_stencil_2d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
 
     beyond = 8.0 * _theta_quad(beyond_integrand, 0.0, math.pi / 4)
     ext = (float(m0.sum()) - cov0) + beyond
-    return JumpStencil(
-        grid=grid, ker=ker, deg_in=deg_in, ext_mass=ext, folded=_fold_kernel(ker, grid, kernel)
-    )
+    return JumpStencil(grid, *map(_readonly, (ker, deg_in, ext)))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +505,7 @@ def spectral_symbol(grid: Grid, alpha: float) -> np.ndarray:
 def quadrature_symbol(grid: Grid, alpha: float) -> np.ndarray:
     """Eigenvalues of the periodic-wrap quadrature circulant (_jump_matrix) in
     the rfftn layout, real (a symmetric row); the zero mode is exactly 0."""
-    folded = get_stencil(grid, full_kernel(alpha, grid.d)).folded
+    folded = _fold_kernel(grid, alpha)
     lam = np.fft.rfftn(folded, axes=tuple(range(grid.d))).real - folded.sum()
     lam.flat[0] = 0.0
     return _readonly(lam)
@@ -652,16 +655,6 @@ def flux_divergence(fluxes, shape: tuple, h: float, slices: tuple) -> np.ndarray
     return out
 
 
-def upwind_divergence(values: np.ndarray, faces: tuple, h: float, slices: tuple) -> np.ndarray:
-    """Raw-array kernel of drift_divergence: faces is the (E+, E-) per axis
-    tuple of _face_velocities, slices the face_slices of the dimension."""
-    return flux_divergence(
-        [faces[2 * a] * values[hi] + faces[2 * a + 1] * values[lo]
-         for a, (hi, lo) in enumerate(slices)],
-        values.shape, h, slices,
-    )
-
-
 def drift_divergence(f: Field, force: ForceField) -> Field:
     """div(E f) in conservative flux form with first-order upwind faces.
 
@@ -670,7 +663,11 @@ def drift_divergence(f: Field, force: ForceField) -> Field:
     """
     grid = f.grid
     faces = _face_velocities(grid, force)
-    return f.with_values(upwind_divergence(f.values, faces, grid.h, face_slices(grid.d)))
+    v = f.values
+    slices = face_slices(grid.d)
+    fluxes = [faces[2 * a] * v[hi] + faces[2 * a + 1] * v[lo]
+              for a, (hi, lo) in enumerate(slices)]
+    return f.with_values(flux_divergence(fluxes, v.shape, grid.h, slices))
 
 
 def drift_gradient_adjoint(g: Field, force: ForceField) -> Field:
@@ -726,6 +723,77 @@ def drift_adjoint_apply(g: Field, cfg: OperatorConfig) -> Field:
     if cfg.drift == "centered":
         return drift_gradient_adjoint_centered(g, cfg.force_field())
     return drift_gradient_adjoint(g, cfg.force_field())
+
+
+def _face_pickers(grid: Grid) -> list:
+    """Per axis, the sparse (S_hi, S_lo) that pick the node above and below
+    each interior face, rows in the row-major order of the face arrays."""
+    n, d = grid.n, grid.d
+    out = []
+    for axis in range(d):
+        out.append(tuple(
+            reduce(sp.kron, [sp.eye_array(n - 1, n, k=k) if a == axis else sp.eye_array(n)
+                             for a in range(d)]).tocsr()
+            for k in (1, 0)))
+    return out
+
+
+def _face_divergence(grid: Grid, face_maps) -> sp.csr_array:
+    """Sum over axes of Div_a @ F_a, Div_a = (S_lo - S_hi)^T / h, for per-axis
+    maps F_a from node values to interior-face fluxes: flux_divergence as a
+    matrix.  Dividing the summed entries by h, as flux_divergence does, keeps
+    the result bit-identical to its by-action columns."""
+    out = None
+    for (s_hi, s_lo), face in zip(_face_pickers(grid), face_maps):
+        term = ((s_lo - s_hi).T @ face).tocsr()
+        term.data /= grid.h
+        out = term if out is None else out + term
+    out.eliminate_zeros()
+    return out
+
+
+@lru_cache(maxsize=16)
+def drift_matrix(grid: Grid, force: ForceField, drift: str) -> sp.csr_array:
+    """The drift generator D = div(E .) as a sparse matrix on the row-major
+    node order: drift_apply (upwind or centered faces) column by column."""
+    faces = _face_velocities(grid, force)
+    maps = []
+    for a, (s_hi, s_lo) in enumerate(_face_pickers(grid)):
+        ep, em = faces[2 * a].ravel(), faces[2 * a + 1].ravel()
+        if drift == "centered":
+            maps.append(sp.diags_array(ep + em) @ (0.5 * (s_hi + s_lo)))
+        else:
+            maps.append(sp.diags_array(ep) @ s_hi + sp.diags_array(em) @ s_lo)
+    return _readonly(_face_divergence(grid, maps))
+
+
+@lru_cache(maxsize=16)
+def drift_step_matrix(grid: Grid, force: ForceField, drift: str, tau: float) -> sp.csr_array:
+    """One explicit drift substep of length tau as a sparse matrix.
+
+    upwind: Heun, H = (I + P @ P)/2 with P = I + tau D, second order in time
+    (Strang keeps its splitting order).  D has zero column sums and a
+    nonnegative off-diagonal, and the CFL bound gives tau |D_ii| <= 1 for the
+    confining family, so P >= 0 entrywise: every entry of H is a sum of
+    nonnegative products, H is column-stochastic, and the substep keeps
+    positivity and mass exactly.
+    centered: Lax-Wendroff flux E_face [f_face + tau/(2h) (E_node f)_hi-lo];
+    the tau^2 term stabilizes the centered average (dispersive, not monotone;
+    used by the second-order steady-state routes, not the positivity suites).
+    """
+    eye = sp.eye_array(grid.size, format="csr")
+    if drift != "centered":
+        p = eye + tau * drift_matrix(grid, force, drift)
+        return _readonly(0.5 * (eye + p @ p))
+    faces = _face_velocities(grid, force)
+    e_node = force.components(grid.coords())
+    c = tau / (2.0 * grid.h)
+    maps = []
+    for a, (s_hi, s_lo) in enumerate(_face_pickers(grid)):
+        e_face = sp.diags_array((faces[2 * a] + faces[2 * a + 1]).ravel())
+        lw = 0.5 * (s_hi + s_lo) + c * (s_hi - s_lo) @ sp.diags_array(e_node[a].ravel())
+        maps.append(e_face @ lw)
+    return _readonly(eye + tau * _face_divergence(grid, maps))
 
 
 def max_drift_speed(grid: Grid, force: ForceField) -> float:
@@ -787,8 +855,7 @@ class GeneratorMatrix:
 @lru_cache(maxsize=16)
 def _jump_matrix(grid: Grid, alpha: float) -> np.ndarray:
     """Periodic-wrap jump matrix: circulant symmetric Metzler, column sums zero."""
-    st = get_stencil(grid, full_kernel(alpha, grid.d))
-    a = offset_matrix(st.folded, grid.n, 0)
+    a = offset_matrix(_fold_kernel(grid, alpha), grid.n, 0)
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=0))
     return _readonly(a)
@@ -810,17 +877,6 @@ def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:
     return table[tuple(gather)].reshape(n**d, n**d)
 
 
-def _drift_matrix(grid: Grid, cfg: OperatorConfig) -> np.ndarray:
-    size = grid.size
-    mat = np.zeros((size, size))
-    eye = np.eye(size)
-    # flux form is linear with a 3-point stencil per axis; assemble by action
-    for k in range(size):
-        f = Field(grid, eye[:, k].reshape(grid.shape))
-        mat[:, k] = drift_apply(f, cfg).values.ravel(order="C")
-    return mat
-
-
 def assemble_generator_matrix(
     grid: Grid, cfg: OperatorConfig, which: str = "forward"
 ) -> GeneratorMatrix:
@@ -837,7 +893,7 @@ def assemble_generator_matrix(
         raise ValueError(
             f"dense assembly limited to n^d <= {MAX_DENSE}, got {grid.size}"
         )
-    a = _jump_matrix(grid, cfg.alpha) + _drift_matrix(grid, cfg)
+    a = _jump_matrix(grid, cfg.alpha) + drift_matrix(grid, cfg.force_field(), cfg.drift).toarray()
     if which == "adjoint":
         a = a.T
     return GeneratorMatrix(grid=grid, cfg=cfg, which=which, mat=a)

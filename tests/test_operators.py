@@ -355,16 +355,28 @@ def test_cached_arrays_are_read_only():
     from fracfp.evolution import _diffusion_multiplier, _implicit_factor
     from fracfp.operators import (
         _face_velocities,
+        _fold_kernel,
         _jump_matrix,
         _plain_conv_kernel,
         box_frequencies,
+        drift_matrix,
+        drift_step_matrix,
         far_kernel,
+        full_kernel,
+        get_stencil,
         quadrature_symbol,
         spectral_symbol,
+        windowed_kernel,
     )
 
     g = build_grid(1, 10.0, 64)
+    sparse = [drift_matrix(g, make_force(2.0), drift) for drift in ("upwind", "centered")]
+    sparse += [drift_step_matrix(g, make_force(2.0), drift, 0.01) for drift in ("upwind", "centered")]
+    stencils = [get_stencil(g, full_kernel(1.0, 1)), get_stencil(g, windowed_kernel(1.0, 1, 0.2))]
     cached = [
+        *(arr for m in sparse for arr in (m.data, m.indices, m.indptr)),
+        *(arr for st in stencils for arr in (st.ker, st.deg_in, st.ext_mass)),
+        _fold_kernel(g, 1.0),
         *_face_velocities(g, make_force(2.0)),
         *box_frequencies(g),
         spectral_symbol(g, 1.0),
@@ -379,6 +391,54 @@ def test_cached_arrays_are_read_only():
             arr[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             arr *= 2.0
+
+
+def test_only_the_circulant_row_is_folded(monkeypatch):
+    # the periodic-image fold serves quadrature_symbol and _jump_matrix only;
+    # windowed, near and far stencils are built without it
+    from fracfp import operators
+
+    def no_fold(*args):
+        raise AssertionError("stencil build ran the periodic fold")
+
+    monkeypatch.setattr(operators, "_fold_kernel", no_fold)
+    for d, n in ((1, 64), (2, 8)):
+        g = build_grid(d, 8.0, n)
+        for kernel in (operators.windowed_kernel(0.8, d, 0.25), operators.near_kernel(0.8, d, g.h),
+                       operators.far_kernel(0.8, d, g.h), operators.full_kernel(0.8, d)):
+            st = operators.get_stencil.__wrapped__(g, kernel)  # a fresh build, not a cache hit
+            assert st.ker.shape == (2 * n + 1,) * d
+
+
+DRIFT_CASES = [(d, n, drift) for d, n in ((1, 64), (2, 16)) for drift in ("upwind", "centered")]
+
+
+def by_action(grid, apply):
+    """Dense matrix of a linear Field map, column k the image of unit vector k."""
+    eye = np.eye(grid.size)
+    return np.column_stack([apply(Field(grid, eye[:, k].reshape(grid.shape))).values.ravel()
+                            for k in range(grid.size)])
+
+
+@pytest.mark.parametrize("d,n,drift", DRIFT_CASES)
+def test_drift_matrix_is_drift_apply_by_columns(d, n, drift):
+    from fracfp.operators import drift_apply, drift_matrix
+
+    g = build_grid(d, 8.0, n)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.5, drift=drift)
+    mat = drift_matrix(g, cfg.force_field(), drift)
+    assert np.array_equal(mat.toarray(), by_action(g, lambda f: drift_apply(f, cfg)))
+
+
+@pytest.mark.parametrize("d,n,drift", DRIFT_CASES)
+def test_drift_matrix_transpose_is_drift_adjoint_apply(d, n, drift):
+    from fracfp.operators import drift_adjoint_apply, drift_matrix
+
+    g = build_grid(d, 8.0, n)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.5, drift=drift)
+    mat = drift_matrix(g, cfg.force_field(), drift).T.toarray()
+    adj = by_action(g, lambda f: drift_adjoint_apply(f, cfg))
+    assert np.allclose(mat, adj, rtol=0.0, atol=1e-14 * np.abs(adj).max())
 
 
 def test_drift_2d_divergence_identity():
