@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fracfp.grid import Field, Grid, build_grid, integrate
+from fracfp.grid import Field, Grid, build_grid, integrate, normalized_gaussian
 from fracfp.operators import (
     MAX_DENSE,
     OperatorConfig,
@@ -32,14 +32,15 @@ from fracfp.operators import (
 )
 from fracfp.evolution import SchemeConfig, Trajectory, evolve
 from fracfp.functionals import (
+    carre_du_champ,
     field_bank,
     gp_equivalence_ratios,
     nash_chain_check,
+    pair_stencil,
     poincare_wirtinger_check,
     threshold_p_gamma,
     weighted_norm,
 )
-from fracfp.functionals import _pair_ops, carre_du_champ
 from fracfp.rates import MIN_FIT_POINTS, decay_fit, harris_contraction, lyapunov_check
 from fracfp.steady import (
     closed_form_equilibrium,
@@ -221,11 +222,6 @@ class RunReport:
         return all(r.passed for r in self.records)
 
 
-def _normalized_gaussian(grid: Grid) -> Field:
-    vals = np.exp(-grid.radius2())
-    return Field(grid, vals / (np.sum(vals) * grid.cell_volume), tag="density")
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -233,7 +229,7 @@ def _normalized_gaussian(grid: Grid) -> Field:
 
 def _suite_evolve(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> None:
     grid = cfg.grid()
-    f0 = _normalized_gaussian(grid)
+    f0 = normalized_gaussian(grid)
     tr = evolve(f0, cfg.horizon, cfg.operator(), cfg.scheme())
     artifacts["trajectory"] = tr
     drift = float(np.max(np.abs(tr.mass / tr.mass[0] - 1.0)))
@@ -305,7 +301,7 @@ def _suite_rates(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> Non
         # relative-entropy monitor, whose reference must be positive
         report.add("entropy-reference-positive", minf, 0.0, False)
         reference = None
-    f0 = _normalized_gaussian(grid)
+    f0 = normalized_gaussian(grid)
     horizon = max(cfg.horizon, 8.0)
     times = np.linspace(1.0, horizon, max(12, int(2 * horizon)))
     tr = evolve(f0, horizon, cfg.operator(), cfg.scheme(), output_times=times,
@@ -362,7 +358,7 @@ def _suite_inequalities(cfg: ScenarioConfig, report: RunReport, artifacts: dict)
     report.add("gp-bracket-lower", lo, 0.25, lo >= 0.25, 0.25)
     report.add("gp-bracket-upper", hi, 4.0, hi <= 4.0, 4.0)
 
-    st = _pair_ops(grid, op.alpha)
+    st = pair_stencil(grid, op.alpha)
     worst = 0.0
     vol = grid.cell_volume
     for u, v in zip(bank[:6], bank[6:12]):
@@ -372,7 +368,7 @@ def _suite_inequalities(cfg: ScenarioConfig, report: RunReport, artifacts: dict)
     report.add("integration-by-parts", worst, 1e-6, worst <= 1e-6)
 
     ss = artifacts.get("steady")
-    mu = ss.field if ss is not None else _normalized_gaussian(grid)
+    mu = ss.field if ss is not None else normalized_gaussian(grid)
     muv = mu.values
     if muv.min() <= 0.0:
         # a signed steady state (centered drift) is no Poincare weight

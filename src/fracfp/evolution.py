@@ -35,17 +35,17 @@ from fracfp.grid import Field, Grid, smooth_indicator, weight_field
 from fracfp.operators import (
     OperatorConfig,
     _jump_matrix,  # not called here: perfbench/spans.py LAYERS patches this binding
-    _plain_conv_kernel,
-    _readonly,
     assemble_generator_matrix,
-    drift_divergence,
+    drift_matrix,
     drift_step_matrix,
-    face_slices,
     far_kernel,
     get_stencil,
+    laplacian_matrix,
     max_drift_speed,
     offset_matrix,
+    plain_conv_kernel,
     quadrature_symbol,
+    readonly,
     spectral_symbol,
     windowed_kernel,
 )
@@ -121,13 +121,13 @@ def auto_dt(grid: Grid, cfg: OperatorConfig, scheme: SchemeConfig) -> float:
 
 @lru_cache(maxsize=32)
 def _diffusion_multiplier(grid: Grid, alpha: float, dt: float) -> np.ndarray:
-    return _readonly(np.exp(spectral_symbol(grid, alpha) * dt))
+    return readonly(np.exp(spectral_symbol(grid, alpha) * dt))
 
 
 @lru_cache(maxsize=8)
 def _implicit_factor(grid: Grid, alpha: float, dt: float) -> np.ndarray:
     """Backward-Euler multiplier 1/(1 - dt*lambda_k) of the quadrature circulant."""
-    return _readonly(1.0 / (1.0 - dt * quadrature_symbol(grid, alpha)))
+    return readonly(1.0 / (1.0 - dt * quadrature_symbol(grid, alpha)))
 
 
 class _Stepper:
@@ -278,7 +278,8 @@ def viscosity_generator_apply(f: Field, eps: float, cfg: OperatorConfig) -> Fiel
     """Lambda_eps f = eps*Lap f + I_eps(f) + div(E_eps f).
 
     I_eps truncates the jump kernel to eps < |z| < 1/eps; E_eps = E * chi_eps
-    with the radial cutoff; the Laplacian is the standard 3/5-point stencil.
+    with the radial cutoff; the Laplacian is the standard 3/5-point stencil
+    (laplacian_matrix, fields extended by zero).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -287,20 +288,14 @@ def viscosity_generator_apply(f: Field, eps: float, cfg: OperatorConfig) -> Fiel
     jump = st.apply(f.values, cfg.exterior)
 
     chi = radial_cutoff(grid, eps).values
-    cut = f.with_values(f.values * chi)
     # div(E * chi f) = div(E_eps f) with E_eps = chi E evaluated at faces;
-    # using the product at cell values keeps the flux form conservative
-    drift = drift_divergence(cut, cfg.force_field()).values
-    lap = _discrete_laplacian(grid, f.values)
+    # using the product at cell values keeps the flux form conservative.
+    # Upwind whatever cfg.drift says, as the stability bound of viscosity_step
+    # (speed / h) assumes.
+    d_up = drift_matrix(grid, cfg.force_field(), "upwind")
+    drift = (d_up @ (f.values * chi).ravel()).reshape(grid.shape)
+    lap = (laplacian_matrix(grid) @ f.values.ravel()).reshape(grid.shape)
     return f.with_values(jump + drift + eps * lap)
-
-
-def _discrete_laplacian(grid: Grid, v: np.ndarray) -> np.ndarray:
-    out = -2.0 * grid.d * v
-    for hi, lo in face_slices(grid.d):
-        out[hi] += v[lo]
-        out[lo] += v[hi]
-    return out / grid.h**2
 
 
 def viscosity_step(f: Field, eps: float, cfg: OperatorConfig, scheme: SchemeConfig | None = None) -> Field:
@@ -351,7 +346,7 @@ def duhamel_residual(
     lam = assemble_generator_matrix(grid, cfg).mat
     if splitting == "kernel":
         rr = r if r is not None else grid.h
-        ker = _plain_conv_kernel(grid, far_kernel(cfg.alpha, grid.d, rr))
+        ker = plain_conv_kernel(grid, far_kernel(cfg.alpha, grid.d, rr))
         a = offset_matrix(ker, grid.n, grid.n)
     elif splitting == "cutoff":
         a = M * np.diag(smooth_indicator(grid, R).ravel(order="C"))

@@ -24,12 +24,12 @@ from fracfp.grid import Field, Grid, integrate, weight_field
 from fracfp.operators import (
     JumpKernel,
     OperatorConfig,
-    _gl_cell_integrals_2d,
-    _hat_weights,
-    _theta_quad,
     full_kernel,
     get_stencil,
+    gl_cell_integrals_2d,
+    hat_weights,
     norm_constant,
+    theta_quad,
 )
 
 __all__ = [
@@ -65,7 +65,7 @@ def signed_power(x: np.ndarray, a: float) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** a
 
 
-def _pair_ops(grid: Grid, alpha: float):
+def pair_stencil(grid: Grid, alpha: float):
     return get_stencil(grid, full_kernel(alpha, grid.d))
 
 
@@ -77,7 +77,7 @@ def carre_du_champ(u: Field, v: Field, cfg: OperatorConfig) -> Field:
     """
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
-    st = _pair_ops(u.grid, cfg.alpha)
+    st = pair_stencil(u.grid, cfg.alpha)
     uu, vv = u.values, v.values
     out = 0.5 * (
         st.pair_sum(uu * vv)
@@ -120,11 +120,11 @@ def _seminorm_weights(grid: Grid, s: float, p: float):
     if grid.d == 1:
         # hat-weight product integration of |u(x+z)-u(x)|^p / z^p against
         # kappa z^p, as in the operator stencil
-        gw = _hat_weights(ker, n, h, p)
+        gw = hat_weights(ker, n, h, p)
         return gw[1:] / (np.arange(1, n + 1) * h) ** p, gw[0]
     off = np.arange(-n, n + 1) * h
     c1, c2 = np.meshgrid(off, off, indexing="ij")
-    m0, mp = _gl_cell_integrals_2d(ker, c1, c2, h, moment=p)
+    m0, mp = gl_cell_integrals_2d(ker, c1, c2, h, moment=p)
     rr = np.hypot(c1, c2)
     rr[n, n] = 1.0
     w = mp / rr**p
@@ -134,7 +134,7 @@ def _seminorm_weights(grid: Grid, s: float, p: float):
         rmax = (h / 2) / np.maximum(np.abs(np.cos(t)), np.abs(np.sin(t)))
         return ker.moment(0.0, rmax, p + 1)
 
-    selfw = _theta_quad(self_rad, 0.0, 2.0 * math.pi)
+    selfw = theta_quad(self_rad, 0.0, 2.0 * math.pi)
     return w, selfw
 
 
@@ -341,7 +341,7 @@ def gp_equivalence_ratios(u: Field, p: float, cfg: OperatorConfig, floor: float 
     (1/q) I(|u|^p) - u I(u^(p-1)), and with the squared-increment form
     G(u^(p/2), u^(p/2)), at nodes where D_p(u) > floor * max D_p(u).
     """
-    st = _pair_ops(u.grid, cfg.alpha)
+    st = pair_stencil(u.grid, cfg.alpha)
 
     def icons(vals):
         return st.apply(vals, "conservative")
@@ -372,7 +372,7 @@ def nash_chain_check(bank, p: float, k: float, cfg: OperatorConfig):
     """
     q = p / (p - 1.0)
     d = bank[0].grid.d
-    st = _pair_ops(bank[0].grid, cfg.alpha)
+    st = pair_stencil(bank[0].grid, cfg.alpha)
     mw = weight_field(bank[0].grid, k).values
     vol = bank[0].grid.cell_volume
     rows = []

@@ -7,18 +7,18 @@ jump kernel away from zero offsets.  All quadrature is the midpoint rule,
 integral(u) ~ sum(u) * h^d.
 
 Weights are powers of the Japanese bracket <x> = sqrt(1 + |x|^2).  Also here,
-two helpers shared across modules: the smoothstep radial cutoff and the
-least-squares line fit.
+helpers shared across modules: the Gaussian probe density, the smoothstep
+radial cutoff and the least-squares line fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Grid", "Field", "build_grid", "weight_field", "integrate",
-           "smooth_indicator", "line_fit"]
+           "normalized_gaussian", "smooth_indicator", "line_fit"]
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ class Field:
 
     grid: Grid
     values: np.ndarray
-    tag: str = field(default="", compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -93,15 +92,15 @@ class Field:
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray, tag: str | None = None) -> "Field":
-        return Field(self.grid, values, self.tag if tag is None else tag)
+    def with_values(self, values: np.ndarray) -> "Field":
+        return Field(self.grid, values)
 
     def as_density(self, tol_pos: float = 0.0) -> "Field":
-        """Tag as a density, checking near-nonnegativity and finite mass."""
+        """The field itself, after checking that it is nonnegative up to tol_pos."""
         lo = float(self.values.min())
         if lo < -tol_pos:
             raise ValueError(f"density has negative values down to {lo:g}")
-        return replace(self, tag="density")
+        return self
 
 
 def build_grid(d: int, L: float, n: int) -> Grid:
@@ -127,6 +126,12 @@ def weight_field(grid: Grid, k: float) -> Field:
 def integrate(f: Field) -> float:
     """Midpoint-rule integral: sum of values times the cell volume."""
     return float(np.sum(f.values) * f.grid.cell_volume)
+
+
+def normalized_gaussian(grid: Grid) -> Field:
+    """The probe density exp(-|x|^2), normalized to unit mass."""
+    vals = np.exp(-grid.radius2())
+    return Field(grid, vals / (np.sum(vals) * grid.cell_volume))
 
 
 def smooth_indicator(grid: Grid, R: float) -> np.ndarray:

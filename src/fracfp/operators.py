@@ -30,6 +30,10 @@ integration and the semigroup machinery all live on this periodized box.
 
 The kernel is kappa_alpha(z) = c_{alpha,d} |z|^(-d-alpha) with the unique
 normalization matching the Fourier multiplier; both routes cross-validate it.
+
+The drift div(E f) has one realization, the sparse flux-form matrix
+drift_matrix (upwind or centered faces): the generator applies it, the
+adjoint its transpose, and the time stepper and dense assembly build on it.
 """
 
 from __future__ import annotations
@@ -59,12 +63,9 @@ __all__ = [
     "fourier_multiply",
     "convolve_same",
     "capped_convolution",
-    "drift_divergence",
-    "drift_gradient_adjoint",
     "drift_matrix",
     "drift_step_matrix",
-    "face_slices",
-    "flux_divergence",
+    "laplacian_matrix",
     "generator_apply",
     "adjoint_apply",
     "assemble_generator_matrix",
@@ -76,7 +77,7 @@ __all__ = [
 MAX_DENSE = 4096  # dense-assembly guard on n^d
 
 
-def _readonly(a):
+def readonly(a):
     """Mark a cached result immutable: every caller shares the one array (for
     a sparse matrix, its data, indices and indptr arrays)."""
     for arr in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
@@ -135,10 +136,6 @@ class ForceField:
         e = self.at(pts, d).reshape(np.shape(coords[0]) + (-1,))
         return [e[..., a] for a in range(d)]
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.func is None
-
 
 def make_force(gamma: float) -> ForceField:
     """Canonical confining force E(x) = <x>^(gamma-2) x."""
@@ -152,7 +149,6 @@ class OperatorConfig:
     alpha: float
     gamma: float = 2.0
     method: str = "spectral"  # {"spectral", "quadrature"}
-    split_radius: float | None = None  # near/far kernel cut; defaults to h
     exterior: str = "tail"  # {"tail", "conservative"} for the quadrature route
     drift: str = "upwind"  # {"upwind", "centered"}: centered trades the
     # discrete maximum principle for second-order steady-state accuracy
@@ -283,7 +279,7 @@ def box_frequencies(grid: Grid) -> tuple[np.ndarray, ...]:
     """Per-axis frequencies of the rfftn layout of a field, each shaped to
     broadcast against it: fftfreq on the leading axes, rfftfreq on the last."""
     xi = [np.fft.fftfreq(grid.n, d=grid.h)] * (grid.d - 1) + [np.fft.rfftfreq(grid.n, d=grid.h)]
-    return tuple(map(_readonly, np.meshgrid(*xi, indexing="ij", sparse=True)))
+    return tuple(map(readonly, np.meshgrid(*xi, indexing="ij", sparse=True)))
 
 
 def fourier_multiply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -364,7 +360,7 @@ def _fold_kernel(grid: Grid, alpha: float) -> np.ndarray:
         for m in range(1, m_max + 1):
             for dist in (r + period * m, (period - r) + period * m):
                 out += kernel.moment(dist - h / 2, dist + h / 2, 0)
-        return _readonly(out)
+        return readonly(out)
     out = np.zeros((n, n))
     i = np.arange(-n, n + 1) % n
     i1 = np.broadcast_to(i[:, None], ker.shape)
@@ -379,11 +375,11 @@ def _fold_kernel(grid: Grid, alpha: float) -> np.ndarray:
         for m2 in range(-6, 6):
             if m1 in (0, -1) and m2 in (0, -1):
                 continue
-            m0, _ = _gl_cell_integrals_2d(
+            m0, _ = gl_cell_integrals_2d(
                 kernel, c1 + period * m1, c2 + period * m2, h, npts=4
             )
             out += m0
-    return _readonly(out)
+    return readonly(out)
 
 
 @lru_cache(maxsize=64)
@@ -393,7 +389,7 @@ def get_stencil(grid: Grid, kernel: JumpKernel) -> JumpStencil:
     return _build_stencil_2d(grid, kernel)
 
 
-def _hat_weights(kernel: JumpKernel, n: int, h: float, m: float) -> np.ndarray:
+def hat_weights(kernel: JumpKernel, n: int, h: float, m: float) -> np.ndarray:
     """Weights on the offset nodes 0, h, ..., nh that integrate kappa(z) z^m g(z)
     over (0, nh] for the piecewise-linear interpolant of g: the kernel moments
     are integrated exactly against each hat."""
@@ -412,7 +408,7 @@ def _build_stencil_1d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
     # product integration of g(z) = S(z)/z^2 against kappa z^2 (hat weights:
     # exact for linear g, so no first-moment sampling error and clean second
     # order uniformly in alpha)
-    gw = _hat_weights(kernel, n, h, 2)
+    gw = hat_weights(kernel, n, h, 2)
     nu = gw[1:] / zc**2
     # the z = 0 node value is the discrete second derivative S_1/h^2
     nu[0] += gw[0] / h**2
@@ -428,10 +424,10 @@ def _build_stencil_1d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
     cw = np.concatenate([[0.0], np.cumsum(wbar)])
     beyond = float(kernel.moment((n + 0.5) * h, math.inf, 0))
     ext = (cw[n] - cw[n - 1 - idx]) + (cw[n] - cw[idx]) + 2.0 * beyond
-    return JumpStencil(grid, *map(_readonly, (ker, deg_in, ext)))
+    return JumpStencil(grid, *map(readonly, (ker, deg_in, ext)))
 
 
-def _gl_cell_integrals_2d(kernel: JumpKernel, centers1, centers2, h, npts=10, moment=2.0):
+def gl_cell_integrals_2d(kernel: JumpKernel, centers1, centers2, h, npts=10, moment=2.0):
     """Gauss-Legendre integrals of kappa and kappa*|z|^moment over square cells."""
     gx, gw = np.polynomial.legendre.leggauss(npts)
     gx = 0.5 * h * gx  # nodes relative to cell center
@@ -446,7 +442,7 @@ def _gl_cell_integrals_2d(kernel: JumpKernel, centers1, centers2, h, npts=10, mo
     return m0, mm
 
 
-def _theta_quad(f, a, b, npts=2048):
+def theta_quad(f, a, b, npts=2048):
     t = np.linspace(a, b, npts + 1)
     return float(np.trapezoid(f(t), t))
 
@@ -455,7 +451,7 @@ def _build_stencil_2d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
     n, h = grid.n, grid.h
     off = np.arange(-n, n + 1) * h
     c1, c2 = np.meshgrid(off, off, indexing="ij")
-    m0, m2 = _gl_cell_integrals_2d(kernel, c1, c2, h)
+    m0, m2 = gl_cell_integrals_2d(kernel, c1, c2, h)
     mid = n
     rr2 = c1**2 + c2**2
     rr2[mid, mid] = 1.0
@@ -468,7 +464,7 @@ def _build_stencil_2d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
         rmax = (h / 2) / np.maximum(np.abs(np.cos(t)), np.abs(np.sin(t)))
         return np.cos(t) ** 2 * kernel.moment(0.0, rmax, 3)
 
-    mc = _theta_quad(z1sq, 0.0, 2.0 * math.pi)
+    mc = theta_quad(z1sq, 0.0, 2.0 * math.pi)
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         ker[mid + di, mid + dj] += mc / (2.0 * h**2)
 
@@ -482,9 +478,9 @@ def _build_stencil_2d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
     def beyond_integrand(t):
         return kernel.moment(zmax / np.cos(t), math.inf, 1)
 
-    beyond = 8.0 * _theta_quad(beyond_integrand, 0.0, math.pi / 4)
+    beyond = 8.0 * theta_quad(beyond_integrand, 0.0, math.pi / 4)
     ext = (float(m0.sum()) - cov0) + beyond
-    return JumpStencil(grid, *map(_readonly, (ker, deg_in, ext)))
+    return JumpStencil(grid, *map(readonly, (ker, deg_in, ext)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +494,7 @@ def spectral_symbol(grid: Grid, alpha: float) -> np.ndarray:
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     absxi = reduce(np.hypot, box_frequencies(grid))
-    return _readonly(-((2.0 * math.pi * absxi) ** alpha))
+    return readonly(-((2.0 * math.pi * absxi) ** alpha))
 
 
 @lru_cache(maxsize=32)
@@ -508,7 +504,7 @@ def quadrature_symbol(grid: Grid, alpha: float) -> np.ndarray:
     folded = _fold_kernel(grid, alpha)
     lam = np.fft.rfftn(folded, axes=tuple(range(grid.d))).real - folded.sum()
     lam.flat[0] = 0.0
-    return _readonly(lam)
+    return readonly(lam)
 
 
 def spectral_fraclap(f: Field, alpha: float) -> Field:
@@ -559,7 +555,7 @@ def split_fraclap(f: Field, cfg: OperatorConfig, r: float | None = None):
     """
     grid = f.grid
     if r is None:
-        r = cfg.split_radius if cfg.split_radius is not None else grid.h
+        r = grid.h
     if not 0.0 < r < grid.L:
         raise ValueError(f"split radius must lie in (0, L), got {r}")
     near_st = get_stencil(grid, near_kernel(cfg.alpha, grid.d, r))
@@ -571,7 +567,7 @@ def split_fraclap(f: Field, cfg: OperatorConfig, r: float | None = None):
 
 
 @lru_cache(maxsize=32)
-def _plain_conv_kernel(grid: Grid, kernel: JumpKernel) -> np.ndarray:
+def plain_conv_kernel(grid: Grid, kernel: JumpKernel) -> np.ndarray:
     """Cell-mass convolution stencil for a bounded kernel (no singularity)."""
     n, h = grid.n, grid.h
     if grid.d == 1:
@@ -581,17 +577,17 @@ def _plain_conv_kernel(grid: Grid, kernel: JumpKernel) -> np.ndarray:
         ker[n + 1 :] = w
         ker[:n] = w[::-1]
         ker[n] = 2.0 * float(kernel.moment(0.0, h / 2, 0))
-        return _readonly(ker)
+        return readonly(ker)
     off = np.arange(-n, n + 1) * h
     c1, c2 = np.meshgrid(off, off, indexing="ij")
-    m0, _ = _gl_cell_integrals_2d(kernel, c1, c2, h)
+    m0, _ = gl_cell_integrals_2d(kernel, c1, c2, h)
 
     def self_mass(t):
         rmax = (h / 2) / np.maximum(np.abs(np.cos(t)), np.abs(np.sin(t)))
         return kernel.moment(0.0, rmax, 1)
 
-    m0[n, n] = _theta_quad(self_mass, 0.0, 2.0 * math.pi)
-    return _readonly(m0)
+    m0[n, n] = theta_quad(self_mass, 0.0, 2.0 * math.pi)
+    return readonly(m0)
 
 
 def capped_convolution(f: Field, cfg: OperatorConfig, r: float) -> Field:
@@ -600,12 +596,12 @@ def capped_convolution(f: Field, cfg: OperatorConfig, r: float) -> Field:
     The capped kernel is bounded, so plain cell masses give a second-order
     convolution rule with all weights nonnegative (positivity is structural).
     """
-    ker = _plain_conv_kernel(f.grid, far_kernel(cfg.alpha, f.grid.d, r))
+    ker = plain_conv_kernel(f.grid, far_kernel(cfg.alpha, f.grid.d, r))
     return f.with_values(convolve_same(f.values, ker))
 
 
 # ---------------------------------------------------------------------------
-# drift: conservative upwind divergence and its adjoint
+# drift and Laplacian: sparse matrices over the interior faces
 # ---------------------------------------------------------------------------
 
 
@@ -624,105 +620,7 @@ def _face_velocities(grid: Grid, force: ForceField) -> tuple[np.ndarray, ...]:
         faces = np.meshgrid(*(xf if b == a else ax for b in range(grid.d)), indexing="ij")
         ef = force.components(faces)[a]
         out += [np.maximum(ef, 0.0), np.minimum(ef, 0.0)]
-    return tuple(map(_readonly, out))
-
-
-@lru_cache(maxsize=4)
-def face_slices(d: int) -> tuple:
-    """Per axis, the index tuples (hi, lo) of the cells above and below the
-    interior faces: values[hi] - values[lo] is the difference across each face."""
-    out = []
-    for axis in range(d):
-        hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(d))
-        lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(d))
-        out.append((hi, lo))
-    return tuple(out)
-
-
-def flux_divergence(fluxes, shape: tuple, h: float, slices: tuple) -> np.ndarray:
-    """Sum over axes of (F[i+1/2] - F[i-1/2]) / h for per-axis interior-face
-    fluxes F; the box boundary faces carry zero flux, so the sum telescopes."""
-    out = None
-    for flux, (hi, lo) in zip(fluxes, slices):
-        term = np.zeros(shape)
-        term[lo] = flux
-        term[hi] -= flux
-        term /= h
-        if out is None:
-            out = term
-        else:
-            out += term
-    return out
-
-
-def drift_divergence(f: Field, force: ForceField) -> Field:
-    """div(E f) in conservative flux form with first-order upwind faces.
-
-    Faces take the value from the side mass flows from (velocity -E), which
-    keeps the stencil Metzler and the discrete maximum principle intact.
-    """
-    grid = f.grid
-    faces = _face_velocities(grid, force)
-    v = f.values
-    slices = face_slices(grid.d)
-    fluxes = [faces[2 * a] * v[hi] + faces[2 * a + 1] * v[lo]
-              for a, (hi, lo) in enumerate(slices)]
-    return f.with_values(flux_divergence(fluxes, v.shape, grid.h, slices))
-
-
-def drift_gradient_adjoint(g: Field, force: ForceField) -> Field:
-    """-E . grad g, the exact transpose of the upwind divergence.
-
-    Differences are taken on the downwind side relative to -E, so the matrix
-    identity (div_upwind)^T = -E.grad_downwind holds entrywise: (D^T g)_i
-    includes E+_{i-1/2} (g_{i-1} - g_i)/h and E-_{i+1/2} (g_i - g_{i+1})/h.
-    """
-    faces = _face_velocities(g.grid, force)
-    v = g.values
-    out = np.zeros_like(v)
-    for a, (hi, lo) in enumerate(face_slices(g.grid.d)):
-        dv = (v[hi] - v[lo]) / g.grid.h
-        out[hi] -= faces[2 * a] * dv
-        out[lo] -= faces[2 * a + 1] * dv
-    return g.with_values(out)
-
-
-def drift_divergence_centered(f: Field, force: ForceField) -> Field:
-    """div(E f) with centered face averages: second order, conservative,
-    but not Metzler (no discrete maximum principle).  Used where equilibrium
-    accuracy outranks sign structure."""
-    grid = f.grid
-    faces = _face_velocities(grid, force)
-    v = f.values
-    slices = face_slices(grid.d)
-    fluxes = [(faces[2 * a] + faces[2 * a + 1]) * 0.5 * (v[hi] + v[lo])
-              for a, (hi, lo) in enumerate(slices)]
-    return f.with_values(flux_divergence(fluxes, v.shape, grid.h, slices))
-
-
-def drift_gradient_adjoint_centered(g: Field, force: ForceField) -> Field:
-    """Exact transpose of the centered flux divergence: -E.grad with
-    face-averaged centered differences."""
-    faces = _face_velocities(g.grid, force)
-    v = g.values
-    out = np.zeros_like(v)
-    for a, (hi, lo) in enumerate(face_slices(g.grid.d)):
-        dv = (faces[2 * a] + faces[2 * a + 1]) * (v[hi] - v[lo]) / g.grid.h
-        out[hi] -= 0.5 * dv
-        out[lo] -= 0.5 * dv
-    return g.with_values(out)
-
-
-def drift_apply(f: Field, cfg: OperatorConfig) -> Field:
-    if cfg.drift == "centered":
-        return drift_divergence_centered(f, cfg.force_field())
-    return drift_divergence(f, cfg.force_field())
-
-
-def drift_adjoint_apply(g: Field, cfg: OperatorConfig) -> Field:
-    if cfg.drift == "centered":
-        return drift_gradient_adjoint_centered(g, cfg.force_field())
-    return drift_gradient_adjoint(g, cfg.force_field())
+    return tuple(map(readonly, out))
 
 
 def _face_pickers(grid: Grid) -> list:
@@ -740,9 +638,9 @@ def _face_pickers(grid: Grid) -> list:
 
 def _face_divergence(grid: Grid, face_maps) -> sp.csr_array:
     """Sum over axes of Div_a @ F_a, Div_a = (S_lo - S_hi)^T / h, for per-axis
-    maps F_a from node values to interior-face fluxes: flux_divergence as a
-    matrix.  Dividing the summed entries by h, as flux_divergence does, keeps
-    the result bit-identical to its by-action columns."""
+    maps F_a from node values to interior-face fluxes: (F[i+1/2] - F[i-1/2]) / h
+    per axis, with zero flux through the box boundary faces.  Each axis term
+    divides its summed entries by h, which fixes the rounding of every entry."""
     out = None
     for (s_hi, s_lo), face in zip(_face_pickers(grid), face_maps):
         term = ((s_lo - s_hi).T @ face).tocsr()
@@ -754,8 +652,18 @@ def _face_divergence(grid: Grid, face_maps) -> sp.csr_array:
 
 @lru_cache(maxsize=16)
 def drift_matrix(grid: Grid, force: ForceField, drift: str) -> sp.csr_array:
-    """The drift generator D = div(E .) as a sparse matrix on the row-major
-    node order: drift_apply (upwind or centered faces) column by column."""
+    """The drift generator D = div(E .) in conservative flux form, as a sparse
+    matrix on the row-major node order.  The generator applies D, the adjoint
+    D^T = -E . grad, and the stepper and dense assembly build on D.
+
+    upwind:   each face takes the value from the side mass flows from
+              (velocity -E), flux E+ f_hi + E- f_lo: D is Metzler (discrete
+              maximum principle), and D^T differences on the downwind side.
+    centered: flux (E+ + E-) (f_hi + f_lo)/2: second order and conservative
+              but not Metzler; D^T takes face-averaged centered differences.
+    No flux crosses the box boundary faces, so the columns of D sum to zero
+    (to roundoff): D^T 1 = 0.
+    """
     faces = _face_velocities(grid, force)
     maps = []
     for a, (s_hi, s_lo) in enumerate(_face_pickers(grid)):
@@ -764,7 +672,19 @@ def drift_matrix(grid: Grid, force: ForceField, drift: str) -> sp.csr_array:
             maps.append(sp.diags_array(ep + em) @ (0.5 * (s_hi + s_lo)))
         else:
             maps.append(sp.diags_array(ep) @ s_hi + sp.diags_array(em) @ s_lo)
-    return _readonly(_face_divergence(grid, maps))
+    return readonly(_face_divergence(grid, maps))
+
+
+@lru_cache(maxsize=16)
+def laplacian_matrix(grid: Grid) -> sp.csr_array:
+    """The 3/5-point Laplacian, fields extended by zero outside the box:
+    (sum_a S_hi^T S_lo + S_lo^T S_hi - 2d I) / h^2."""
+    out = -2.0 * grid.d * sp.eye_array(grid.size, format="csr")
+    for s_hi, s_lo in _face_pickers(grid):
+        out = out + s_hi.T @ s_lo + s_lo.T @ s_hi
+    out = out.tocsr()
+    out.data /= grid.h**2
+    return readonly(out)
 
 
 @lru_cache(maxsize=16)
@@ -784,7 +704,7 @@ def drift_step_matrix(grid: Grid, force: ForceField, drift: str, tau: float) -> 
     eye = sp.eye_array(grid.size, format="csr")
     if drift != "centered":
         p = eye + tau * drift_matrix(grid, force, drift)
-        return _readonly(0.5 * (eye + p @ p))
+        return readonly(0.5 * (eye + p @ p))
     faces = _face_velocities(grid, force)
     e_node = force.components(grid.coords())
     c = tau / (2.0 * grid.h)
@@ -793,7 +713,7 @@ def drift_step_matrix(grid: Grid, force: ForceField, drift: str, tau: float) -> 
         e_face = sp.diags_array((faces[2 * a] + faces[2 * a + 1]).ravel())
         lw = 0.5 * (s_hi + s_lo) + c * (s_hi - s_lo) @ sp.diags_array(e_node[a].ravel())
         maps.append(e_face @ lw)
-    return _readonly(eye + tau * _face_divergence(grid, maps))
+    return readonly(eye + tau * _face_divergence(grid, maps))
 
 
 def max_drift_speed(grid: Grid, force: ForceField) -> float:
@@ -825,17 +745,16 @@ def jump_apply(f: Field, cfg: OperatorConfig) -> Field:
 
 
 def generator_apply(f: Field, cfg: OperatorConfig) -> Field:
-    """Lambda f = I(f) + div(E f)."""
-    jump = jump_apply(f, cfg)
-    drift = drift_apply(f, cfg)
-    return f.with_values(jump.values + drift.values)
+    """Lambda f = I(f) + div(E f), the drift through drift_matrix."""
+    drift = drift_matrix(f.grid, cfg.force_field(), cfg.drift) @ f.values.ravel()
+    return f.with_values(jump_apply(f, cfg).values + drift.reshape(f.grid.shape))
 
 
 def adjoint_apply(g: Field, cfg: OperatorConfig) -> Field:
-    """Lambda^* g = I(g) - E . grad g (upwind transposed); Lambda^* 1 = 0 exactly."""
-    jump = jump_apply(g, cfg)
-    drift = drift_adjoint_apply(g, cfg)
-    return g.with_values(jump.values + drift.values)
+    """Lambda^* g = I(g) - E . grad g, the drift through the transpose of
+    drift_matrix; Lambda^* 1 = 0 to roundoff."""
+    drift = drift_matrix(g.grid, cfg.force_field(), cfg.drift).T @ g.values.ravel()
+    return g.with_values(jump_apply(g, cfg).values + drift.reshape(g.grid.shape))
 
 
 @dataclass(frozen=True)
@@ -858,7 +777,7 @@ def _jump_matrix(grid: Grid, alpha: float) -> np.ndarray:
     a = offset_matrix(_fold_kernel(grid, alpha), grid.n, 0)
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=0))
-    return _readonly(a)
+    return readonly(a)
 
 
 def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:

@@ -117,7 +117,7 @@ def near_delta(grid: Grid) -> Field:
     """Normalized hat of half-width 2h at the origin (discrete near-delta)."""
     r = np.sqrt(grid.radius2())
     vals = np.clip(1.0 - r / (2.0 * grid.h), 0.0, None)
-    return Field(grid, vals / (np.sum(vals) * grid.cell_volume), tag="density")
+    return Field(grid, vals / (np.sum(vals) * grid.cell_volume))
 
 
 def _slope_run(grid, cfg, scheme, t_window, norm_fn, n_samples=32):
@@ -283,7 +283,7 @@ def polynomial_rate_check(
     if f0 is None:
         s0 = k_heavy + (grid.d + 1.0) / p
         vals = grid.bracket() ** (-s0)
-        f0 = Field(grid, vals / (np.sum(vals) * grid.cell_volume), tag="density")
+        f0 = Field(grid, vals / (np.sum(vals) * grid.cell_volume))
     times = np.unique(np.concatenate([np.geomspace(t0, horizon, 40), [horizon]]))
     tr = evolve(f0, horizon, cfg, scheme, output_times=times)
     ts = np.array(tr.times)

@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 from scipy import linalg as _la
 
-from fracfp.grid import Field, Grid, integrate, line_fit
+from fracfp.grid import Field, Grid, integrate, line_fit, normalized_gaussian
 from fracfp.operators import GeneratorMatrix, OperatorConfig, box_frequencies, generator_apply
 from fracfp.evolution import SchemeConfig, evolve
 
@@ -50,9 +50,9 @@ def _finalize(grid: Grid, values: np.ndarray, cfg: OperatorConfig, route: str) -
     mass = float(np.sum(values) * grid.cell_volume)
     if mass <= 0:
         raise ValueError(f"{route} produced a nonpositive-mass state")
-    vals = values / mass
-    res = float(np.max(np.abs(generator_apply(Field(grid, vals), cfg).values)))
-    return SteadyState(field=Field(grid, vals, tag="density"), route=route, residual=res)
+    field = Field(grid, values / mass)
+    res = float(np.max(np.abs(generator_apply(field, cfg).values)))
+    return SteadyState(field=field, route=route, residual=res)
 
 
 def closed_form_equilibrium(alpha: float, grid: Grid, gamma: float = 2.0) -> Field:
@@ -68,7 +68,7 @@ def closed_form_equilibrium(alpha: float, grid: Grid, gamma: float = 2.0) -> Fie
     axes = tuple(range(grid.d))
     vals = np.fft.irfftn(fhat, grid.shape, axes=axes) / grid.cell_volume
     vals = vals / (np.sum(vals) * grid.cell_volume)
-    return Field(grid, vals, tag="density")
+    return Field(grid, vals)
 
 
 def steady_by_evolution(
@@ -93,11 +93,7 @@ def steady_by_evolution(
             "the jumps at infinity"
         )
     scheme = scheme or SchemeConfig()
-    if f0 is None:
-        vals = np.exp(-grid.radius2())
-        vals /= np.sum(vals) * grid.cell_volume
-        f0 = Field(grid, vals, tag="density")
-    cur = f0
+    cur = f0 if f0 is not None else normalized_gaussian(grid)
     t = 0.0
     vol = grid.cell_volume
     while t < max_horizon:

@@ -41,7 +41,7 @@ from fracfp.functionals import (
     relative_entropy,
     weighted_norm,
 )
-from fracfp.functionals import _pair_ops
+from fracfp.functionals import pair_stencil
 from fracfp.rates import (
     decay_fit,
     harris_contraction,
@@ -66,7 +66,7 @@ def verdict(num: str, desc: str, ok: bool, detail: str = "") -> bool:
 
 def normalized_gaussian(grid, s2=1.0):
     vals = np.exp(-grid.radius2() / s2)
-    return Field(grid, vals / (np.sum(vals) * grid.cell_volume), tag="density")
+    return Field(grid, vals / (np.sum(vals) * grid.cell_volume))
 
 
 # ------------------------------------------------------------------ 1
@@ -406,7 +406,7 @@ def test_criterion_11_inequality_bank():
         f"[{lo:.3f}, {hi:.3f}]",
     )
 
-    st = _pair_ops(grid, cfg.alpha)
+    st = pair_stencil(grid, cfg.alpha)
     worst = 0.0
     for u, v in zip(bank[:10], bank[10:]):
         a1 = float(np.sum(st.apply(u.values, "conservative") * v.values) * grid.h)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import drift_reference as ref
 from fracfp.grid import Field, build_grid
 from fracfp.operators import (
     ForceField,
@@ -26,7 +27,7 @@ from fracfp.evolution import (
 
 def normalized_gaussian(grid, s2=1.0):
     vals = np.exp(-grid.radius2() / s2)
-    return Field(grid, vals / (np.sum(vals) * grid.cell_volume), tag="density")
+    return Field(grid, vals / (np.sum(vals) * grid.cell_volume))
 
 
 def test_step_zero_field():
@@ -100,13 +101,13 @@ def test_implicit_factor_is_dense_backward_euler(d, n, alpha):
 
 
 def two_stage_drift(f, cfg, tau):
-    """The drift substep written out on Fields: Heun over drift_apply for
-    upwind, the Lax-Wendroff flux E_face [f_face + tau/(2h) d(E f)] for centered."""
-    from fracfp.operators import _face_velocities, drift_apply
+    """The drift substep written out on Fields: Heun over the by-action upwind
+    divergence, the Lax-Wendroff flux E_face [f_face + tau/(2h) d(E f)] for centered."""
+    from fracfp.operators import _face_velocities
 
     if cfg.drift == "upwind":
-        r1 = drift_apply(f, cfg).values
-        r2 = drift_apply(f.with_values(f.values + tau * r1), cfg).values
+        r1 = ref.drift_apply(f, cfg).values
+        r2 = ref.drift_apply(f.with_values(f.values + tau * r1), cfg).values
         return f.values + 0.5 * tau * (r1 + r2)
     g, v = f.grid, f.values
     faces = _face_velocities(g, cfg.force_field())
@@ -217,14 +218,32 @@ def test_viscosity_consistency_monotone_in_eps():
     g = build_grid(1, 20.0, 512)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature")
     f = Field(g, np.exp(-g.axis**2))
-    from fracfp.operators import drift_divergence, quadrature_fraclap
+    from fracfp.operators import quadrature_fraclap
 
-    lam = quadrature_fraclap(f, cfg).values + drift_divergence(f, make_force(2.0)).values
+    lam = quadrature_fraclap(f, cfg).values + ref.drift_divergence(f, make_force(2.0)).values
     errs = []
     for eps in (0.2, 0.1, 0.05):
         lam_eps = viscosity_generator_apply(f, eps, cfg)
         errs.append(np.max(np.abs(lam_eps.values - lam)))
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("d,n", [(1, 128), (2, 16)])
+def test_viscosity_generator_is_by_action_formula(d, n):
+    # the upwind drift of the cut-off density plus eps times the 3/5-point
+    # Laplacian, written out on Fields; centered cfg.drift leaves it upwind
+    from fracfp.operators import get_stencil, windowed_kernel
+
+    g = build_grid(d, 10.0, n)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.5, method="quadrature", drift="centered")
+    f = Field(g, np.exp(-g.radius2() / 4.0))
+    eps = 0.2
+    jump = get_stencil(g, windowed_kernel(cfg.alpha, d, eps)).apply(f.values, cfg.exterior)
+    cut = f.with_values(f.values * radial_cutoff(g, eps).values)
+    want = (jump + ref.drift_divergence(cut, cfg.force_field()).values
+            + eps * ref.discrete_laplacian(f).values)
+    got = viscosity_generator_apply(f, eps, cfg).values
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_viscosity_cutoff_force_sign():

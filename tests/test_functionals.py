@@ -21,7 +21,7 @@ from fracfp.functionals import (
     threshold_p_gamma,
     weighted_norm,
 )
-from fracfp.functionals import _pair_ops
+from fracfp.functionals import pair_stencil
 
 
 CFG = OperatorConfig(alpha=1.0, method="quadrature", exterior="conservative")
@@ -92,7 +92,7 @@ def test_carre_square_nonnegative(grid):
 
 def test_product_rule_exact(grid, gauss):
     # I(uv) = u I(v) + v I(u) + 2 G(u,v), all through the same pair weights
-    st = _pair_ops(grid, CFG.alpha)
+    st = pair_stencil(grid, CFG.alpha)
     v = Field(grid, np.exp(-((grid.axis - 1.0) ** 2) / 2))
     lhs = st.apply(gauss.values * v.values, "conservative")
     rhs = (
@@ -104,7 +104,7 @@ def test_product_rule_exact(grid, gauss):
 
 
 def test_integration_by_parts(grid, gauss):
-    st = _pair_ops(grid, CFG.alpha)
+    st = pair_stencil(grid, CFG.alpha)
     v = Field(grid, np.exp(-((grid.axis + 2.0) ** 2)))
     a1 = float(np.sum(st.apply(gauss.values, "conservative") * v.values) * grid.h)
     a2 = float(np.sum(gauss.values * st.apply(v.values, "conservative")) * grid.h)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
+import drift_reference as ref
 from fracfp.grid import Field, build_grid, integrate, weight_field
 from fracfp.operators import (
     ForceField,
@@ -10,10 +11,11 @@ from fracfp.operators import (
     assemble_generator_matrix,
     capped_convolution,
     convolve_same,
-    drift_divergence,
+    drift_matrix,
     fraclap_of_weight,
     fraclap_reference,
     generator_apply,
+    laplacian_matrix,
     make_force,
     norm_constant,
     offset_matrix,
@@ -59,12 +61,12 @@ def test_convolve_same_2d_matches_direct_double_sum():
 
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
 def test_offset_matrix_matches_capped_convolution(d, n):
-    from fracfp.operators import _plain_conv_kernel, far_kernel
+    from fracfp.operators import far_kernel, plain_conv_kernel
 
     g = build_grid(d, 6.0, n)
     cfg = OperatorConfig(alpha=0.8, method="quadrature")
     r = 2.0 * g.h
-    mat = offset_matrix(_plain_conv_kernel(g, far_kernel(cfg.alpha, d, r)), n, n)
+    mat = offset_matrix(plain_conv_kernel(g, far_kernel(cfg.alpha, d, r)), n, n)
     rng = np.random.default_rng(13)
     v = rng.standard_normal(g.shape)
     conv = capped_convolution(Field(g, v), cfg, r).values.ravel(order="C")
@@ -328,27 +330,45 @@ def test_verify_force_gamma3_gradient_sympy_oracle():
 # ---------------------------------------------------------------- drift
 
 
+DRIFTS = ("upwind", "centered")
+
+
+def drift_of(grid, gamma, drift, values):
+    """drift_matrix @ values, shaped like the field."""
+    return (drift_matrix(grid, make_force(gamma), drift) @ values.ravel()).reshape(grid.shape)
+
+
 def test_drift_zero_field():
     g = build_grid(1, 10.0, 64)
-    out = drift_divergence(Field(g, np.zeros(64)), make_force(2.0))
-    assert np.all(out.values == 0.0)
+    for drift in DRIFTS:
+        assert np.all(drift_of(g, 2.0, drift, np.zeros(64)) == 0.0)
 
 
 def test_drift_linear_identity_interior():
     # div(x * 1) = 1 in interior cells
     g = build_grid(1, 10.0, 256)
-    out = drift_divergence(Field(g, np.ones(256)), make_force(2.0))
-    assert np.max(np.abs(out.values[8:-8] - 1.0)) < 1e-12
+    for drift in DRIFTS:
+        out = drift_of(g, 2.0, drift, np.ones(256))
+        assert np.max(np.abs(out[8:-8] - 1.0)) < 1e-12
 
 
 def test_drift_mass_telescopes():
-    # telescoping-sum oracle: total mass change is the boundary flux, zero here
+    # telescoping-sum oracle: total mass change is the boundary flux, zero
+    # here, and the mass change left of each interior face is the flux
+    # E * (face value) through it: upwind takes the value from the side mass
+    # flows from (velocity -E), centered the average of the two cells
     g = build_grid(1, 20.0, 256)
     rng = np.random.default_rng(3)
     u = np.zeros(256)
     u[64:192] = rng.uniform(0.5, 1.5, 128)
-    out = drift_divergence(Field(g, u), make_force(2.5))
-    assert abs(integrate(out)) < 1e-12 * np.max(np.abs(u))
+    e_face = make_force(2.5)(g.axis[:-1] + g.h / 2)
+    faces = {"upwind": np.where(e_face > 0.0, u[1:], u[:-1]), "centered": 0.5 * (u[1:] + u[:-1])}
+    for drift in DRIFTS:
+        out = drift_of(g, 2.5, drift, u)
+        assert abs(integrate(Field(g, out))) < 1e-12 * np.max(np.abs(u))
+        flux = e_face * faces[drift]
+        assert np.allclose(np.cumsum(out)[:-1] * g.h, flux, rtol=0.0,
+                           atol=1e-12 * np.max(np.abs(flux)))
 
 
 def test_cached_arrays_are_read_only():
@@ -357,13 +377,13 @@ def test_cached_arrays_are_read_only():
         _face_velocities,
         _fold_kernel,
         _jump_matrix,
-        _plain_conv_kernel,
         box_frequencies,
         drift_matrix,
         drift_step_matrix,
         far_kernel,
         full_kernel,
         get_stencil,
+        plain_conv_kernel,
         quadrature_symbol,
         spectral_symbol,
         windowed_kernel,
@@ -372,6 +392,7 @@ def test_cached_arrays_are_read_only():
     g = build_grid(1, 10.0, 64)
     sparse = [drift_matrix(g, make_force(2.0), drift) for drift in ("upwind", "centered")]
     sparse += [drift_step_matrix(g, make_force(2.0), drift, 0.01) for drift in ("upwind", "centered")]
+    sparse.append(laplacian_matrix(g))
     stencils = [get_stencil(g, full_kernel(1.0, 1)), get_stencil(g, windowed_kernel(1.0, 1, 0.2))]
     cached = [
         *(arr for m in sparse for arr in (m.data, m.indices, m.indptr)),
@@ -384,7 +405,7 @@ def test_cached_arrays_are_read_only():
         quadrature_symbol(g, 1.0),
         _implicit_factor(g, 1.0, 0.01),
         _jump_matrix(g, 1.0),
-        _plain_conv_kernel(g, far_kernel(1.0, 1, g.h)),
+        plain_conv_kernel(g, far_kernel(1.0, 1, g.h)),
     ]
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
@@ -410,41 +431,37 @@ def test_only_the_circulant_row_is_folded(monkeypatch):
             assert st.ker.shape == (2 * n + 1,) * d
 
 
-DRIFT_CASES = [(d, n, drift) for d, n in ((1, 64), (2, 16)) for drift in ("upwind", "centered")]
-
-
-def by_action(grid, apply):
-    """Dense matrix of a linear Field map, column k the image of unit vector k."""
-    eye = np.eye(grid.size)
-    return np.column_stack([apply(Field(grid, eye[:, k].reshape(grid.shape))).values.ravel()
-                            for k in range(grid.size)])
+DRIFT_CASES = [(d, n, drift) for d, n in ((1, 64), (2, 16)) for drift in DRIFTS]
 
 
 @pytest.mark.parametrize("d,n,drift", DRIFT_CASES)
 def test_drift_matrix_is_drift_apply_by_columns(d, n, drift):
-    from fracfp.operators import drift_apply, drift_matrix
-
     g = build_grid(d, 8.0, n)
     cfg = OperatorConfig(alpha=1.0, gamma=2.5, drift=drift)
     mat = drift_matrix(g, cfg.force_field(), drift)
-    assert np.array_equal(mat.toarray(), by_action(g, lambda f: drift_apply(f, cfg)))
+    assert np.array_equal(mat.toarray(), ref.by_action(g, lambda f: ref.drift_apply(f, cfg)))
 
 
 @pytest.mark.parametrize("d,n,drift", DRIFT_CASES)
 def test_drift_matrix_transpose_is_drift_adjoint_apply(d, n, drift):
-    from fracfp.operators import drift_adjoint_apply, drift_matrix
-
     g = build_grid(d, 8.0, n)
     cfg = OperatorConfig(alpha=1.0, gamma=2.5, drift=drift)
     mat = drift_matrix(g, cfg.force_field(), drift).T.toarray()
-    adj = by_action(g, lambda f: drift_adjoint_apply(f, cfg))
+    adj = ref.by_action(g, lambda f: ref.drift_adjoint_apply(f, cfg))
     assert np.allclose(mat, adj, rtol=0.0, atol=1e-14 * np.abs(adj).max())
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+def test_laplacian_matrix_is_stencil_by_columns(d, n):
+    g = build_grid(d, 8.0, n)
+    assert np.array_equal(laplacian_matrix(g).toarray(), ref.by_action(g, ref.discrete_laplacian))
 
 
 def test_drift_2d_divergence_identity():
     g = build_grid(2, 8.0, 32)
-    out = drift_divergence(Field(g, np.ones((32, 32))), make_force(2.0))
-    assert np.max(np.abs(out.values[4:-4, 4:-4] - 2.0)) < 1e-12
+    for drift in DRIFTS:
+        out = drift_of(g, 2.0, drift, np.ones((32, 32)))
+        assert np.max(np.abs(out[4:-4, 4:-4] - 2.0)) < 1e-12
 
 
 # ---------------------------------------------------------------- generator
