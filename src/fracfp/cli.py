@@ -41,7 +41,7 @@ from fracfp.functionals import (
     threshold_p_gamma,
     weighted_norm,
 )
-from fracfp.rates import MIN_FIT_POINTS, decay_fit, harris_contraction, lyapunov_check
+from fracfp.rates import HARRIS_MAX_SIZE, MIN_FIT_POINTS, decay_fit, harris_contraction, lyapunov_check
 from fracfp.steady import (
     closed_form_equilibrium,
     leading_eigenpair,
@@ -69,7 +69,6 @@ class ScenarioConfig:
     k: float = 0.5
     k_bar: float | None = None
     p: float = 2.0
-    theta: float = 1.0
     method: str = "spectral"
     drift: str = "upwind"
     splitting: str = "strang"
@@ -84,12 +83,12 @@ class ScenarioConfig:
     def grid(self) -> Grid:
         return build_grid(self.d, self.L, self.n)
 
-    def operator(self, method: str | None = None, drift: str | None = None) -> OperatorConfig:
+    def operator(self, method: str | None = None) -> OperatorConfig:
         return OperatorConfig(
             alpha=self.alpha,
             gamma=self.gamma,
             method=method or self.method,
-            drift=drift or self.drift,
+            drift=self.drift,
         )
 
     def scheme(self) -> SchemeConfig:
@@ -102,22 +101,21 @@ class ScenarioConfig:
         )
 
 
+# field name -> annotation string ("int", "str", "float" or "float | None")
 _TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
-_INT_KEYS = {"d", "n", "seed"}
-_STR_KEYS = {"name", "method", "drift", "splitting", "diffusion_solver", "suite", "out"}
-_OPT_KEYS = {"k_bar", "dt"}
 
 
 def _coerce(key: str, raw, lineno: int | None = None):
     where = f" (line {lineno})" if lineno is not None else ""
     if key not in _TYPES:
         raise ConfigError(f"unknown config key {key!r}{where}")
-    if key in _STR_KEYS:
+    kind = _TYPES[key]
+    if kind == "str":
         return str(raw)
     try:
-        if key in _INT_KEYS:
+        if kind == "int":
             return int(raw)
-        if key in _OPT_KEYS and str(raw).lower() in ("none", "auto", ""):
+        if kind.endswith("| None") and str(raw).lower() in ("none", "auto", ""):
             return None
         return float(raw)
     except (TypeError, ValueError) as exc:
@@ -337,7 +335,7 @@ def _suite_rates(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> Non
         tol_e = 1e-9 * max(1.0, abs(ent[0]))
         report.add("entropy-nonincreasing", worst, tol_e, worst <= tol_e)
 
-    if cfg.gamma >= 2.0 and grid.size <= 512:
+    if cfg.gamma >= 2.0 and grid.size <= HARRIS_MAX_SIZE:
         adj = assemble_generator_matrix(grid, cfg.operator(method="quadrature"), "adjoint")
         ly = lyapunov_check(adj, [1.0], cfg.k)
         report.add("lyapunov-gamma1", ly["gamma"][1.0], 1.0, ly["gamma"][1.0] < 1.0, 1.0)
@@ -492,6 +490,15 @@ def _write_report(report: RunReport, artifacts: dict, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _load_config(path: str, suite: str | None) -> ScenarioConfig:
+    """parse_config, then the --suite override, validated again."""
+    cfg = parse_config(path)
+    if suite:
+        cfg.suite = suite
+        validate_config(cfg)
+    return cfg
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fracfp",
@@ -514,13 +521,7 @@ def main(argv=None) -> int:
             if not paths:
                 print(f"no configs match {args.batch!r}", file=sys.stderr)
                 return 2
-            configs = []
-            for p in paths:
-                cfg = parse_config(p)
-                if args.suite:
-                    cfg.suite = args.suite
-                    validate_config(cfg)
-                configs.append((p, cfg))
+            configs = [(p, _load_config(p, args.suite)) for p in paths]
             base = Path(args.out) if args.out else Path("out")
             ok = True
             with ThreadPoolExecutor() as pool:
@@ -536,11 +537,7 @@ def main(argv=None) -> int:
                     print(f"{p}: {verdict}")
                     ok &= verdict == "PASS"
             return 0 if ok else 1
-        cfg = parse_config(args.config)
-        if args.suite:
-            cfg.suite = args.suite
-            validate_config(cfg)
-        rep = run_scenario(cfg, args.out)
+        rep = run_scenario(_load_config(args.config, args.suite), args.out)
         for rec in rep.records:
             print(rec.line())
         print("PASS" if rep.overall_pass else "FAIL")

@@ -74,7 +74,6 @@ class SchemeConfig:
     diffusion_solver: str = "exact-spectral"  # or "implicit-matrix"
     cfl: float = 0.9
     monitor_weight: float = 0.5  # weight exponent k for the L^p(m) monitors
-    entropy_p: float = 2.0
 
     def __post_init__(self):
         if self.splitting not in ("lie", "strang"):
@@ -186,7 +185,7 @@ def evolve(
 
     Snapshots are stored at the completed step nearest each requested output
     time (never interpolated).  When a positive reference F is attached the
-    relative-entropy monitor int |f|^p F^(1-p) is recorded as well.
+    p = 2 relative-entropy monitor int f^2 / F is recorded as well.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
@@ -203,7 +202,7 @@ def evolve(
         ref_vals = reference.values
         if np.min(ref_vals) <= 0.0:
             raise ValueError("entropy reference must be strictly positive")
-        ref_pow = ref_vals ** (1.0 - scheme.entropy_p)
+        ref_inv = 1.0 / ref_vals
 
     want = set()
     if output_times is not None:
@@ -212,7 +211,6 @@ def evolve(
 
     v = f0.values.copy()
     mass0 = float(np.sum(v) * vol)
-    p = scheme.entropy_p
 
     times, snaps = [], []
     mon = {k: np.empty(nsteps + 1) for k in ("t", "mass", "min", "l1m", "l2m", "linfm")}
@@ -230,7 +228,7 @@ def evolve(
         mon["l2m"][k] = math.sqrt((wm**2).sum() * vol)
         mon["linfm"][k] = awm.max()
         if ent is not None:
-            ent[k] = (np.abs(vals) ** p * ref_pow).sum() * vol
+            ent[k] = (vals**2 * ref_inv).sum() * vol
 
     record(0, v)
     if 0 in want:
@@ -298,9 +296,9 @@ def viscosity_generator_apply(f: Field, eps: float, cfg: OperatorConfig) -> Fiel
     return f.with_values(jump + drift + eps * lap)
 
 
-def viscosity_step(f: Field, eps: float, cfg: OperatorConfig, scheme: SchemeConfig | None = None) -> Field:
-    """One explicit Euler step of the regularized generator (validation only)."""
-    scheme = scheme or SchemeConfig()
+def viscosity_step(f: Field, eps: float, cfg: OperatorConfig) -> Field:
+    """One explicit Euler step of the regularized generator (validation only),
+    of size 0.9 times the explicit stability bound."""
     grid = f.grid
     speed = max_drift_speed(grid, cfg.force_field())
     st = get_stencil(grid, windowed_kernel(cfg.alpha, grid.d, eps))
@@ -309,9 +307,7 @@ def viscosity_step(f: Field, eps: float, cfg: OperatorConfig, scheme: SchemeConf
         + float(np.max(st.deg_in + st.ext_mass))
         + speed / grid.h
     )
-    dt = scheme.dt if scheme.dt is not None else scheme.cfl / stiff
-    if dt * stiff > 1.0 + 1e-12:
-        raise ValueError(f"explicit viscosity step {dt:g} exceeds stability bound {1.0/stiff:g}")
+    dt = 0.9 / stiff
     rhs = viscosity_generator_apply(f, eps, cfg)
     out = f.values + dt * rhs.values
     if not np.all(np.isfinite(out)):

@@ -15,6 +15,7 @@ inside the p-dissipation for sign-changing fields.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache, reduce
 
@@ -29,6 +30,7 @@ from fracfp.operators import (
     gl_cell_integrals_2d,
     hat_weights,
     norm_constant,
+    readonly,
     theta_quad,
 )
 
@@ -48,6 +50,9 @@ __all__ = [
     "nash_chain_check",
     "field_bank",
 ]
+
+PW_REL_TOL = 1e-9  # relative slack of the poincare_wirtinger_check verdict
+GP_FLOOR = 1e-10  # gp_equivalence_ratios skips nodes with D_p below this times max D_p
 
 
 def weighted_norm(f: Field, p: float, k: float = 0.0) -> float:
@@ -107,9 +112,11 @@ def p_dissipation(u: Field, p: float, cfg: OperatorConfig) -> float:
 
 
 @lru_cache(maxsize=32)
-def _seminorm_weights(grid: Grid, s: float, p: float):
+def _seminorm_weights(grid: Grid, s: float, p: float) -> np.ndarray:
     """Offset weights for iint |u(y)-u(x)|^p / |y-x|^{d+ps}, mollified by |z|^p.
 
+    A read-only table over the offsets, shape (2n+1,)*d with offset 0 at the
+    center; the center holds the self-cell weight that multiplies |grad u|^p.
     The seminorm constant c_{s,d} is fixed to c_{2s,d}/2, the unique choice
     consistent with Parseval at p = 2 (|u|_{H^s}^2 = int |2 pi xi|^{2s}|u^|^2).
     """
@@ -119,23 +126,32 @@ def _seminorm_weights(grid: Grid, s: float, p: float):
     ker = JumpKernel(c=c, alpha=p * s, d=grid.d)
     if grid.d == 1:
         # hat-weight product integration of |u(x+z)-u(x)|^p / z^p against
-        # kappa z^p, as in the operator stencil
+        # kappa z^p, as in the operator stencil; gw[0] covers one side of 0
         gw = hat_weights(ker, n, h, p)
-        return gw[1:] / (np.arange(1, n + 1) * h) ** p, gw[0]
+        w = gw[1:] / (np.arange(1, n + 1) * h) ** p
+        return readonly(np.concatenate([w[::-1], [2.0 * gw[0]], w]))
     off = np.arange(-n, n + 1) * h
     c1, c2 = np.meshgrid(off, off, indexing="ij")
     m0, mp = gl_cell_integrals_2d(ker, c1, c2, h, moment=p)
     rr = np.hypot(c1, c2)
     rr[n, n] = 1.0
     w = mp / rr**p
-    w[n, n] = 0.0
 
     def self_rad(t):
         rmax = (h / 2) / np.maximum(np.abs(np.cos(t)), np.abs(np.sin(t)))
         return ker.moment(0.0, rmax, p + 1)
 
-    selfw = theta_quad(self_rad, 0.0, 2.0 * math.pi)
-    return w, selfw
+    w[n, n] = theta_quad(self_rad, 0.0, 2.0 * math.pi)
+    return readonly(w)
+
+
+def _half_offsets(n: int, d: int):
+    """The offsets J in (-n, n)^d whose first nonzero entry is positive: one
+    of each pair J, -J."""
+    for lead in range(d):
+        for first in range(1, n):
+            for rest in itertools.product(range(-n + 1, n), repeat=d - 1 - lead):
+                yield (0,) * lead + (first,) + rest
 
 
 def sobolev_seminorm(
@@ -153,9 +169,13 @@ def sobolev_seminorm(
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     grid = u.grid
-    w, selfw = _seminorm_weights(grid, float(s), float(p))
+    # sum_x sum_J w_J |u(x+z_J) - u(x)|^p by direct offset loop is O(N^2);
+    # the |.|^p prevents a convolution shortcut, so keep N small
+    if grid.size > 96**2:
+        raise ValueError(f"seminorm restricted to n^d <= {96**2}")
+    w = _seminorm_weights(grid, float(s), float(p))
     v = u.values
-    vol = grid.cell_volume
+    n, vol = grid.n, grid.cell_volume
     total = 0.0
     if include_exterior:
         ker = JumpKernel(
@@ -163,34 +183,16 @@ def sobolev_seminorm(
         )
         ext = get_stencil(grid, ker).ext_mass
         total += 2.0 * float(np.sum(np.abs(v) ** p * ext)) * vol
-    if grid.d == 1:
-        n = grid.n
-        for j in range(1, n):
-            d = np.abs(v[j:] - v[:-j]) ** p
-            total += 2.0 * w[j - 1] * float(np.sum(d)) * vol
-        gradp = np.abs(np.gradient(v, grid.h)) ** p
-        total += 2.0 * selfw * float(np.sum(gradp)) * vol
-    else:
-        # sum_x sum_offsets w_J |u(x+z_J) - u(x)|^p by direct offset loop is
-        # O(n^4); the |.|^p prevents a convolution shortcut, so keep n small
-        n = grid.n
-        if n > 96:
-            raise ValueError("2d seminorm restricted to n <= 96 per axis")
-        for j1 in range(-n + 1, n):
-            for j2 in range(-n + 1, n):
-                if j1 == 0 and j2 == 0:
-                    continue
-                ww = w[n + j1, n + j2]
-                if ww == 0.0:
-                    continue
-                s1a = slice(max(0, j1), n + min(0, j1))
-                s1b = slice(max(0, -j1), n + min(0, -j1))
-                s2a = slice(max(0, j2), n + min(0, j2))
-                s2b = slice(max(0, -j2), n + min(0, -j2))
-                d = np.abs(v[s1a, s2a] - v[s1b, s2b]) ** p
-                total += ww * float(np.sum(d)) * vol
-        g1, g2 = np.gradient(v, grid.h)
-        total += selfw * float(np.sum(np.hypot(g1, g2) ** p)) * vol
+    # |u(x+z) - u(x)| summed over x is the same for z and -z
+    for off in _half_offsets(n, grid.d):
+        ww = w[tuple(n + j for j in off)]
+        if ww == 0.0:
+            continue
+        hi = tuple(slice(max(0, j), n + min(0, j)) for j in off)
+        lo = tuple(slice(max(0, -j), n + min(0, -j)) for j in off)
+        total += 2.0 * ww * float(np.sum(np.abs(v[hi] - v[lo]) ** p)) * vol
+    grad = reduce(np.hypot, np.reshape(np.gradient(v, grid.h), (grid.d,) + grid.shape))
+    total += w[(n,) * grid.d] * float(np.sum(np.abs(grad) ** p)) * vol
     return float(total ** (1.0 / p))
 
 
@@ -295,12 +297,11 @@ def _pw_constant(grid: Grid, om: np.ndarray, muv: np.ndarray, mu_om: float, alph
     return diam ** (grid.d + alpha) * float(np.max(muv[om])) / (norm_constant(alpha, grid.d) * mu_om)
 
 
-def poincare_wirtinger_check(
-    v: Field, mu: Field, radius: float, p: float, cfg: OperatorConfig, tol: float = 1e-9
-):
+def poincare_wirtinger_check(v: Field, mu: Field, radius: float, p: float, cfg: OperatorConfig):
     """int_Om |v|^p mu <= C_PW int_Om D_p(v) mu + eps_Om ||v||^(p-1)_Om ||v||_Om^c.
 
-    Requires the global mean <v>_mu = 0; eps_Om = mu(Om^c)/mu(Om).
+    Requires the global mean <v>_mu = 0; eps_Om = mu(Om^c)/mu(Om).  Passes
+    within relative slack PW_REL_TOL.
     """
     grid = v.grid
     om = _omega_mask(grid, radius)
@@ -325,7 +326,7 @@ def poincare_wirtinger_check(
         "rhs": rhs,
         "c_pw": c_pw,
         "eps_omega": eps_om,
-        "passes": lhs <= rhs * (1.0 + tol) + 1e-15,
+        "passes": lhs <= rhs * (1.0 + PW_REL_TOL) + 1e-15,
     }
 
 
@@ -334,12 +335,12 @@ def poincare_wirtinger_check(
 # ---------------------------------------------------------------------------
 
 
-def gp_equivalence_ratios(u: Field, p: float, cfg: OperatorConfig, floor: float = 1e-10):
+def gp_equivalence_ratios(u: Field, p: float, cfg: OperatorConfig):
     """Nodewise ratio brackets of the three D_p-equivalent expressions.
 
     Compares D_p(u) with (1/p) I(|u|^p) - u^(p-1) I(u), with
     (1/q) I(|u|^p) - u I(u^(p-1)), and with the squared-increment form
-    G(u^(p/2), u^(p/2)), at nodes where D_p(u) > floor * max D_p(u).
+    G(u^(p/2), u^(p/2)), at nodes where D_p(u) > GP_FLOOR * max D_p(u).
     """
     st = pair_stencil(u.grid, cfg.alpha)
 
@@ -354,7 +355,7 @@ def gp_equivalence_ratios(u: Field, p: float, cfg: OperatorConfig, floor: float 
     e2 = icons(absu_p) / q - uu * icons(signed_power(uu, p - 1.0))
     half = signed_power(uu, p / 2.0)
     e3 = carre_du_champ(u.with_values(half), u.with_values(half), cfg).values
-    mask = dp > floor * np.max(dp)
+    mask = dp > GP_FLOOR * np.max(dp)
     out = {}
     for name, e in (("value_vs_power", e1), ("dual_vs_power", e2), ("squared_half", e3)):
         r = e[mask] / dp[mask]

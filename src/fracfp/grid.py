@@ -95,13 +95,6 @@ class Field:
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
 
-    def as_density(self, tol_pos: float = 0.0) -> "Field":
-        """The field itself, after checking that it is nonnegative up to tol_pos."""
-        lo = float(self.values.min())
-        if lo < -tol_pos:
-            raise ValueError(f"density has negative values down to {lo:g}")
-        return self
-
 
 def build_grid(d: int, L: float, n: int) -> Grid:
     """Construct a uniform cell-centered grid on [-L, L]^d.

@@ -167,9 +167,6 @@ class OperatorConfig:
     def force_field(self) -> ForceField:
         return self.force if self.force is not None else make_force(self.gamma)
 
-    def norm_constant(self, d: int) -> float:
-        return norm_constant(self.alpha, d)
-
 
 # ---------------------------------------------------------------------------
 # radial kernels and their exact moment integrals
@@ -442,8 +439,9 @@ def gl_cell_integrals_2d(kernel: JumpKernel, centers1, centers2, h, npts=10, mom
     return m0, mm
 
 
-def theta_quad(f, a, b, npts=2048):
-    t = np.linspace(a, b, npts + 1)
+def theta_quad(f, a, b):
+    """Trapezoid rule for int_a^b f(t) dt on 2048 intervals (angular integrals)."""
+    t = np.linspace(a, b, 2049)
     return float(np.trapezoid(f(t), t))
 
 
@@ -515,18 +513,19 @@ def spectral_fraclap(f: Field, alpha: float) -> Field:
 BOUNDARY_DECAY_TOL = 1e-3
 
 
-def check_boundary_decay(f: Field, tol: float = BOUNDARY_DECAY_TOL) -> float:
-    """Largest boundary-layer value relative to the max; raises above tol."""
+def check_boundary_decay(f: Field) -> float:
+    """Largest boundary-layer value relative to the max; raises above
+    BOUNDARY_DECAY_TOL."""
     v = np.abs(f.values)
     top = float(v.max())
     if top == 0.0:
         return 0.0
     edge = max(float(np.take(v, i, axis=a).max()) for a in range(v.ndim) for i in (0, -1))
     ratio = edge / top
-    if ratio > tol:
+    if ratio > BOUNDARY_DECAY_TOL:
         raise ValueError(
             f"field does not decay at the box boundary (edge/max = {ratio:.3e} "
-            f"> {tol:g}); the zero-extension truncation error would dominate"
+            f"> {BOUNDARY_DECAY_TOL:g}); the zero-extension truncation error would dominate"
         )
     return ratio
 

@@ -23,7 +23,6 @@ __all__ = [
     "RateReport",
     "decay_fit",
     "regularization_slope",
-    "linf_regularization_slope",
     "polynomial_rate_check",
     "b_semigroup_decay",
     "harris_seminorm",
@@ -52,6 +51,11 @@ class RateReport:
 
 
 MIN_FIT_POINTS = 10  # fewest points decay_fit accepts in its window
+ENVELOPE_TOL = 0.1  # relative slack of decay_fit's predicted envelope
+SLOPE_SAMPLES = 32  # output times of a regularization-slope run
+REGULARIZATION_TOL = 0.2  # relative tolerance of a regularization-slope verdict
+SEMIGROUP_TOL = 0.1  # slack of the b_semigroup_decay norm and exponent bounds
+HARRIS_MAX_SIZE = 512  # n^d cap of harris_contraction: its pairwise sup is O(N^2)
 
 
 def _model_values(model: str, ts: np.ndarray, rate: float) -> np.ndarray:
@@ -66,14 +70,13 @@ def decay_fit(
     model: str = "exponential",
     predicted: float | None = None,
     window: tuple[float, float] | None = None,
-    tol: float = 0.1,
 ) -> RateReport:
     """Least-squares decay fit of a positive scalar series.
 
     Exponential: log v against t; polynomial: log v against log <t>.  When a
     predicted exponent is supplied, the verdict compares the series against
     the predicted model anchored at the first window point (upper bound with
-    relative slack tol); otherwise against its own fit.
+    relative slack ENVELOPE_TOL); otherwise against its own fit.
     """
     if model not in ("exponential", "polynomial"):
         raise ValueError(f"unknown decay model {model!r}")
@@ -95,7 +98,7 @@ def decay_fit(
     rate_for_bound = predicted if predicted is not None else fitted
     anchor = values[0] / _model_values(model, ts[:1], rate_for_bound)[0]
     envelope = anchor * _model_values(model, ts, rate_for_bound)
-    respected = bool(np.all(values <= envelope * (1.0 + tol)))
+    respected = bool(np.all(values <= envelope * (1.0 + ENVELOPE_TOL)))
     return RateReport(
         model=model,
         fitted=fitted,
@@ -120,35 +123,18 @@ def near_delta(grid: Grid) -> Field:
     return Field(grid, vals / (np.sum(vals) * grid.cell_volume))
 
 
-def _slope_run(grid, cfg, scheme, t_window, norm_fn, n_samples=32):
-    scheme = scheme or SchemeConfig()
-    dt = scheme.dt if scheme.dt is not None else auto_dt(grid, cfg, scheme)
-    t_lo, t_hi = t_window
-    if t_lo < 10.0 * dt:
-        raise ValueError(
-            f"window start {t_lo:g} clipped by the CFL step {dt:g} (need >= 10 dt)"
-        )
-    times = np.geomspace(t_lo, t_hi, n_samples)
-    tr = evolve(near_delta(grid), t_hi, cfg, scheme, output_times=times)
-    ts = np.array(tr.times)
-    vals = np.array([norm_fn(s) for s in tr.snapshots])
-    keep = ts > 0
-    ts, vals = ts[keep], vals[keep]
-    _, uniq = np.unique(ts, return_index=True)
-    return ts[uniq], vals[uniq]
-
-
-def _steepest_window_fit(ts, vals, min_pts=10, keep_frac=0.85):
+def _steepest_window_fit(ts, vals):
     """Log-log slope on the steepest contiguous stretch of the curve.
 
     The near-delta has an effective age ~ (2h)^alpha that flattens the early
     slope, and the norms saturate toward the equilibrium scale late; the
-    asymptotic exponent lives between, where the local slope peaks.
+    asymptotic exponent lives between, where the local slope peaks.  A
+    stretch shorter than MIN_FIT_POINTS falls back to the whole curve.
     """
     lx, ly = np.log(ts), np.log(vals)
     local = -np.diff(ly) / np.diff(lx)
     smax = np.max(local)
-    good = local >= keep_frac * smax
+    good = local >= 0.85 * smax
     # longest contiguous run of good local slopes
     best_run, run_start, cur_start = (0, 0), 0, None
     for i, g in enumerate(list(good) + [False]):
@@ -160,7 +146,7 @@ def _steepest_window_fit(ts, vals, min_pts=10, keep_frac=0.85):
             cur_start = None
     length, start = best_run
     sel = slice(start, start + length + 1)
-    if length + 1 < min_pts:
+    if length + 1 < MIN_FIT_POINTS:
         sel = slice(None)  # fall back to the full window
     slope, _, r2 = line_fit(lx[sel], ly[sel])
     return float(-slope), r2, (float(ts[sel][0]), float(ts[sel][-1]))
@@ -172,23 +158,36 @@ def regularization_slope(
     p: float = 2.0,
     k: float = 0.5,
     t_window: tuple[float, float] | None = None,
-    scheme: SchemeConfig | None = None,
-    rel_tol: float = 0.2,
 ) -> RateReport:
     """Slope of log ||f(t)||_{L^p(m)} against log t from a near-delta datum.
 
     The smoothing gain from mass data predicts the slope -d/(q alpha) with
-    q the conjugate exponent; the verdict accepts within rel_tol relative.
+    q the conjugate exponent (q = 1 for p = inf, valid for gamma <= 2:
+    bounded-density regularization needs subcritical confinement growth);
+    the verdict accepts within REGULARIZATION_TOL relative.  The run samples
+    SLOPE_SAMPLES output times, geometric over t_window.
     """
-    q = p / (p - 1.0)
+    if p == math.inf and cfg.gamma > 2.0:
+        raise ValueError("L-infinity regularization requires gamma <= 2")
+    q = 1.0 if p == math.inf else p / (p - 1.0)
     predicted = grid.d / (q * cfg.alpha)
     if t_window is None:
         t_window = (max(0.01, 4.0 * (2.0 * grid.h) ** cfg.alpha), 0.6)
-    ts, vals = _slope_run(
-        grid, cfg, scheme, t_window, lambda s: weighted_norm(s, p, k)
-    )
-    fitted, r2, used = _steepest_window_fit(ts, vals)
-    ok = abs(fitted - predicted) <= rel_tol * predicted
+    t_lo, t_hi = t_window
+    dt = auto_dt(grid, cfg, SchemeConfig())
+    if t_lo < 10.0 * dt:
+        raise ValueError(
+            f"window start {t_lo:g} clipped by the CFL step {dt:g} (need >= 10 dt)"
+        )
+    times = np.geomspace(t_lo, t_hi, SLOPE_SAMPLES)
+    tr = evolve(near_delta(grid), t_hi, cfg, output_times=times)
+    ts = np.array(tr.times)
+    vals = np.array([weighted_norm(s, p, k) for s in tr.snapshots])
+    keep = ts > 0
+    ts, vals = ts[keep], vals[keep]
+    _, uniq = np.unique(ts, return_index=True)
+    fitted, r2, used = _steepest_window_fit(ts[uniq], vals[uniq])
+    ok = abs(fitted - predicted) <= REGULARIZATION_TOL * predicted
     return RateReport(
         model="polynomial",
         fitted=fitted,
@@ -197,40 +196,6 @@ def regularization_slope(
         r2=r2,
         verdict="bound-respected" if ok else "violated",
         details={"p": p, "k": k, "norm": "Lp(m)"},
-    )
-
-
-def linf_regularization_slope(
-    grid: Grid,
-    cfg: OperatorConfig,
-    k: float = 0.5,
-    t_window: tuple[float, float] | None = None,
-    scheme: SchemeConfig | None = None,
-    rel_tol: float = 0.2,
-) -> RateReport:
-    """Slope of log ||f(t)||_{L^inf(m)} against log t; predicted -d/alpha.
-
-    Valid for gamma <= 2 (bounded-density regularization needs subcritical
-    confinement growth).
-    """
-    if cfg.gamma > 2.0:
-        raise ValueError("L-infinity regularization requires gamma <= 2")
-    predicted = grid.d / cfg.alpha
-    if t_window is None:
-        t_window = (max(0.01, 4.0 * (2.0 * grid.h) ** cfg.alpha), 0.6)
-    ts, vals = _slope_run(
-        grid, cfg, scheme, t_window, lambda s: weighted_norm(s, math.inf, k)
-    )
-    fitted, r2, used = _steepest_window_fit(ts, vals)
-    ok = abs(fitted - predicted) <= rel_tol * predicted
-    return RateReport(
-        model="polynomial",
-        fitted=fitted,
-        predicted=predicted,
-        window=used,
-        r2=r2,
-        verdict="bound-respected" if ok else "violated",
-        details={"k": k, "norm": "Linf(m)"},
     )
 
 
@@ -248,9 +213,6 @@ def polynomial_rate_check(
     horizon: float,
     steady: Field,
     t0: float = 5.0,
-    scheme: SchemeConfig | None = None,
-    f0: Field | None = None,
-    tol: float = 0.1,
 ) -> RateReport:
     """Upper-bound check of the lighter-weight norm against <t>^-rho.
 
@@ -280,21 +242,18 @@ def polynomial_rate_check(
         warnings.append(f"p={p} >= constructive cap {p_cap:.3f}")
     predicted = (k_heavy - k_light) / abs(2.0 - cfg.gamma)
 
-    if f0 is None:
-        s0 = k_heavy + (grid.d + 1.0) / p
-        vals = grid.bracket() ** (-s0)
-        f0 = Field(grid, vals / (np.sum(vals) * grid.cell_volume))
+    s0 = k_heavy + (grid.d + 1.0) / p
+    vals = grid.bracket() ** (-s0)
+    f0 = Field(grid, vals / (np.sum(vals) * grid.cell_volume))
     times = np.unique(np.concatenate([np.geomspace(t0, horizon, 40), [horizon]]))
-    tr = evolve(f0, horizon, cfg, scheme, output_times=times)
+    tr = evolve(f0, horizon, cfg, output_times=times)
     ts = np.array(tr.times)
     diffs = [
         weighted_norm(Field(grid, s.values - steady.values), p, k_light)
         for s in tr.snapshots
     ]
     mask = ts >= t0 * 0.999
-    rep = decay_fit(
-        ts[mask], np.array(diffs)[mask], model="polynomial", predicted=predicted, tol=tol
-    )
+    rep = decay_fit(ts[mask], np.array(diffs)[mask], model="polynomial", predicted=predicted)
     rep.details.update({"k_heavy": k_heavy, "k_light": k_light, "p": p, "warnings": warnings})
     return rep
 
@@ -304,13 +263,13 @@ def polynomial_rate_check(
 # ---------------------------------------------------------------------------
 
 
-def weighted_opnorm(mat: np.ndarray, p: float, w_out: np.ndarray, w_in: np.ndarray,
-                    iters: int = 40, seeds: int = 4, seed: int = 0) -> float:
+def weighted_opnorm(mat: np.ndarray, p: float, w_out: np.ndarray, w_in: np.ndarray) -> float:
     """Estimate ||diag(w_out) mat diag(1/w_in)||_p (Boyd power iteration).
 
     Exact for p = 1 (maximum weighted column sum); for p in (1, inf) the
     iteration converges to a stationary value that lower-bounds the norm,
-    maximized over several starts.
+    maximized over several starts: ones, 4 seeded Gaussians and the heaviest
+    column, at most 40 iterations each.
     """
     a = (w_out[:, None] * mat) / w_in[None, :]
     if p == 1.0:
@@ -318,10 +277,10 @@ def weighted_opnorm(mat: np.ndarray, p: float, w_out: np.ndarray, w_in: np.ndarr
     if p == math.inf:
         return float(np.max(np.sum(np.abs(a), axis=1)))
     q = p / (p - 1.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = a.shape[1]
     best = 0.0
-    starts = [np.ones(n)] + [rng.standard_normal(n) for _ in range(seeds)]
+    starts = [np.ones(n)] + [rng.standard_normal(n) for _ in range(4)]
     j0 = int(np.argmax(np.sum(np.abs(a), axis=0)))
     e = np.zeros(n)
     e[j0] = 1.0
@@ -329,7 +288,7 @@ def weighted_opnorm(mat: np.ndarray, p: float, w_out: np.ndarray, w_in: np.ndarr
     for x in starts:
         x = x / np.linalg.norm(x, p)
         est_prev = 0.0
-        for _ in range(iters):
+        for _ in range(40):
             y = a @ x
             est = float(np.linalg.norm(y, p))
             if est == 0.0:
@@ -353,22 +312,18 @@ def b_semigroup_decay(
     k: float,
     M: float = 5.0,
     R: float = 2.0,
-    t_samples=None,
-    tol: float = 0.1,
 ) -> RateReport:
     """Decay of ||e^{tB}||, B = Lambda - M chi_R, from L^p(m) to L^p(m^theta).
 
     beta = gamma - 2 >= 0: theta = 1 and exponential decay with positive
     rate; beta in (-alpha, 0): polynomial decay with exponent at least
-    k(1-theta)/|beta| (checked with slack tol); theta = 1 additionally keeps
-    the norms below 1 up to discretization slack.
+    k(1-theta)/|beta| (checked with slack SEMIGROUP_TOL); theta = 1 instead
+    keeps the norms below 1 + SEMIGROUP_TOL.
     """
     grid = gm.grid
     beta = gm.cfg.gamma - 2.0
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    if t_samples is None:
-        t_samples = np.geomspace(0.25, 16.0, 12) if beta < 0 else np.linspace(0.5, 8.0, 10)
     chi = smooth_indicator(grid, R).ravel(order="C")
     b = gm.mat - M * np.diag(chi)
     m_in = weight_field(grid, k).values.ravel(order="C")
@@ -376,7 +331,7 @@ def b_semigroup_decay(
     norms = []
     e_step = None
     cur = np.eye(grid.size)
-    ts = np.asarray(sorted(t_samples), dtype=float)
+    ts = np.geomspace(0.25, 16.0, 12) if beta < 0 else np.linspace(0.5, 8.0, 10)
     prev_t = 0.0
     for t in ts:
         cur = cur @ expm(b * (t - prev_t))
@@ -399,7 +354,7 @@ def b_semigroup_decay(
         )
     predicted = k * (1.0 - theta) / abs(beta)
     if theta == 1.0:
-        ok = bool(np.all(norms <= 1.0 + tol))
+        ok = bool(np.all(norms <= 1.0 + SEMIGROUP_TOL))
         return RateReport(
             model="polynomial",
             fitted=0.0,
@@ -410,7 +365,7 @@ def b_semigroup_decay(
             details=details,
         )
     rep = decay_fit(ts, norms, model="polynomial")
-    ok = rep.fitted >= predicted - tol
+    ok = rep.fitted >= predicted - SEMIGROUP_TOL
     return RateReport(
         model="polynomial",
         fitted=rep.fitted,
@@ -436,9 +391,9 @@ def harris_seminorm(phi: np.ndarray, m_lam: np.ndarray) -> float:
     return float(np.max(num / den))
 
 
-def harris_bank(grid: Grid, k: float, lambda_w: float, count: int = 50, seed: int = 411) -> list:
-    """Seeded observables: band-limited noise, +-m_lambda, coordinates."""
-    rng = np.random.default_rng(seed)
+def harris_bank(grid: Grid, k: float, lambda_w: float, count: int = 50) -> list:
+    """Seeded observables: +-m_lambda, coordinates, band-limited noise."""
+    rng = np.random.default_rng(411)
     m_lam = 1.0 + lambda_w * grid.bracket() ** k
     out = [m_lam, -m_lam]
     for c in grid.coords():
@@ -464,30 +419,23 @@ def harris_bank(grid: Grid, k: float, lambda_w: float, count: int = 50, seed: in
     return out[:count]
 
 
-def harris_contraction(
-    gm: GeneratorMatrix,
-    t: float,
-    k: float,
-    lambda_w: float,
-    bank_size: int = 50,
-    seed: int = 411,
-) -> float:
+def harris_contraction(gm: GeneratorMatrix, t: float, k: float, lambda_w: float) -> float:
     """Largest seminorm-contraction ratio of P_t over the observable bank.
 
     P_t = e^{t Lambda^*} acts on observables; the seminorm weights are
     m_lambda = 1 + lambda_w <x>^k.  The bank supremum lower-bounds the true
     operator seminorm, so a ratio < 1 is necessary-but-weaker evidence of
-    contraction (recorded as such).
+    contraction (recorded as such).  Grids above HARRIS_MAX_SIZE nodes raise.
     """
     if gm.which != "adjoint":
         raise ValueError("harris contraction expects the adjoint generator")
-    if gm.grid.size > 512:  # pairwise sup is O(N^2) per bank function
-        raise ValueError("harris contraction restricted to n^d <= 512")
+    if gm.grid.size > HARRIS_MAX_SIZE:
+        raise ValueError(f"harris contraction restricted to n^d <= {HARRIS_MAX_SIZE}")
     grid = gm.grid
     pt = expm(gm.mat * t)
     m_lam = (1.0 + lambda_w * grid.bracket() ** k).ravel(order="C")
     worst = 0.0
-    for phi in harris_bank(grid, k, lambda_w, count=bank_size, seed=seed):
+    for phi in harris_bank(grid, k, lambda_w):
         phi = phi.ravel(order="C")
         s0 = harris_seminorm(phi, m_lam)
         if s0 <= 0.0:

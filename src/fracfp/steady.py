@@ -46,13 +46,15 @@ class SteadyState:
         return integrate(self.field)
 
 
-def _finalize(grid: Grid, values: np.ndarray, cfg: OperatorConfig, route: str) -> SteadyState:
+HORIZON_CAP = 400.0  # steady_by_evolution gives up after this much evolution time
+
+
+def _finalize(grid: Grid, values: np.ndarray, route: str) -> Field:
+    """The state normalized to unit mass."""
     mass = float(np.sum(values) * grid.cell_volume)
     if mass <= 0:
         raise ValueError(f"{route} produced a nonpositive-mass state")
-    field = Field(grid, values / mass)
-    res = float(np.max(np.abs(generator_apply(field, cfg).values)))
-    return SteadyState(field=field, route=route, residual=res)
+    return Field(grid, values / mass)
 
 
 def closed_form_equilibrium(alpha: float, grid: Grid, gamma: float = 2.0) -> Field:
@@ -77,13 +79,11 @@ def steady_by_evolution(
     scheme: SchemeConfig | None = None,
     tol: float = 1e-5,
     f0: Field | None = None,
-    max_horizon: float = 400.0,
-    chunk: float = 1.0,
 ) -> SteadyState:
-    """Evolve a probe density until ||f(t + chunk) - f(t)||_{L^1} < tol.
+    """Evolve a probe density until ||f(t + 1) - f(t)||_{L^1} < tol.
 
     Requires gamma > 2 - alpha (no equilibrium is claimed outside that
-    range); non-convergence within max_horizon raises with the offending
+    range); non-convergence within HORIZON_CAP raises with the offending
     parameter pair.
     """
     if not cfg.gamma > 2.0 - cfg.alpha:
@@ -96,16 +96,18 @@ def steady_by_evolution(
     cur = f0 if f0 is not None else normalized_gaussian(grid)
     t = 0.0
     vol = grid.cell_volume
-    while t < max_horizon:
-        tr = evolve(cur, chunk, cfg, scheme)
+    while t < HORIZON_CAP:
+        tr = evolve(cur, 1.0, cfg, scheme)
         nxt = tr.snapshots[-1]
         diff = float(np.sum(np.abs(nxt.values - cur.values)) * vol)
         cur = nxt
-        t += chunk
+        t += 1.0
         if diff < tol:
-            return _finalize(grid, cur.values, cfg, "evolution")
+            field = _finalize(grid, cur.values, "evolution")
+            res = float(np.max(np.abs(generator_apply(field, cfg).values)))
+            return SteadyState(field=field, route="evolution", residual=res)
     raise RuntimeError(
-        f"no stationary state within horizon {max_horizon} for "
+        f"no stationary state within horizon {HORIZON_CAP} for "
         f"(alpha={cfg.alpha}, gamma={cfg.gamma}); the pair sits outside the "
         "verified convergence regime or tol is too tight"
     )
@@ -124,11 +126,10 @@ def steady_by_linear_solve(gm: GeneratorMatrix) -> SteadyState:
     b = np.zeros(grid.size)
     b[j0] = 1.0
     sol = _la.solve(a, b)
-    vals = sol.reshape(grid.shape)
     resid_rows = gm.mat @ sol
     resid_rows[j0] = 0.0
-    out = _finalize(grid, vals, gm.cfg, "linear-solve")
-    return SteadyState(field=out.field, route=out.route, residual=float(np.max(np.abs(resid_rows))))
+    field = _finalize(grid, sol.reshape(grid.shape), "linear-solve")
+    return SteadyState(field=field, route="linear-solve", residual=float(np.max(np.abs(resid_rows))))
 
 
 def leading_eigenpair(gm: GeneratorMatrix):

@@ -45,7 +45,6 @@ from fracfp.functionals import pair_stencil
 from fracfp.rates import (
     decay_fit,
     harris_contraction,
-    linf_regularization_slope,
     lyapunov_check,
     polynomial_rate_check,
     regularization_slope,
@@ -221,7 +220,7 @@ def test_criterion_5_regularization_exponents():
         cfg = OperatorConfig(alpha=alpha, gamma=2.0, method="spectral")
         rep2 = regularization_slope(grid, cfg, p=2.0, k=0.5)
         d2 = abs(rep2.fitted - rep2.predicted)
-        repi = linf_regularization_slope(grid, cfg, k=0.5)
+        repi = regularization_slope(grid, cfg, p=math.inf, k=0.5)
         di = abs(repi.fitted - repi.predicted)
         ok = d2 <= 0.1 and di <= 0.2
         ok_all &= verdict(

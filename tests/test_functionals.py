@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from fracfp.functionals import (
     threshold_p_gamma,
     weighted_norm,
 )
-from fracfp.functionals import pair_stencil
+from fracfp.functionals import _seminorm_weights, pair_stencil
 
 
 CFG = OperatorConfig(alpha=1.0, method="quadrature", exterior="conservative")
@@ -152,8 +153,41 @@ def test_gp_equivalence_brackets(grid, p):
 # ------------------------------------------------------------- seminorms
 
 
-def test_seminorm_constant_zero(grid):
-    assert sobolev_seminorm(Field(grid, np.ones(512)), 0.5, 2.0) == 0.0
+# d -> (L, n, Parseval bound): the 2d box is coarse, 6.3e-2 off at n = 32
+SEMINORM_CASES = {1: (20.0, 512, 0.02), 2: (8.0, 32, 0.1)}
+
+
+def _seminorm_gauss(d):
+    L, n, _ = SEMINORM_CASES[d]
+    g = build_grid(d, L, n)
+    return Field(g, np.exp(-g.radius2()))
+
+
+@pytest.mark.parametrize("d", sorted(SEMINORM_CASES))
+def test_seminorm_constant_zero(d):
+    g = _seminorm_gauss(d).grid
+    assert sobolev_seminorm(Field(g, np.ones(g.shape)), 0.5, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("d", sorted(SEMINORM_CASES))
+def test_seminorm_is_sum_over_all_offsets(d):
+    # reference: every offset J != 0 at its own weight, no pairing of J with
+    # -J, and the self-cell term with the gradient norm written out per d
+    u = _seminorm_gauss(d)
+    g, v, p = u.grid, u.values * (1.0 + 0.3 * u.grid.coords()[0]), 1.5
+    w = _seminorm_weights(g, 0.4, p)
+    n = g.n
+    total = 0.0
+    for off in itertools.product(range(-n + 1, n), repeat=d):
+        if any(off):
+            hi = tuple(slice(max(0, j), n + min(0, j)) for j in off)
+            lo = tuple(slice(max(0, -j), n + min(0, -j)) for j in off)
+            total += w[tuple(n + j for j in off)] * np.sum(np.abs(v[hi] - v[lo]) ** p)
+    grad = np.gradient(v, g.h)
+    gnorm = np.abs(grad) if d == 1 else np.hypot(*grad)
+    total += w[(n,) * d] * np.sum(gnorm**p)
+    ref = (total * g.cell_volume) ** (1.0 / p)
+    assert sobolev_seminorm(Field(g, v), 0.4, p) == pytest.approx(ref, rel=1e-13)
 
 
 def test_seminorm_rejects_bad_s(grid, gauss):
@@ -172,13 +206,15 @@ def test_seminorm_scaling(grid, gauss):
     assert abs((s2 / s1) ** 2 - 1.0) < 0.1
 
 
-def test_seminorm_parseval_vs_spectral(grid, gauss):
+@pytest.mark.parametrize("d", sorted(SEMINORM_CASES))
+def test_seminorm_parseval_vs_spectral(d):
     # whole-space seminorm of the zero extension against the Fourier form
+    gauss = _seminorm_gauss(d)
     snorm = sobolev_seminorm(gauss, 0.5, 2.0, include_exterior=True)
     quad_form = float(
-        np.sum(-spectral_fraclap(gauss, 1.0).values * gauss.values) * grid.h
+        np.sum(-spectral_fraclap(gauss, 1.0).values * gauss.values) * gauss.grid.cell_volume
     )
-    assert abs(snorm**2 / quad_form - 1.0) < 0.02
+    assert abs(snorm**2 / quad_form - 1.0) < SEMINORM_CASES[d][2]
 
 
 # ------------------------------------------------------------- confinement

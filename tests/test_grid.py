@@ -129,11 +129,3 @@ def test_field_rejects_nan_and_shape():
         Field(g, np.full(8, np.nan))
     with pytest.raises(ValueError):
         Field(g, np.ones(9))
-
-
-def test_density_tag_checks_sign():
-    g = build_grid(1, 1.0, 8)
-    f = Field(g, np.ones(8))
-    assert f.as_density() is f
-    with pytest.raises(ValueError):
-        Field(g, -np.ones(8)).as_density()

@@ -1,9 +1,12 @@
-"""fracfp modules import only public names from each other."""
+"""Static checks on the fracfp sources: imports between modules, and settings
+that some caller actually sets."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fracfp"
+TESTS = Path(__file__).resolve().parent
 
 # (importing module, name): why the private import stays
 ALLOWED = {
@@ -11,13 +14,81 @@ ALLOWED = {
 }
 
 
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_private_cross_module_imports():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(_parse(path)):
             if not (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fracfp")):
                 continue
             for alias in node.names:
                 if alias.name.startswith("_") and (path.stem, alias.name) not in ALLOWED:
                     found.append(f"{path.name}:{node.lineno} imports {node.module}.{alias.name}")
+    assert not found, "\n".join(found)
+
+
+def _calls_by_name(trees) -> dict:
+    """Callee name (a plain name or the last attribute) -> its Call nodes."""
+    calls = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls[name].append(node)
+    return calls
+
+
+def _dataclass_fields(tree: ast.Module, cls: str) -> list:
+    body = next(n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls)
+    return [st.target.id for st in body if isinstance(st, ast.AnnAssign)]
+
+
+def test_every_setting_is_set_by_some_caller():
+    """A parameter default, or a config field, that no caller sets is a
+    constant in disguise: each one doubles the configurations tests would
+    have to cover.  Scans src/fracfp and tests."""
+    src = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = list(src.values()) + [_parse(path) for path in sorted(TESTS.glob("*.py"))]
+    calls = _calls_by_name(trees)
+
+    def passed(func: str, name: str, index: int | None) -> bool:
+        for call in calls[func]:
+            if any(kw.arg in (name, None) for kw in call.keywords):
+                return True
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                return True
+            if index is not None and index < len(call.args):
+                return True
+        return False
+
+    found = []
+    for stem, tree in src.items():
+        methods = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            pos = (a.posonlyargs + a.args)[1 if id(fn) in methods else 0:]
+            first = len(pos) - len(a.defaults)
+            unset = [arg.arg for i, arg in enumerate(pos[first:], start=first)
+                     if not passed(fn.name, arg.arg, i)]
+            unset += [arg.arg for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None and not passed(fn.name, arg.arg, None)]
+            found += [f"{stem}.{fn.name}({name}) is never passed" for name in unset]
+
+    for stem, cls in (("operators", "OperatorConfig"), ("evolution", "SchemeConfig")):
+        for name in _dataclass_fields(src[stem], cls):
+            if not any(kw.arg == name for call in calls[cls] for kw in call.keywords):
+                found.append(f"{cls}.{name} is never passed to {cls}(...)")
+
+    read = {node.attr for node in ast.walk(src["cli"])
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for name in _dataclass_fields(src["cli"], "ScenarioConfig"):
+        if name not in read:
+            found.append(f"ScenarioConfig.{name} is never read in cli.py")
     assert not found, "\n".join(found)

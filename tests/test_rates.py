@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from fracfp.rates import (
     harris_bank,
     harris_contraction,
     harris_seminorm,
-    linf_regularization_slope,
     lyapunov_check,
     near_delta,
     ode_envelope_check,
@@ -85,13 +86,13 @@ def test_regularization_predicted_values():
 def test_linf_slope_gamma_guard():
     g = build_grid(1, 20.0, 256)
     with pytest.raises(ValueError):
-        linf_regularization_slope(g, OperatorConfig(alpha=1.0, gamma=2.5))
+        regularization_slope(g, OperatorConfig(alpha=1.0, gamma=2.5), p=math.inf)
 
 
 def test_linf_slope_alpha15():
     g = build_grid(1, 20.0, 2048)
     cfg = OperatorConfig(alpha=1.5, gamma=2.0, method="spectral")
-    rep = linf_regularization_slope(g, cfg)
+    rep = regularization_slope(g, cfg, p=math.inf)
     assert rep.predicted == pytest.approx(1.0 / 1.5)
     assert abs(rep.fitted - rep.predicted) < 0.2
 
