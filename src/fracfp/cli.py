@@ -43,6 +43,7 @@ from fracfp.functionals import (
 )
 from fracfp.rates import HARRIS_MAX_SIZE, MIN_FIT_POINTS, decay_fit, harris_contraction, lyapunov_check
 from fracfp.steady import (
+    EigenpairError,
     closed_form_equilibrium,
     leading_eigenpair,
     steady_by_evolution,
@@ -265,12 +266,17 @@ def _suite_steady(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> No
         # drift-scheme differences
         tol_routes = 1e-2 if cfg.drift == "centered" else 5e-2
         report.add("route-agreement-L1", gap_routes, tol_routes, gap_routes <= tol_routes)
-        lam, vec, gap = leading_eigenpair(gm)
-        scale = float(np.abs(gm.mat).max())
-        report.add("leading-eigenvalue", abs(lam), 1e-8 * scale, abs(lam) <= 1e-8 * scale, 0.0)
-        report.add("spectral-gap", gap, 0.0, gap > 0.0)
-        eig_gap = float(np.sum(np.abs(vec.values - ss_lin.field.values)) * vol)
-        report.add("eigenvector-matches-solve", eig_gap, 1e-6, eig_gap <= 1e-6)
+        try:
+            lam, vec, gap = leading_eigenpair(gm)
+        except EigenpairError as exc:
+            # the failed check is the record; a pair that failed it has no eigen records
+            report.add(exc.check, exc.measured, exc.tolerance, False)
+        else:
+            scale = float(np.abs(gm.mat).max())
+            report.add("leading-eigenvalue", abs(lam), 1e-8 * scale, abs(lam) <= 1e-8 * scale, 0.0)
+            report.add("spectral-gap", gap, 0.0, gap > 0.0)
+            eig_gap = float(np.sum(np.abs(vec.values - ss_lin.field.values)) * vol)
+            report.add("eigenvector-matches-solve", eig_gap, 1e-6, eig_gap <= 1e-6)
 
     if cfg.gamma == 2.0:
         oracle = closed_form_equilibrium(cfg.alpha, grid)

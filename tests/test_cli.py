@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fracfp
+import fracfp.cli
 
 from fracfp.cli import (
     ConfigError,
@@ -17,6 +18,7 @@ from fracfp.cli import (
     run_scenario,
     validate_config,
 )
+from fracfp.steady import EigenpairError
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -299,6 +301,26 @@ def test_nonpositive_steady_state_is_no_poincare_weight(tmp_path, capsys):
     assert record.endswith("tol=0 -> FAIL")
     assert float(record.split("measured=")[1].split()[0]) < 0.0
     assert not any(line.startswith("poincare-wirtinger-bank:") for line in report)
+    assert report[-1] == "FAIL"
+
+
+def test_failed_eigenpair_is_a_fail_record(tmp_path, capsys, monkeypatch):
+    def failing_eigenpair(gm):
+        raise EigenpairError("leading-eigenvalue-real", 0.5, 1e-7)
+
+    monkeypatch.setattr(fracfp.cli, "leading_eigenpair", failing_eigenpair)
+    p = write_cfg(
+        tmp_path,
+        "name = eig\nd = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\nk = 0.5\nsuite = steady\n",
+    )
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().out.strip().endswith("FAIL")
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    assert "leading-eigenvalue-real: measured=0.5 predicted=- tol=9.9999999999999995e-08 -> FAIL" in report
+    for name in ("leading-eigenvalue", "spectral-gap", "eigenvector-matches-solve"):
+        assert not any(line.startswith(name + ":") for line in report)
+    # the records after the eigen route are still written
+    assert any(line.startswith("closed-form-L1-distance:") for line in report)
     assert report[-1] == "FAIL"
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from fracfp import steady
 from fracfp.grid import Field, build_grid, integrate
-from fracfp.operators import OperatorConfig, assemble_generator_matrix
+from fracfp.operators import ForceField, OperatorConfig, assemble_generator_matrix
 from fracfp.steady import (
+    EigenpairError,
     closed_form_equilibrium,
     leading_eigenpair,
     steady_by_evolution,
@@ -100,6 +103,82 @@ def test_eigenpair_route(small_setup):
     assert vec.values.min() > 0.0
     ss = steady_by_linear_solve(gm)
     assert np.sum(np.abs(vec.values - ss.field.values)) * g.h < 1e-8
+
+
+# ------------------------------------------------------- eigenpair on parity blocks
+
+
+def _shifted_y(p):
+    # mirror-symmetric in x only
+    return np.stack([p[..., 0], p[..., 1] - 0.5], axis=-1)
+
+
+# name -> (d, n, operator settings); L = 10, quadrature jump
+EIG_CASES = {
+    "1d-upwind": (1, 256, dict(alpha=1.0, gamma=2.0)),
+    "2d-upwind": (2, 16, dict(alpha=1.0, gamma=2.0)),
+    # the second eigenvalue is the complex pair -0.8144 +- 33.6i
+    "2d-centered": (2, 32, dict(alpha=0.5, gamma=2.5, drift="centered")),
+    "2d-x-symmetric": (2, 16, dict(alpha=1.0, gamma=2.0, force=ForceField(2.0, _shifted_y))),
+    "1d-shifted": (1, 128, dict(alpha=1.0, gamma=2.0, force=ForceField(2.0, lambda x: x - 0.5))),
+}
+
+
+def _eig_case(name):
+    d, n, settings = EIG_CASES[name]
+    return assemble_generator_matrix(build_grid(d, 10.0, n), OperatorConfig(method="quadrature", **settings))
+
+
+@pytest.mark.parametrize("name", sorted(EIG_CASES))
+def test_eigenpair_matches_full_eig(name):
+    gm = _eig_case(name)
+    lam_all, vecs = scipy.linalg.eig(gm.mat)
+    order = np.argsort(-lam_all.real)
+    ref = vecs[:, order[0]].real
+    ref = ref / (np.sum(ref) * gm.grid.cell_volume)
+    ref_gap = lam_all[order[0]].real - lam_all[order[1]].real
+    lam, vec, gap = leading_eigenpair(gm)
+    assert abs(lam) < 1e-12 * np.abs(gm.mat).max()
+    assert gap == pytest.approx(ref_gap, rel=1e-10)
+    assert np.sum(np.abs(vec.values.ravel() - ref)) * gm.grid.cell_volume < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        ("1d-upwind", [128] * 2),
+        ("2d-upwind", [64] * 4),  # N / 2^d for the radial force
+        ("2d-x-symmetric", [128] * 2),
+        ("1d-shifted", [128]),  # no symmetric axis: the whole matrix
+    ],
+)
+def test_eigenpair_runs_eig_on_parity_blocks(name, sizes, monkeypatch):
+    sizes_seen = []
+    eig = steady._la.eig
+
+    def recording_eig(a, *args, **kwargs):
+        sizes_seen.append(a.shape[0])
+        return eig(a, *args, **kwargs)
+
+    gm = _eig_case(name)
+    monkeypatch.setattr(steady._la, "eig", recording_eig)
+    leading_eigenpair(gm)
+    assert sizes_seen == sizes
+
+
+def test_eigenpair_residual_certificate(monkeypatch):
+    # a leading eigenvector that is off by 1e-6 fails the full-matrix check
+    eig = steady._la.eig
+
+    def perturbed_eig(a, *args, **kwargs):
+        lam, vecs = eig(a, *args, **kwargs)
+        return lam, vecs + 1e-6 * np.cos(np.arange(vecs.shape[0]))[:, None]
+
+    gm = _eig_case("2d-upwind")
+    monkeypatch.setattr(steady._la, "eig", perturbed_eig)
+    with pytest.raises(EigenpairError, match="eigenpair-residual") as exc:
+        leading_eigenpair(gm)
+    assert exc.value.measured > exc.value.tolerance == steady.RESIDUAL_TOL * np.abs(gm.mat).max()
 
 
 def test_evolution_route_agreement(small_setup):
