@@ -30,7 +30,7 @@ from fracfp.operators import (
     make_force,
     verify_force_hypotheses,
 )
-from fracfp.evolution import SchemeConfig, Trajectory, evolve
+from fracfp.evolution import SchemeConfig, StepFailure, Trajectory, evolve
 from fracfp.functionals import (
     carre_du_champ,
     field_bank,
@@ -44,6 +44,7 @@ from fracfp.functionals import (
 from fracfp.rates import HARRIS_MAX_SIZE, MIN_FIT_POINTS, decay_fit, harris_contraction, lyapunov_check
 from fracfp.steady import (
     EigenpairError,
+    HorizonError,
     closed_form_equilibrium,
     leading_eigenpair,
     steady_by_evolution,
@@ -196,12 +197,14 @@ class Record:
     predicted: float | None
     tolerance: float
     passed: bool
+    at: tuple | None = None  # (step, t) where a numerical breakdown stopped the suite
 
     def line(self) -> str:
         pred = "-" if self.predicted is None else FMT % self.predicted
+        where = "" if self.at is None else f" at step {self.at[0]} (t={FMT % self.at[1]})"
         return (
             f"{self.name}: measured={FMT % self.measured} predicted={pred} "
-            f"tol={FMT % self.tolerance} -> {'pass' if self.passed else 'FAIL'}"
+            f"tol={FMT % self.tolerance} -> {'pass' if self.passed else 'FAIL'}{where}"
         )
 
 
@@ -308,8 +311,9 @@ def _suite_rates(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> Non
     f0 = normalized_gaussian(grid)
     horizon = max(cfg.horizon, 8.0)
     times = np.linspace(1.0, horizon, max(12, int(2 * horizon)))
+    # the steady route's chunks from the same f0 run again as lanes of one stack
     tr = evolve(f0, horizon, cfg.operator(), cfg.scheme(), output_times=times,
-                reference=reference)
+                reference=reference, path=ss.path)
     artifacts.setdefault("trajectory", tr)
     diffs = np.array(
         [weighted_norm(Field(grid, s.values - ss.field.values), 1.0, cfg.k) for s in tr.snapshots]
@@ -403,7 +407,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunR
     }
     for name in suites:
         t0 = time.perf_counter()
-        runners[name](cfg, report, artifacts)
+        try:
+            runners[name](cfg, report, artifacts)
+        except (StepFailure, HorizonError) as exc:
+            # a numerical breakdown ends this suite with one FAIL record
+            report.records.append(Record(f"{name}-{exc.check}", float(exc.measured), None,
+                                         float(exc.tolerance), False, (exc.step, exc.t)))
         report.wall_times[name] = time.perf_counter() - t0
     emit_outputs(report, artifacts, Path(out_dir if out_dir is not None else cfg.out))
     return report
@@ -431,14 +440,14 @@ def emit_outputs(report: RunReport, artifacts: dict, out_dir: Path) -> None:
 
 
 def _write_monitors(tr: Trajectory | None, path: Path) -> None:
-    header = "t,mass,min,L1m,L2m,Linfm,entropy"
-    if tr is None:
-        path.write_text(header + "\n", encoding="utf-8")
-        return
-    rows = [header]
-    for row in tr.monitor_columns():
-        rows.append(_fmt_row(float(v) for v in row))
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,mass,min,L1m,L2m,Linfm,entropy\n")
+        if tr is None:
+            return
+        cols = tr.monitor_columns()
+        row = ",".join([FMT] * cols.shape[1]) + "\n"
+        for values in cols:
+            fh.write(row % tuple(values.tolist()))
 
 
 def _write_steady(ss, path: Path) -> None:

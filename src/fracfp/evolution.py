@@ -14,8 +14,21 @@ positivity and mass hold to FFT roundoff at any grid size.  Strang ordering
 is half-drift / full-jump / half-drift.
 
 The step loop works on raw ndarrays: Field validation happens at the API
-boundary (the initial field, snapshots, the result of ``step``), and inside
-``evolve`` each step gets one non-finite check and one mass-drift check.
+boundary (the initial field, snapshots, the result of ``step``).  ``evolve``
+steps a C-contiguous stack of shape (lanes, *grid.shape): one sparse product
+per drift substep and one batched rfft/irfft pair per jump substep serve
+every lane, and the monitors reduce each lane over its trailing axes, so
+every lane is bit for bit the field a single-lane run computes.  Without a
+path the stack has one lane.  With a path (the unit-time states that
+steady_by_evolution visited from the same f0, ``SteadyState.path``) every
+unit chunk whose start state is known runs as its own lane, side by side,
+and each full chunk must end bit for bit on the next path state: that
+equality certifies the replay, and a path made from another start or
+scheme raises.  Each recorded step makes one pass of reductions into one
+preallocated monitor buffer; its mass sum doubles as the non-finite check
+(an inf or NaN entry makes the sum non-finite) and feeds the mass-drift
+check.  A lane that fails either check drops out with the lanes after it,
+and the earliest failing step overall is raised.
 
 Also here: the viscosity-regularized generator (a validation mode with a
 truncated kernel, a cut-off force and an added eps*Laplacian), and the
@@ -56,6 +69,7 @@ __all__ = [
     "auto_dt",
     "step",
     "evolve",
+    "StepFailure",
     "viscosity_step",
     "radial_cutoff",
     "duhamel_residual",
@@ -131,7 +145,8 @@ def _implicit_factor(grid: Grid, alpha: float, dt: float) -> np.ndarray:
 
 class _Stepper:
     """Per-run state of the split step, all on raw arrays: the multiplier and
-    FFT pair of the jump substep, and the sparse matrix of the drift substep."""
+    FFT pair of the jump substep, and the sparse matrix of the drift substep.
+    ``advance`` takes one field or a (lanes, *grid.shape) stack."""
 
     def __init__(self, grid: Grid, cfg: OperatorConfig, scheme: SchemeConfig):
         limit = auto_dt(grid, cfg, scheme)
@@ -146,14 +161,21 @@ class _Stepper:
         multiplier = (_diffusion_multiplier if scheme.diffusion_solver == "exact-spectral"
                       else _implicit_factor)
         self.mult = multiplier(grid, cfg.alpha, self.dt)
-        # the 1d pair skips rfftn's argument handling, about 5% of a step
+        # the 1d pair skips rfftn's argument handling, about 5% of a step;
+        # both transform the trailing grid axes, lane by lane
         self.rfft, self.irfft = (
             (np.fft.rfft, partial(np.fft.irfft, n=grid.n)) if grid.d == 1
             else (np.fft.rfft2, partial(np.fft.irfft2, s=grid.shape))
         )
 
     def _drift(self, values: np.ndarray) -> np.ndarray:
-        return (self.drift @ values.ravel()).reshape(values.shape)
+        # one product D @ X.T for all lanes (a single lane: one matvec), made
+        # C-contiguous again so that each lane's FFTs and reductions run as
+        # in a single-lane run
+        flat = values.reshape(-1, self.drift.shape[1])
+        if len(flat) == 1:
+            return (self.drift @ flat[0]).reshape(values.shape)
+        return np.ascontiguousarray((self.drift @ flat.T).T).reshape(values.shape)
 
     def _diffuse(self, values: np.ndarray) -> np.ndarray:
         return self.irfft(self.mult * self.rfft(values))
@@ -162,6 +184,32 @@ class _Stepper:
         if self.strang:
             return self._drift(self._diffuse(self._drift(values)))
         return self._diffuse(self._drift(values))
+
+
+class StepFailure(FloatingPointError):
+    """evolve stopped at a step whose mass sum is not finite (check
+    "non-finite-values", measured = that sum, tolerance inf) or whose mass
+    drifted from the initial one by more than MASS_DRIFT_TOL (check
+    "mass-drift", measured = mass/mass0 - 1).  ``step`` counts from the start
+    of the run; steady_by_evolution shifts it to count along its route."""
+
+    def __init__(self, check: str, measured: float, tolerance: float, step: int, dt: float):
+        super().__init__(check, measured, tolerance, step, dt)
+        self.check, self.measured, self.tolerance = check, float(measured), float(tolerance)
+        self.step, self.dt = int(step), dt
+
+    @property
+    def t(self) -> float:
+        return self.step * self.dt
+
+    def __str__(self) -> str:
+        if self.check == "mass-drift":
+            return f"mass drifted by {self.measured:.3e} at t={self.t:g}"
+        return f"non-finite values at step {self.step} (t={self.t:g})"
+
+
+def _step_count(T: float, dt: float) -> int:
+    return int(math.ceil(T / dt - 1e-9))
 
 
 def step(f: Field, cfg: OperatorConfig, scheme: SchemeConfig) -> Field:
@@ -180,12 +228,22 @@ def evolve(
     scheme: SchemeConfig | None = None,
     output_times=None,
     reference: Field | None = None,
+    path: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate to horizon T, recording monitors each step.
 
     Snapshots are stored at the completed step nearest each requested output
     time (never interpolated).  When a positive reference F is attached the
     p = 2 relative-entropy monitor int f^2 / F is recorded as well.
+
+    ``path`` holds the states at the starts of consecutive unit-time chunks
+    from f0 under the same operator and scheme (``SteadyState.path``; chunk
+    j starts at step j * ceil(1/dt)).  The chunks whose start is in the path
+    run side by side as lanes of one stack, and the result equals the
+    single-lane run bit for bit.  ValueError when path[0] is not f0 or a
+    full chunk does not end exactly on the next path state.  StepFailure
+    (a FloatingPointError) at the earliest step whose mass sum is not finite
+    or whose mass drifted by more than MASS_DRIFT_TOL.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
@@ -193,71 +251,118 @@ def evolve(
     grid = f0.grid
     st = _Stepper(grid, cfg, scheme)
     dt = st.dt
-    nsteps = int(math.ceil(T / dt - 1e-9))
+    nsteps = _step_count(T, dt)
+    chunk = _step_count(1.0, dt)  # steps between consecutive path states
     vol = grid.cell_volume
     mw = weight_field(grid, scheme.monitor_weight).values
+    axes = tuple(range(1, grid.d + 1))  # a lane's grid axes
+    stack_axes = tuple(a + 1 for a in axes)
 
-    ref_vals = None
+    if path is None:
+        path = f0.values[None]
+    elif path.shape[1:] != grid.shape or not np.array_equal(path[0], f0.values):
+        raise ValueError("path[0] is not f0: the path starts from another field")
+    lanes = min(len(path), -(-nsteps // chunk))  # the chunks whose start is known
+    base = [j * chunk for j in range(lanes)]  # step at which each lane starts
+    last = nsteps - base[-1]  # steps of the last lane; the others run chunk
+
+    ref_inv = None
     if reference is not None:
-        ref_vals = reference.values
-        if np.min(ref_vals) <= 0.0:
+        if np.min(reference.values) <= 0.0:
             raise ValueError("entropy reference must be strictly positive")
-        ref_inv = 1.0 / ref_vals
+        ref_inv = 1.0 / reference.values
 
-    want = set()
+    # rows t, mass, min, Linfm, then the sums L1m, L2m[, entropy]; the mass
+    # and the sums are raw (no cell volume, no root) until the loop ends
+    mon = np.empty((6 if ref_inv is None else 7, nsteps + 1))
+    mon[0] = np.arange(nsteps + 1) * dt
+    # per lane: |f w|, (f w)^2[, f^2 / F], summed in one call
+    work = np.empty((len(mon) - 4, lanes) + grid.shape)
+
+    def record(vals, sl):
+        """Monitors of the lanes vals into the columns sl; the mass sums as floats."""
+        stack = work[:, : len(vals)]
+        wm = stack[1]
+        np.multiply(vals, mw, out=wm)
+        np.abs(wm, out=stack[0])
+        np.square(wm, out=wm)
+        if ref_inv is not None:
+            np.square(vals, out=stack[2])
+            np.multiply(stack[2], ref_inv, out=stack[2])
+        stack.sum(axis=stack_axes, out=mon[4:, sl])
+        stack[0].max(axis=axes, out=mon[3, sl])
+        vals.min(axis=axes, out=mon[2, sl])
+        mass = mon[1, sl]
+        vals.sum(axis=axes, out=mass)
+        return mass.tolist()
+
+    want = {nsteps}
     if output_times is not None:
-        want = {min(nsteps, max(0, int(round(t / dt)))) for t in output_times}
-    want.add(nsteps)
+        want |= {min(nsteps, max(0, int(round(t / dt)))) for t in output_times}
+    snap_at = {}  # lane step -> (lane, step) of each wanted step after 0
+    for k in sorted(want - {0}):
+        j = min((k - 1) // chunk, lanes - 1)
+        snap_at.setdefault(k - base[j], []).append((j, k))
 
-    v = f0.values.copy()
-    mass0 = float(np.sum(v) * vol)
+    v = np.array(path[:lanes])  # C-contiguous copy: the lanes' start states
+    mass0 = record(v[:1], slice(0, 1))[0] * vol
+    snaps = {0: f0.with_values(v[0].copy())} if 0 in want else {}
+    failure = None
+    lo, hi, i = 0, lanes, 0  # live lanes lo..hi-1, i steps into each
+    # an overflow or invalid operation leaves a non-finite sum, which the
+    # check below turns into a StepFailure
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo < hi:
+            i += 1
+            v = st.advance(v)
+            k = base[lo] + i  # step of lane lo
+            for j, s in enumerate(record(v, slice(k, k + (hi - lo - 1) * chunk + 1, chunk))):
+                drift = s * vol / mass0 - 1.0 if mass0 != 0.0 else 0.0
+                # any inf or NaN entry makes the sum non-finite
+                if not math.isfinite(s):
+                    failure = StepFailure("non-finite-values", s, math.inf, k + j * chunk, dt)
+                elif abs(drift) > MASS_DRIFT_TOL:
+                    failure = StepFailure("mass-drift", drift, MASS_DRIFT_TOL, k + j * chunk, dt)
+                else:
+                    continue
+                # the lanes from j on start after this failure
+                hi, v = lo + j, v[:j]
+                break
+            for j, kk in snap_at.get(i, ()):
+                if lo <= j < hi:
+                    snaps[kk] = f0.with_values(v[j - lo].copy())
+            if i in (chunk, last):
+                if i == chunk:
+                    for j in range(lo, min(hi, len(path) - 1)):
+                        if not np.array_equal(v[j - lo], path[j + 1]):
+                            raise ValueError(
+                                f"the chunk from path state {j} does not end on path "
+                                f"state {j + 1}: the path comes from another operator or scheme"
+                            )
+                # at step chunk every lane but the last is done; at last, the last lane
+                new_lo = max(lo, lanes - 1) if i == chunk else lo
+                new_hi = min(hi, lanes - 1) if i == last else hi
+                v = v[new_lo - lo : max(new_hi, new_lo) - lo]
+                lo, hi = new_lo, new_hi
+    if failure is not None:
+        raise failure
 
-    times, snaps = [], []
-    mon = {k: np.empty(nsteps + 1) for k in ("t", "mass", "min", "l1m", "l2m", "linfm")}
-    ent = np.empty(nsteps + 1) if ref_vals is not None else None
-
-    def record(k, vals):
-        # ndarray methods: the same reductions as np.sum / np.max without
-        # their dispatch wrappers, which cost as much as the sums at n ~ 1e3
-        mon["t"][k] = k * dt
-        mon["mass"][k] = vals.sum() * vol
-        mon["min"][k] = vals.min()
-        wm = vals * mw
-        awm = np.abs(wm)
-        mon["l1m"][k] = awm.sum() * vol
-        mon["l2m"][k] = math.sqrt((wm**2).sum() * vol)
-        mon["linfm"][k] = awm.max()
-        if ent is not None:
-            ent[k] = (vals**2 * ref_inv).sum() * vol
-
-    record(0, v)
-    if 0 in want:
-        times.append(0.0)
-        snaps.append(f0.with_values(v.copy()))
-    for k in range(1, nsteps + 1):
-        v = st.advance(v)
-        if not np.isfinite(v).all():
-            raise FloatingPointError(f"non-finite values at step {k} (t={k*dt:g})")
-        record(k, v)
-        if mass0 != 0.0 and abs(mon["mass"][k] / mass0 - 1.0) > MASS_DRIFT_TOL:
-            raise FloatingPointError(
-                f"mass drifted by {mon['mass'][k]/mass0 - 1.0:.3e} at t={k*dt:g}"
-            )
-        if k in want:
-            times.append(k * dt)
-            snaps.append(f0.with_values(v.copy()))
-
+    mon[1] *= vol
+    mon[4] *= vol
+    mon[5] = np.sqrt(mon[5] * vol)
+    if ref_inv is not None:
+        mon[6] *= vol
     return Trajectory(
         grid=grid,
-        times=np.asarray(times),
-        snapshots=snaps,
-        monitor_t=mon["t"],
-        mass=mon["mass"],
-        min_value=mon["min"],
-        l1m=mon["l1m"],
-        l2m=mon["l2m"],
-        linfm=mon["linfm"],
-        entropy=ent,
+        times=np.array(sorted(snaps)) * dt,
+        snapshots=[snaps[k] for k in sorted(snaps)],
+        monitor_t=mon[0],
+        mass=mon[1],
+        min_value=mon[2],
+        l1m=mon[4],
+        l2m=mon[5],
+        linfm=mon[3],
+        entropy=mon[6] if ref_inv is not None else None,
         meta={"dt": dt, "nsteps": nsteps, "scheme": scheme, "cfg": cfg},
     )
 

@@ -424,9 +424,15 @@ def _build_stencil_1d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
     return JumpStencil(grid, *map(readonly, (ker, deg_in, ext)))
 
 
+@lru_cache(maxsize=4)
+def _gauss_legendre(npts: int):
+    """Nodes and weights of the npts-point Gauss-Legendre rule on [-1, 1]."""
+    return tuple(map(readonly, np.polynomial.legendre.leggauss(npts)))
+
+
 def gl_cell_integrals_2d(kernel: JumpKernel, centers1, centers2, h, npts=10, moment=2.0):
     """Gauss-Legendre integrals of kappa and kappa*|z|^moment over square cells."""
-    gx, gw = np.polynomial.legendre.leggauss(npts)
+    gx, gw = _gauss_legendre(npts)
     gx = 0.5 * h * gx  # nodes relative to cell center
     gw = 0.5 * h * gw
     z1 = centers1[..., None, None] + gx[None, :, None]

@@ -24,18 +24,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import reduce
 
 import numpy as np
 from scipy import linalg as _la
 
 from fracfp.grid import Field, Grid, integrate, line_fit, normalized_gaussian
-from fracfp.operators import GeneratorMatrix, OperatorConfig, box_frequencies, generator_apply
-from fracfp.evolution import SchemeConfig, evolve
+from fracfp.operators import (
+    GeneratorMatrix,
+    OperatorConfig,
+    box_frequencies,
+    generator_apply,
+    readonly,
+)
+from fracfp.evolution import SchemeConfig, StepFailure, evolve
 
 __all__ = [
     "EigenpairError",
+    "HorizonError",
     "SteadyState",
     "closed_form_equilibrium",
     "steady_by_evolution",
@@ -47,9 +54,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SteadyState:
+    """A stationary state (mass 1) from one route, with its generator residual.
+
+    The evolution route also keeps ``path``: the read-only stack of the
+    states it visited at the start of each unit-time chunk, path[j] at
+    chunk j (its probe f0 first, its last unnormalized state last).  evolve
+    replays a run from the same f0 and scheme on it: each chunk whose start
+    is known becomes one lane of a stacked step, certified by ending bit for
+    bit on the next path state.  The other routes have no path.
+    """
+
     field: Field
     route: str
     residual: float  # ||Lambda F||_inf through the conservative generator
+    path: np.ndarray | None = dataclass_field(default=None, repr=False, compare=False)
 
     @property
     def mass(self) -> float:
@@ -57,6 +75,21 @@ class SteadyState:
 
 
 HORIZON_CAP = 400.0  # steady_by_evolution gives up after this much evolution time
+
+
+class HorizonError(RuntimeError):
+    """steady_by_evolution reached HORIZON_CAP: the last L1 increment
+    (measured) against tol, at the route's last step and its time."""
+
+    check = "horizon"
+
+    def __init__(self, measured: float, tolerance: float, step: int, t: float, cfg: OperatorConfig):
+        super().__init__(
+            f"no stationary state within horizon {HORIZON_CAP} for "
+            f"(alpha={cfg.alpha}, gamma={cfg.gamma}); the pair sits outside the "
+            "verified convergence regime or tol is too tight"
+        )
+        self.measured, self.tolerance, self.step, self.t = measured, tolerance, step, t
 
 
 def _finalize(grid: Grid, values: np.ndarray, route: str) -> Field:
@@ -93,8 +126,10 @@ def steady_by_evolution(
     """Evolve a probe density until ||f(t + 1) - f(t)||_{L^1} < tol.
 
     Requires gamma > 2 - alpha (no equilibrium is claimed outside that
-    range); non-convergence within HORIZON_CAP raises with the offending
-    parameter pair.
+    range); non-convergence within HORIZON_CAP raises HorizonError with the
+    offending parameter pair, and a failed step the StepFailure of evolve,
+    its step counted from the start of the route.  The result keeps the
+    chunk-start states as ``path``.
     """
     if not cfg.gamma > 2.0 - cfg.alpha:
         raise ValueError(
@@ -104,23 +139,27 @@ def steady_by_evolution(
         )
     scheme = scheme or SchemeConfig()
     cur = f0 if f0 is not None else normalized_gaussian(grid)
-    t = 0.0
+    path = [cur.values]
+    t, steps = 0.0, 0
     vol = grid.cell_volume
     while t < HORIZON_CAP:
-        tr = evolve(cur, 1.0, cfg, scheme)
+        try:
+            tr = evolve(cur, 1.0, cfg, scheme)
+        except StepFailure as exc:
+            exc.step += steps  # count along the route, not within the chunk
+            raise
         nxt = tr.snapshots[-1]
         diff = float(np.sum(np.abs(nxt.values - cur.values)) * vol)
         cur = nxt
+        path.append(cur.values)
         t += 1.0
+        steps += tr.meta["nsteps"]
         if diff < tol:
             field = _finalize(grid, cur.values, "evolution")
             res = float(np.max(np.abs(generator_apply(field, cfg).values)))
-            return SteadyState(field=field, route="evolution", residual=res)
-    raise RuntimeError(
-        f"no stationary state within horizon {HORIZON_CAP} for "
-        f"(alpha={cfg.alpha}, gamma={cfg.gamma}); the pair sits outside the "
-        "verified convergence regime or tol is too tight"
-    )
+            return SteadyState(field=field, route="evolution", residual=res,
+                               path=readonly(np.stack(path)))
+    raise HorizonError(diff, tol, steps, steps * tr.meta["dt"], cfg)
 
 
 def steady_by_linear_solve(gm: GeneratorMatrix) -> SteadyState:

@@ -9,6 +9,7 @@ import pytest
 
 import fracfp
 import fracfp.cli
+import fracfp.evolution
 
 from fracfp.cli import (
     ConfigError,
@@ -18,6 +19,8 @@ from fracfp.cli import (
     run_scenario,
     validate_config,
 )
+from fracfp.grid import Field, build_grid
+from fracfp.operators import OperatorConfig
 from fracfp.steady import EigenpairError
 
 
@@ -322,6 +325,70 @@ def test_failed_eigenpair_is_a_fail_record(tmp_path, capsys, monkeypatch):
     # the records after the eigen route are still written
     assert any(line.startswith("closed-form-L1-distance:") for line in report)
     assert report[-1] == "FAIL"
+
+
+def test_rates_suite_replays_the_steady_path(tmp_path, monkeypatch):
+    calls = []
+    evolve = fracfp.cli.evolve
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("path"))
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(fracfp.cli, "evolve", spy)
+    cfg = ScenarioConfig(name="r", d=1, L=10.0, n=64, alpha=1.0, gamma=2.0, k=0.5,
+                         suite="rates", horizon=8.0)
+    report = fracfp.cli.RunReport(scenario=cfg)
+    artifacts = {}
+    fracfp.cli._suite_rates(cfg, report, artifacts)
+    assert len(calls) == 1 and calls[0] is artifacts["steady"].path
+
+
+def test_breakdown_is_a_fail_record(tmp_path, capsys, monkeypatch):
+    # a mass drift in the first step of the evolve suite, and a steady route
+    # that reaches its horizon: one FAIL record each, with the step and t
+    from fracfp import steady
+    from fracfp.evolution import _Stepper
+
+    advance = _Stepper.advance
+    monkeypatch.setattr(_Stepper, "advance", lambda self, v: advance(self, v) * (1.0 + 1e-5))
+    p = write_cfg(
+        tmp_path,
+        "name = bad\nd = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\nk = 0.5\n"
+        "suite = evolve\nhorizon = 1\n",
+    )
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().out.strip().endswith("FAIL")
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    dt = fracfp.evolution.auto_dt(build_grid(1, 10.0, 64), OperatorConfig(1.0, 2.0),
+                                  fracfp.evolution.SchemeConfig())
+    record = next(line for line in report if line.startswith("evolve-mass-drift:"))
+    assert record.endswith(f"tol=9.9999999999999995e-07 -> FAIL at step 1 (t={'%.17g' % dt})")
+    assert report[-1] == "FAIL"
+    assert (tmp_path / "o" / "monitors.csv").read_text() == "t,mass,min,L1m,L2m,Linfm,entropy\n"
+
+    monkeypatch.setattr(_Stepper, "advance", advance)
+    monkeypatch.setattr(steady, "HORIZON_CAP", 2.0)
+    monkeypatch.setattr(fracfp.cli, "steady_by_evolution",
+                        lambda *a, **kw: steady.steady_by_evolution(*a, **{**kw, "tol": 1e-14}))
+    assert main(["run", str(p), "--out", str(tmp_path / "s"), "--suite", "steady"]) == 1
+    capsys.readouterr()
+    report = (tmp_path / "s" / "report.txt").read_text().splitlines()
+    record = next(line for line in report if line.startswith("steady-horizon:"))
+    steps = 2 * int(np.ceil(1.0 / dt - 1e-9))
+    assert record.endswith(f"tol=1e-14 -> FAIL at step {steps} (t={'%.17g' % (steps * dt)})")
+    assert report[-1] == "FAIL"
+
+
+def test_monitors_csv_rows_are_the_formatted_columns(tmp_path):
+    g = build_grid(1, 10.0, 64)
+    f0 = Field(g, np.exp(-g.radius2()))
+    tr = fracfp.evolution.evolve(f0, 0.3, OperatorConfig(1.0, 2.0))
+    fracfp.cli._write_monitors(tr, tmp_path / "m.csv")
+    rows = ["t,mass,min,L1m,L2m,Linfm,entropy"]
+    rows += [",".join("%.17g" % float(x) for x in row) for row in tr.monitor_columns()]
+    assert (tmp_path / "m.csv").read_text() == "\n".join(rows) + "\n"
+    assert rows[1].endswith(",nan")
 
 
 def test_cli_import_leaves_out_unused_scipy_subpackages():

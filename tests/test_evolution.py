@@ -365,3 +365,106 @@ def test_evolve_raises_on_mass_drift(monkeypatch):
     g = build_grid(1, 10.0, 128)
     with pytest.raises(FloatingPointError, match="mass drifted by 1.000e-05 at t="):
         evolve(normalized_gaussian(g), 0.5, OperatorConfig(alpha=1.0, gamma=2.0))
+
+
+# ------------------------------------------------------- replayed lanes
+
+
+def _steady_path(d, drift, splitting, solver):
+    from fracfp.steady import steady_by_evolution
+
+    g = build_grid(d, 8.0, 64 if d == 1 else 16)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0, drift=drift)
+    scheme = SchemeConfig(splitting=splitting, diffusion_solver=solver)
+    ss = steady_by_evolution(g, cfg, scheme, tol=1e-3, f0=normalized_gaussian(g))
+    return g, cfg, scheme, ss
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("drift", ["upwind", "centered"])
+@pytest.mark.parametrize("splitting", ["lie", "strang"])
+@pytest.mark.parametrize("solver", ["exact-spectral", "implicit-matrix"])
+def test_evolve_on_a_path_is_the_single_lane_run(d, drift, splitting, solver, monkeypatch):
+    g, cfg, scheme, ss = _steady_path(d, drift, splitting, solver)
+    f0 = normalized_gaussian(g)
+    ref = normalized_gaussian(g, s2=16.0)
+    assert len(ss.path) >= 4 and not ss.path.flags.writeable
+    advance, calls = _Stepper.advance, []
+    monkeypatch.setattr(_Stepper, "advance", lambda self, v: calls.append(len(v)) or advance(self, v))
+    # shorter than the path (a partial last lane) and longer (the last lane
+    # runs on alone past the end of the path)
+    for T in (2.5, len(ss.path) + 1.7):
+        times = np.linspace(0.0, T, 7)
+        one = evolve(f0, T, cfg, scheme, output_times=times, reference=ref)
+        calls.clear()
+        lanes = evolve(f0, T, cfg, scheme, output_times=times, reference=ref, path=ss.path)
+        # one stacked step per step of a chunk: the lanes share every advance
+        assert sum(calls) == one.meta["nsteps"] and max(calls) == min(len(ss.path), int(T) + 1)
+        for a, b in zip(one.monitor_columns().T, lanes.monitor_columns().T):
+            assert np.array_equal(a, b)
+        assert np.array_equal(one.times, lanes.times)
+        assert len(one.snapshots) == len(lanes.snapshots)
+        for a, b in zip(one.snapshots, lanes.snapshots):
+            assert np.array_equal(a.values, b.values)
+
+
+def test_evolve_rejects_a_foreign_path():
+    g, cfg, scheme, ss = _steady_path(1, "upwind", "strang", "exact-spectral")
+    f0 = normalized_gaussian(g)
+    with pytest.raises(ValueError, match=r"path\[0\] is not f0"):
+        evolve(normalized_gaussian(g, s2=2.0), 3.0, cfg, scheme, path=ss.path)
+    for state in (0, 2):
+        bent = ss.path.copy()
+        bent[state, 20] = np.nextafter(bent[state, 20], np.inf)  # one ulp
+        with pytest.raises(ValueError, match="path"):
+            evolve(f0, 3.0, cfg, scheme, path=bent)
+    # a path made with another scheme does not replay
+    other = SchemeConfig(splitting="lie")
+    with pytest.raises(ValueError, match="does not end on path state 1"):
+        evolve(f0, 3.0, cfg, other, path=ss.path)
+
+
+def _spoil(kind):
+    def apply(lane):
+        if kind == "mass":
+            lane *= 1.0 + 1e-5
+        elif kind == "pair":
+            lane[3], lane[9] = np.inf, -np.inf
+        else:
+            lane[5] = {"inf": np.inf, "-inf": -np.inf, "nan": np.nan}[kind]
+    return apply
+
+
+@pytest.mark.parametrize("kind", ["mass", "inf", "-inf", "nan", "pair"])
+def test_replayed_lane_failure_reports_the_earliest_step(kind, monkeypatch):
+    from fracfp.evolution import StepFailure
+
+    g, cfg, scheme, ss = _steady_path(1, "upwind", "strang", "exact-spectral")
+    chunk = _Stepper(g, cfg, scheme)
+    chunk = int(np.ceil(1.0 / chunk.dt - 1e-9))
+    # lane 3 fails first in loop order, lanes 1 and 2 together later, and
+    # lane 1 first in time
+    spoil = {(2, 3): _spoil(kind), (5, 1): _spoil(kind), (5, 2): _spoil(kind)}
+    advance, calls = _Stepper.advance, [0]
+
+    def spoiled(self, v):
+        out = advance(self, v)
+        calls[0] += 1
+        for (i, lane), apply in spoil.items():
+            if i == calls[0] and lane < len(out):
+                apply(out[lane])
+        return out
+
+    monkeypatch.setattr(_Stepper, "advance", spoiled)
+    f0 = normalized_gaussian(g)
+    with pytest.raises(StepFailure) as info:
+        evolve(f0, len(ss.path) - 0.5, cfg, scheme, path=ss.path)
+    exc = info.value
+    assert exc.step == chunk + 5
+    assert exc.t == exc.step * exc.dt
+    if kind == "mass":
+        assert exc.check == "mass-drift" and exc.tolerance == 1e-6
+        assert str(exc).startswith("mass drifted by 1.000e-05 at t=")
+    else:
+        assert exc.check == "non-finite-values" and not np.isfinite(exc.measured)
+        assert str(exc) == f"non-finite values at step {chunk + 5} (t={exc.t:g})"

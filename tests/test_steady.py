@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 from fracfp import steady
-from fracfp.grid import Field, build_grid, integrate
+from fracfp.evolution import SchemeConfig, StepFailure, _Stepper, auto_dt
+from fracfp.grid import Field, build_grid, integrate, normalized_gaussian
 from fracfp.operators import ForceField, OperatorConfig, assemble_generator_matrix
 from fracfp.steady import (
     EigenpairError,
@@ -199,6 +200,46 @@ def test_evolution_route_initial_data_independence(small_setup):
     f0 = Field(g, bump / (np.sum(bump) * g.h))
     ss2 = steady_by_evolution(g, cfg_ev, tol=1e-5, f0=f0)
     assert np.sum(np.abs(ss1.field.values - ss2.field.values)) * g.h < 2e-5
+
+
+def test_evolution_route_keeps_its_path():
+    g = build_grid(1, 10.0, 64)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="spectral")
+    ss = steady_by_evolution(g, cfg, tol=1e-4)
+    assert ss.path.shape[1:] == g.shape and not ss.path.flags.writeable
+    # the probe first, the last (unnormalized) state last
+    assert np.array_equal(ss.path[0], normalized_gaussian(g).values)
+    assert np.array_equal(ss.path[-1] / (np.sum(ss.path[-1]) * g.h), ss.field.values)
+
+
+def test_evolution_route_failure_counts_steps_along_the_route(monkeypatch):
+    g = build_grid(1, 10.0, 64)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="spectral")
+    advance, calls = _Stepper.advance, [0]
+    chunk = int(np.ceil(1.0 / auto_dt(g, cfg, SchemeConfig()) - 1e-9))
+    fail_at = 2 * chunk + 4  # in the third chunk
+
+    def drifting(self, v):
+        calls[0] += 1
+        return advance(self, v) * (1.0 + 1e-5 * (calls[0] == fail_at))
+
+    monkeypatch.setattr(_Stepper, "advance", drifting)
+    with pytest.raises(StepFailure) as info:
+        steady_by_evolution(g, cfg, tol=1e-9)
+    assert info.value.check == "mass-drift"
+    assert info.value.step == fail_at
+
+
+def test_evolution_route_horizon_error(monkeypatch):
+    g = build_grid(1, 10.0, 64)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="spectral")
+    monkeypatch.setattr(steady, "HORIZON_CAP", 3.0)
+    with pytest.raises(steady.HorizonError, match="no stationary state") as info:
+        steady_by_evolution(g, cfg, tol=1e-12)
+    exc = info.value
+    assert exc.check == "horizon" and exc.tolerance == 1e-12 < exc.measured
+    dt = auto_dt(g, cfg, SchemeConfig())
+    assert exc.step == 3 * int(np.ceil(1.0 / dt - 1e-9)) and exc.t == exc.step * dt
 
 
 def test_steady_requires_confinement():
