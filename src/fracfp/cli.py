@@ -5,7 +5,8 @@ hard errors.  Every run validates the parameter constraints its suite relies
 on before any computation, executes deterministically (fixed seeds, fixed
 reduction order for emitted scalars), writes monitors.csv / steady.csv /
 rates.csv / report.txt into the output directory, and exits 0 only when all
-verdicts pass (1 on verification failure, 2 on usage or config errors).
+verdicts pass (1 on verification failure, 2 on usage or config errors, 3 on
+a crash).  A batch exits with the largest code of its configs.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import json
 import math
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,7 @@ from fracfp.operators import (
     make_force,
     verify_force_hypotheses,
 )
-from fracfp.evolution import SchemeConfig, StepFailure, Trajectory, evolve
+from fracfp.evolution import SchemeConfig, StepFailure, Trajectory, evolve, step_size
 from fracfp.functionals import (
     carre_du_champ,
     field_bank,
@@ -45,6 +48,7 @@ from fracfp.rates import HARRIS_MAX_SIZE, MIN_FIT_POINTS, decay_fit, harris_cont
 from fracfp.steady import (
     EigenpairError,
     HorizonError,
+    TailWindowError,
     closed_form_equilibrium,
     leading_eigenpair,
     steady_by_evolution,
@@ -153,15 +157,15 @@ def parse_config(path: str | Path) -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    """Check every constraint the selected suite relies on, with its source."""
+    """Check every constraint the selected suite relies on, with its source.
+    The grid, operator and scheme check their own parameters, and step_size
+    checks dt against the drift CFL bound; their ValueError is a ConfigError."""
     if cfg.suite not in SUITES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITES}")
-    if cfg.d not in (1, 2):
-        raise ConfigError("d must be 1 or 2")
-    if not 0.0 < cfg.alpha < 2.0:
-        raise ConfigError(f"alpha must lie in (0, 2), got {cfg.alpha}")
-    if cfg.L <= 0 or cfg.n < 8 or (cfg.n & (cfg.n - 1)):
-        raise ConfigError("need L > 0 and n a power of two >= 8")
+    try:
+        step_size(cfg.grid(), cfg.operator(), cfg.scheme())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     kmax = min(cfg.alpha, 1.0)
     if not 0.0 < cfg.k < kmax:
         raise ConfigError(
@@ -256,9 +260,13 @@ def _suite_steady(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> No
     minf = float(ss_ev.field.values.min())
     report.add("steady-positivity", minf, 0.0, minf > 0.0)
 
-    a_hat, r2 = tail_exponent(ss_ev.field)
-    report.add("tail-fit-quality", r2, 0.9, r2 > 0.9)
-    artifacts["tail_exponent"] = a_hat
+    try:
+        a_hat, r2 = tail_exponent(ss_ev.field)
+    except TailWindowError as exc:
+        report.add(exc.check, exc.measured, exc.tolerance, False)
+    else:
+        report.add("tail-fit-quality", r2, 0.9, r2 > 0.9)
+        artifacts["tail_exponent"] = a_hat
 
     if grid.size <= MAX_DENSE:
         gm = assemble_generator_matrix(grid, cfg.operator(method="quadrature"))
@@ -505,6 +513,9 @@ def _write_report(report: RunReport, artifacts: dict, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+CONFIG_ERRORS = (ConfigError, OSError, UnicodeDecodeError)  # an unreadable or invalid config: exit 2
+
+
 def _load_config(path: str, suite: str | None) -> ScenarioConfig:
     """parse_config, then the --suite override, validated again."""
     cfg = parse_config(path)
@@ -512,6 +523,37 @@ def _load_config(path: str, suite: str | None) -> ScenarioConfig:
         cfg.suite = suite
         validate_config(cfg)
     return cfg
+
+
+def _batch_config(path: str, suite: str | None, base: Path) -> tuple[int, str]:
+    """Exit code and verdict of one batch config, loaded on its own and run
+    into base/<name>: PASS, FAIL, or ERROR for a config error or a crash."""
+    try:
+        cfg = _load_config(path, suite)
+    except CONFIG_ERRORS as exc:
+        return 2, f"ERROR {type(exc).__name__}: {exc}"
+    try:
+        passed = run_scenario(cfg, base / cfg.name).overall_pass
+    except Exception as exc:  # a crash: its traceback, and the batch goes on
+        traceback.print_exception(exc)
+        return 3, f"ERROR {type(exc).__name__}: {exc}"
+    return (0, "PASS") if passed else (1, "FAIL")
+
+
+def _run_batch(pattern: str, suite: str | None, base: Path) -> int:
+    """Run the configs concurrently and print one verdict line per config;
+    the largest exit code wins: one bad config never ends the batch."""
+    paths = sorted(_glob.glob(pattern))
+    if not paths:
+        print(f"no configs match {pattern!r}", file=sys.stderr)
+        return 2
+    worst = 0
+    with ThreadPoolExecutor() as pool:
+        verdicts = pool.map(_batch_config, paths, repeat(suite), repeat(base))
+        for p, (code, verdict) in zip(paths, verdicts):
+            print(f"{p}: {verdict}")
+            worst = max(worst, code)
+    return worst
 
 
 def main(argv=None) -> int:
@@ -530,36 +572,22 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
 
+    if args.batch:
+        return _run_batch(args.batch, args.suite, Path(args.out) if args.out else Path("out"))
     try:
-        if args.batch:
-            paths = sorted(_glob.glob(args.batch))
-            if not paths:
-                print(f"no configs match {args.batch!r}", file=sys.stderr)
-                return 2
-            configs = [(p, _load_config(p, args.suite)) for p in paths]
-            base = Path(args.out) if args.out else Path("out")
-            ok = True
-            with ThreadPoolExecutor() as pool:
-                futs = {
-                    pool.submit(run_scenario, cfg, base / cfg.name): (p, cfg)
-                    for p, cfg in configs
-                }
-                for fut, (p, cfg) in futs.items():
-                    try:
-                        verdict = "PASS" if fut.result().overall_pass else "FAIL"
-                    except Exception as exc:  # one bad config never ends the batch
-                        verdict = f"ERROR {type(exc).__name__}: {exc}"
-                    print(f"{p}: {verdict}")
-                    ok &= verdict == "PASS"
-            return 0 if ok else 1
-        rep = run_scenario(_load_config(args.config, args.suite), args.out)
-        for rec in rep.records:
-            print(rec.line())
-        print("PASS" if rep.overall_pass else "FAIL")
-        return 0 if rep.overall_pass else 1
-    except (ConfigError, FileNotFoundError) as exc:
+        cfg = _load_config(args.config, args.suite)
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        rep = run_scenario(cfg, args.out)
+    except Exception:  # a crash, not a verdict
+        traceback.print_exc()
+        return 3
+    for rec in rep.records:
+        print(rec.line())
+    print("PASS" if rep.overall_pass else "FAIL")
+    return 0 if rep.overall_pass else 1
 
 
 if __name__ == "__main__":

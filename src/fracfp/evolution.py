@@ -67,6 +67,7 @@ __all__ = [
     "SchemeConfig",
     "Trajectory",
     "auto_dt",
+    "step_size",
     "step",
     "evolve",
     "StepFailure",
@@ -132,6 +133,16 @@ def auto_dt(grid: Grid, cfg: OperatorConfig, scheme: SchemeConfig) -> float:
     return scheme.cfl * grid.h / speed
 
 
+def step_size(grid: Grid, cfg: OperatorConfig, scheme: SchemeConfig) -> float:
+    """The time step of a run: scheme.dt, or auto_dt when it is None.
+    ValueError unless 0 < dt <= auto_dt, the drift CFL bound."""
+    limit = auto_dt(grid, cfg, scheme)
+    dt = scheme.dt if scheme.dt is not None else limit
+    if not 0.0 < dt <= limit * (1.0 + 1e-12):
+        raise ValueError(f"time step {dt:g} violates the drift CFL bound 0 < dt <= {limit:g}")
+    return dt
+
+
 @lru_cache(maxsize=32)
 def _diffusion_multiplier(grid: Grid, alpha: float, dt: float) -> np.ndarray:
     return readonly(np.exp(spectral_symbol(grid, alpha) * dt))
@@ -149,12 +160,7 @@ class _Stepper:
     ``advance`` takes one field or a (lanes, *grid.shape) stack."""
 
     def __init__(self, grid: Grid, cfg: OperatorConfig, scheme: SchemeConfig):
-        limit = auto_dt(grid, cfg, scheme)
-        self.dt = scheme.dt if scheme.dt is not None else limit
-        if self.dt > limit * (1.0 + 1e-12):
-            raise ValueError(
-                f"time step {self.dt:g} violates the drift CFL bound {limit:g}"
-            )
+        self.dt = step_size(grid, cfg, scheme)
         self.strang = scheme.splitting == "strang"
         tau = 0.5 * self.dt if self.strang else self.dt
         self.drift = drift_step_matrix(grid, cfg.force_field(), cfg.drift, tau)
@@ -463,22 +469,16 @@ def duhamel_residual(
     dt = t / n_quad
     e_lam_dt = expm(lam * dt)
     e_b_dt = expm(b * dt)
-    # forward powers of e^{sB}
-    v = np.eye(grid.size)
-    vs = [v]
-    for _ in range(n_quad):
-        v = e_b_dt @ v
-        vs.append(v)
-    # Simpson accumulation with e^{(t-s)L} built by descending recursion
-    w = np.eye(grid.size)
-    simpson = np.zeros_like(lam)
+    # Simpson sum of e^{(t-s_k)L} A e^{s_k B} in one forward pass:
+    # X_{k+1} = e^{dt L} X_k + c_{k+1} A e^{s_{k+1} B}, with X_0 = c_0 A
     coef = np.ones(n_quad + 1)
     coef[1:-1:2] = 4.0
     coef[2:-1:2] = 2.0
-    for k in range(n_quad, -1, -1):
-        simpson += coef[k] * (w @ a @ vs[k])
-        if k > 0:
-            w = e_lam_dt @ w
+    v = np.eye(grid.size)  # e^{s_k B}
+    simpson = coef[0] * a
+    for k in range(1, n_quad + 1):
+        v = e_b_dt @ v
+        simpson = e_lam_dt @ simpson + coef[k] * (a @ v)
     simpson *= dt / 3.0
     resid = expm(lam * t) - expm(b * t) - simpson
     return float(np.max(np.abs(resid)))

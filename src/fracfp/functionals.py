@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -25,13 +25,10 @@ from fracfp.grid import Field, Grid, integrate, weight_field
 from fracfp.operators import (
     JumpKernel,
     OperatorConfig,
+    cell_tables,
     full_kernel,
     get_stencil,
-    gl_cell_integrals_2d,
-    hat_weights,
     norm_constant,
-    readonly,
-    theta_quad,
 )
 
 __all__ = [
@@ -111,38 +108,18 @@ def p_dissipation(u: Field, p: float, cfg: OperatorConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
+def _seminorm_kernel(d: int, s: float, p: float) -> JumpKernel:
+    """The kernel c_{s,d} |z|^{-d-ps} of the W^{s,p} seminorm (alpha = ps).
+    c_{s,d} is fixed to c_{2s,d}/2, the unique choice consistent with Parseval
+    at p = 2 (|u|_{H^s}^2 = int |2 pi xi|^{2s}|u^|^2)."""
+    return JumpKernel(c=norm_constant(2.0 * s, d) / 2.0, alpha=p * s, d=d)
+
+
 def _seminorm_weights(grid: Grid, s: float, p: float) -> np.ndarray:
-    """Offset weights for iint |u(y)-u(x)|^p / |y-x|^{d+ps}, mollified by |z|^p.
-
-    A read-only table over the offsets, shape (2n+1,)*d with offset 0 at the
-    center; the center holds the self-cell weight that multiplies |grad u|^p.
-    The seminorm constant c_{s,d} is fixed to c_{2s,d}/2, the unique choice
-    consistent with Parseval at p = 2 (|u|_{H^s}^2 = int |2 pi xi|^{2s}|u^|^2).
-    """
-    c = norm_constant(2.0 * s, grid.d) / 2.0
-    n, h = grid.n, grid.h
-    # kernel |z|^{-d-ps}: reuse the moment machinery with alpha_eff = p s
-    ker = JumpKernel(c=c, alpha=p * s, d=grid.d)
-    if grid.d == 1:
-        # hat-weight product integration of |u(x+z)-u(x)|^p / z^p against
-        # kappa z^p, as in the operator stencil; gw[0] covers one side of 0
-        gw = hat_weights(ker, n, h, p)
-        w = gw[1:] / (np.arange(1, n + 1) * h) ** p
-        return readonly(np.concatenate([w[::-1], [2.0 * gw[0]], w]))
-    off = np.arange(-n, n + 1) * h
-    c1, c2 = np.meshgrid(off, off, indexing="ij")
-    m0, mp = gl_cell_integrals_2d(ker, c1, c2, h, moment=p)
-    rr = np.hypot(c1, c2)
-    rr[n, n] = 1.0
-    w = mp / rr**p
-
-    def self_rad(t):
-        rmax = (h / 2) / np.maximum(np.abs(np.cos(t)), np.abs(np.sin(t)))
-        return ker.moment(0.0, rmax, p + 1)
-
-    w[n, n] = theta_quad(self_rad, 0.0, 2.0 * math.pi)
-    return readonly(w)
+    """Offset weights for iint |u(y)-u(x)|^p / |y-x|^{d+ps}, mollified by |z|^p:
+    the cell_tables weights at q = p, a read-only table of shape (2n+1,)*d
+    whose center holds the self-cell weight that multiplies |grad u|^p."""
+    return cell_tables(grid, _seminorm_kernel(grid.d, s, p), p)[0]
 
 
 def _half_offsets(n: int, d: int):
@@ -178,10 +155,7 @@ def sobolev_seminorm(
     n, vol = grid.n, grid.cell_volume
     total = 0.0
     if include_exterior:
-        ker = JumpKernel(
-            c=norm_constant(2.0 * s, grid.d) / 2.0, alpha=p * s, d=grid.d
-        )
-        ext = get_stencil(grid, ker).ext_mass
+        ext = get_stencil(grid, _seminorm_kernel(grid.d, float(s), float(p))).ext_mass
         total += 2.0 * float(np.sum(np.abs(v) ** p * ext)) * vol
     # |u(x+z) - u(x)| summed over x is the same for z and -z
     for off in _half_offsets(n, grid.d):

@@ -13,6 +13,11 @@ Two routes to the jump operator I = Lap^(alpha/2):
   cell integrals.  The z = 0 node carries the discrete second derivative.
   All pair weights are nonnegative, so every jump matrix is Metzler.
 
+One cached builder, cell_tables, integrates a radial kernel over the lattice
+cells (product-integration weights for S(z)/|z|^q and plain cell masses); the
+operator stencil, the capped-kernel convolution and the W^{s,p} seminorm
+weights of the functionals module all read their tables from it.
+
 Exterior treatment of the standalone quadrature operator is a choice,
 exposed as ``exterior`` on OperatorConfig:
 
@@ -301,8 +306,88 @@ def convolve_same(values: np.ndarray, ker: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stencils: pair weights + degree fields
+# cell quadrature of radial kernels, and the stencils built on it
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=4)
+def _gauss_legendre(npts: int):
+    """Nodes and weights of the npts-point Gauss-Legendre rule on [-1, 1]."""
+    return tuple(map(readonly, np.polynomial.legendre.leggauss(npts)))
+
+
+def gl_cell_integrals_2d(kernel: JumpKernel, centers1, centers2, h, npts=10, moment=2.0):
+    """Gauss-Legendre integrals of kappa and kappa*|z|^moment over square cells."""
+    gx, gw = _gauss_legendre(npts)
+    gx = 0.5 * h * gx  # nodes relative to cell center
+    gw = 0.5 * h * gw
+    z1 = centers1[..., None, None] + gx[None, :, None]
+    z2 = centers2[..., None, None] + gx[None, None, :]
+    w2d = gw[:, None] * gw[None, :]
+    r = np.hypot(z1, z2)
+    kv = kernel.value(r)
+    m0 = np.sum(kv * w2d, axis=(-2, -1))
+    mm = np.sum(kv * r**moment * w2d, axis=(-2, -1))
+    return m0, mm
+
+
+def theta_quad(f, a, b):
+    """Trapezoid rule for int_a^b f(t) dt on 2048 intervals (angular integrals)."""
+    t = np.linspace(a, b, 2049)
+    return float(np.trapezoid(f(t), t))
+
+
+def _self_cell(kernel: JumpKernel, grid: Grid, power: float, cos_pow: int = 0) -> float:
+    """int kappa(|z|) |z|^power (z_1/|z|)^cos_pow dz over the self cell
+    [-h/2, h/2]^d, in polar form: exact radial moments, and in 2d the angle by
+    theta_quad, each ray ending at the cell edge."""
+    h = grid.h
+    if grid.d == 1:
+        return 2.0 * float(kernel.moment(0.0, h / 2, power))
+
+    def ray(t):
+        rmax = (h / 2) / np.maximum(np.abs(np.cos(t)), np.abs(np.sin(t)))
+        return np.cos(t) ** cos_pow * kernel.moment(0.0, rmax, power + 1)
+
+    return theta_quad(ray, 0.0, 2.0 * math.pi)
+
+
+@lru_cache(maxsize=64)
+def cell_tables(grid: Grid, kernel: JumpKernel, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cell quadrature of a radial kernel on the offsets -n..n per axis:
+    read-only (weights, masses), each of shape (2n+1,)*d, offset 0 at the center.
+
+    weights: product-integration weights for a smooth factor g(z) = S(z)/|z|^q
+      against kappa |z|^q.  In 1d g is interpolated piecewise-linearly on the
+      offset nodes and the kernel moments are integrated exactly against each
+      hat (exact for linear g, so no first-moment sampling error); the center
+      holds the hat at 0 over both sides.  In 2d g is sampled at cell centers
+      against Gauss-Legendre cell integrals of kappa |z|^q; the center holds
+      the self-cell moment.
+    masses: plain cell masses int_cell kappa, 0 at the center.
+    """
+    n, h = grid.n, grid.h
+    if grid.d == 1:
+        zn = np.arange(0, n + 1) * h
+        mm = kernel.moment(zn[:-1], zn[1:], q)
+        mm1 = kernel.moment(zn[:-1], zn[1:], q + 1)
+        gw = np.zeros(n + 1)
+        gw[1:] += (mm1 - zn[:-1] * mm) / h  # rising side of the hat at z_j
+        gw[:-1] += (zn[1:] * mm - mm1) / h  # falling side of the hat at z_{j-1}
+        zc = zn[1:]
+        w = gw[1:] / zc**q
+        m0 = kernel.moment(zc - h / 2, zc + h / 2, 0)
+        return (readonly(np.concatenate([w[::-1], [2.0 * gw[0]], w])),
+                readonly(np.concatenate([m0[::-1], [0.0], m0])))
+    off = np.arange(-n, n + 1) * h
+    c1, c2 = np.meshgrid(off, off, indexing="ij")
+    m0, mq = gl_cell_integrals_2d(kernel, c1, c2, h, moment=q)
+    rr2 = c1**2 + c2**2
+    rr2[n, n] = 1.0
+    w = mq / rr2 ** (q / 2)
+    w[n, n] = _self_cell(kernel, grid, q)
+    m0[n, n] = 0.0
+    return readonly(w), readonly(m0)
 
 
 @dataclass(frozen=True)
@@ -381,109 +466,35 @@ def _fold_kernel(grid: Grid, alpha: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def get_stencil(grid: Grid, kernel: JumpKernel) -> JumpStencil:
+    """The operator stencil of a kernel: the cell_tables weights at q = 2, so
+    the smooth factor S(z)/|z|^2 meets the kernel moment kappa |z|^2.  The
+    z = 0 term carries (1/2) Lap u times the self-cell moment, moved onto the
+    nearest-neighbour offsets as the discrete second derivative."""
+    n, h = grid.n, grid.h
+    weights, masses = cell_tables(grid, kernel, 2.0)
+    ker = weights.copy()
+    ker[(n,) * grid.d] = 0.0
     if grid.d == 1:
-        return _build_stencil_1d(grid, kernel)
-    return _build_stencil_2d(grid, kernel)
-
-
-def hat_weights(kernel: JumpKernel, n: int, h: float, m: float) -> np.ndarray:
-    """Weights on the offset nodes 0, h, ..., nh that integrate kappa(z) z^m g(z)
-    over (0, nh] for the piecewise-linear interpolant of g: the kernel moments
-    are integrated exactly against each hat."""
-    zn = np.arange(0, n + 1) * h
-    mm = kernel.moment(zn[:-1], zn[1:], m)
-    mm1 = kernel.moment(zn[:-1], zn[1:], m + 1)
-    gw = np.zeros(n + 1)
-    gw[1:] += (mm1 - zn[:-1] * mm) / h  # rising side of the hat at z_j
-    gw[:-1] += (zn[1:] * mm - mm1) / h  # falling side of the hat at z_{j-1}
-    return gw
-
-
-def _build_stencil_1d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
-    n, h = grid.n, grid.h
-    zc = np.arange(1, n + 1) * h
-    # product integration of g(z) = S(z)/z^2 against kappa z^2 (hat weights:
-    # exact for linear g, so no first-moment sampling error and clean second
-    # order uniformly in alpha)
-    gw = hat_weights(kernel, n, h, 2)
-    nu = gw[1:] / zc**2
-    # the z = 0 node value is the discrete second derivative S_1/h^2
-    nu[0] += gw[0] / h**2
-    ker = np.zeros(2 * n + 1)
-    ker[n + 1 :] = nu
-    ker[:n] = nu[::-1]
-
-    cnu = np.concatenate([[0.0], np.cumsum(nu)])
-    idx = np.arange(n)
-    deg_in = cnu[n - 1 - idx] + cnu[idx]
-
-    wbar = kernel.moment(zc - h / 2, zc + h / 2, 0)  # plain cell masses
-    cw = np.concatenate([[0.0], np.cumsum(wbar)])
-    beyond = float(kernel.moment((n + 0.5) * h, math.inf, 0))
-    ext = (cw[n] - cw[n - 1 - idx]) + (cw[n] - cw[idx]) + 2.0 * beyond
-    return JumpStencil(grid, *map(readonly, (ker, deg_in, ext)))
-
-
-@lru_cache(maxsize=4)
-def _gauss_legendre(npts: int):
-    """Nodes and weights of the npts-point Gauss-Legendre rule on [-1, 1]."""
-    return tuple(map(readonly, np.polynomial.legendre.leggauss(npts)))
-
-
-def gl_cell_integrals_2d(kernel: JumpKernel, centers1, centers2, h, npts=10, moment=2.0):
-    """Gauss-Legendre integrals of kappa and kappa*|z|^moment over square cells."""
-    gx, gw = _gauss_legendre(npts)
-    gx = 0.5 * h * gx  # nodes relative to cell center
-    gw = 0.5 * h * gw
-    z1 = centers1[..., None, None] + gx[None, :, None]
-    z2 = centers2[..., None, None] + gx[None, None, :]
-    w2d = gw[:, None] * gw[None, :]
-    r = np.hypot(z1, z2)
-    kv = kernel.value(r)
-    m0 = np.sum(kv * w2d, axis=(-2, -1))
-    mm = np.sum(kv * r**moment * w2d, axis=(-2, -1))
-    return m0, mm
-
-
-def theta_quad(f, a, b):
-    """Trapezoid rule for int_a^b f(t) dt on 2048 intervals (angular integrals)."""
-    t = np.linspace(a, b, 2049)
-    return float(np.trapezoid(f(t), t))
-
-
-def _build_stencil_2d(grid: Grid, kernel: JumpKernel) -> JumpStencil:
-    n, h = grid.n, grid.h
-    off = np.arange(-n, n + 1) * h
-    c1, c2 = np.meshgrid(off, off, indexing="ij")
-    m0, m2 = gl_cell_integrals_2d(kernel, c1, c2, h)
-    mid = n
-    rr2 = c1**2 + c2**2
-    rr2[mid, mid] = 1.0
-    ker = m2 / rr2
-    ker[mid, mid] = 0.0
-    m0[mid, mid] = 0.0
-
-    # self cell: (1/2) Lap u * int_cell kappa z1^2, via the polar moment integral
-    def z1sq(t):
-        rmax = (h / 2) / np.maximum(np.abs(np.cos(t)), np.abs(np.sin(t)))
-        return np.cos(t) ** 2 * kernel.moment(0.0, rmax, 3)
-
-    mc = theta_quad(z1sq, 0.0, 2.0 * math.pi)
+        # the hat at z = 0 (both sides): the node value S_1/h^2
+        ker[[n - 1, n + 1]] += 0.5 * weights[n] / h**2
+        idx = np.arange(n)
+        cnu = np.concatenate([[0.0], np.cumsum(ker[n + 1 :])])
+        deg_in = cnu[n - 1 - idx] + cnu[idx]
+        cw = np.concatenate([[0.0], np.cumsum(masses[n + 1 :])])
+        beyond = float(kernel.moment((n + 0.5) * h, math.inf, 0))
+        ext = (cw[n] - cw[n - 1 - idx]) + (cw[n] - cw[idx]) + 2.0 * beyond
+        return JumpStencil(grid, *map(readonly, (ker, deg_in, ext)))
+    # self cell: (1/2) Lap u * int_cell kappa z1^2
+    mc = _self_cell(kernel, grid, 2.0, cos_pow=2)
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ker[mid + di, mid + dj] += mc / (2.0 * h**2)
-
+        ker[n + di, n + dj] += mc / (2.0 * h**2)
     ones = np.ones(grid.shape)
     deg_in = convolve_same(ones, ker)
-
     # exterior: plain masses of not-covered cells + analytic beyond-square tail
-    cov0 = convolve_same(ones, m0)
     zmax = (n + 0.5) * h
-
-    def beyond_integrand(t):
-        return kernel.moment(zmax / np.cos(t), math.inf, 1)
-
-    beyond = 8.0 * theta_quad(beyond_integrand, 0.0, math.pi / 4)
-    ext = (float(m0.sum()) - cov0) + beyond
+    beyond = 8.0 * theta_quad(lambda t: kernel.moment(zmax / np.cos(t), math.inf, 1),
+                              0.0, math.pi / 4)
+    ext = (float(masses.sum()) - convolve_same(ones, masses)) + beyond
     return JumpStencil(grid, *map(readonly, (ker, deg_in, ext)))
 
 
@@ -573,26 +584,11 @@ def split_fraclap(f: Field, cfg: OperatorConfig, r: float | None = None):
 
 @lru_cache(maxsize=32)
 def plain_conv_kernel(grid: Grid, kernel: JumpKernel) -> np.ndarray:
-    """Cell-mass convolution stencil for a bounded kernel (no singularity)."""
-    n, h = grid.n, grid.h
-    if grid.d == 1:
-        j = np.arange(1, n + 1)
-        w = kernel.moment(j * h - h / 2, j * h + h / 2, 0)
-        ker = np.zeros(2 * n + 1)
-        ker[n + 1 :] = w
-        ker[:n] = w[::-1]
-        ker[n] = 2.0 * float(kernel.moment(0.0, h / 2, 0))
-        return readonly(ker)
-    off = np.arange(-n, n + 1) * h
-    c1, c2 = np.meshgrid(off, off, indexing="ij")
-    m0, _ = gl_cell_integrals_2d(kernel, c1, c2, h)
-
-    def self_mass(t):
-        rmax = (h / 2) / np.maximum(np.abs(np.cos(t)), np.abs(np.sin(t)))
-        return kernel.moment(0.0, rmax, 1)
-
-    m0[n, n] = theta_quad(self_mass, 0.0, 2.0 * math.pi)
-    return readonly(m0)
+    """Cell-mass convolution stencil for a bounded kernel (no singularity):
+    the cell_tables masses with the self-cell mass at the center."""
+    ker = cell_tables(grid, kernel, 2.0)[1].copy()
+    ker[(grid.n,) * grid.d] = _self_cell(kernel, grid, 0.0)
+    return readonly(ker)
 
 
 def capped_convolution(f: Field, cfg: OperatorConfig, r: float) -> Field:

@@ -342,39 +342,19 @@ def b_semigroup_decay(
                "t": ts.tolist()}
     if beta >= 0.0:
         rep = decay_fit(ts, norms, model="exponential")
+        model, fitted, predicted, r2 = "exponential", rep.fitted, None, rep.r2
         ok = rep.fitted > 0.0
-        return RateReport(
-            model="exponential",
-            fitted=rep.fitted,
-            predicted=None,
-            window=(float(ts[0]), float(ts[-1])),
-            r2=rep.r2,
-            verdict="bound-respected" if ok else "violated",
-            details=details,
-        )
-    predicted = k * (1.0 - theta) / abs(beta)
-    if theta == 1.0:
+    elif theta == 1.0:
+        model, fitted, predicted, r2 = "polynomial", 0.0, 0.0, 1.0
         ok = bool(np.all(norms <= 1.0 + SEMIGROUP_TOL))
-        return RateReport(
-            model="polynomial",
-            fitted=0.0,
-            predicted=0.0,
-            window=(float(ts[0]), float(ts[-1])),
-            r2=1.0,
-            verdict="bound-respected" if ok else "violated",
-            details=details,
-        )
-    rep = decay_fit(ts, norms, model="polynomial")
-    ok = rep.fitted >= predicted - SEMIGROUP_TOL
-    return RateReport(
-        model="polynomial",
-        fitted=rep.fitted,
-        predicted=predicted,
-        window=(float(ts[0]), float(ts[-1])),
-        r2=rep.r2,
-        verdict="bound-respected" if ok else "violated",
-        details=details,
-    )
+    else:
+        rep = decay_fit(ts, norms, model="polynomial")
+        predicted = k * (1.0 - theta) / abs(beta)
+        model, fitted, r2 = "polynomial", rep.fitted, rep.r2
+        ok = rep.fitted >= predicted - SEMIGROUP_TOL
+    return RateReport(model=model, fitted=fitted, predicted=predicted,
+                      window=(float(ts[0]), float(ts[-1])), r2=r2,
+                      verdict="bound-respected" if ok else "violated", details=details)
 
 
 # ---------------------------------------------------------------------------

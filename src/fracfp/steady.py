@@ -44,6 +44,7 @@ __all__ = [
     "EigenpairError",
     "HorizonError",
     "SteadyState",
+    "TailWindowError",
     "closed_form_equilibrium",
     "steady_by_evolution",
     "steady_by_linear_solve",
@@ -271,11 +272,26 @@ def leading_eigenpair(gm: GeneratorMatrix):
     return float(lam.real), Field(grid, vec.reshape(grid.shape)), gap
 
 
+TAIL_FIT_POINTS = 8  # fewest nodes with F > 0 tail_exponent fits
+
+
+class TailWindowError(ValueError):
+    """The tail-fit window holds fewer than TAIL_FIT_POINTS nodes with F > 0:
+    the report record (name, measured = the usable nodes, tolerance)."""
+
+    check = "tail-fit-window"
+
+    def __init__(self, usable: int):
+        super().__init__(f"tail-fit window contains fewer than {TAIL_FIT_POINTS} usable nodes")
+        self.measured, self.tolerance = usable, TAIL_FIT_POINTS
+
+
 def tail_exponent(F: Field, window: tuple[float, float] | None = None):
     """Least-squares slope of log F against log<x> on a radial window.
 
     Returns (a_hat, r_squared) with F ~ <x>^(-a_hat); the window defaults to
-    [L/4, 3L/4] and must contain at least 8 nodes with F > 0.
+    [L/4, 3L/4] and must contain at least TAIL_FIT_POINTS nodes with F > 0
+    (else TailWindowError).
     """
     grid = F.grid
     if window is None:
@@ -284,8 +300,9 @@ def tail_exponent(F: Field, window: tuple[float, float] | None = None):
     r2 = grid.radius2().ravel(order="C")
     vals = F.values.ravel(order="C")
     mask = (r2 >= lo**2) & (r2 <= hi**2) & (vals > 0.0)
-    if np.count_nonzero(mask) < 8:
-        raise ValueError("tail-fit window contains fewer than 8 usable nodes")
+    usable = int(np.count_nonzero(mask))
+    if usable < TAIL_FIT_POINTS:
+        raise TailWindowError(usable)
     lx = 0.5 * np.log1p(r2[mask])  # log <x>
     slope, _, r2fit = line_fit(lx, np.log(vals[mask]))
     return float(-slope), r2fit

@@ -168,18 +168,93 @@ def test_batch_mode(tmp_path):
 def test_batch_reports_past_a_failing_config(tmp_path, capsys):
     body = "d = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\nsuite = evolve\nhorizon = 0.5\n"
     write_cfg(tmp_path, "name = a_ok\n" + body, "a_ok.cfg")
-    # dt = 10 breaks the drift CFL bound when the run starts, not at parse time
+    # dt = 10 breaks the drift CFL bound: a config error of its own config
     write_cfg(tmp_path, "name = b_bad\ndt = 10\n" + body, "b_bad.cfg")
     code = main(
         ["run", "unused", "--batch", str(tmp_path / "*.cfg"), "--out", str(tmp_path / "batch")]
     )
-    assert code == 1
+    assert code == 2
     out = capsys.readouterr().out.splitlines()
     assert f"{tmp_path / 'a_ok.cfg'}: PASS" in out
     bad = next(line for line in out if line.startswith(f"{tmp_path / 'b_bad.cfg'}: "))
-    assert bad.startswith(f"{tmp_path / 'b_bad.cfg'}: ERROR ValueError: ")
+    assert bad.startswith(f"{tmp_path / 'b_bad.cfg'}: ERROR ConfigError: ")
     assert "CFL" in bad
     assert (tmp_path / "batch" / "a_ok" / "report.txt").exists()
+
+
+BATCH_BODY = "d = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\nsuite = evolve\nhorizon = 0.5\n"
+
+
+@pytest.mark.parametrize("line,match", [
+    ("method = foo", "unknown method"),
+    ("drift = sideways", "unknown drift"),
+    ("splitting = yoshida", "unknown splitting"),
+    ("diffusion_solver = cg", "unknown diffusion solver"),
+    ("cfl = 2", "cfl"),
+    ("dt = 5", "CFL"),
+    ("dt = -0.01", "CFL"),
+])
+def test_scheme_and_operator_keys_are_config_errors(tmp_path, capsys, line, match):
+    p = write_cfg(tmp_path, f"name = v\n{line}\n" + BATCH_BODY)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(p)
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_batch_reports_past_an_unknown_key(tmp_path, capsys):
+    write_cfg(tmp_path, "name = a_ok\n" + BATCH_BODY, "a_ok.cfg")
+    write_cfg(tmp_path, "name = b_bad\nnonsense = 3\n" + BATCH_BODY, "b_bad.cfg")
+    (tmp_path / "c_dir.cfg").mkdir()  # the glob matches a directory: unreadable
+    code = main(
+        ["run", "unused", "--batch", str(tmp_path / "*.cfg"), "--out", str(tmp_path / "batch")]
+    )
+    assert code == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{tmp_path / 'a_ok.cfg'}: PASS"
+    assert out[1].startswith(f"{tmp_path / 'b_bad.cfg'}: ERROR ConfigError: unknown config key")
+    assert out[2].startswith(f"{tmp_path / 'c_dir.cfg'}: ERROR IsADirectoryError: ")
+    assert main(["run", str(tmp_path / "c_dir.cfg")]) == 2
+    assert (tmp_path / "batch" / "a_ok" / "report.txt").exists()
+
+
+def test_crash_exits_3(tmp_path, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    p = write_cfg(tmp_path, "name = c\n" + BATCH_BODY, "c.cfg")
+    monkeypatch.setattr(fracfp.cli, "evolve", crash)
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+    # a batch exits with its largest code: a crash (3) over a config error (2)
+    write_cfg(tmp_path, "name = d\ncfl = 2\n" + BATCH_BODY, "d.cfg")
+    code = main(["run", "unused", "--batch", str(tmp_path / "*.cfg"), "--out", str(tmp_path / "b")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "Traceback" in captured.err
+    out = captured.out.splitlines()
+    assert out[0] == f"{p}: ERROR RuntimeError: boom"
+    assert out[1].startswith(f"{tmp_path / 'd.cfg'}: ERROR ConfigError: ")
+
+
+def test_short_tail_window_is_a_fail_record(tmp_path, capsys):
+    # n = 8: the window [L/4, 3L/4] holds 4 nodes, too few for the tail fit;
+    # the other steady records are still written, and so are the other suites
+    p = write_cfg(tmp_path, "name = tail\nd = 1\nL = 10\nn = 8\nalpha = 1.0\ngamma = 2.0\n"
+                            "suite = steady\n")
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    capsys.readouterr()
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    assert "tail-fit-window: measured=4 predicted=- tol=8 -> FAIL" in report
+    assert not any(line.startswith("tail-fit-quality:") for line in report)
+    assert any(line.startswith("route-agreement-L1:") for line in report)
+    assert main(["run", str(p), "--out", str(tmp_path / "a"), "--suite", "all"]) == 1
+    capsys.readouterr()
+    report = (tmp_path / "a" / "report.txt").read_text().splitlines()
+    assert "tail-fit-window: measured=4 predicted=- tol=8 -> FAIL" in report
+    assert any(line.startswith("nash-chain-constant:") for line in report)
 
 
 def test_float_printing_roundtrip(tmp_path, tiny_cfg_text):

@@ -42,6 +42,24 @@ def _calls_by_name(trees) -> dict:
     return calls
 
 
+# the cell quadrature of a radial kernel: exact radial moments, Gauss-Legendre
+# cells, the angular rule and the polar self cell
+CELL_QUADRATURE = ("moment", "gl_cell_integrals_2d", "theta_quad", "_self_cell")
+
+
+def test_only_operators_runs_the_cell_quadrature():
+    """Every kernel table comes from operators (cell_tables and the stencil,
+    fold and convolution built on it); no other module re-derives one."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "operators":
+            continue
+        calls = _calls_by_name([_parse(path)])
+        found += [f"{path.name}:{call.lineno} calls {name}"
+                  for name in CELL_QUADRATURE for call in calls[name]]
+    assert not found, "\n".join(found)
+
+
 def _dataclass_fields(tree: ast.Module, cls: str) -> list:
     body = next(n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls)
     return [st.target.id for st in body if isinstance(st, ast.AnnAssign)]

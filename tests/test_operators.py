@@ -77,6 +77,25 @@ def test_offset_matrix_matches_capped_convolution(d, n):
     assert np.allclose(offset_matrix(table, n, n) @ v.ravel(order="C"), conv, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+def test_capped_convolution_reads_the_stencil_mass_table(d, n):
+    # one cell quadrature: plain_conv_kernel is the mass table the stencil's
+    # exterior mass is built from, with the self-cell mass put at the center
+    from fracfp.operators import cell_tables, far_kernel, get_stencil, plain_conv_kernel
+
+    g = build_grid(d, 6.0, n)
+    kernel = far_kernel(0.8, d, 2.0 * g.h)
+    masses = cell_tables(g, kernel, 2.0)[1]
+    ker = plain_conv_kernel(g, kernel)
+    off_center = np.ones(ker.shape, dtype=bool)
+    off_center[(n,) * d] = False
+    assert np.array_equal(ker[off_center], masses[off_center])
+    assert masses[(n,) * d] == 0.0 and ker[(n,) * d] > 0.0
+    # covered plus exterior mass is the same kernel mass at every node
+    total = get_stencil(g, kernel).ext_mass + convolve_same(np.ones(g.shape), masses)
+    assert np.allclose(total, total.flat[0], rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------- spectral
 
 
