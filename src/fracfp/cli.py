@@ -129,7 +129,12 @@ def _coerce(key: str, raw, lineno: int | None = None):
 
 
 def parse_config(path: str | Path) -> ScenarioConfig:
-    """Read a scenario config: JSON document or key = value lines."""
+    """Read and validate a scenario config: JSON document or key = value lines."""
+    return _load_config(path, None)
+
+
+def _load_config(path: str | Path, suite: str | None) -> ScenarioConfig:
+    """Read a scenario config, apply the --suite override, then validate once."""
     text = Path(path).read_text(encoding="utf-8")
     values: dict = {}
     stripped = text.lstrip()
@@ -151,6 +156,8 @@ def parse_config(path: str | Path) -> ScenarioConfig:
                 raise ConfigError(f"expected key = value on line {lineno}: {line!r}")
             key, raw = (part.strip() for part in body.split("=", 1))
             values[key] = _coerce(key, raw, lineno)
+    if suite:
+        values["suite"] = suite
     cfg = ScenarioConfig(**values)
     validate_config(cfg)
     return cfg
@@ -162,6 +169,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
     checks dt against the drift CFL bound; their ValueError is a ConfigError."""
     if cfg.suite not in SUITES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITES}")
+    if not cfg.horizon > 0.0:
+        raise ConfigError(f"horizon = {cfg.horizon} must be positive")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed = {cfg.seed} must be a non-negative integer")
     try:
         step_size(cfg.grid(), cfg.operator(), cfg.scheme())
     except ValueError as exc:
@@ -354,6 +365,7 @@ def _suite_rates(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> Non
         report.add("entropy-nonincreasing", worst, tol_e, worst <= tol_e)
 
     if cfg.gamma >= 2.0 and grid.size <= HARRIS_MAX_SIZE:
+        # both checks read the one dense semigroup e^{Lambda^*} of this adjoint
         adj = assemble_generator_matrix(grid, cfg.operator(method="quadrature"), "adjoint")
         ly = lyapunov_check(adj, [1.0], cfg.k)
         report.add("lyapunov-gamma1", ly["gamma"][1.0], 1.0, ly["gamma"][1.0] < 1.0, 1.0)
@@ -514,15 +526,6 @@ def _write_report(report: RunReport, artifacts: dict, path: Path) -> None:
 
 
 CONFIG_ERRORS = (ConfigError, OSError, UnicodeDecodeError)  # an unreadable or invalid config: exit 2
-
-
-def _load_config(path: str, suite: str | None) -> ScenarioConfig:
-    """parse_config, then the --suite override, validated again."""
-    cfg = parse_config(path)
-    if suite:
-        cfg.suite = suite
-        validate_config(cfg)
-    return cfg
 
 
 def _batch_config(path: str, suite: str | None, base: Path) -> tuple[int, str]:

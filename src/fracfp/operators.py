@@ -758,9 +758,10 @@ def adjoint_apply(g: Field, cfg: OperatorConfig) -> Field:
     return g.with_values(jump_apply(g, cfg).values + drift.reshape(g.grid.shape))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Dense realization of Lambda (or Lambda^*) on the flattened node set."""
+    """Dense realization of Lambda (or Lambda^*) on the flattened node set.
+    It compares and hashes by identity, so caches can key on it."""
 
     grid: Grid
     cfg: OperatorConfig

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
 from fracfp.grid import Field, Grid, line_fit, smooth_indicator, weight_field
-from fracfp.operators import GeneratorMatrix, OperatorConfig
+from fracfp.operators import GeneratorMatrix, OperatorConfig, readonly
 from fracfp.evolution import SchemeConfig, auto_dt, evolve
 from fracfp.functionals import signed_power, weighted_norm
 
@@ -55,7 +56,7 @@ ENVELOPE_TOL = 0.1  # relative slack of decay_fit's predicted envelope
 SLOPE_SAMPLES = 32  # output times of a regularization-slope run
 REGULARIZATION_TOL = 0.2  # relative tolerance of a regularization-slope verdict
 SEMIGROUP_TOL = 0.1  # slack of the b_semigroup_decay norm and exponent bounds
-HARRIS_MAX_SIZE = 512  # n^d cap of harris_contraction: its pairwise sup is O(N^2)
+HARRIS_MAX_SIZE = 1024  # n^d cap of the dense expm behind harris_contraction and lyapunov_check
 
 
 def _model_values(model: str, ts: np.ndarray, rate: float) -> np.ndarray:
@@ -363,12 +364,19 @@ def b_semigroup_decay(
 
 
 def harris_seminorm(phi: np.ndarray, m_lam: np.ndarray) -> float:
-    """sup over pairs of |phi(x) - phi(y)| / (m_lam(x) + m_lam(y))."""
+    """sup over pairs of |phi(x) - phi(y)| / (m_lam(x) + m_lam(y)), m_lam > 0, by
+    Dinkelbach's iteration, O(N) a round: lam = 0 grows to the ratio of the pair
+    argmax(phi - lam m), argmax(-phi - lam m) until it stops growing."""
     phi = phi.ravel(order="C")
-    m_lam = m_lam.ravel(order="C")
-    num = np.abs(phi[:, None] - phi[None, :])
-    den = m_lam[:, None] + m_lam[None, :]
-    return float(np.max(num / den))
+    m = m_lam.ravel(order="C")
+    lam = 0.0
+    while True:
+        x = int(np.argmax(phi - lam * m))
+        y = int(np.argmax(-phi - lam * m))
+        r = float(abs(phi[x] - phi[y]) / (m[x] + m[y]))
+        if not r > lam:
+            return lam
+        lam = r
 
 
 def harris_bank(grid: Grid, k: float, lambda_w: float, count: int = 50) -> list:
@@ -399,20 +407,27 @@ def harris_bank(grid: Grid, k: float, lambda_w: float, count: int = 50) -> list:
     return out[:count]
 
 
+@lru_cache(maxsize=4)
+def semigroup(gm: GeneratorMatrix, t: float) -> np.ndarray:
+    """Read-only dense e^{t A}, once per (gm, t) for lyapunov_check and
+    harris_contraction; grids above HARRIS_MAX_SIZE nodes raise."""
+    if gm.size > HARRIS_MAX_SIZE:
+        raise ValueError(f"dense semigroup expm restricted to n^d <= {HARRIS_MAX_SIZE}")
+    return readonly(expm(gm.mat * t))
+
+
 def harris_contraction(gm: GeneratorMatrix, t: float, k: float, lambda_w: float) -> float:
     """Largest seminorm-contraction ratio of P_t over the observable bank.
 
     P_t = e^{t Lambda^*} acts on observables; the seminorm weights are
     m_lambda = 1 + lambda_w <x>^k.  The bank supremum lower-bounds the true
     operator seminorm, so a ratio < 1 is necessary-but-weaker evidence of
-    contraction (recorded as such).  Grids above HARRIS_MAX_SIZE nodes raise.
+    contraction (recorded as such).  P_t is the dense ``semigroup``.
     """
     if gm.which != "adjoint":
         raise ValueError("harris contraction expects the adjoint generator")
-    if gm.grid.size > HARRIS_MAX_SIZE:
-        raise ValueError(f"harris contraction restricted to n^d <= {HARRIS_MAX_SIZE}")
     grid = gm.grid
-    pt = expm(gm.mat * t)
+    pt = semigroup(gm, float(t))
     m_lam = (1.0 + lambda_w * grid.bracket() ** k).ravel(order="C")
     worst = 0.0
     for phi in harris_bank(grid, k, lambda_w):
@@ -423,36 +438,6 @@ def harris_contraction(gm: GeneratorMatrix, t: float, k: float, lambda_w: float)
         s1 = harris_seminorm(pt @ phi, m_lam)
         worst = max(worst, s1 / s0)
     return worst
-
-
-def seminorm_shift_identity(phi: np.ndarray, m_lam: np.ndarray) -> tuple[float, float]:
-    """(pairwise seminorm, inf over shifts of the weighted sup norm).
-
-    The two agree: the seminorm is the distance to constants in the
-    m_lambda^{-1}-weighted sup norm.
-    """
-    s = harris_seminorm(phi, m_lam)
-    phi = phi.ravel(order="C")
-    m = m_lam.ravel(order="C")
-    # minimize max |phi - c| / m over c: golden-section on the 1d convex fn
-    lo, hi = float(phi.min()), float(phi.max())
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    f = lambda c: np.max(np.abs(phi - c) / m)
-    a, b = lo, hi
-    c1, c2 = b - gr * (b - a), a + gr * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(200):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - gr * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + gr * (b - a)
-            f2 = f(c2)
-        if b - a < 1e-12 * (1.0 + abs(lo) + abs(hi)):
-            break
-    return s, float(min(f1, f2))
 
 
 def lyapunov_check(gm: GeneratorMatrix, t_samples, k: float) -> dict:
@@ -475,7 +460,7 @@ def lyapunov_check(gm: GeneratorMatrix, t_samples, k: float) -> dict:
     c = b / a
     out = {"a": a, "b": b, "c": c, "gamma": {}, "envelope_ok": {}, "k": k}
     for t in np.atleast_1d(t_samples):
-        y = expm(gm.mat * float(t)) @ m
+        y = semigroup(gm, float(t)) @ m
         gamma_t = float(np.max((y - c) / m))
         out["gamma"][float(t)] = gamma_t
         out["envelope_ok"][float(t)] = bool(np.all(y <= gamma_t * m + c + 1e-12))

@@ -227,9 +227,11 @@ def leading_eigenpair(gm: GeneratorMatrix):
     matrix unchanged (to SYMMETRY_TOL); with none, the one block is the whole
     matrix.  The leading pair is the rightmost eigenvalue over all blocks, its
     eigenvector unfolded to the full grid, and the gap is taken over the
-    union of the block spectra.  Raises EigenpairError when the leading
-    eigenvalue is complex beyond roundoff, when its eigenvector has zero mass,
-    or when the pair misses ||A v - lambda v||_inf <= RESIDUAL_TOL max|A| ||v||_inf
+    union of the block spectra.  Raises EigenpairError, in this order, when
+    the rightmost real part exceeds 1e-8 max|A| (an unstable generator: the
+    tolerance of the leading-eigenvalue record), when the leading eigenvalue
+    is complex beyond roundoff, when its eigenvector has zero mass, or when
+    the pair misses ||A v - lambda v||_inf <= RESIDUAL_TOL max|A| ||v||_inf
     on the full matrix.
     """
     grid = gm.grid
@@ -253,6 +255,8 @@ def leading_eigenpair(gm: GeneratorMatrix):
         if lead is None or lam[k].real > lead[0].real:
             lead = (lam[k], vecs[:, k].reshape(shape), signs)
     lam, vec, signs = lead
+    if lam.real > 1e-8 * scale:
+        raise EigenpairError("spectral-abscissa", lam.real, 1e-8 * scale)
     if abs(lam.imag) > 1e-8 * scale:
         raise EigenpairError("leading-eigenvalue-real", abs(lam.imag), 1e-8 * scale)
     vec = vec.real

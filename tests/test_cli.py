@@ -10,6 +10,7 @@ import pytest
 import fracfp
 import fracfp.cli
 import fracfp.evolution
+import fracfp.rates
 
 from fracfp.cli import (
     ConfigError,
@@ -201,6 +202,24 @@ def test_scheme_and_operator_keys_are_config_errors(tmp_path, capsys, line, matc
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line,suite", [("horizon = 0", "evolve"), ("seed = -1", "inequalities")])
+def test_horizon_and_seed_are_config_errors(tmp_path, capsys, line, suite):
+    p = write_cfg(tmp_path, f"name = v\nd = 1\nL = 10\nn = 64\nsuite = {suite}\n{line}\n")
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {line.split()[0]} = ")
+
+
+def test_suite_override_is_validated_once(tmp_path, capsys):
+    # the file's steady suite needs gamma > 2 - alpha; the evolve suite it is
+    # overridden with allows weak confinement
+    p = write_cfg(tmp_path, "name = weak\nd = 1\nn = 64\nalpha = 0.5\ngamma = 1.2\nk = 0.3\n"
+                            "suite = steady\n")
+    with pytest.raises(ConfigError, match="2 - alpha"):
+        parse_config(p)
+    assert main(["run", str(p), "--suite", "evolve", "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
 
 
 def test_batch_reports_past_an_unknown_key(tmp_path, capsys):
@@ -400,6 +419,58 @@ def test_failed_eigenpair_is_a_fail_record(tmp_path, capsys, monkeypatch):
     # the records after the eigen route are still written
     assert any(line.startswith("closed-form-L1-distance:") for line in report)
     assert report[-1] == "FAIL"
+
+
+def test_unstable_generator_is_a_spectral_abscissa_record(tmp_path, capsys):
+    # centered drift on a coarse 2d grid: the generator has a real eigenvalue
+    # near 1.96, reported as the cause after the route records
+    body = "d = 2\nL = 8\nn = 8\nalpha = 0.8\ngamma = 3\nk = 0.4\np = 1.05\nsuite = steady\n"
+    p = write_cfg(tmp_path, "name = coarse\ndrift = centered\n" + body)
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    capsys.readouterr()
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    names = [line.split(":")[0] for line in report if ": measured=" in line]
+    assert names.index("route-agreement-L1") < names.index("spectral-abscissa")
+    record = next(line for line in report if line.startswith("spectral-abscissa: "))
+    assert record.endswith("-> FAIL")
+    assert float(record.split("measured=")[1].split()[0]) > 1.9
+    for name in ("leading-eigenvalue", "spectral-gap", "eigenvector-matches-solve"):
+        assert name not in names
+    # a stable generator gets no spectral-abscissa line
+    q = write_cfg(tmp_path, "name = upwind\n" + body, "upwind.cfg")
+    main(["run", str(q), "--out", str(tmp_path / "u")])
+    capsys.readouterr()
+    report = (tmp_path / "u" / "report.txt").read_text()
+    assert "spectral-abscissa" not in report and "leading-eigenvalue: " in report
+
+
+def test_rates_suite_computes_one_semigroup(monkeypatch):
+    shapes = []
+    expm = fracfp.rates.expm
+
+    def counting(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(fracfp.rates, "expm", counting)
+    cfg = ScenarioConfig(name="r", d=1, L=10.0, n=64, alpha=1.0, gamma=2.0, k=0.5,
+                         suite="rates", horizon=8.0)
+    report = fracfp.cli.RunReport(scenario=cfg)
+    fracfp.cli._suite_rates(cfg, report, {})
+    names = [r.name for r in report.records]
+    assert "lyapunov-gamma1" in names and "harris-contraction" in names
+    assert shapes == [(64, 64)]
+
+
+def test_rates_suite_2d_n32_has_the_harris_records(tmp_path, capsys):
+    # N = 1024 is at the dense expm cap
+    p = write_cfg(tmp_path, "name = h\nd = 2\nL = 10\nn = 32\nalpha = 1.0\ngamma = 2.0\nk = 0.5\n"
+                            "suite = rates\n")
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for name in ("lyapunov-gamma1", "harris-contraction"):
+        record = next(line for line in out if line.startswith(name + ": "))
+        assert record.endswith("-> pass")
 
 
 def test_rates_suite_replays_the_steady_path(tmp_path, monkeypatch):

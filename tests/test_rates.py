@@ -17,7 +17,7 @@ from fracfp.rates import (
     ode_envelope_check,
     polynomial_rate_check,
     regularization_slope,
-    seminorm_shift_identity,
+    semigroup,
     weighted_opnorm,
 )
 
@@ -257,16 +257,50 @@ def test_harris_subadditivity(adjoint_256):
     assert -np.log(gb1) >= -2.0 * np.log(gb05) - 0.05
 
 
+def pairwise_seminorm(phi, m_lam):
+    """The N x N reference: sup over pairs of |phi_x - phi_y| / (m_x + m_y)."""
+    return float(np.max(np.abs(phi[:, None] - phi[None, :]) / (m_lam[:, None] + m_lam[None, :])))
+
+
 def test_seminorm_shift_identity(adjoint_256):
+    # the seminorm is the distance of phi to the constants in the
+    # m_lam^{-1}-weighted sup norm; the constant c = max(phi - s m_lam) attains it
     g = adjoint_256.grid
     m_lam = 1.0 + 0.4 * g.bracket() ** 0.5
+    pt = semigroup(adjoint_256, 0.5)
     for phi in harris_bank(g, 0.5, 0.4, count=10):
-        s, inf_c = seminorm_shift_identity(phi, m_lam)
-        assert inf_c == pytest.approx(s, rel=1e-9)
+        for psi in (phi, pt @ phi):
+            s = harris_seminorm(psi, m_lam)
+            assert s == pairwise_seminorm(psi, m_lam)
+            c = np.max(psi - s * m_lam)
+            assert np.max(np.abs(psi - c) / m_lam) == pytest.approx(s, rel=1e-12)
+
+
+def test_seminorm_matches_the_pairwise_formula():
+    rng = np.random.default_rng(5)
+    for case in range(300):
+        n = int(rng.integers(2, 120))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        phi = scale * rng.standard_normal(n)
+        if case % 3 == 0:
+            phi = scale * np.round(4.0 * phi / scale) / 4.0  # ties
+        if case % 10 == 0:
+            phi = np.full(n, scale)  # constant: seminorm 0
+        m_lam = 10.0 ** rng.uniform(-3.0, 3.0, n) if case % 2 else 1.0 + rng.random(n)
+        s, ref = harris_seminorm(phi, m_lam), pairwise_seminorm(phi, m_lam)
+        assert abs(s - ref) <= np.spacing(ref)
+        if case % 10 == 0:
+            assert s == 0.0
+
+
+def test_one_semigroup_per_generator(adjoint_256):
+    pt = semigroup(adjoint_256, 1.0)
+    assert semigroup(adjoint_256, 1.0) is pt
+    assert not pt.flags.writeable
 
 
 def test_harris_guard_size():
-    g = build_grid(1, 20.0, 1024)
+    g = build_grid(1, 20.0, 2048)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature")
     gm = assemble_generator_matrix(g, cfg, "adjoint")
     with pytest.raises(ValueError):
