@@ -77,6 +77,7 @@ __all__ = [
 ]
 
 MASS_DRIFT_TOL = 1e-6
+CFL = 0.9  # the automatic step is CFL * h / max|E|
 POSITIVITY_FLOOR = 1e-12  # times ||f0||_inf
 
 
@@ -84,10 +85,9 @@ POSITIVITY_FLOOR = 1e-12  # times ||f0||_inf
 class SchemeConfig:
     """Splitting scheme parameters."""
 
-    dt: float | None = None  # None: auto = cfl * h / max|E|
+    dt: float | None = None  # None: auto_dt
     splitting: str = "strang"  # {"lie", "strang"}
     diffusion_solver: str = "exact-spectral"  # or "implicit-matrix"
-    cfl: float = 0.9
     monitor_weight: float = 0.5  # weight exponent k for the L^p(m) monitors
 
     def __post_init__(self):
@@ -95,8 +95,6 @@ class SchemeConfig:
             raise ValueError(f"unknown splitting {self.splitting!r}")
         if self.diffusion_solver not in ("exact-spectral", "implicit-matrix"):
             raise ValueError(f"unknown diffusion solver {self.diffusion_solver!r}")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
 
 
 @dataclass
@@ -126,17 +124,18 @@ class Trajectory:
         )
 
 
-def auto_dt(grid: Grid, cfg: OperatorConfig, scheme: SchemeConfig) -> float:
+def auto_dt(grid: Grid, cfg: OperatorConfig) -> float:
+    """The drift CFL bound CFL * h / max|E| (CFL * h without drift)."""
     speed = max_drift_speed(grid, cfg.force_field())
     if speed == 0.0:
-        return scheme.cfl * grid.h
-    return scheme.cfl * grid.h / speed
+        return CFL * grid.h
+    return CFL * grid.h / speed
 
 
 def step_size(grid: Grid, cfg: OperatorConfig, scheme: SchemeConfig) -> float:
     """The time step of a run: scheme.dt, or auto_dt when it is None.
     ValueError unless 0 < dt <= auto_dt, the drift CFL bound."""
-    limit = auto_dt(grid, cfg, scheme)
+    limit = auto_dt(grid, cfg)
     dt = scheme.dt if scheme.dt is not None else limit
     if not 0.0 < dt <= limit * (1.0 + 1e-12):
         raise ValueError(f"time step {dt:g} violates the drift CFL bound 0 < dt <= {limit:g}")

@@ -112,34 +112,25 @@ def norm_constant(alpha: float, d: int) -> float:
 class ForceField:
     """Drift field E(x); canonical family E = <x>^(gamma-2) x when func is None.
 
-    Custom fields supply ``func`` taking 1d coordinates (d = 1) or an
-    (..., 2) point array (d = 2), matching whichever dimension they run in.
+    ``at`` maps an (..., d) point array to E there, of the same shape; a
+    custom ``func`` receives and returns the same (..., d) arrays.
     """
 
     gamma: float
     func: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def at(self, x: np.ndarray, d: int) -> np.ndarray:
+    def at(self, x: np.ndarray) -> np.ndarray:
         if self.func is not None:
             return np.asarray(self.func(x), dtype=float)
         x = np.asarray(x, dtype=float)
-        if d == 1:
-            r2 = x**2
-        else:
-            r2 = np.sum(x**2, axis=-1, keepdims=True)
+        r2 = np.sum(x**2, axis=-1, keepdims=True)
         return x * (1.0 + r2) ** ((self.gamma - 2.0) / 2.0)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """1d evaluation shorthand."""
-        return self.at(x, 1)
 
     def components(self, coords) -> list:
         """E per axis at the points whose per-axis coordinates are the equally
         shaped arrays coords (as returned by Grid.coords)."""
-        d = len(coords)
-        pts = coords[0] if d == 1 else np.stack(coords, axis=-1)
-        e = self.at(pts, d).reshape(np.shape(coords[0]) + (-1,))
-        return [e[..., a] for a in range(d)]
+        e = self.at(np.stack(coords, axis=-1))
+        return [e[..., a] for a in range(len(coords))]
 
 
 def make_force(gamma: float) -> ForceField:
@@ -760,12 +751,12 @@ def adjoint_apply(g: Field, cfg: OperatorConfig) -> Field:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Dense realization of Lambda (or Lambda^*) on the flattened node set.
-    It compares and hashes by identity, so caches can key on it."""
+    """Dense realization of Lambda on the flattened node set; Lambda^* is its
+    transpose, mat.T.  mat is read-only, and the object compares and hashes
+    by identity, so caches can key on it."""
 
     grid: Grid
     cfg: OperatorConfig
-    which: str  # {"forward", "adjoint"}
     mat: np.ndarray
 
     @property
@@ -773,13 +764,13 @@ class GeneratorMatrix:
         return self.mat.shape[0]
 
 
-@lru_cache(maxsize=16)
 def _jump_matrix(grid: Grid, alpha: float) -> np.ndarray:
-    """Periodic-wrap jump matrix: circulant symmetric Metzler, column sums zero."""
+    """Periodic-wrap jump matrix, a new array on each call: circulant symmetric
+    Metzler, column sums zero."""
     a = offset_matrix(_fold_kernel(grid, alpha), grid.n, 0)
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=0))
-    return readonly(a)
+    return a
 
 
 def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:
@@ -798,26 +789,23 @@ def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:
     return table[tuple(gather)].reshape(n**d, n**d)
 
 
-def assemble_generator_matrix(
-    grid: Grid, cfg: OperatorConfig, which: str = "forward"
-) -> GeneratorMatrix:
-    """Dense generator on n^d <= 4096 nodes; adjoint is the exact transpose.
+def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatrix:
+    """Dense generator Lambda on n^d <= 4096 nodes: the jump matrix with the
+    sparse drift added in place.
 
     The jump part always uses the conservative quadrature stencil: the
     spectral multiplier has no Metzler matrix realization, and the maximum
     principle plus Krein-Rutman structure require nonnegative off-diagonal
     jump entries.
     """
-    if which not in ("forward", "adjoint"):
-        raise ValueError(f"which must be 'forward' or 'adjoint', got {which!r}")
     if grid.size > MAX_DENSE:
         raise ValueError(
             f"dense assembly limited to n^d <= {MAX_DENSE}, got {grid.size}"
         )
-    a = _jump_matrix(grid, cfg.alpha) + drift_matrix(grid, cfg.force_field(), cfg.drift).toarray()
-    if which == "adjoint":
-        a = a.T
-    return GeneratorMatrix(grid=grid, cfg=cfg, which=which, mat=a)
+    a = _jump_matrix(grid, cfg.alpha)
+    drift = drift_matrix(grid, cfg.force_field(), cfg.drift).tocoo()
+    a[drift.row, drift.col] += drift.data  # canonical CSR: no repeated (row, col)
+    return GeneratorMatrix(grid=grid, cfg=cfg, mat=readonly(a))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from scipy.linalg import expm
 
 from fracfp.grid import Field, Grid, line_fit, smooth_indicator, weight_field
 from fracfp.operators import GeneratorMatrix, OperatorConfig, readonly
-from fracfp.evolution import SchemeConfig, auto_dt, evolve
+from fracfp.evolution import auto_dt, evolve
 from fracfp.functionals import signed_power, weighted_norm
 
 __all__ = [
@@ -175,7 +175,7 @@ def regularization_slope(
     if t_window is None:
         t_window = (max(0.01, 4.0 * (2.0 * grid.h) ** cfg.alpha), 0.6)
     t_lo, t_hi = t_window
-    dt = auto_dt(grid, cfg, SchemeConfig())
+    dt = auto_dt(grid, cfg)
     if t_lo < 10.0 * dt:
         raise ValueError(
             f"window start {t_lo:g} clipped by the CFL step {dt:g} (need >= 10 dt)"
@@ -409,11 +409,12 @@ def harris_bank(grid: Grid, k: float, lambda_w: float, count: int = 50) -> list:
 
 @lru_cache(maxsize=4)
 def semigroup(gm: GeneratorMatrix, t: float) -> np.ndarray:
-    """Read-only dense e^{t A}, once per (gm, t) for lyapunov_check and
-    harris_contraction; grids above HARRIS_MAX_SIZE nodes raise."""
+    """Read-only dense P_t = e^{t Lambda^*}, Lambda^* = gm.mat.T, once per
+    (gm, t) for lyapunov_check and harris_contraction; grids above
+    HARRIS_MAX_SIZE nodes raise."""
     if gm.size > HARRIS_MAX_SIZE:
         raise ValueError(f"dense semigroup expm restricted to n^d <= {HARRIS_MAX_SIZE}")
-    return readonly(expm(gm.mat * t))
+    return readonly(expm(gm.mat.T * t))
 
 
 def harris_contraction(gm: GeneratorMatrix, t: float, k: float, lambda_w: float) -> float:
@@ -422,10 +423,9 @@ def harris_contraction(gm: GeneratorMatrix, t: float, k: float, lambda_w: float)
     P_t = e^{t Lambda^*} acts on observables; the seminorm weights are
     m_lambda = 1 + lambda_w <x>^k.  The bank supremum lower-bounds the true
     operator seminorm, so a ratio < 1 is necessary-but-weaker evidence of
-    contraction (recorded as such).  P_t is the dense ``semigroup``.
+    contraction (recorded as such).  P_t is the dense ``semigroup`` of the
+    generator gm.
     """
-    if gm.which != "adjoint":
-        raise ValueError("harris contraction expects the adjoint generator")
     grid = gm.grid
     pt = semigroup(gm, float(t))
     m_lam = (1.0 + lambda_w * grid.bracket() ** k).ravel(order="C")
@@ -445,13 +445,12 @@ def lyapunov_check(gm: GeneratorMatrix, t_samples, k: float) -> dict:
 
     Fits (a, b) from the generator inequality Lambda^* m <= b - a m (a is 90%
     of the worst outer-region ratio, b the resulting envelope max) and then
-    verifies the semigroup envelope nodewise at each sampled t.
+    verifies the semigroup envelope nodewise at each sampled t.  gm is the
+    generator; Lambda^* is its transpose.
     """
-    if gm.which != "adjoint":
-        raise ValueError("lyapunov check expects the adjoint generator")
     grid = gm.grid
     m = weight_field(grid, k).values.ravel(order="C")
-    z = gm.mat @ m
+    z = gm.mat.T @ m
     outer = (grid.radius2() >= (grid.L / 2.0) ** 2).ravel(order="C")
     a = 0.9 * float(np.min(-z[outer] / m[outer]))
     if a <= 0.0:

@@ -44,7 +44,7 @@ __all__ = [
     "EigenpairError",
     "HorizonError",
     "SteadyState",
-    "TailWindowError",
+    "TailFitError",
     "closed_form_equilibrium",
     "steady_by_evolution",
     "steady_by_linear_solve",
@@ -167,8 +167,6 @@ def steady_by_linear_solve(gm: GeneratorMatrix) -> SteadyState:
     """Bordered solve: Lambda F = 0 with the row at the node nearest the
     origin replaced by the unit-mass constraint (best conditioning: F peaks
     there)."""
-    if gm.which != "forward":
-        raise ValueError("linear solve expects the forward generator")
     grid = gm.grid
     a = gm.mat.copy()
     j0 = int(np.argmin(grid.radius2().ravel(order="C")))
@@ -279,23 +277,22 @@ def leading_eigenpair(gm: GeneratorMatrix):
 TAIL_FIT_POINTS = 8  # fewest nodes with F > 0 tail_exponent fits
 
 
-class TailWindowError(ValueError):
-    """The tail-fit window holds fewer than TAIL_FIT_POINTS nodes with F > 0:
-    the report record (name, measured = the usable nodes, tolerance)."""
+class TailFitError(ValueError):
+    """The tail fit failed one of its checks: the report record (name,
+    measured value, tolerance) that says which one."""
 
-    check = "tail-fit-window"
-
-    def __init__(self, usable: int):
-        super().__init__(f"tail-fit window contains fewer than {TAIL_FIT_POINTS} usable nodes")
-        self.measured, self.tolerance = usable, TAIL_FIT_POINTS
+    def __init__(self, check: str, measured: float, tolerance: float):
+        super().__init__(f"{check}: measured {measured:g}, tolerance {tolerance:g}")
+        self.check, self.measured, self.tolerance = check, float(measured), float(tolerance)
 
 
 def tail_exponent(F: Field, window: tuple[float, float] | None = None):
     """Least-squares slope of log F against log<x> on a radial window.
 
     Returns (a_hat, r_squared) with F ~ <x>^(-a_hat); the window defaults to
-    [L/4, 3L/4] and must contain at least TAIL_FIT_POINTS nodes with F > 0
-    (else TailWindowError).
+    [L/4, 3L/4].  Raises TailFitError "tail-fit-window" when it holds fewer
+    than TAIL_FIT_POINTS nodes with F > 0, and "tail-exponent" when
+    a_hat <= 0: a tail that does not decay, however well the line fits.
     """
     grid = F.grid
     if window is None:
@@ -306,7 +303,9 @@ def tail_exponent(F: Field, window: tuple[float, float] | None = None):
     mask = (r2 >= lo**2) & (r2 <= hi**2) & (vals > 0.0)
     usable = int(np.count_nonzero(mask))
     if usable < TAIL_FIT_POINTS:
-        raise TailWindowError(usable)
+        raise TailFitError("tail-fit-window", usable, TAIL_FIT_POINTS)
     lx = 0.5 * np.log1p(r2[mask])  # log <x>
     slope, _, r2fit = line_fit(lx, np.log(vals[mask]))
+    if not -slope > 0.0:
+        raise TailFitError("tail-exponent", -slope, 0.0)
     return float(-slope), r2fit

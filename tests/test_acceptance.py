@@ -326,11 +326,11 @@ def test_criterion_7_polynomial_envelope():
 def test_criterion_9_harris_machinery():
     grid = build_grid(1, 20.0, 256)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature")
-    adj = assemble_generator_matrix(grid, cfg, "adjoint")
-    ly = lyapunov_check(adj, [1.0], 0.5)
+    gm = assemble_generator_matrix(grid, cfg)
+    ly = lyapunov_check(gm, [1.0], 0.5)
     lam_w = 1.0 / ly["c"]
-    gb1 = harris_contraction(adj, 1.0, 0.5, lam_w)
-    gb05 = harris_contraction(adj, 0.5, 0.5, lam_w)
+    gb1 = harris_contraction(gm, 1.0, 0.5, lam_w)
+    gb05 = harris_contraction(gm, 0.5, 0.5, lam_w)
     a1, a05 = -math.log(gb1), -math.log(gb05)
     ok = (
         ly["gamma"][1.0] < 1.0

@@ -191,7 +191,7 @@ BATCH_BODY = "d = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\nsuite = evolve\nh
     ("drift = sideways", "unknown drift"),
     ("splitting = yoshida", "unknown splitting"),
     ("diffusion_solver = cg", "unknown diffusion solver"),
-    ("cfl = 2", "cfl"),
+    ("cfl = 2", "unknown config key 'cfl'"),
     ("dt = 5", "CFL"),
     ("dt = -0.01", "CFL"),
 ])
@@ -274,6 +274,47 @@ def test_short_tail_window_is_a_fail_record(tmp_path, capsys):
     report = (tmp_path / "a" / "report.txt").read_text().splitlines()
     assert "tail-fit-window: measured=4 predicted=- tol=8 -> FAIL" in report
     assert any(line.startswith("nash-chain-constant:") for line in report)
+
+
+def test_negative_tail_exponent_is_a_fail_record(tmp_path, capsys):
+    # centered drift on a coarse 2d grid: the steady state's tail grows
+    # outward, so the fit's r^2 = 1 would be a false pass
+    p = write_cfg(tmp_path, "name = grow\nd = 2\nL = 8\nn = 8\nalpha = 0.8\ngamma = 3\nk = 0.3\n"
+                            "p = 1.1\ndrift = centered\nsuite = steady\n")
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    capsys.readouterr()
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    record = next(line for line in report if line.startswith("tail-exponent: "))
+    assert float(record.split("measured=")[1].split()[0]) < 0.0
+    assert record.endswith("tol=0 -> FAIL")
+    assert not any(line.startswith("tail-fit-quality:") for line in report)
+    assert any(line.startswith("route-agreement-L1:") for line in report)
+
+
+def test_all_suite_assembles_one_generator(tmp_path, monkeypatch):
+    # the steady and rates suites share one dense generator, and the rates
+    # suite's two checks share its one semigroup
+    built, expms = [], []
+    assemble, expm = fracfp.cli.assemble_generator_matrix, fracfp.rates.expm
+
+    def counting_assemble(*args):
+        built.append(assemble(*args))
+        return built[-1]
+
+    def counting_expm(a):
+        expms.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(fracfp.cli, "assemble_generator_matrix", counting_assemble)
+    monkeypatch.setattr(fracfp.rates, "expm", counting_expm)
+    cfg = ScenarioConfig(name="all", d=1, L=10.0, n=64, alpha=1.0, gamma=2.0, k=0.5,
+                         method="quadrature", suite="all", horizon=8.0)
+    report = run_scenario(cfg, tmp_path / "o")
+    names = [r.name for r in report.records]
+    for name in ("route-agreement-L1", "leading-eigenvalue", "lyapunov-gamma1", "harris-contraction"):
+        assert name in names
+    assert len(built) == 1 and not built[0].mat.flags.writeable
+    assert expms == [(64, 64)]
 
 
 def test_float_printing_roundtrip(tmp_path, tiny_cfg_text):
@@ -506,8 +547,7 @@ def test_breakdown_is_a_fail_record(tmp_path, capsys, monkeypatch):
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().out.strip().endswith("FAIL")
     report = (tmp_path / "o" / "report.txt").read_text().splitlines()
-    dt = fracfp.evolution.auto_dt(build_grid(1, 10.0, 64), OperatorConfig(1.0, 2.0),
-                                  fracfp.evolution.SchemeConfig())
+    dt = fracfp.evolution.auto_dt(build_grid(1, 10.0, 64), OperatorConfig(1.0, 2.0))
     record = next(line for line in report if line.startswith("evolve-mass-drift:"))
     assert record.endswith(f"tol=9.9999999999999995e-07 -> FAIL at step 1 (t={'%.17g' % dt})")
     assert report[-1] == "FAIL"

@@ -50,7 +50,7 @@ def test_diffusion_substep_multiplier_exact():
 def test_step_cfl_violation_raises():
     g = build_grid(1, 20.0, 128)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0)
-    limit = auto_dt(g, cfg, SchemeConfig())
+    limit = auto_dt(g, cfg)
     with pytest.raises(ValueError, match="CFL"):
         step(normalized_gaussian(g), cfg, SchemeConfig(dt=2.0 * limit))
 
@@ -61,7 +61,7 @@ def test_cauchy_near_stationarity_one_step():
     f = Field(g, 1.0 / (np.pi * (1.0 + g.axis**2)))
     sch = SchemeConfig()
     out = step(f, cfg, sch)
-    dt = auto_dt(g, cfg, sch)
+    dt = auto_dt(g, cfg)
     bulk = np.abs(g.axis) <= 36.0
     # one-step change tracks dt * (bulk generator residual), upwind-dominated
     assert np.max(np.abs(out.values - f.values)[bulk]) < 6.5e-3 * dt
@@ -252,7 +252,7 @@ def test_viscosity_cutoff_force_sign():
     g = build_grid(1, 30.0, 512)
     eps = 0.1
     chi = radial_cutoff(g, eps).values
-    e = make_force(2.0)(g.axis)
+    e = make_force(2.0).components((g.axis,))[0]
     grad_chi = np.gradient(chi, g.h)
     assert np.max(e * grad_chi) <= 1e-12
 

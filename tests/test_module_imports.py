@@ -1,8 +1,8 @@
-"""Static checks on the fracfp sources: imports between modules, and settings
-that some caller actually sets."""
+"""Static checks on the fracfp sources: imports between modules, settings
+that some caller actually sets, and the remaining branches on the dimension."""
 
 import ast
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fracfp"
@@ -110,3 +110,51 @@ def test_every_setting_is_set_by_some_caller():
         if name not in read:
             found.append(f"ScenarioConfig.{name} is never read in cli.py")
     assert not found, "\n".join(found)
+
+
+# (module, function, why it still branches on the dimension), once per
+# comparison of d with 1 or 2; every other operator is dimension-generic
+D_FORKS = [
+    ("cli", "_suite_steady", "the Cauchy density is the closed form at alpha = 1 in 1d only"),
+    ("evolution", "__init__", "_Stepper's 1d rfft/irfft pair skips rfftn's argument handling"),
+    ("functionals", "field_bank", "seeded bank: 1d Gaussian profiles, 2d shifted Gaussians"),
+    ("functionals", "field_bank", "seeded bank: 1d cosine modes, 2d tensor modes"),
+    ("operators", "_self_cell", "1d exact radial moment, 2d polar angle quadrature"),
+    ("operators", "cell_tables", "1d product-integration hats, 2d Gauss-Legendre cells"),
+    ("operators", "_fold_kernel", "1d exact image masses, 2d Gauss-Legendre image lattice"),
+    ("operators", "get_stencil", "1d hat at z = 0 and cumulative sums, 2d self-cell moment"),
+    ("operators", "fraclap_of_weight", "the analytic-exterior reference quadrature is 1d"),
+    ("rates", "harris_bank", "seeded bank: 1d cosine modes, 2d tensor modes"),
+]
+
+
+def _is_d(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "d") or (
+        isinstance(node, ast.Attribute) and node.attr == "d")
+
+
+def _forks(node, where: str) -> list:
+    """The enclosing function name (innermost) of each comparison of d with
+    an int constant under node."""
+    if isinstance(node, ast.FunctionDef):
+        where = node.name
+    out = []
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        if any(map(_is_d, sides)) and any(
+                isinstance(x, ast.Constant) and type(x.value) is int for x in sides):
+            out.append(where)
+    for child in ast.iter_child_nodes(node):
+        out += _forks(child, where)
+    return out
+
+
+def test_every_dimension_fork_is_listed():
+    """A new comparison of d with a constant (a parallel 1d / 2d branch)
+    fails here until it is listed in D_FORKS with its reason; a removed one
+    must leave the list too."""
+    found = Counter((path.stem, fn) for path in sorted(PACKAGE.glob("*.py"))
+                    for fn in _forks(_parse(path), "<module>"))
+    listed = Counter((mod, fn) for mod, fn, _ in D_FORKS)
+    assert found == listed, (f"unlisted: {sorted((found - listed).elements())}; "
+                             f"stale: {sorted((listed - found).elements())}")

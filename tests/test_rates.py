@@ -200,37 +200,35 @@ def test_weighted_opnorm_estimator_p2():
 
 
 @pytest.fixture(scope="module")
-def adjoint_256():
+def generator_256():
     g = build_grid(1, 20.0, 256)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature")
-    return assemble_generator_matrix(g, cfg, "adjoint")
+    return assemble_generator_matrix(g, cfg)
 
 
-def test_lyapunov_envelope(adjoint_256):
-    rep = lyapunov_check(adjoint_256, [0.5, 1.0], 0.5)
+def test_lyapunov_envelope(generator_256):
+    rep = lyapunov_check(generator_256, [0.5, 1.0], 0.5)
     assert rep["a"] > 0.0
     assert rep["gamma"][1.0] < 1.0
     assert all(rep["envelope_ok"].values())
     # t = 0 is trivially feasible with gamma = 1, c = 0
-    rep0 = lyapunov_check(adjoint_256, [0.0], 0.5)
+    rep0 = lyapunov_check(generator_256, [0.0], 0.5)
     assert rep0["gamma"][0.0] <= 1.0 + 1e-12
 
 
-def test_lyapunov_drift_at_origin(adjoint_256):
+def test_lyapunov_drift_at_origin(generator_256):
     # Lambda^* m at the node nearest 0 is the pure jump action (E(0) = 0)
-    g = adjoint_256.grid
+    g = generator_256.grid
     m = weight_field(g, 0.5).values
-    z = adjoint_256.mat @ m
+    z = generator_256.mat.T @ m
     i0 = np.argmin(np.abs(g.axis))
     assert np.isfinite(z[i0])
     assert z[i0] > 0.0  # the weight is subharmonic at its minimum
 
 
-def test_harris_contraction_identity(adjoint_256):
-    g = adjoint_256.grid
-    ident = GeneratorMatrix(
-        grid=g, cfg=adjoint_256.cfg, which="adjoint", mat=np.zeros((256, 256))
-    )
+def test_harris_contraction_identity(generator_256):
+    g = generator_256.grid
+    ident = GeneratorMatrix(grid=g, cfg=generator_256.cfg, mat=np.zeros((256, 256)))
     assert harris_contraction(ident, 0.0, 0.5, 0.4) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -243,17 +241,17 @@ def test_harris_rank_one_averaging():
         assert harris_seminorm(avg, m_lam) == 0.0
 
 
-def test_harris_contraction_below_one(adjoint_256):
-    ly = lyapunov_check(adjoint_256, [1.0], 0.5)
-    gb = harris_contraction(adjoint_256, 1.0, 0.5, 1.0 / ly["c"])
+def test_harris_contraction_below_one(generator_256):
+    ly = lyapunov_check(generator_256, [1.0], 0.5)
+    gb = harris_contraction(generator_256, 1.0, 0.5, 1.0 / ly["c"])
     assert gb < 1.0
 
 
-def test_harris_subadditivity(adjoint_256):
-    ly = lyapunov_check(adjoint_256, [1.0], 0.5)
+def test_harris_subadditivity(generator_256):
+    ly = lyapunov_check(generator_256, [1.0], 0.5)
     lam_w = 1.0 / ly["c"]
-    gb1 = harris_contraction(adjoint_256, 1.0, 0.5, lam_w)
-    gb05 = harris_contraction(adjoint_256, 0.5, 0.5, lam_w)
+    gb1 = harris_contraction(generator_256, 1.0, 0.5, lam_w)
+    gb05 = harris_contraction(generator_256, 0.5, 0.5, lam_w)
     assert -np.log(gb1) >= -2.0 * np.log(gb05) - 0.05
 
 
@@ -262,12 +260,12 @@ def pairwise_seminorm(phi, m_lam):
     return float(np.max(np.abs(phi[:, None] - phi[None, :]) / (m_lam[:, None] + m_lam[None, :])))
 
 
-def test_seminorm_shift_identity(adjoint_256):
+def test_seminorm_shift_identity(generator_256):
     # the seminorm is the distance of phi to the constants in the
     # m_lam^{-1}-weighted sup norm; the constant c = max(phi - s m_lam) attains it
-    g = adjoint_256.grid
+    g = generator_256.grid
     m_lam = 1.0 + 0.4 * g.bracket() ** 0.5
-    pt = semigroup(adjoint_256, 0.5)
+    pt = semigroup(generator_256, 0.5)
     for phi in harris_bank(g, 0.5, 0.4, count=10):
         for psi in (phi, pt @ phi):
             s = harris_seminorm(psi, m_lam)
@@ -293,16 +291,16 @@ def test_seminorm_matches_the_pairwise_formula():
             assert s == 0.0
 
 
-def test_one_semigroup_per_generator(adjoint_256):
-    pt = semigroup(adjoint_256, 1.0)
-    assert semigroup(adjoint_256, 1.0) is pt
+def test_one_semigroup_per_generator(generator_256):
+    pt = semigroup(generator_256, 1.0)
+    assert semigroup(generator_256, 1.0) is pt
     assert not pt.flags.writeable
 
 
 def test_harris_guard_size():
     g = build_grid(1, 20.0, 2048)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature")
-    gm = assemble_generator_matrix(g, cfg, "adjoint")
+    gm = assemble_generator_matrix(g, cfg)
     with pytest.raises(ValueError):
         harris_contraction(gm, 1.0, 0.5, 0.4)
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from fracfp import steady
-from fracfp.evolution import SchemeConfig, StepFailure, _Stepper, auto_dt
+from fracfp.evolution import StepFailure, _Stepper, auto_dt
 from fracfp.grid import Field, build_grid, integrate, normalized_gaussian
 from fracfp.operators import ForceField, OperatorConfig, assemble_generator_matrix
 from fracfp.steady import (
@@ -216,7 +216,7 @@ def test_evolution_route_failure_counts_steps_along_the_route(monkeypatch):
     g = build_grid(1, 10.0, 64)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="spectral")
     advance, calls = _Stepper.advance, [0]
-    chunk = int(np.ceil(1.0 / auto_dt(g, cfg, SchemeConfig()) - 1e-9))
+    chunk = int(np.ceil(1.0 / auto_dt(g, cfg) - 1e-9))
     fail_at = 2 * chunk + 4  # in the third chunk
 
     def drifting(self, v):
@@ -238,7 +238,7 @@ def test_evolution_route_horizon_error(monkeypatch):
         steady_by_evolution(g, cfg, tol=1e-12)
     exc = info.value
     assert exc.check == "horizon" and exc.tolerance == 1e-12 < exc.measured
-    dt = auto_dt(g, cfg, SchemeConfig())
+    dt = auto_dt(g, cfg)
     assert exc.step == 3 * int(np.ceil(1.0 / dt - 1e-9)) and exc.t == exc.step * dt
 
 
@@ -297,6 +297,16 @@ def test_tail_exponent_window_guard():
     F = Field(g, np.exp(-g.axis**2))
     with pytest.raises(ValueError):
         tail_exponent(F, window=(4.9, 5.0))
+
+
+def test_tail_exponent_rejects_a_growing_tail():
+    # an exact power law fits with r^2 = 1 whatever its sign; F ~ <x>^(+1) does not decay
+    g = build_grid(1, 10.0, 64)
+    with pytest.raises(steady.TailFitError) as info:
+        tail_exponent(Field(g, g.bracket()))
+    exc = info.value
+    assert exc.check == "tail-exponent" and exc.tolerance == 0.0
+    assert exc.measured == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_steady_positivity_weighted_floor(small_setup):
