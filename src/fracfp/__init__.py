@@ -15,7 +15,7 @@ from fracfp.operators import (
     quadrature_fraclap,
     spectral_fraclap,
 )
-from fracfp.evolution import SchemeConfig, Trajectory, evolve, step
+from fracfp.evolution import SchemeConfig, Trajectory, evolve
 
 __all__ = [
     "Grid",
@@ -31,7 +31,6 @@ __all__ = [
     "generator_apply",
     "SchemeConfig",
     "Trajectory",
-    "step",
     "evolve",
 ]
 

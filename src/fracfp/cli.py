@@ -34,7 +34,7 @@ from fracfp.operators import (
     make_force,
     verify_force_hypotheses,
 )
-from fracfp.evolution import SchemeConfig, StepFailure, Trajectory, evolve, step_size
+from fracfp.evolution import POSITIVITY_FLOOR, SchemeConfig, StepFailure, Trajectory, evolve, step_size
 from fracfp.functionals import (
     carre_du_champ,
     field_bank,
@@ -78,7 +78,6 @@ class ScenarioConfig:
     p: float = 2.0
     method: str = "spectral"
     drift: str = "upwind"
-    splitting: str = "strang"
     diffusion_solver: str = "exact-spectral"
     dt: float | None = None
     horizon: float = 10.0
@@ -100,7 +99,6 @@ class ScenarioConfig:
     def scheme(self) -> SchemeConfig:
         return SchemeConfig(
             dt=self.dt,
-            splitting=self.splitting,
             diffusion_solver=self.diffusion_solver,
             monitor_weight=self.k,
         )
@@ -259,7 +257,7 @@ def _suite_evolve(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> No
     artifacts["trajectory"] = tr
     drift = float(np.max(np.abs(tr.mass / tr.mass[0] - 1.0)))
     report.add("mass-conservation", drift, 1e-8, drift <= 1e-8)
-    floor = -1e-12 * float(np.max(f0.values))
+    floor = -POSITIVITY_FLOOR * float(np.max(f0.values))
     report.add("positivity-floor", float(tr.min_value.min()), abs(floor), tr.min_value.min() >= floor)
     hyp = verify_force_hypotheses(make_force(cfg.gamma), cfg.gamma, grid)
     report.add(

@@ -1,22 +1,22 @@
-"""Time integration of d/dt f = Lambda f by operator splitting.
+"""Time integration of d/dt f = Lambda f by Strang splitting.
 
 The drift substep is an explicit conservative flux-form update (CFL-limited;
 upwind Heun by default, Lax-Wendroff when the operator asks for centered
 drift), precomposed into one sparse banded matrix (drift_step_matrix), so a
 substep is one matvec.  For upwind that matrix is (I + P @ P)/2 with
 P = I + tau*D >= 0 under the CFL bound: a column-stochastic matrix, so
-positivity and mass survive the substep.  The jump substep is a Fourier
-multiplier: the exact spectral exp(-(2 pi |xi|)^alpha dt) (unconditionally
+positivity and mass survive the substep.  The jump substep is one
+fourier_multiply: the exact spectral exp(-(2 pi |xi|)^alpha dt) (unconditionally
 stable, exactly mass preserving) or backward Euler with the periodized
 quadrature circulant, an FFT divide by 1 - dt*lambda_k (lambda_k:
 quadrature_symbol).  That M-matrix inverse is a column-stochastic kernel, so
-positivity and mass hold to FFT roundoff at any grid size.  Strang ordering
-is half-drift / full-jump / half-drift.
+positivity and mass hold to FFT roundoff at any grid size.  A step is
+half-drift / full-jump / half-drift (the drift matrix at tau = dt/2).
 
 The step loop works on raw ndarrays: Field validation happens at the API
-boundary (the initial field, snapshots, the result of ``step``).  ``evolve``
+boundary (the initial field and the snapshots).  ``evolve``, the one entry,
 steps a C-contiguous stack of shape (lanes, *grid.shape): one sparse product
-per drift substep and one batched rfft/irfft pair per jump substep serve
+per drift substep and one batched fourier_multiply per jump substep serve
 every lane, and the monitors reduce each lane over its trailing axes, so
 every lane is bit for bit the field a single-lane run computes.  Without a
 path the stack has one lane.  With a path (the unit-time states that
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -52,6 +52,7 @@ from fracfp.operators import (
     drift_matrix,
     drift_step_matrix,
     far_kernel,
+    fourier_multiply,
     get_stencil,
     laplacian_matrix,
     max_drift_speed,
@@ -68,7 +69,6 @@ __all__ = [
     "Trajectory",
     "auto_dt",
     "step_size",
-    "step",
     "evolve",
     "StepFailure",
     "viscosity_step",
@@ -83,16 +83,13 @@ POSITIVITY_FLOOR = 1e-12  # times ||f0||_inf
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Splitting scheme parameters."""
+    """Strang splitting parameters."""
 
     dt: float | None = None  # None: auto_dt
-    splitting: str = "strang"  # {"lie", "strang"}
     diffusion_solver: str = "exact-spectral"  # or "implicit-matrix"
     monitor_weight: float = 0.5  # weight exponent k for the L^p(m) monitors
 
     def __post_init__(self):
-        if self.splitting not in ("lie", "strang"):
-            raise ValueError(f"unknown splitting {self.splitting!r}")
         if self.diffusion_solver not in ("exact-spectral", "implicit-matrix"):
             raise ValueError(f"unknown diffusion solver {self.diffusion_solver!r}")
 
@@ -154,24 +151,17 @@ def _implicit_factor(grid: Grid, alpha: float, dt: float) -> np.ndarray:
 
 
 class _Stepper:
-    """Per-run state of the split step, all on raw arrays: the multiplier and
-    FFT pair of the jump substep, and the sparse matrix of the drift substep.
-    ``advance`` takes one field or a (lanes, *grid.shape) stack."""
+    """Per-run state of the Strang step, all on raw arrays: the Fourier
+    multiplier of the jump substep and the sparse matrix of the half-step
+    drift substep.  ``advance`` takes one field or a (lanes, *grid.shape)
+    stack."""
 
     def __init__(self, grid: Grid, cfg: OperatorConfig, scheme: SchemeConfig):
         self.dt = step_size(grid, cfg, scheme)
-        self.strang = scheme.splitting == "strang"
-        tau = 0.5 * self.dt if self.strang else self.dt
-        self.drift = drift_step_matrix(grid, cfg.force_field(), cfg.drift, tau)
+        self.drift = drift_step_matrix(grid, cfg.force_field(), cfg.drift, 0.5 * self.dt)
         multiplier = (_diffusion_multiplier if scheme.diffusion_solver == "exact-spectral"
                       else _implicit_factor)
         self.mult = multiplier(grid, cfg.alpha, self.dt)
-        # the 1d pair skips rfftn's argument handling, about 5% of a step;
-        # both transform the trailing grid axes, lane by lane
-        self.rfft, self.irfft = (
-            (np.fft.rfft, partial(np.fft.irfft, n=grid.n)) if grid.d == 1
-            else (np.fft.rfft2, partial(np.fft.irfft2, s=grid.shape))
-        )
 
     def _drift(self, values: np.ndarray) -> np.ndarray:
         # one product D @ X.T for all lanes (a single lane: one matvec), made
@@ -182,13 +172,8 @@ class _Stepper:
             return (self.drift @ flat[0]).reshape(values.shape)
         return np.ascontiguousarray((self.drift @ flat.T).T).reshape(values.shape)
 
-    def _diffuse(self, values: np.ndarray) -> np.ndarray:
-        return self.irfft(self.mult * self.rfft(values))
-
     def advance(self, values: np.ndarray) -> np.ndarray:
-        if self.strang:
-            return self._drift(self._diffuse(self._drift(values)))
-        return self._diffuse(self._drift(values))
+        return self._drift(fourier_multiply(self._drift(values), self.mult))
 
 
 class StepFailure(FloatingPointError):
@@ -215,15 +200,6 @@ class StepFailure(FloatingPointError):
 
 def _step_count(T: float, dt: float) -> int:
     return int(math.ceil(T / dt - 1e-9))
-
-
-def step(f: Field, cfg: OperatorConfig, scheme: SchemeConfig) -> Field:
-    """One splitting step of size scheme.dt (or the CFL-automatic step)."""
-    st = _Stepper(f.grid, cfg, scheme)
-    out = st.advance(f.values)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("time step produced non-finite values")
-    return f.with_values(out)
 
 
 def evolve(
@@ -368,7 +344,7 @@ def evolve(
         l2m=mon[5],
         linfm=mon[3],
         entropy=mon[6] if ref_inv is not None else None,
-        meta={"dt": dt, "nsteps": nsteps, "scheme": scheme, "cfg": cfg},
+        meta={"dt": dt, "nsteps": nsteps},
     )
 
 

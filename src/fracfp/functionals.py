@@ -377,6 +377,23 @@ def nash_chain_check(bank, p: float, k: float, cfg: OperatorConfig):
 # ---------------------------------------------------------------------------
 
 
+def cosine_noise(grid: Grid, rng: np.random.Generator, modes: int, decay: float,
+                 phase_axis: int) -> np.ndarray:
+    """Seeded band-limited noise: the sum over mode tuples m in {1..modes}^d
+    of N(0,1) e^{-|m|_1/decay} prod_a cos(pi m_a x_a / L), a U(0, 2 pi)
+    phase added on axis phase_axis (the normal draw first, then the phase)."""
+    xs = grid.coords()
+    prof = np.zeros(grid.shape)
+    for m in itertools.product(range(1, modes + 1), repeat=grid.d):
+        term = rng.standard_normal() * np.exp(-sum(m) / decay)
+        phase = rng.uniform(0, 2 * np.pi)
+        for a, (ma, x) in enumerate(zip(m, xs)):
+            arg = np.pi * ma * x / grid.L
+            term = term * np.cos(arg + phase if a == phase_axis else arg)
+        prof += term
+    return prof
+
+
 def field_bank(grid: Grid, count: int = 20, seed: int = 20260810) -> list:
     """Seeded bank of smooth decaying fields: Gaussians, bumps, band-limited noise."""
     rng = np.random.default_rng(seed)
@@ -389,34 +406,15 @@ def field_bank(grid: Grid, count: int = 20, seed: int = 20260810) -> list:
         if kind == 0:
             s = widths[(i // 3) % len(widths)]
             shift = (i % 5 - 2) * L / 10.0
-            if grid.d == 1:
-                prof = np.exp(-((grid.axis - shift) ** 2) / s**2)
-            else:
-                X, Y = grid.coords()
-                prof = np.exp(-(((X - shift) ** 2) + Y**2) / s**2)
+            x0, *rest = grid.coords()
+            prof = np.exp(-sum((x**2 for x in rest), (x0 - shift) ** 2) / s**2)
         elif kind == 1:
             w = L / 3.0 + (i % 4) * L / 10.0
             prof = np.clip(1.0 - r2 / w**2, 0.0, None) ** 3
         else:
-            envelope = np.exp(-r2 / (L / 3.0) ** 2)
-            if grid.d == 1:
-                x = grid.axis
-                prof = np.zeros_like(x)
-                for mode in range(1, 9):
-                    amp = rng.standard_normal() * np.exp(-mode / 3.0)
-                    phase = rng.uniform(0, 2 * np.pi)
-                    prof += amp * np.cos(np.pi * mode * x / L + phase)
-                prof *= envelope
-            else:
-                X, Y = grid.coords()
-                prof = np.zeros_like(X)
-                for m1 in range(1, 4):
-                    for m2 in range(1, 4):
-                        amp = rng.standard_normal() * np.exp(-(m1 + m2) / 3.0)
-                        prof += amp * np.cos(np.pi * m1 * X / L) * np.cos(
-                            np.pi * m2 * Y / L + rng.uniform(0, 2 * np.pi)
-                        )
-                prof *= envelope
+            # about 8 modes in all (8 in 1d, 3 x 3 in 2d), the phase on the last axis
+            prof = cosine_noise(grid, rng, round(8 ** (1 / grid.d)), 3.0, grid.d - 1)
+            prof *= np.exp(-r2 / (L / 3.0) ** 2)
         top = np.max(np.abs(prof))
         fields.append(Field(grid, prof / top if top > 0 else prof))
     return fields

@@ -9,8 +9,8 @@ asymptotic statements.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from fracfp.grid import Field, Grid, line_fit, smooth_indicator, weight_field
 from fracfp.operators import GeneratorMatrix, OperatorConfig, readonly
 from fracfp.evolution import auto_dt, evolve
-from fracfp.functionals import signed_power, weighted_norm
+from fracfp.functionals import cosine_noise, signed_power, weighted_norm
 
 __all__ = [
     "RateReport",
@@ -386,35 +386,26 @@ def harris_bank(grid: Grid, k: float, lambda_w: float, count: int = 50) -> list:
     out = [m_lam, -m_lam]
     for c in grid.coords():
         out.append(c.copy())
-    L = grid.L
     while len(out) < count:
-        if grid.d == 1:
-            x = grid.axis
-            prof = np.zeros_like(x)
-            for mode in range(1, 11):
-                prof += rng.standard_normal() * np.exp(-mode / 4.0) * np.cos(
-                    np.pi * mode * x / L + rng.uniform(0, 2 * np.pi)
-                )
-        else:
-            X, Y = grid.coords()
-            prof = np.zeros_like(X)
-            for m1 in range(1, 4):
-                for m2 in range(1, 4):
-                    prof += rng.standard_normal() * np.exp(-(m1 + m2) / 4.0) * np.cos(
-                        np.pi * m1 * X / L + rng.uniform(0, 2 * np.pi)
-                    ) * np.cos(np.pi * m2 * Y / L)
-        out.append(prof)
+        # about 10 modes in all (10 in 1d, 3 x 3 in 2d), the phase on axis 0
+        out.append(cosine_noise(grid, rng, round(10 ** (1 / grid.d)), 4.0, 0))
     return out[:count]
 
 
-@lru_cache(maxsize=4)
+# generator -> {t: P_t}; an entry goes with its generator
+_SEMIGROUPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def semigroup(gm: GeneratorMatrix, t: float) -> np.ndarray:
     """Read-only dense P_t = e^{t Lambda^*}, Lambda^* = gm.mat.T, once per
-    (gm, t) for lyapunov_check and harris_contraction; grids above
-    HARRIS_MAX_SIZE nodes raise."""
+    (gm, t) for lyapunov_check and harris_contraction, and kept only while gm
+    lives; grids above HARRIS_MAX_SIZE nodes raise."""
     if gm.size > HARRIS_MAX_SIZE:
         raise ValueError(f"dense semigroup expm restricted to n^d <= {HARRIS_MAX_SIZE}")
-    return readonly(expm(gm.mat.T * t))
+    by_t = _SEMIGROUPS.setdefault(gm, {})
+    if t not in by_t:
+        by_t[t] = readonly(expm(gm.mat.T * t))
+    return by_t[t]
 
 
 def harris_contraction(gm: GeneratorMatrix, t: float, k: float, lambda_w: float) -> float:

@@ -240,10 +240,13 @@ def _convergence_run(alpha, gamma, L, n, T=12.0):
     grid = build_grid(1, L, n)
     cfg = OperatorConfig(alpha=alpha, gamma=gamma, method="spectral")
     scheme = SchemeConfig(monitor_weight=0.5)
-    F = steady_by_evolution(grid, cfg, scheme, tol=1e-8).field
+    ss = steady_by_evolution(grid, cfg, scheme, tol=1e-8)
+    F = ss.field
     f0 = normalized_gaussian(grid)
     times = np.linspace(1.0, T, int(2 * T) + 1)
-    tr = evolve(f0, T, cfg, scheme, output_times=times, reference=F)
+    # the steady route ran from the same f0 with the same scheme: its path
+    # replays the first unit chunks as lanes, certified bit for bit
+    tr = evolve(f0, T, cfg, scheme, output_times=times, reference=F, path=ss.path)
     ts = np.array(tr.times)
     diffs = np.array(
         [weighted_norm(Field(grid, s.values - F.values), 1.0, 0.5) for s in tr.snapshots]

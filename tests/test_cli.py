@@ -189,7 +189,7 @@ BATCH_BODY = "d = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\nsuite = evolve\nh
 @pytest.mark.parametrize("line,match", [
     ("method = foo", "unknown method"),
     ("drift = sideways", "unknown drift"),
-    ("splitting = yoshida", "unknown splitting"),
+    ("splitting = yoshida", "unknown config key 'splitting'"),
     ("diffusion_solver = cg", "unknown diffusion solver"),
     ("cfl = 2", "unknown config key 'cfl'"),
     ("dt = 5", "CFL"),

@@ -19,7 +19,6 @@ from fracfp.evolution import (
     duhamel_residual,
     evolve,
     radial_cutoff,
-    step,
     viscosity_generator_apply,
     viscosity_step,
 )
@@ -33,18 +32,19 @@ def normalized_gaussian(grid, s2=1.0):
 def test_step_zero_field():
     g = build_grid(1, 10.0, 64)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0)
-    out = step(Field(g, np.zeros(64)), cfg, SchemeConfig())
+    out = evolve(Field(g, np.zeros(64)), auto_dt(g, cfg), cfg).snapshots[-1]
     assert np.all(out.values == 0.0)
 
 
 def test_diffusion_substep_multiplier_exact():
-    # E = 0: one step multiplies a single Fourier mode by exp(sym * dt)
+    # E = 0: one step multiplies a single Fourier mode by exp(sym * dt) and
+    # keeps the constant mode, which carries the mass evolve checks
     g = build_grid(1, np.pi, 64)
     zero_force = ForceField(2.0, func=lambda x: 0.0 * x)
     cfg = OperatorConfig(alpha=1.0, method="spectral", force=zero_force)
-    mode = Field(g, np.cos(g.axis))
-    out = step(mode, cfg, SchemeConfig(dt=0.05))
-    assert np.max(np.abs(out.values - np.exp(-0.05) * mode.values)) < 1e-14
+    mode = np.cos(g.axis)
+    out = evolve(Field(g, 1.0 + mode), 0.05, cfg, SchemeConfig(dt=0.05)).snapshots[-1]
+    assert np.max(np.abs(out.values - (1.0 + np.exp(-0.05) * mode))) < 1e-14
 
 
 def test_step_cfl_violation_raises():
@@ -52,16 +52,15 @@ def test_step_cfl_violation_raises():
     cfg = OperatorConfig(alpha=1.0, gamma=2.0)
     limit = auto_dt(g, cfg)
     with pytest.raises(ValueError, match="CFL"):
-        step(normalized_gaussian(g), cfg, SchemeConfig(dt=2.0 * limit))
+        evolve(normalized_gaussian(g), 2.0 * limit, cfg, SchemeConfig(dt=2.0 * limit))
 
 
 def test_cauchy_near_stationarity_one_step():
     g = build_grid(1, 40.0, 2048)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="spectral")
     f = Field(g, 1.0 / (np.pi * (1.0 + g.axis**2)))
-    sch = SchemeConfig()
-    out = step(f, cfg, sch)
     dt = auto_dt(g, cfg)
+    out = evolve(f, dt, cfg).snapshots[-1]
     bulk = np.abs(g.axis) <= 36.0
     # one-step change tracks dt * (bulk generator residual), upwind-dominated
     assert np.max(np.abs(out.values - f.values)[bulk]) < 6.5e-3 * dt
@@ -126,13 +125,12 @@ def two_stage_drift(f, cfg, tau):
 
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
 @pytest.mark.parametrize("drift", ["upwind", "centered"])
-@pytest.mark.parametrize("splitting", ["lie", "strang"])
+@pytest.mark.parametrize("splitting", ["strang"])  # the one splitting
 def test_drift_substep_matrix_is_two_stage_formula(d, n, drift, splitting):
     g = build_grid(d, 8.0, n)
     cfg = OperatorConfig(alpha=1.0, gamma=2.5, drift=drift)
-    scheme = SchemeConfig(splitting=splitting)
-    st = _Stepper(g, cfg, scheme)
-    tau = st.dt if splitting == "lie" else 0.5 * st.dt
+    st = _Stepper(g, cfg, SchemeConfig())
+    tau = 0.5 * st.dt  # half a step on each side of the jump substep
     rng = np.random.default_rng(21)
     f = Field(g, np.exp(-g.radius2() / 4.0) * (1.0 + 0.5 * rng.random(g.shape)))
     ref = two_stage_drift(f, cfg, tau)
@@ -370,22 +368,22 @@ def test_evolve_raises_on_mass_drift(monkeypatch):
 # ------------------------------------------------------- replayed lanes
 
 
-def _steady_path(d, drift, splitting, solver):
+def _steady_path(d, drift, solver):
     from fracfp.steady import steady_by_evolution
 
     g = build_grid(d, 8.0, 64 if d == 1 else 16)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, drift=drift)
-    scheme = SchemeConfig(splitting=splitting, diffusion_solver=solver)
+    scheme = SchemeConfig(diffusion_solver=solver)
     ss = steady_by_evolution(g, cfg, scheme, tol=1e-3, f0=normalized_gaussian(g))
     return g, cfg, scheme, ss
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("drift", ["upwind", "centered"])
-@pytest.mark.parametrize("splitting", ["lie", "strang"])
+@pytest.mark.parametrize("splitting", ["strang"])  # the one splitting
 @pytest.mark.parametrize("solver", ["exact-spectral", "implicit-matrix"])
 def test_evolve_on_a_path_is_the_single_lane_run(d, drift, splitting, solver, monkeypatch):
-    g, cfg, scheme, ss = _steady_path(d, drift, splitting, solver)
+    g, cfg, scheme, ss = _steady_path(d, drift, solver)
     f0 = normalized_gaussian(g)
     ref = normalized_gaussian(g, s2=16.0)
     assert len(ss.path) >= 4 and not ss.path.flags.writeable
@@ -409,7 +407,7 @@ def test_evolve_on_a_path_is_the_single_lane_run(d, drift, splitting, solver, mo
 
 
 def test_evolve_rejects_a_foreign_path():
-    g, cfg, scheme, ss = _steady_path(1, "upwind", "strang", "exact-spectral")
+    g, cfg, scheme, ss = _steady_path(1, "upwind", "exact-spectral")
     f0 = normalized_gaussian(g)
     with pytest.raises(ValueError, match=r"path\[0\] is not f0"):
         evolve(normalized_gaussian(g, s2=2.0), 3.0, cfg, scheme, path=ss.path)
@@ -419,7 +417,7 @@ def test_evolve_rejects_a_foreign_path():
         with pytest.raises(ValueError, match="path"):
             evolve(f0, 3.0, cfg, scheme, path=bent)
     # a path made with another scheme does not replay
-    other = SchemeConfig(splitting="lie")
+    other = SchemeConfig(diffusion_solver="implicit-matrix")
     with pytest.raises(ValueError, match="does not end on path state 1"):
         evolve(f0, 3.0, cfg, other, path=ss.path)
 
@@ -439,7 +437,7 @@ def _spoil(kind):
 def test_replayed_lane_failure_reports_the_earliest_step(kind, monkeypatch):
     from fracfp.evolution import StepFailure
 
-    g, cfg, scheme, ss = _steady_path(1, "upwind", "strang", "exact-spectral")
+    g, cfg, scheme, ss = _steady_path(1, "upwind", "exact-spectral")
     chunk = _Stepper(g, cfg, scheme)
     chunk = int(np.ceil(1.0 / chunk.dt - 1e-9))
     # lane 3 fails first in loop order, lanes 1 and 2 together later, and

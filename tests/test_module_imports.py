@@ -116,15 +116,11 @@ def test_every_setting_is_set_by_some_caller():
 # comparison of d with 1 or 2; every other operator is dimension-generic
 D_FORKS = [
     ("cli", "_suite_steady", "the Cauchy density is the closed form at alpha = 1 in 1d only"),
-    ("evolution", "__init__", "_Stepper's 1d rfft/irfft pair skips rfftn's argument handling"),
-    ("functionals", "field_bank", "seeded bank: 1d Gaussian profiles, 2d shifted Gaussians"),
-    ("functionals", "field_bank", "seeded bank: 1d cosine modes, 2d tensor modes"),
     ("operators", "_self_cell", "1d exact radial moment, 2d polar angle quadrature"),
     ("operators", "cell_tables", "1d product-integration hats, 2d Gauss-Legendre cells"),
     ("operators", "_fold_kernel", "1d exact image masses, 2d Gauss-Legendre image lattice"),
     ("operators", "get_stencil", "1d hat at z = 0 and cumulative sums, 2d self-cell moment"),
     ("operators", "fraclap_of_weight", "the analytic-exterior reference quadrature is 1d"),
-    ("rates", "harris_bank", "seeded bank: 1d cosine modes, 2d tensor modes"),
 ]
 
 
@@ -158,3 +154,18 @@ def test_every_dimension_fork_is_listed():
     listed = Counter((mod, fn) for mod, fn, _ in D_FORKS)
     assert found == listed, (f"unlisted: {sorted((found - listed).elements())}; "
                              f"stale: {sorted((listed - found).elements())}")
+
+
+def test_only_evolve_constructs_the_stepper():
+    """evolve is the one time-stepping entry: no other code in the package
+    builds a _Stepper of its own."""
+    found, in_evolve = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        ok = {id(call) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) == ("evolution", "evolve")
+              for call in _calls_by_name([fn])["_Stepper"]}
+        in_evolve += len(ok)
+        found += [f"{path.name}:{call.lineno} constructs _Stepper"
+                  for call in _calls_by_name([tree])["_Stepper"] if id(call) not in ok]
+    assert in_evolve == 1 and not found, "\n".join(found)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -295,6 +297,16 @@ def test_one_semigroup_per_generator(generator_256):
     pt = semigroup(generator_256, 1.0)
     assert semigroup(generator_256, 1.0) is pt
     assert not pt.flags.writeable
+
+
+def test_semigroup_does_not_outlive_its_generator():
+    g = build_grid(1, 10.0, 32)
+    gm = assemble_generator_matrix(g, OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature"))
+    harris_contraction(gm, 0.5, 0.5, 0.4)
+    alive = weakref.ref(gm)
+    del gm
+    gc.collect()
+    assert alive() is None
 
 
 def test_harris_guard_size():
