@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fracfp.grid import Field, Grid, build_grid, integrate, normalized_gaussian
+from fracfp.grid import CheckFailure, Field, Grid, build_grid, integrate, normalized_gaussian
 from fracfp.operators import (
     MAX_DENSE,
     GeneratorMatrix,
@@ -34,7 +34,7 @@ from fracfp.operators import (
     make_force,
     verify_force_hypotheses,
 )
-from fracfp.evolution import POSITIVITY_FLOOR, SchemeConfig, StepFailure, Trajectory, evolve, step_size
+from fracfp.evolution import POSITIVITY_FLOOR, SchemeConfig, Trajectory, evolve, step_size
 from fracfp.functionals import (
     carre_du_champ,
     field_bank,
@@ -45,11 +45,8 @@ from fracfp.functionals import (
     threshold_p_gamma,
     weighted_norm,
 )
-from fracfp.rates import HARRIS_MAX_SIZE, MIN_FIT_POINTS, decay_fit, harris_contraction, lyapunov_check
+from fracfp.rates import HARRIS_MAX_SIZE, decay_fit, harris_contraction, lyapunov_check
 from fracfp.steady import (
-    EigenpairError,
-    HorizonError,
-    TailFitError,
     closed_form_equilibrium,
     leading_eigenpair,
     steady_by_evolution,
@@ -174,6 +171,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         step_size(cfg.grid(), cfg.operator(), cfg.scheme())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not cfg.p > 1.0:
+        raise ConfigError(f"p = {cfg.p} must exceed 1: the checks use its conjugate p / (p - 1)")
     kmax = min(cfg.alpha, 1.0)
     if not 0.0 < cfg.k < kmax:
         raise ConfigError(
@@ -209,7 +208,7 @@ class Record:
     predicted: float | None
     tolerance: float
     passed: bool
-    at: tuple | None = None  # (step, t) where a numerical breakdown stopped the suite
+    at: tuple | None = None  # (step, t) where a time-stepping check failed
 
     def line(self) -> str:
         pred = "-" if self.predicted is None else FMT % self.predicted
@@ -230,6 +229,11 @@ class RunReport:
         self.records.append(
             Record(name, float(measured), predicted, float(tolerance), bool(passed))
         )
+
+    def fail(self, exc: CheckFailure, prefix: str = "") -> None:
+        """The FAIL record of a failed check, with its step and t when it has a step."""
+        at = None if exc.step is None else (exc.step, exc.t)
+        self.records.append(Record(prefix + exc.check, exc.measured, None, exc.tolerance, False, at))
 
     @property
     def overall_pass(self) -> bool:
@@ -279,9 +283,9 @@ def _suite_steady(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> No
 
     try:
         a_hat, r2 = tail_exponent(ss_ev.field)
-    except TailFitError as exc:
+    except CheckFailure as exc:
         # the failed check is the record, in place of tail-fit-quality
-        report.add(exc.check, exc.measured, exc.tolerance, False)
+        report.fail(exc)
     else:
         report.add("tail-fit-quality", r2, 0.9, r2 > 0.9)
         artifacts["tail_exponent"] = a_hat
@@ -297,9 +301,9 @@ def _suite_steady(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> No
         report.add("route-agreement-L1", gap_routes, tol_routes, gap_routes <= tol_routes)
         try:
             lam, vec, gap = leading_eigenpair(gm)
-        except EigenpairError as exc:
+        except CheckFailure as exc:
             # the failed check is the record; a pair that failed it has no eigen records
-            report.add(exc.check, exc.measured, exc.tolerance, False)
+            report.fail(exc)
         else:
             scale = float(np.abs(gm.mat).max())
             report.add("leading-eigenvalue", abs(lam), 1e-8 * scale, abs(lam) <= 1e-8 * scale, 0.0)
@@ -346,24 +350,23 @@ def _suite_rates(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> Non
     )
     floor = max(1e-12, 50.0 * diffs.min())
     keep = diffs > floor
-    if keep.sum() < MIN_FIT_POINTS:
+    ts = np.array(tr.times)[keep]
+    try:
+        if cfg.gamma >= 2.0:
+            rep = decay_fit(ts, diffs[keep])
+            rate_rows.append(("exponential-L1m", rep))
+            report.add("exponential-rate-positive", rep.fitted, 0.0, rep.fitted > 0.0)
+            report.add("exponential-fit-quality", rep.r2, 0.98, rep.r2 > 0.98)
+        else:
+            k_bar = (cfg.k_bar if cfg.k_bar is not None
+                     else min(0.9 * min(cfg.alpha, 1.0), 2.0 * cfg.k))
+            predicted = (k_bar - cfg.k) / abs(2.0 - cfg.gamma)
+            rep = decay_fit(ts, diffs[keep], model="polynomial", predicted=predicted)
+            rate_rows.append(("polynomial-envelope", rep))
+            report.add("polynomial-envelope-respected", rep.fitted, predicted, rep.passed, predicted)
+    except CheckFailure as exc:
         # the distance to equilibrium reached its floor too early for a fit
-        report.add("rate-fit-window", keep.sum(), MIN_FIT_POINTS, False)
-    elif cfg.gamma >= 2.0:
-        rep = decay_fit(np.array(tr.times)[keep], diffs[keep])
-        rate_rows.append(("exponential-L1m", rep))
-        report.add("exponential-rate-positive", rep.fitted, 0.0, rep.fitted > 0.0)
-        report.add("exponential-fit-quality", rep.r2, 0.98, rep.r2 > 0.98)
-    else:
-        k_bar = cfg.k_bar if cfg.k_bar is not None else min(0.9 * min(cfg.alpha, 1.0), 2.0 * cfg.k)
-        predicted = (k_bar - cfg.k) / abs(2.0 - cfg.gamma)
-        rep = decay_fit(
-            np.array(tr.times)[keep], diffs[keep], model="polynomial", predicted=predicted
-        )
-        rate_rows.append(("polynomial-envelope", rep))
-        report.add(
-            "polynomial-envelope-respected", rep.fitted, predicted, rep.passed, predicted
-        )
+        report.fail(exc)
     # entropy monitor along the run (reference attached above)
     ent = tr.entropy
     if ent is not None:
@@ -436,10 +439,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunR
         t0 = time.perf_counter()
         try:
             runners[name](cfg, report, artifacts)
-        except (StepFailure, HorizonError) as exc:
+        except CheckFailure as exc:
             # a numerical breakdown ends this suite with one FAIL record
-            report.records.append(Record(f"{name}-{exc.check}", float(exc.measured), None,
-                                         float(exc.tolerance), False, (exc.step, exc.t)))
+            report.fail(exc, f"{name}-")
         report.wall_times[name] = time.perf_counter() - t0
     emit_outputs(report, artifacts, Path(out_dir if out_dir is not None else cfg.out))
     return report
@@ -459,7 +461,7 @@ def emit_outputs(report: RunReport, artifacts: dict, out_dir: Path) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_monitors(artifacts.get("trajectory"), out_dir / "monitors.csv")
-        _write_steady(artifacts.get("steady"), out_dir / "steady.csv")
+        _write_steady(artifacts.get("steady"), report.scenario.d, out_dir / "steady.csv")
         _write_rates(artifacts.get("rates", []), out_dir / "rates.csv")
         _write_report(report, artifacts, out_dir / "report.txt")
     except OSError as exc:
@@ -477,14 +479,12 @@ def _write_monitors(tr: Trajectory | None, path: Path) -> None:
             fh.write(row % tuple(values.tolist()))
 
 
-def _write_steady(ss, path: Path) -> None:
-    if ss is None:
-        path.write_text("x,F\n", encoding="utf-8")
-        return
-    grid = ss.field.grid
-    rows = [",".join(["x", "y"][: grid.d] + ["F"])]
-    for pt, v in zip(grid.nodes(), ss.field.values.ravel(order="C")):
-        rows.append(_fmt_row([float(c) for c in pt] + [float(v)]))
+def _write_steady(ss, d: int, path: Path) -> None:
+    rows = [",".join(["x", "y"][:d] + ["F"])]
+    if ss is not None:
+        grid = ss.field.grid
+        for pt, v in zip(grid.nodes(), ss.field.values.ravel(order="C")):
+            rows.append(_fmt_row([float(c) for c in pt] + [float(v)]))
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

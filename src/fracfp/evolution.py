@@ -27,8 +27,10 @@ equality certifies the replay, and a path made from another start or
 scheme raises.  Each recorded step makes one pass of reductions into one
 preallocated monitor buffer; its mass sum doubles as the non-finite check
 (an inf or NaN entry makes the sum non-finite) and feeds the mass-drift
-check.  A lane that fails either check drops out with the lanes after it,
-and the earliest failing step overall is raised.
+check, (mass - mass0) / max(|mass0|, ||f0||_1), so a field of roundoff
+mass (one Fourier mode) drifts against its L1 norm.  A lane that fails
+either check drops out with the lanes after it, and the earliest failing
+step overall is raised as a CheckFailure.
 
 Also here: the viscosity-regularized generator (a validation mode with a
 truncated kernel, a cut-off force and an added eps*Laplacian), and the
@@ -44,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from fracfp.grid import Field, Grid, smooth_indicator, weight_field
+from fracfp.grid import CheckFailure, Field, Grid, smooth_indicator, weight_field
 from fracfp.operators import (
     OperatorConfig,
     _jump_matrix,  # not called here: perfbench/spans.py LAYERS patches this binding
@@ -70,7 +72,6 @@ __all__ = [
     "auto_dt",
     "step_size",
     "evolve",
-    "StepFailure",
     "viscosity_step",
     "radial_cutoff",
     "duhamel_residual",
@@ -176,28 +177,6 @@ class _Stepper:
         return self._drift(fourier_multiply(self._drift(values), self.mult))
 
 
-class StepFailure(FloatingPointError):
-    """evolve stopped at a step whose mass sum is not finite (check
-    "non-finite-values", measured = that sum, tolerance inf) or whose mass
-    drifted from the initial one by more than MASS_DRIFT_TOL (check
-    "mass-drift", measured = mass/mass0 - 1).  ``step`` counts from the start
-    of the run; steady_by_evolution shifts it to count along its route."""
-
-    def __init__(self, check: str, measured: float, tolerance: float, step: int, dt: float):
-        super().__init__(check, measured, tolerance, step, dt)
-        self.check, self.measured, self.tolerance = check, float(measured), float(tolerance)
-        self.step, self.dt = int(step), dt
-
-    @property
-    def t(self) -> float:
-        return self.step * self.dt
-
-    def __str__(self) -> str:
-        if self.check == "mass-drift":
-            return f"mass drifted by {self.measured:.3e} at t={self.t:g}"
-        return f"non-finite values at step {self.step} (t={self.t:g})"
-
-
 def _step_count(T: float, dt: float) -> int:
     return int(math.ceil(T / dt - 1e-9))
 
@@ -222,9 +201,11 @@ def evolve(
     j starts at step j * ceil(1/dt)).  The chunks whose start is in the path
     run side by side as lanes of one stack, and the result equals the
     single-lane run bit for bit.  ValueError when path[0] is not f0 or a
-    full chunk does not end exactly on the next path state.  StepFailure
-    (a FloatingPointError) at the earliest step whose mass sum is not finite
-    or whose mass drifted by more than MASS_DRIFT_TOL.
+    full chunk does not end exactly on the next path state.  CheckFailure at
+    the earliest step whose mass sum is not finite ("non-finite-values",
+    measured = that sum, tolerance inf) or whose mass drifted by more than
+    MASS_DRIFT_TOL ("mass-drift", measured = the drift), its step counted
+    from the start of the run.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
@@ -287,23 +268,27 @@ def evolve(
 
     v = np.array(path[:lanes])  # C-contiguous copy: the lanes' start states
     mass0 = record(v[:1], slice(0, 1))[0] * vol
+    # the drift's scale, max(|mass0|, ||f0||_1) (1 for f0 = 0); for f0 >= 0
+    # it is mass0 and rel0 is 1, so drift = mass / mass0 - 1
+    scale = max(abs(mass0), np.abs(v[:1]).sum(axis=axes).tolist()[0] * vol) or 1.0
+    rel0 = mass0 / scale
     snaps = {0: f0.with_values(v[0].copy())} if 0 in want else {}
     failure = None
     lo, hi, i = 0, lanes, 0  # live lanes lo..hi-1, i steps into each
     # an overflow or invalid operation leaves a non-finite sum, which the
-    # check below turns into a StepFailure
+    # check below turns into a CheckFailure
     with np.errstate(over="ignore", invalid="ignore"):
         while lo < hi:
             i += 1
             v = st.advance(v)
             k = base[lo] + i  # step of lane lo
             for j, s in enumerate(record(v, slice(k, k + (hi - lo - 1) * chunk + 1, chunk))):
-                drift = s * vol / mass0 - 1.0 if mass0 != 0.0 else 0.0
+                drift = s * vol / scale - rel0
                 # any inf or NaN entry makes the sum non-finite
                 if not math.isfinite(s):
-                    failure = StepFailure("non-finite-values", s, math.inf, k + j * chunk, dt)
+                    failure = CheckFailure("non-finite-values", s, math.inf, k + j * chunk, dt)
                 elif abs(drift) > MASS_DRIFT_TOL:
-                    failure = StepFailure("mass-drift", drift, MASS_DRIFT_TOL, k + j * chunk, dt)
+                    failure = CheckFailure("mass-drift", drift, MASS_DRIFT_TOL, k + j * chunk, dt)
                 else:
                     continue
                 # the lanes from j on start after this failure

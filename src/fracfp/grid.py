@@ -7,8 +7,9 @@ jump kernel away from zero offsets.  All quadrature is the midpoint rule,
 integral(u) ~ sum(u) * h^d.
 
 Weights are powers of the Japanese bracket <x> = sqrt(1 + |x|^2).  Also here,
-helpers shared across modules: the Gaussian probe density, the smoothstep
-radial cutoff and the least-squares line fit.
+what every module shares: CheckFailure, the one exception a numerical check
+raises (the CLI turns it into a FAIL record), the Gaussian probe density, the
+smoothstep radial cutoff and the least-squares line fit.
 """
 
 from __future__ import annotations
@@ -17,8 +18,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "Field", "build_grid", "weight_field", "integrate",
+__all__ = ["CheckFailure", "Grid", "Field", "build_grid", "weight_field", "integrate",
            "normalized_gaussian", "smooth_indicator", "line_fit"]
+
+
+class CheckFailure(ArithmeticError):
+    """A numerical check failed: its name, the measured value against the
+    tolerance, and for a time-stepping check the step it stopped at (with
+    the step size dt, so t = step * dt).  The CLI writes it as one FAIL
+    record; input errors stay ValueError."""
+
+    def __init__(self, check: str, measured: float, tolerance: float,
+                 step: int | None = None, dt: float | None = None):
+        super().__init__(check, measured, tolerance, step, dt)
+        self.check, self.measured, self.tolerance = check, float(measured), float(tolerance)
+        self.step, self.dt = step, dt
+
+    @property
+    def t(self) -> float:
+        return self.step * self.dt
+
+    def __str__(self) -> str:
+        where = "" if self.step is None else f" at step {self.step} (t={self.t:g})"
+        return f"{self.check}: measured {self.measured:g}, tolerance {self.tolerance:g}{where}"
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from fracfp.grid import Field, Grid, line_fit, smooth_indicator, weight_field
+from fracfp.grid import CheckFailure, Field, Grid, line_fit, smooth_indicator, weight_field
 from fracfp.operators import GeneratorMatrix, OperatorConfig, readonly
 from fracfp.evolution import auto_dt, evolve
 from fracfp.functionals import cosine_noise, signed_power, weighted_norm
@@ -77,7 +77,8 @@ def decay_fit(
     Exponential: log v against t; polynomial: log v against log <t>.  When a
     predicted exponent is supplied, the verdict compares the series against
     the predicted model anchored at the first window point (upper bound with
-    relative slack ENVELOPE_TOL); otherwise against its own fit.
+    relative slack ENVELOPE_TOL); otherwise against its own fit.  CheckFailure
+    "rate-fit-window" when the window holds under MIN_FIT_POINTS points.
     """
     if model not in ("exponential", "polynomial"):
         raise ValueError(f"unknown decay model {model!r}")
@@ -89,7 +90,7 @@ def decay_fit(
         mask = (ts >= window[0]) & (ts <= window[1])
         ts, values = ts[mask], values[mask]
     if len(ts) < MIN_FIT_POINTS:
-        raise ValueError(f"need at least {MIN_FIT_POINTS} points in the fit window, got {len(ts)}")
+        raise CheckFailure("rate-fit-window", len(ts), MIN_FIT_POINTS)
     if ts[-1] <= ts[0]:
         raise ValueError("degenerate fit window")
     x = ts if model == "exponential" else 0.5 * np.log1p(ts**2)
@@ -437,7 +438,8 @@ def lyapunov_check(gm: GeneratorMatrix, t_samples, k: float) -> dict:
     Fits (a, b) from the generator inequality Lambda^* m <= b - a m (a is 90%
     of the worst outer-region ratio, b the resulting envelope max) and then
     verifies the semigroup envelope nodewise at each sampled t.  gm is the
-    generator; Lambda^* is its transpose.
+    generator; Lambda^* is its transpose.  CheckFailure "lyapunov-drift-rate"
+    (measured = a, tolerance 0) when a <= 0: Lambda^* m is not pushed down.
     """
     grid = gm.grid
     m = weight_field(grid, k).values.ravel(order="C")
@@ -445,7 +447,7 @@ def lyapunov_check(gm: GeneratorMatrix, t_samples, k: float) -> dict:
     outer = (grid.radius2() >= (grid.L / 2.0) ** 2).ravel(order="C")
     a = 0.9 * float(np.min(-z[outer] / m[outer]))
     if a <= 0.0:
-        raise ArithmeticError("no positive drift rate: Lambda^* m is not pushed down")
+        raise CheckFailure("lyapunov-drift-rate", a, 0.0)
     b = float(np.max(z + a * m))
     c = b / a
     out = {"a": a, "b": b, "c": c, "gamma": {}, "envelope_ok": {}, "k": k}

@@ -18,6 +18,8 @@ bordered matrix, so it stays an independent check of the reduced one.
 For the quadratic-potential drift E = x the equilibrium is explicit in
 Fourier space: F^(xi) = exp(-(2 pi |xi|)^alpha / alpha); at alpha = 1 this is
 the Cauchy density 1/(pi(1 + x^2)) in one dimension.
+
+A route that breaks down raises grid.CheckFailure, named after the check.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import reduce
 import numpy as np
 from scipy import linalg as _la
 
-from fracfp.grid import Field, Grid, integrate, line_fit, normalized_gaussian
+from fracfp.grid import CheckFailure, Field, Grid, integrate, line_fit, normalized_gaussian
 from fracfp.operators import (
     GeneratorMatrix,
     OperatorConfig,
@@ -38,13 +40,10 @@ from fracfp.operators import (
     generator_apply,
     readonly,
 )
-from fracfp.evolution import SchemeConfig, StepFailure, evolve
+from fracfp.evolution import SchemeConfig, evolve
 
 __all__ = [
-    "EigenpairError",
-    "HorizonError",
     "SteadyState",
-    "TailFitError",
     "closed_form_equilibrium",
     "steady_by_evolution",
     "steady_by_linear_solve",
@@ -76,21 +75,6 @@ class SteadyState:
 
 
 HORIZON_CAP = 400.0  # steady_by_evolution gives up after this much evolution time
-
-
-class HorizonError(RuntimeError):
-    """steady_by_evolution reached HORIZON_CAP: the last L1 increment
-    (measured) against tol, at the route's last step and its time."""
-
-    check = "horizon"
-
-    def __init__(self, measured: float, tolerance: float, step: int, t: float, cfg: OperatorConfig):
-        super().__init__(
-            f"no stationary state within horizon {HORIZON_CAP} for "
-            f"(alpha={cfg.alpha}, gamma={cfg.gamma}); the pair sits outside the "
-            "verified convergence regime or tol is too tight"
-        )
-        self.measured, self.tolerance, self.step, self.t = measured, tolerance, step, t
 
 
 def _finalize(grid: Grid, values: np.ndarray, route: str) -> Field:
@@ -127,10 +111,11 @@ def steady_by_evolution(
     """Evolve a probe density until ||f(t + 1) - f(t)||_{L^1} < tol.
 
     Requires gamma > 2 - alpha (no equilibrium is claimed outside that
-    range); non-convergence within HORIZON_CAP raises HorizonError with the
-    offending parameter pair, and a failed step the StepFailure of evolve,
-    its step counted from the start of the route.  The result keeps the
-    chunk-start states as ``path``.
+    range).  Raises CheckFailure "horizon" when HORIZON_CAP passes first
+    (measured = the last L1 increment, tolerance = tol), and passes on the
+    CheckFailure of a failed evolve step; both count their step from the
+    start of the route.  The result keeps the chunk-start states as
+    ``path``.
     """
     if not cfg.gamma > 2.0 - cfg.alpha:
         raise ValueError(
@@ -146,7 +131,7 @@ def steady_by_evolution(
     while t < HORIZON_CAP:
         try:
             tr = evolve(cur, 1.0, cfg, scheme)
-        except StepFailure as exc:
+        except CheckFailure as exc:
             exc.step += steps  # count along the route, not within the chunk
             raise
         nxt = tr.snapshots[-1]
@@ -160,7 +145,7 @@ def steady_by_evolution(
             res = float(np.max(np.abs(generator_apply(field, cfg).values)))
             return SteadyState(field=field, route="evolution", residual=res,
                                path=readonly(np.stack(path)))
-    raise HorizonError(diff, tol, steps, steps * tr.meta["dt"], cfg)
+    raise CheckFailure("horizon", diff, tol, steps, tr.meta["dt"])
 
 
 def steady_by_linear_solve(gm: GeneratorMatrix) -> SteadyState:
@@ -184,15 +169,6 @@ SYMMETRY_TOL = 1e-12  # an axis reflection is a symmetry when it moves A by less
 # roundoff bound on the leading pair: ||A v - lambda v||_inf against max|A| ||v||_inf,
 # and the eigenvector's mass against its L1 norm
 RESIDUAL_TOL = 1e-10
-
-
-class EigenpairError(ArithmeticError):
-    """The leading eigenpair failed one of its checks: the report record
-    (name, measured value, tolerance) that says which one."""
-
-    def __init__(self, check: str, measured: float, tolerance: float):
-        super().__init__(f"{check}: measured {measured:g}, tolerance {tolerance:g}")
-        self.check, self.measured, self.tolerance = check, float(measured), float(tolerance)
 
 
 def _along(axis: int, index) -> tuple:
@@ -225,12 +201,13 @@ def leading_eigenpair(gm: GeneratorMatrix):
     matrix unchanged (to SYMMETRY_TOL); with none, the one block is the whole
     matrix.  The leading pair is the rightmost eigenvalue over all blocks, its
     eigenvector unfolded to the full grid, and the gap is taken over the
-    union of the block spectra.  Raises EigenpairError, in this order, when
+    union of the block spectra.  Raises CheckFailure, in this order, when
     the rightmost real part exceeds 1e-8 max|A| (an unstable generator: the
     tolerance of the leading-eigenvalue record), when the leading eigenvalue
     is complex beyond roundoff, when its eigenvector has zero mass, or when
     the pair misses ||A v - lambda v||_inf <= RESIDUAL_TOL max|A| ||v||_inf
-    on the full matrix.
+    on the full matrix: "spectral-abscissa", "leading-eigenvalue-real",
+    "eigenvector-mass" and "eigenpair-residual".
     """
     grid = gm.grid
     d = grid.d
@@ -254,9 +231,9 @@ def leading_eigenpair(gm: GeneratorMatrix):
             lead = (lam[k], vecs[:, k].reshape(shape), signs)
     lam, vec, signs = lead
     if lam.real > 1e-8 * scale:
-        raise EigenpairError("spectral-abscissa", lam.real, 1e-8 * scale)
+        raise CheckFailure("spectral-abscissa", lam.real, 1e-8 * scale)
     if abs(lam.imag) > 1e-8 * scale:
-        raise EigenpairError("leading-eigenvalue-real", abs(lam.imag), 1e-8 * scale)
+        raise CheckFailure("leading-eigenvalue-real", abs(lam.imag), 1e-8 * scale)
     vec = vec.real
     for a, s in zip(axes, signs):
         vec = np.concatenate([vec, s * np.flip(vec, a)], axis=a)
@@ -264,11 +241,11 @@ def leading_eigenpair(gm: GeneratorMatrix):
     mass = float(np.sum(vec) * grid.cell_volume)
     l1 = float(np.sum(np.abs(vec)) * grid.cell_volume)
     if abs(mass) <= RESIDUAL_TOL * l1:
-        raise EigenpairError("eigenvector-mass", abs(mass), RESIDUAL_TOL * l1)
+        raise CheckFailure("eigenvector-mass", abs(mass), RESIDUAL_TOL * l1)
     vec = vec / mass
     resid = float(np.abs(gm.mat @ vec - lam.real * vec).max() / np.abs(vec).max())
     if resid > RESIDUAL_TOL * scale:
-        raise EigenpairError("eigenpair-residual", resid, RESIDUAL_TOL * scale)
+        raise CheckFailure("eigenpair-residual", resid, RESIDUAL_TOL * scale)
     reals = np.sort(np.concatenate(spectra))
     gap = float(lam.real - reals[-2])
     return float(lam.real), Field(grid, vec.reshape(grid.shape)), gap
@@ -277,20 +254,11 @@ def leading_eigenpair(gm: GeneratorMatrix):
 TAIL_FIT_POINTS = 8  # fewest nodes with F > 0 tail_exponent fits
 
 
-class TailFitError(ValueError):
-    """The tail fit failed one of its checks: the report record (name,
-    measured value, tolerance) that says which one."""
-
-    def __init__(self, check: str, measured: float, tolerance: float):
-        super().__init__(f"{check}: measured {measured:g}, tolerance {tolerance:g}")
-        self.check, self.measured, self.tolerance = check, float(measured), float(tolerance)
-
-
 def tail_exponent(F: Field, window: tuple[float, float] | None = None):
     """Least-squares slope of log F against log<x> on a radial window.
 
     Returns (a_hat, r_squared) with F ~ <x>^(-a_hat); the window defaults to
-    [L/4, 3L/4].  Raises TailFitError "tail-fit-window" when it holds fewer
+    [L/4, 3L/4].  Raises CheckFailure "tail-fit-window" when it holds fewer
     than TAIL_FIT_POINTS nodes with F > 0, and "tail-exponent" when
     a_hat <= 0: a tail that does not decay, however well the line fits.
     """
@@ -303,9 +271,9 @@ def tail_exponent(F: Field, window: tuple[float, float] | None = None):
     mask = (r2 >= lo**2) & (r2 <= hi**2) & (vals > 0.0)
     usable = int(np.count_nonzero(mask))
     if usable < TAIL_FIT_POINTS:
-        raise TailFitError("tail-fit-window", usable, TAIL_FIT_POINTS)
+        raise CheckFailure("tail-fit-window", usable, TAIL_FIT_POINTS)
     lx = 0.5 * np.log1p(r2[mask])  # log <x>
     slope, _, r2fit = line_fit(lx, np.log(vals[mask]))
     if not -slope > 0.0:
-        raise TailFitError("tail-exponent", -slope, 0.0)
+        raise CheckFailure("tail-exponent", -slope, 0.0)
     return float(-slope), r2fit

@@ -20,9 +20,8 @@ from fracfp.cli import (
     run_scenario,
     validate_config,
 )
-from fracfp.grid import Field, build_grid
+from fracfp.grid import CheckFailure, Field, build_grid
 from fracfp.operators import OperatorConfig
-from fracfp.steady import EigenpairError
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -204,7 +203,8 @@ def test_scheme_and_operator_keys_are_config_errors(tmp_path, capsys, line, matc
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("line,suite", [("horizon = 0", "evolve"), ("seed = -1", "inequalities")])
+@pytest.mark.parametrize("line,suite", [("horizon = 0", "evolve"), ("seed = -1", "inequalities"),
+                                        ("p = 1", "inequalities"), ("p = 0.5", "inequalities")])
 def test_horizon_and_seed_are_config_errors(tmp_path, capsys, line, suite):
     p = write_cfg(tmp_path, f"name = v\nd = 1\nL = 10\nn = 64\nsuite = {suite}\n{line}\n")
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -444,7 +444,7 @@ def test_nonpositive_steady_state_is_no_poincare_weight(tmp_path, capsys):
 
 def test_failed_eigenpair_is_a_fail_record(tmp_path, capsys, monkeypatch):
     def failing_eigenpair(gm):
-        raise EigenpairError("leading-eigenvalue-real", 0.5, 1e-7)
+        raise CheckFailure("leading-eigenvalue-real", 0.5, 1e-7)
 
     monkeypatch.setattr(fracfp.cli, "leading_eigenpair", failing_eigenpair)
     p = write_cfg(
@@ -564,6 +564,30 @@ def test_breakdown_is_a_fail_record(tmp_path, capsys, monkeypatch):
     steps = 2 * int(np.ceil(1.0 / dt - 1e-9))
     assert record.endswith(f"tol=1e-14 -> FAIL at step {steps} (t={'%.17g' % (steps * dt)})")
     assert report[-1] == "FAIL"
+
+
+def test_lyapunov_breakdown_is_a_fail_record(tmp_path, capsys):
+    # on a small box Lambda^* m is not pushed down in the outer region: no
+    # positive drift rate, one FAIL record, and the earlier rates records stay
+    p = write_cfg(tmp_path, "name = ly\nd = 2\nL = 2\nn = 8\nalpha = 1\ngamma = 2\nk = 0.25\n"
+                            "suite = rates\n")
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().out.strip().endswith("FAIL")
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    record = next(line for line in report if line.startswith("rates-lyapunov-drift-rate: "))
+    assert float(record.split("measured=")[1].split()[0]) == pytest.approx(-0.0196476116743, rel=1e-9)
+    assert record.endswith("predicted=- tol=0 -> FAIL")
+    for name in ("rate-fit-window", "entropy-nonincreasing"):
+        assert any(line.startswith(name + ": ") for line in report)
+    assert not any(line.startswith("harris-contraction: ") for line in report)
+    assert report[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("d,header", [(1, "x,F"), (2, "x,y,F")])
+def test_steady_csv_header_without_a_steady_state(tmp_path, d, header):
+    cfg = ScenarioConfig(name="h", d=d, L=10.0, n=16, suite="evolve", horizon=0.5)
+    run_scenario(cfg, tmp_path / "o")
+    assert (tmp_path / "o" / "steady.csv").read_text() == header + "\n"
 
 
 def test_monitors_csv_rows_are_the_formatted_columns(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import drift_reference as ref
-from fracfp.grid import Field, build_grid
+from fracfp.grid import CheckFailure, Field, build_grid
 from fracfp.operators import (
     ForceField,
     OperatorConfig,
@@ -350,8 +350,11 @@ def test_evolve_raises_on_non_finite_step():
     g = build_grid(1, 10.0, 128)
     f0 = Field(g, 1e308 * np.exp(-g.radius2()))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match="non-finite values at step 1"):
+        with pytest.raises(CheckFailure, match="^non-finite-values: .* at step 1 ") as info:
             evolve(f0, 0.5, OperatorConfig(alpha=1.0, gamma=2.0))
+    exc = info.value
+    assert exc.check == "non-finite-values" and exc.step == 1 and exc.tolerance == np.inf
+    assert not np.isfinite(exc.measured)
 
 
 def test_evolve_raises_on_mass_drift(monkeypatch):
@@ -361,8 +364,23 @@ def test_evolve_raises_on_mass_drift(monkeypatch):
     monkeypatch.setattr(_Stepper, "advance", lambda self, v: advance(self, v) * (1.0 + 1e-5))
     assert 1e-5 > MASS_DRIFT_TOL
     g = build_grid(1, 10.0, 128)
-    with pytest.raises(FloatingPointError, match="mass drifted by 1.000e-05 at t="):
+    with pytest.raises(CheckFailure, match="^mass-drift: measured 1e-05, tolerance 1e-06 at step 1 ") as info:
         evolve(normalized_gaussian(g), 0.5, OperatorConfig(alpha=1.0, gamma=2.0))
+    exc = info.value
+    assert exc.check == "mass-drift" and exc.tolerance == MASS_DRIFT_TOL and exc.step == 1
+    assert exc.measured == pytest.approx(1e-5, rel=1e-6)
+
+
+def test_evolve_carries_a_zero_mean_field():
+    # one Fourier mode has roundoff mass; its drift is measured against its
+    # L1 norm, so the run goes on and the mass stays at roundoff
+    g = build_grid(1, np.pi, 64)
+    f0 = Field(g, np.cos(g.axis))
+    l1 = np.sum(np.abs(f0.values)) * g.h
+    assert abs(np.sum(f0.values) * g.h) < 1e-15 and l1 == pytest.approx(4.0, rel=1e-3)
+    tr = evolve(f0, 0.5, OperatorConfig(alpha=1.0, gamma=2.0))
+    assert tr.monitor_t[-1] >= 0.5
+    assert np.max(np.abs(tr.mass - tr.mass[0])) <= 1e-6 * l1
 
 
 # ------------------------------------------------------- replayed lanes
@@ -435,8 +453,6 @@ def _spoil(kind):
 
 @pytest.mark.parametrize("kind", ["mass", "inf", "-inf", "nan", "pair"])
 def test_replayed_lane_failure_reports_the_earliest_step(kind, monkeypatch):
-    from fracfp.evolution import StepFailure
-
     g, cfg, scheme, ss = _steady_path(1, "upwind", "exact-spectral")
     chunk = _Stepper(g, cfg, scheme)
     chunk = int(np.ceil(1.0 / chunk.dt - 1e-9))
@@ -455,14 +471,15 @@ def test_replayed_lane_failure_reports_the_earliest_step(kind, monkeypatch):
 
     monkeypatch.setattr(_Stepper, "advance", spoiled)
     f0 = normalized_gaussian(g)
-    with pytest.raises(StepFailure) as info:
+    with pytest.raises(CheckFailure) as info:
         evolve(f0, len(ss.path) - 0.5, cfg, scheme, path=ss.path)
     exc = info.value
     assert exc.step == chunk + 5
     assert exc.t == exc.step * exc.dt
     if kind == "mass":
         assert exc.check == "mass-drift" and exc.tolerance == 1e-6
-        assert str(exc).startswith("mass drifted by 1.000e-05 at t=")
+        assert exc.measured == pytest.approx(1e-5, rel=1e-6)
     else:
         assert exc.check == "non-finite-values" and not np.isfinite(exc.measured)
-        assert str(exc) == f"non-finite values at step {chunk + 5} (t={exc.t:g})"
+    assert str(exc) == (f"{exc.check}: measured {exc.measured:g}, tolerance {exc.tolerance:g}"
+                        f" at step {chunk + 5} (t={exc.t:g})")

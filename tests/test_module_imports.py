@@ -1,5 +1,6 @@
 """Static checks on the fracfp sources: imports between modules, settings
-that some caller actually sets, and the remaining branches on the dimension."""
+that some caller actually sets, the remaining branches on the dimension and
+the exception classes."""
 
 import ast
 from collections import Counter, defaultdict
@@ -169,3 +170,16 @@ def test_only_evolve_constructs_the_stepper():
         found += [f"{path.name}:{call.lineno} constructs _Stepper"
                   for call in _calls_by_name([tree])["_Stepper"] if id(call) not in ok]
     assert in_evolve == 1 and not found, "\n".join(found)
+
+
+def test_two_exception_classes():
+    """A failed numerical check raises grid.CheckFailure, which the CLI turns
+    into a FAIL record, and a bad config cli.ConfigError; no module defines a
+    failure type of its own."""
+    found = sorted(
+        f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(b, "id", getattr(b, "attr", "")).endswith(("Error", "Exception", "Failure"))
+            for b in node.bases))
+    assert found == ["cli.ConfigError", "grid.CheckFailure"]

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fracfp.grid import Field, build_grid, weight_field
+from fracfp.grid import CheckFailure, Field, build_grid, weight_field
 from fracfp.operators import GeneratorMatrix, OperatorConfig, assemble_generator_matrix
 from fracfp.evolution import evolve
 from fracfp.rates import (
@@ -52,8 +52,10 @@ def test_decay_fit_upper_bound_semantics():
 
 
 def test_decay_fit_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckFailure) as info:
         decay_fit([1, 2, 3], [1.0, 0.5, 0.2])  # too few points
+    exc = info.value
+    assert (exc.check, exc.measured, exc.tolerance, exc.step) == ("rate-fit-window", 3, 10, None)
     ts = np.linspace(1, 5, 20)
     with pytest.raises(ValueError):
         decay_fit(ts, -np.ones(20))

@@ -3,11 +3,10 @@ import pytest
 import scipy.linalg
 
 from fracfp import steady
-from fracfp.evolution import StepFailure, _Stepper, auto_dt
-from fracfp.grid import Field, build_grid, integrate, normalized_gaussian
+from fracfp.evolution import _Stepper, auto_dt
+from fracfp.grid import CheckFailure, Field, build_grid, integrate, normalized_gaussian
 from fracfp.operators import ForceField, OperatorConfig, assemble_generator_matrix
 from fracfp.steady import (
-    EigenpairError,
     closed_form_equilibrium,
     leading_eigenpair,
     steady_by_evolution,
@@ -177,7 +176,7 @@ def test_eigenpair_residual_certificate(monkeypatch):
 
     gm = _eig_case("2d-upwind")
     monkeypatch.setattr(steady._la, "eig", perturbed_eig)
-    with pytest.raises(EigenpairError, match="eigenpair-residual") as exc:
+    with pytest.raises(CheckFailure, match="eigenpair-residual") as exc:
         leading_eigenpair(gm)
     assert exc.value.measured > exc.value.tolerance == steady.RESIDUAL_TOL * np.abs(gm.mat).max()
 
@@ -224,7 +223,7 @@ def test_evolution_route_failure_counts_steps_along_the_route(monkeypatch):
         return advance(self, v) * (1.0 + 1e-5 * (calls[0] == fail_at))
 
     monkeypatch.setattr(_Stepper, "advance", drifting)
-    with pytest.raises(StepFailure) as info:
+    with pytest.raises(CheckFailure) as info:
         steady_by_evolution(g, cfg, tol=1e-9)
     assert info.value.check == "mass-drift"
     assert info.value.step == fail_at
@@ -234,12 +233,13 @@ def test_evolution_route_horizon_error(monkeypatch):
     g = build_grid(1, 10.0, 64)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="spectral")
     monkeypatch.setattr(steady, "HORIZON_CAP", 3.0)
-    with pytest.raises(steady.HorizonError, match="no stationary state") as info:
+    with pytest.raises(CheckFailure, match="^horizon: ") as info:
         steady_by_evolution(g, cfg, tol=1e-12)
     exc = info.value
     assert exc.check == "horizon" and exc.tolerance == 1e-12 < exc.measured
     dt = auto_dt(g, cfg)
     assert exc.step == 3 * int(np.ceil(1.0 / dt - 1e-9)) and exc.t == exc.step * dt
+    assert exc.dt == dt
 
 
 def test_steady_requires_confinement():
@@ -295,14 +295,17 @@ def test_tail_exponent_computed_stable_tail():
 def test_tail_exponent_window_guard():
     g = build_grid(1, 10.0, 64)
     F = Field(g, np.exp(-g.axis**2))
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckFailure) as info:
         tail_exponent(F, window=(4.9, 5.0))
+    exc = info.value
+    assert exc.check == "tail-fit-window" and exc.tolerance == steady.TAIL_FIT_POINTS
+    assert exc.measured < exc.tolerance and exc.step is None
 
 
 def test_tail_exponent_rejects_a_growing_tail():
     # an exact power law fits with r^2 = 1 whatever its sign; F ~ <x>^(+1) does not decay
     g = build_grid(1, 10.0, 64)
-    with pytest.raises(steady.TailFitError) as info:
+    with pytest.raises(CheckFailure) as info:
         tail_exponent(Field(g, g.bracket()))
     exc = info.value
     assert exc.check == "tail-exponent" and exc.tolerance == 0.0
