@@ -24,13 +24,28 @@ steady_by_evolution visited from the same f0, ``SteadyState.path``) every
 unit chunk whose start state is known runs as its own lane, side by side,
 and each full chunk must end bit for bit on the next path state: that
 equality certifies the replay, and a path made from another start or
-scheme raises.  Each recorded step makes one pass of reductions into one
-preallocated monitor buffer; its mass sum doubles as the non-finite check
+scheme raises.
+
+Reflection fold.  An odd force field (E(-x) = -E(x) along an axis) maps
+fields even along that axis to even fields.  The stepper finds the axes
+whose reflection leaves its drift substep matrix exactly unchanged, and
+evolve folds the run onto those along which f0, the path, the weight and
+the entropy reference are exactly even as well: the stack holds the first
+half of each folded axis, the drift substep is the matrix's even block
+(rows on the half, each column added to its mirror image) and the jump
+substep is a DCT-II multiply there (fourier_multiply).  Sums over the half
+count each node 2^s times for s folded axes; snapshots and path states are
+unfolded.  A field with no even axis steps exactly as without the fold.
+
+Monitors.  Each step's stack is copied into a preallocated block of
+MONITOR_BLOCK_BYTES, and one pass of reductions serves the whole block: at
+block ends, at chunk ends and at the last step.  The reductions are those of
+a per-step pass, bit for bit.  The mass sum doubles as the non-finite check
 (an inf or NaN entry makes the sum non-finite) and feeds the mass-drift
-check, (mass - mass0) / max(|mass0|, ||f0||_1), so a field of roundoff
-mass (one Fourier mode) drifts against its L1 norm.  A lane that fails
-either check drops out with the lanes after it, and the earliest failing
-step overall is raised as a CheckFailure.
+check, (mass - mass0) / max(|mass0|, ||f0||_1), so a field of roundoff mass
+(one Fourier mode) drifts against its L1 norm.  A lane that fails either
+check drops out with the lanes after it, and the earliest failing step
+overall is raised as a CheckFailure.
 
 Also here: the viscosity-regularized generator (a validation mode with a
 truncated kernel, a cut-off force and an added eps*Laplacian), and the
@@ -44,9 +59,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 
-from fracfp.grid import CheckFailure, Field, Grid, smooth_indicator, weight_field
+from fracfp.grid import CheckFailure, Field, Grid, smooth_indicator, unfold, weight_field
 from fracfp.operators import (
     OperatorConfig,
     _jump_matrix,  # not called here: perfbench/spans.py LAYERS patches this binding
@@ -80,6 +96,7 @@ __all__ = [
 MASS_DRIFT_TOL = 1e-6
 CFL = 0.9  # the automatic step is CFL * h / max|E|
 POSITIVITY_FLOOR = 1e-12  # times ||f0||_inf
+MONITOR_BLOCK_BYTES = 1 << 17  # evolve reduces its monitors over blocks of about this many bytes
 
 
 @dataclass(frozen=True)
@@ -151,18 +168,65 @@ def _implicit_factor(grid: Grid, alpha: float, dt: float) -> np.ndarray:
     return readonly(1.0 / (1.0 - dt * quadrature_symbol(grid, alpha)))
 
 
+@lru_cache(maxsize=32)
+def _reflection_axes(grid: Grid, force, drift: str, tau: float) -> tuple:
+    """The axes whose reflection x_a -> -x_a leaves drift_step_matrix(grid,
+    force, drift, tau) exactly unchanged."""
+    mat = drift_step_matrix(grid, force, drift, tau)
+    nodes = np.arange(grid.size).reshape(grid.shape)
+    axes = []
+    for a in range(grid.d):
+        perm = np.flip(nodes, a).ravel()
+        if (mat[perm][:, perm] != mat).nnz == 0:
+            axes.append(a)
+    return tuple(axes)
+
+
+@lru_cache(maxsize=32)
+def _even_block(grid: Grid, force, drift: str, tau: float, axes: tuple) -> sp.csr_array:
+    """drift_step_matrix on the fields even under the reflections of axes
+    (which leave it unchanged): its rows on the first half of those axes, its
+    columns folded onto that half (a node and its mirror image add)."""
+    mat = drift_step_matrix(grid, force, drift, tau).tocoo()
+    half = grid.n // 2
+    index = np.indices(grid.shape)
+    top = np.all([index[a] < half for a in axes], axis=0).ravel()
+    pos = [np.minimum(i, grid.n - 1 - i) if a in axes else i for a, i in enumerate(index)]
+    shape = tuple(half if a in axes else grid.n for a in range(grid.d))
+    fold = np.ravel_multi_index(pos, shape).ravel()
+    keep = top[mat.row]
+    size = math.prod(shape)
+    return readonly(sp.csr_array((mat.data[keep], (fold[mat.row[keep]], fold[mat.col[keep]])),
+                                 shape=(size, size)))
+
+
 class _Stepper:
     """Per-run state of the Strang step, all on raw arrays: the Fourier
     multiplier of the jump substep and the sparse matrix of the half-step
     drift substep.  ``advance`` takes one field or a (lanes, *grid.shape)
-    stack."""
+    stack, or after ``fold`` their first halves along the folded axes.
+    ``axes`` are the axis reflections that leave the drift substep exactly
+    unchanged; the multiplier is even under every one."""
 
     def __init__(self, grid: Grid, cfg: OperatorConfig, scheme: SchemeConfig):
         self.dt = step_size(grid, cfg, scheme)
-        self.drift = drift_step_matrix(grid, cfg.force_field(), cfg.drift, 0.5 * self.dt)
+        self.grid = grid
+        self.key = (grid, cfg.force_field(), cfg.drift, 0.5 * self.dt)
+        self.drift = drift_step_matrix(*self.key)
         multiplier = (_diffusion_multiplier if scheme.diffusion_solver == "exact-spectral"
                       else _implicit_factor)
         self.mult = multiplier(grid, cfg.alpha, self.dt)
+        self.axes = _reflection_axes(*self.key)
+        self.even = ()
+
+    def fold(self, axes: tuple) -> None:
+        """Step the first halves along axes (a subset of self.axes) of fields
+        even under those reflections: the even block of the drift substep
+        and the first n/2 modes of the multiplier."""
+        if axes:
+            self.drift = _even_block(*self.key, axes)
+            self.mult = self.mult[self.grid.half(axes)]
+        self.even = axes
 
     def _drift(self, values: np.ndarray) -> np.ndarray:
         # one product D @ X.T for all lanes (a single lane: one matvec), made
@@ -174,7 +238,7 @@ class _Stepper:
         return np.ascontiguousarray((self.drift @ flat.T).T).reshape(values.shape)
 
     def advance(self, values: np.ndarray) -> np.ndarray:
-        return self._drift(fourier_multiply(self._drift(values), self.mult))
+        return self._drift(fourier_multiply(self._drift(values), self.mult, self.even))
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -215,10 +279,7 @@ def evolve(
     dt = st.dt
     nsteps = _step_count(T, dt)
     chunk = _step_count(1.0, dt)  # steps between consecutive path states
-    vol = grid.cell_volume
     mw = weight_field(grid, scheme.monitor_weight).values
-    axes = tuple(range(1, grid.d + 1))  # a lane's grid axes
-    stack_axes = tuple(a + 1 for a in axes)
 
     if path is None:
         path = f0.values[None]
@@ -228,21 +289,35 @@ def evolve(
     base = [j * chunk for j in range(lanes)]  # step at which each lane starts
     last = nsteps - base[-1]  # steps of the last lane; the others run chunk
 
-    ref_inv = None
+    inputs = [path[:lanes], mw[None]]
     if reference is not None:
         if np.min(reference.values) <= 0.0:
             raise ValueError("entropy reference must be strictly positive")
-        ref_inv = 1.0 / reference.values
+        inputs.append(reference.values[None])
+    # step the first halves along the symmetric axes where every input is even
+    inputs = np.concatenate(inputs)
+    even = tuple(a for a in st.axes if np.array_equal(inputs, np.flip(inputs, a + 1)))
+    st.fold(even)
+    half = grid.half(even)
+    vol = grid.cell_volume * 2 ** len(even)  # a half-grid node stands for 2^s nodes
+    mw = np.ascontiguousarray(mw[half])
+    ref_inv = None if reference is None else 1.0 / reference.values[half]
+    axes = tuple(range(1, grid.d + 1))  # a lane's grid axes
+    stack_axes = tuple(a + 1 for a in axes)
 
     # rows t, mass, min, Linfm, then the sums L1m, L2m[, entropy]; the mass
     # and the sums are raw (no cell volume, no root) until the loop ends
     mon = np.empty((6 if ref_inv is None else 7, nsteps + 1))
     mon[0] = np.arange(nsteps + 1) * dt
-    # per lane: |f w|, (f w)^2[, f^2 / F], summed in one call
-    work = np.empty((len(mon) - 4, lanes) + grid.shape)
+    # each step's stack is copied into a block of up to K steps, reduced in one pass
+    K = max(1, MONITOR_BLOCK_BYTES // (8 * lanes * mw.size))
+    block = np.empty((K * lanes,) + mw.shape)
+    # per field: |f w|, (f w)^2[, f^2 / F], summed in one call
+    work = np.empty((len(mon) - 4, K * lanes) + mw.shape)
+    sums = np.empty((len(mon) - 1, K * lanes))
 
-    def record(vals, sl):
-        """Monitors of the lanes vals into the columns sl; the mass sums as floats."""
+    def record(vals):
+        """Rows mass, min, Linfm, L1m, L2m[, entropy] of the fields vals."""
         stack = work[:, : len(vals)]
         wm = stack[1]
         np.multiply(vals, mw, out=wm)
@@ -251,12 +326,12 @@ def evolve(
         if ref_inv is not None:
             np.square(vals, out=stack[2])
             np.multiply(stack[2], ref_inv, out=stack[2])
-        stack.sum(axis=stack_axes, out=mon[4:, sl])
-        stack[0].max(axis=axes, out=mon[3, sl])
-        vals.min(axis=axes, out=mon[2, sl])
-        mass = mon[1, sl]
-        vals.sum(axis=axes, out=mass)
-        return mass.tolist()
+        out = sums[:, : len(vals)]
+        stack.sum(axis=stack_axes, out=out[3:])
+        stack[0].max(axis=axes, out=out[2])
+        vals.min(axis=axes, out=out[1])
+        vals.sum(axis=axes, out=out[0])
+        return out
 
     want = {nsteps}
     if output_times is not None:
@@ -266,41 +341,52 @@ def evolve(
         j = min((k - 1) // chunk, lanes - 1)
         snap_at.setdefault(k - base[j], []).append((j, k))
 
-    v = np.array(path[:lanes])  # C-contiguous copy: the lanes' start states
-    mass0 = record(v[:1], slice(0, 1))[0] * vol
+    v = np.array(path[(slice(None, lanes),) + half])  # C-contiguous: the lanes' start states
+    mon[1:, 0] = record(v[:1])[:, 0]
+    mass0 = mon[1, 0] * vol
     # the drift's scale, max(|mass0|, ||f0||_1) (1 for f0 = 0); for f0 >= 0
     # it is mass0 and rel0 is 1, so drift = mass / mass0 - 1
     scale = max(abs(mass0), np.abs(v[:1]).sum(axis=axes).tolist()[0] * vol) or 1.0
     rel0 = mass0 / scale
-    snaps = {0: f0.with_values(v[0].copy())} if 0 in want else {}
+    snaps = {0: v[0].copy()} if 0 in want else {}  # step -> state, unfolded at the end
     failure = None
-    lo, hi, i = 0, lanes, 0  # live lanes lo..hi-1, i steps into each
+    lo, hi, i, b = 0, lanes, 0, 0  # live lanes lo..hi-1, i steps into each, b in the block
     # an overflow or invalid operation leaves a non-finite sum, which the
     # check below turns into a CheckFailure
     with np.errstate(over="ignore", invalid="ignore"):
         while lo < hi:
             i += 1
             v = st.advance(v)
-            k = base[lo] + i  # step of lane lo
-            for j, s in enumerate(record(v, slice(k, k + (hi - lo - 1) * chunk + 1, chunk))):
-                drift = s * vol / scale - rel0
-                # any inf or NaN entry makes the sum non-finite
-                if not math.isfinite(s):
-                    failure = CheckFailure("non-finite-values", s, math.inf, k + j * chunk, dt)
-                elif abs(drift) > MASS_DRIFT_TOL:
-                    failure = CheckFailure("mass-drift", drift, MASS_DRIFT_TOL, k + j * chunk, dt)
-                else:
-                    continue
-                # the lanes from j on start after this failure
-                hi, v = lo + j, v[:j]
-                break
+            live = hi - lo
+            block[b * live : (b + 1) * live] = v
+            b += 1
             for j, kk in snap_at.get(i, ()):
                 if lo <= j < hi:
-                    snaps[kk] = f0.with_values(v[j - lo].copy())
+                    snaps[kk] = v[j - lo].copy()
+            if b < K and i != chunk and i != last:
+                continue
+            # the block: steps i - b + 1 .. i of lanes lo .. hi - 1, column
+            # (lane * chunk + step) of the monitors
+            rows = record(block[: b * live]).reshape(-1, b, live)
+            cols = (lo * chunk + i - b + 1) + np.arange(b)[:, None] + chunk * np.arange(live)
+            mon[1:, cols] = rows
+            drift = rows[0] * vol / scale - rel0
+            # any inf or NaN entry makes the sum non-finite
+            bad = ~np.isfinite(rows[0]) | (np.abs(drift) > MASS_DRIFT_TOL)
+            for r in np.flatnonzero(bad.any(axis=1)):  # the block's failing steps, in order
+                failing = np.flatnonzero(bad[r, : hi - lo])
+                if len(failing):
+                    j = int(failing[0])
+                    s, k = rows[0, r, j], int(cols[r, j])
+                    failure = (CheckFailure("non-finite-values", s, math.inf, k, dt)
+                               if not math.isfinite(s) else
+                               CheckFailure("mass-drift", drift[r, j], MASS_DRIFT_TOL, k, dt))
+                    hi = lo + j  # the lanes from j on start after this failure
+            v, b = v[: hi - lo], 0
             if i in (chunk, last):
                 if i == chunk:
                     for j in range(lo, min(hi, len(path) - 1)):
-                        if not np.array_equal(v[j - lo], path[j + 1]):
+                        if not np.array_equal(unfold(v[j - lo], even), path[j + 1]):
                             raise ValueError(
                                 f"the chunk from path state {j} does not end on path "
                                 f"state {j + 1}: the path comes from another operator or scheme"
@@ -321,7 +407,7 @@ def evolve(
     return Trajectory(
         grid=grid,
         times=np.array(sorted(snaps)) * dt,
-        snapshots=[snaps[k] for k in sorted(snaps)],
+        snapshots=[f0.with_values(unfold(snaps[k], even)) for k in sorted(snaps)],
         monitor_t=mon[0],
         mass=mon[1],
         min_value=mon[2],

@@ -2,8 +2,11 @@
 
 The computational domain is the box [-L, L]^d (d = 1 or 2) discretized by n
 cell-centered nodes per axis, x_i = -L + (i + 1/2) h with h = 2L/n.  Cell
-centering keeps the node set symmetric under x -> -x and keeps the singular
-jump kernel away from zero offsets.  All quadrature is the midpoint rule,
+centering keeps the node set symmetric under x -> -x (bit for bit: the
+negative half of the axis is the mirrored positive half) and keeps the
+singular jump kernel away from zero offsets.  A field even under the
+reflection of some axes is held by its first half along them (``Grid.half``)
+and rebuilt by ``unfold``.  All quadrature is the midpoint rule,
 integral(u) ~ sum(u) * h^d.
 
 Weights are powers of the Japanese bracket <x> = sqrt(1 + |x|^2).  Also here,
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["CheckFailure", "Grid", "Field", "build_grid", "weight_field", "integrate",
-           "normalized_gaussian", "smooth_indicator", "line_fit"]
+           "normalized_gaussian", "smooth_indicator", "line_fit", "along", "unfold"]
 
 
 class CheckFailure(ArithmeticError):
@@ -57,8 +60,11 @@ class Grid:
 
     @property
     def axis(self) -> np.ndarray:
-        """Node coordinates along one axis (identical for every axis)."""
-        return -self.L + (np.arange(self.n) + 0.5) * self.h
+        """Node coordinates along one axis (identical for every axis): the
+        positive half (j + 1/2) h and its mirror image, so axis[::-1] is
+        exactly -axis."""
+        pos = (np.arange(self.n // 2) + 0.5) * self.h
+        return np.concatenate([-pos[::-1], pos])
 
     @property
     def cell_volume(self) -> float:
@@ -71,6 +77,12 @@ class Grid:
     @property
     def size(self) -> int:
         return self.n**self.d
+
+    def half(self, axes) -> tuple:
+        """Index of the first half of each axis in axes (n is even), every
+        other axis whole: a field's (or a multiplier's) part on the
+        half-grid."""
+        return tuple(slice(self.n // 2) if a in axes else slice(None) for a in range(self.d))
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays, one per axis, each shaped like a field."""
@@ -153,6 +165,20 @@ def smooth_indicator(grid: Grid, R: float) -> np.ndarray:
     """Smoothstep radial cutoff with 1_{B_R} <= chi <= 1_{B_2R}."""
     s = np.clip((np.sqrt(grid.radius2()) - R) / R, 0.0, 1.0)
     return 1.0 - (3.0 * s**2 - 2.0 * s**3)
+
+
+def along(axis: int, index) -> tuple:
+    """Index tuple that applies ``index`` to ``axis`` and leaves every other axis whole."""
+    return (slice(None),) * axis + (index,)
+
+
+def unfold(values: np.ndarray, axes, signs=None) -> np.ndarray:
+    """The array on the whole of each axis in axes from its first half there:
+    the half, then signs[i] times its mirror image along axes[i] (even,
+    +1, by default)."""
+    for a, s in zip(axes, signs or (1.0,) * len(axes)):
+        values = np.concatenate([values, s * np.flip(values, a)], axis=a)
+    return values
 
 
 def line_fit(x: np.ndarray, y: np.ndarray):

@@ -49,6 +49,7 @@ from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
 from scipy.special import gamma as _gamma
 
@@ -263,7 +264,7 @@ def windowed_kernel(alpha: float, d: int, eps: float) -> JumpKernel:
 
 
 # ---------------------------------------------------------------------------
-# FFT layer on numpy.fft: Fourier multipliers and zero-padded convolutions
+# FFT layer: Fourier multipliers (scipy.fft) and zero-padded convolutions (numpy.fft)
 # ---------------------------------------------------------------------------
 
 
@@ -275,20 +276,40 @@ def box_frequencies(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(map(readonly, np.meshgrid(*xi, indexing="ij", sparse=True)))
 
 
-def fourier_multiply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+def fourier_multiply(values: np.ndarray, mult: np.ndarray, even=()) -> np.ndarray:
     """irfftn(rfftn(values) * mult) over the trailing mult.ndim axes: the
     multiplier mult, given in the rfftn layout, applied to a field on the
     periodic box, or to each field of a stack of them.  The transforms are
-    rfftn's own, axis by axis (rfft, then fft over the earlier grid axes),
-    without its argument handling: that is a few percent of a time step."""
-    grid_axes = range(values.ndim - mult.ndim, values.ndim - 1)
-    spec = np.fft.rfft(values)
-    for a in grid_axes:
-        spec = np.fft.fft(spec, axis=a)
+    scipy.fft's, axis by axis (rfft, then fft over the earlier grid axes),
+    without rfftn's argument handling: that is a few percent of a time step.
+
+    ``even`` lists grid axes (0 first) along which values holds the first
+    half of a field even under the reflection of that axis, and mult the
+    first n/2 modes of an even multiplier (``mult[grid.half(even)]``).  Along
+    them the transform is the DCT-II and its inverse: the DFT of a
+    half-sample-even sequence of length n is e^{i pi k/n} times the DCT-II of
+    its first half, which vanishes at the Nyquist mode k = n/2, so the
+    multiply is the same on the half (Martucci, IEEE Trans. Signal Process.
+    1994).  When the last axis is in even, the other axes take a complex fft
+    and the real part of its inverse."""
+    lead = values.ndim - mult.ndim
+    cos = [lead + a for a in even]
+    waves = [a for a in range(lead, values.ndim - 1) if a not in cos]
+    real_last = values.ndim - 1 not in cos
+    spec = values
+    for a in cos:
+        spec = sfft.dct(spec, 2, axis=a)
+    if real_last:
+        spec = sfft.rfft(spec)
+    for a in waves:
+        spec = sfft.fft(spec, axis=a)
     spec *= mult
-    for a in grid_axes:
-        spec = np.fft.ifft(spec, axis=a)
-    return np.fft.irfft(spec, values.shape[-1])
+    for a in waves:
+        spec = sfft.ifft(spec, axis=a)
+    spec = sfft.irfft(spec, values.shape[-1]) if real_last else spec.real
+    for a in cos:
+        spec = sfft.idct(spec, 2, axis=a)
+    return spec
 
 
 def convolve_same(values: np.ndarray, ker: np.ndarray) -> np.ndarray:
@@ -615,7 +636,7 @@ def _face_velocities(grid: Grid, force: ForceField) -> tuple[np.ndarray, ...]:
     and the flux form telescopes to exact mass conservation.
     """
     ax = grid.axis
-    xf = ax[:-1] + grid.h / 2
+    xf = 0.5 * (ax[:-1] + ax[1:])  # exactly odd, as the axis is
     out = []
     for a in range(grid.d):
         faces = np.meshgrid(*(xf if b == a else ax for b in range(grid.d)), indexing="ij")

@@ -32,7 +32,16 @@ from functools import reduce
 import numpy as np
 from scipy import linalg as _la
 
-from fracfp.grid import CheckFailure, Field, Grid, integrate, line_fit, normalized_gaussian
+from fracfp.grid import (
+    CheckFailure,
+    Field,
+    Grid,
+    along,
+    integrate,
+    line_fit,
+    normalized_gaussian,
+    unfold,
+)
 from fracfp.operators import (
     GeneratorMatrix,
     OperatorConfig,
@@ -171,11 +180,6 @@ SYMMETRY_TOL = 1e-12  # an axis reflection is a symmetry when it moves A by less
 RESIDUAL_TOL = 1e-10
 
 
-def _along(axis: int, index) -> tuple:
-    """Index tuple that applies ``index`` to ``axis`` and leaves every other axis whole."""
-    return (slice(None),) * axis + (index,)
-
-
 def _parity_block(t: np.ndarray, axes, signs) -> np.ndarray:
     """The generator tensor t (row axes, then column axes) on the fields with
     parity signs[i] under the reflection of axes[i]: rows restricted to the
@@ -184,8 +188,8 @@ def _parity_block(t: np.ndarray, axes, signs) -> np.ndarray:
     d = t.ndim // 2
     h = t.shape[0] // 2
     for a, s in zip(axes, signs):
-        t = t[_along(a, slice(h))]
-        half = _along(d + a, slice(h))
+        t = t[along(a, slice(h))]
+        half = along(d + a, slice(h))
         t = t[half] + s * np.flip(t, d + a)[half]
     return t
 
@@ -217,7 +221,7 @@ def leading_eigenpair(gm: GeneratorMatrix):
     axes = []
     for a in range(d):
         # A - P A P is odd under the reflection P: its first row half holds its max
-        top = _along(a, slice(h))
+        top = along(a, slice(h))
         if np.abs(t[top] - np.flip(t, (a, d + a))[top]).max() <= SYMMETRY_TOL * scale:
             axes.append(a)
     spectra, lead = [], None
@@ -234,10 +238,7 @@ def leading_eigenpair(gm: GeneratorMatrix):
         raise CheckFailure("spectral-abscissa", lam.real, 1e-8 * scale)
     if abs(lam.imag) > 1e-8 * scale:
         raise CheckFailure("leading-eigenvalue-real", abs(lam.imag), 1e-8 * scale)
-    vec = vec.real
-    for a, s in zip(axes, signs):
-        vec = np.concatenate([vec, s * np.flip(vec, a)], axis=a)
-    vec = vec.ravel()
+    vec = unfold(vec.real, axes, signs).ravel()
     mass = float(np.sum(vec) * grid.cell_volume)
     l1 = float(np.sum(np.abs(vec)) * grid.cell_volume)
     if abs(mass) <= RESIDUAL_TOL * l1:

@@ -609,3 +609,28 @@ def test_cli_import_leaves_out_unused_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# the benchmark workloads (perfbench/run.py), written out
+BENCH_WORKLOADS = {
+    "evolve-1d": "d = 1\nL = 20\nn = 2048\nalpha = 1\ngamma = 2\nk = 0.5\nsuite = rates\nhorizon = 10\n",
+    "dense-2d": "d = 2\nL = 10\nn = 32\nalpha = 1\ngamma = 2\nk = 0.5\nsuite = steady\n",
+    "checks-1d": ("d = 1\nL = 10\nn = 512\nalpha = 1\ngamma = 2\nk = 0.5\nmethod = quadrature\n"
+                  "diffusion_solver = implicit-matrix\nsuite = all\nhorizon = 10\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_benchmark_workloads_fold_every_axis(name, tmp_path, monkeypatch):
+    # the probe, the weight and the force are exactly even on these grids, so
+    # evolve steps the half-grid: a change that breaks the symmetry fails here
+    from fracfp.evolution import _Stepper, evolve
+    from fracfp.grid import normalized_gaussian
+
+    seen, fold = [], _Stepper.fold
+    monkeypatch.setattr(_Stepper, "fold", lambda self, axes: seen.append(axes) or fold(self, axes))
+    cfg = parse_config(write_cfg(tmp_path, f"name = {name}\n" + BENCH_WORKLOADS[name]))
+    grid = cfg.grid()
+    f0 = normalized_gaussian(grid)
+    evolve(f0, 0.05, cfg.operator(), cfg.scheme(), reference=f0)
+    assert seen == [tuple(range(cfg.d))]

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import drift_reference as ref
+import fracfp.evolution
 from fracfp.grid import CheckFailure, Field, build_grid
 from fracfp.operators import (
     ForceField,
     OperatorConfig,
     _jump_matrix,
+    drift_step_matrix,
     fourier_multiply,
     make_force,
     quadrature_symbol,
@@ -14,11 +16,13 @@ from fracfp.operators import (
 from fracfp.evolution import (
     SchemeConfig,
     _Stepper,
+    _diffusion_multiplier,
     _implicit_factor,
     auto_dt,
     duhamel_residual,
     evolve,
     radial_cutoff,
+    step_size,
     viscosity_generator_apply,
     viscosity_step,
 )
@@ -483,3 +487,180 @@ def test_replayed_lane_failure_reports_the_earliest_step(kind, monkeypatch):
         assert exc.check == "non-finite-values" and not np.isfinite(exc.measured)
     assert str(exc) == (f"{exc.check}: measured {exc.measured:g}, tolerance {exc.tolerance:g}"
                         f" at step {chunk + 5} (t={exc.t:g})")
+
+
+# ------------------------------------------------- reflection fold, blocks
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The axes that each evolve call folds, in call order."""
+    seen, fold = [], _Stepper.fold
+    monkeypatch.setattr(_Stepper, "fold", lambda self, axes: seen.append(axes) or fold(self, axes))
+    return seen
+
+
+def full_grid_run(f0, nsteps, cfg, scheme):
+    """nsteps Strang steps on the whole grid, one field, with numpy's FFTs:
+    the stepper as it was before the fold."""
+    g = f0.grid
+    dt = step_size(g, cfg, scheme)
+    drift = drift_step_matrix(g, cfg.force_field(), cfg.drift, 0.5 * dt)
+    mult = (_diffusion_multiplier if scheme.diffusion_solver == "exact-spectral"
+            else _implicit_factor)(g, cfg.alpha, dt)
+    v = f0.values
+    for _ in range(nsteps):
+        spec = np.fft.rfft((drift @ v.ravel()).reshape(g.shape))
+        for a in range(g.d - 1):
+            spec = np.fft.fft(spec, axis=a)
+        spec *= mult
+        for a in range(g.d - 1):
+            spec = np.fft.ifft(spec, axis=a)
+        v = (drift @ np.fft.irfft(spec, g.n).ravel()).reshape(g.shape)
+    return dt, v
+
+
+def gaussian_at(g, center):
+    vals = np.exp(-sum((c - x) ** 2 for c, x in zip(g.coords(), center)))
+    return Field(g, vals / (np.sum(vals) * g.cell_volume))
+
+
+def _shifted(axis):
+    """The linear force E = x shifted by 0.5 along axis: mirror-symmetric in
+    the other axis only."""
+    def force(p):
+        q = p.copy()
+        q[..., axis] -= 0.5
+        return q
+    return ForceField(2.0, force)
+
+
+# non-dyadic box half-widths: h is not a binary fraction
+@pytest.mark.parametrize("d, L, n", [(1, 7.3, 64), (2, 3.3, 16)])
+@pytest.mark.parametrize("drift", ["upwind", "centered"])
+@pytest.mark.parametrize("solver", ["exact-spectral", "implicit-matrix"])
+def test_fold_matches_the_full_grid_stepper(d, L, n, drift, solver, folds):
+    g = build_grid(d, L, n)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.5, drift=drift)
+    scheme = SchemeConfig(diffusion_solver=solver)
+    f0 = normalized_gaussian(g)
+    dt, want = full_grid_run(f0, 500, cfg, scheme)
+    tr = evolve(f0, 500 * dt, cfg, scheme)
+    assert tr.meta["nsteps"] == 500 and folds == [tuple(range(d))]
+    got = tr.snapshots[-1].values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # an unfolded snapshot is even bit for bit
+    for a in range(d):
+        assert np.array_equal(got, np.flip(got, a))
+
+
+@pytest.mark.parametrize("shift, even", [(1, (0,)), (0, (1,))])
+def test_one_symmetric_axis_folds_that_axis_only(shift, even, folds):
+    # folded x: the DCT on axis 0, the rfft on axis 1; folded y: the DCT on
+    # the last axis, a complex fft on axis 0
+    g = build_grid(2, 10.0, 16)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0, force=_shifted(shift))
+    f0 = normalized_gaussian(g)
+    dt, want = full_grid_run(f0, 500, cfg, SchemeConfig())
+    got = evolve(f0, 500 * dt, cfg).snapshots[-1].values
+    assert folds == [even]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("solver", ["exact-spectral", "implicit-matrix"])
+def test_shifted_gaussian_folds_nothing(d, n, solver, folds):
+    # even in no axis: the run is the full-grid stepper's, bit for bit
+    g = build_grid(d, 10.0, n)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0)
+    scheme = SchemeConfig(diffusion_solver=solver)
+    f0 = gaussian_at(g, (0.7, -0.3)[:d])
+    dt, want = full_grid_run(f0, 200, cfg, scheme)
+    tr = evolve(f0, 200 * dt, cfg, scheme)
+    assert folds == [()]
+    assert np.array_equal(tr.snapshots[-1].values, want)
+
+
+def per_step_monitors(tr, weight, reference, even):
+    """Monitor rows mass, min, L1m, L2m, Linfm, entropy, reduced one step at a
+    time from the snapshot of every step, over the first half along the
+    folded axes (each of its nodes counts 2^s times)."""
+    g = tr.grid
+    half = g.half(even)
+    vol = g.cell_volume * 2 ** len(even)
+    w, ref_inv = weight[half], 1.0 / reference.values[half]
+    rows = []
+    for s in tr.snapshots:
+        f = s.values[half]
+        fw = f * w
+        rows.append([np.sum(f) * vol, np.min(f), np.sum(np.abs(fw)) * vol,
+                     np.sqrt(np.sum(np.square(fw)) * vol), np.max(np.abs(fw)),
+                     np.sum(np.square(f) * ref_inv) * vol])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("center", [0.0, 0.4])  # folded, or even in no axis
+@pytest.mark.parametrize("lanes", ["single", "path"])
+def test_block_monitors_are_the_per_step_reductions(d, n, center, lanes, folds, monkeypatch):
+    from fracfp.grid import weight_field
+    from fracfp.steady import steady_by_evolution
+
+    g = build_grid(d, 8.0, n)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0)
+    f0 = gaussian_at(g, (center,) * d)
+    reference = normalized_gaussian(g, s2=16.0)
+    path = steady_by_evolution(g, cfg, tol=1e-3, f0=f0).path if lanes == "path" else None
+    T = 2.3 if path is None else len(path) - 0.5
+    even = tuple(range(d)) if center == 0.0 else ()
+    dt = auto_dt(g, cfg)
+    nsteps, chunk = int(np.ceil(T / dt - 1e-9)), int(np.ceil(1.0 / dt - 1e-9))
+    # K steps per block, dividing neither: blocks also end at chunk ends and
+    # at the last step
+    K = next(k for k in (3, 4, 5, 7) if nsteps % k and chunk % k)
+    width = (1 if path is None else len(path)) * g.size // 2 ** len(even)
+    monkeypatch.setattr(fracfp.evolution, "MONITOR_BLOCK_BYTES", 8 * K * width)
+    tr = evolve(f0, T, cfg, output_times=np.arange(nsteps + 1) * dt, reference=reference,
+                path=path)
+    assert folds[-1] == even and len(tr.snapshots) == nsteps + 1
+    want = per_step_monitors(tr, weight_field(g, 0.5).values, reference, even)
+    got = tr.monitor_columns()[:, 1:]
+    assert np.array_equal(got, want)
+
+
+def test_an_uneven_reference_stops_the_fold(folds):
+    # an even f0 with an entropy reference that is even in no axis
+    from fracfp.grid import weight_field
+
+    g = build_grid(1, 8.0, 64)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0)
+    reference = gaussian_at(g, (0.5,))
+    dt = auto_dt(g, cfg)
+    tr = evolve(normalized_gaussian(g), 1.0, cfg, output_times=np.arange(40) * dt,
+                reference=reference)
+    assert folds == [()]
+    want = per_step_monitors(tr, weight_field(g, 0.5).values, reference, ())
+    assert np.array_equal(tr.monitor_columns()[: len(want), 1:], want)
+
+
+@pytest.mark.parametrize("kind", ["mass", "nan"])
+def test_block_failure_is_raised_at_its_step(kind, folds, monkeypatch):
+    # K = 4 steps per block on the 32-node half: the step spoiled, K + 3, is
+    # in the middle of the second block
+    monkeypatch.setattr(fracfp.evolution, "MONITOR_BLOCK_BYTES", 8 * 4 * 32)
+    advance, calls = _Stepper.advance, [0]
+
+    def spoiled(self, v):
+        out = advance(self, v)
+        calls[0] += 1
+        if calls[0] >= 7:  # the failure persists in the later steps of the block
+            _spoil(kind)(out[0])
+        return out
+
+    monkeypatch.setattr(_Stepper, "advance", spoiled)
+    g = build_grid(1, 8.0, 64)
+    with pytest.raises(CheckFailure) as info:
+        evolve(normalized_gaussian(g), 1.0, OperatorConfig(alpha=1.0, gamma=2.0))
+    exc = info.value
+    assert folds == [(0,)] and exc.step == 7
+    assert exc.check == ("mass-drift" if kind == "mass" else "non-finite-values")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from fracfp.grid import build_grid, integrate, weight_field, Field
+from fracfp.grid import build_grid, integrate, normalized_gaussian, unfold, weight_field, Field
 
 
 def test_build_grid_basic_1d():
@@ -12,6 +12,21 @@ def test_build_grid_basic_1d():
     assert g.h == 0.25
     assert g.axis[0] == pytest.approx(-0.875)
     assert g.cell_volume * g.n == pytest.approx(2.0)
+
+
+# non-dyadic half-widths: -L + (i + 1/2) h is not odd in the last ulp there
+@pytest.mark.parametrize("d, L, n", [(1, 7.3, 64), (1, np.pi, 64), (2, 3.3, 32), (2, 0.7, 8)])
+def test_axis_is_exactly_odd(d, L, n):
+    g = build_grid(d, L, n)
+    x = g.axis
+    assert np.array_equal(x[::-1], -x)
+    assert np.max(np.abs(x - (-L + (np.arange(n) + 0.5) * g.h))) <= 4 * np.spacing(L)
+    # so the probe density is even bit for bit, and its half unfolds to it
+    f = normalized_gaussian(g).values
+    for a in range(d):
+        assert np.array_equal(f, np.flip(f, a))
+    axes = tuple(range(d))
+    assert np.array_equal(unfold(f[g.half(axes)], axes), f)
 
 
 def test_build_grid_2d_cell_volume():
