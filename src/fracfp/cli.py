@@ -305,7 +305,7 @@ def _suite_steady(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> No
             # the failed check is the record; a pair that failed it has no eigen records
             report.fail(exc)
         else:
-            scale = float(np.abs(gm.mat).max())
+            scale = gm.max_abs
             report.add("leading-eigenvalue", abs(lam), 1e-8 * scale, abs(lam) <= 1e-8 * scale, 0.0)
             report.add("spectral-gap", gap, 0.0, gap > 0.0)
             eig_gap = float(np.sum(np.abs(vec.values - ss_lin.field.values)) * vol)

@@ -70,10 +70,12 @@ from fracfp.operators import (
     drift_matrix,
     drift_step_matrix,
     far_kernel,
+    fold_sparse,
     fourier_multiply,
     get_stencil,
     laplacian_matrix,
     max_drift_speed,
+    mirror_axes,
     offset_matrix,
     plain_conv_kernel,
     quadrature_symbol,
@@ -172,14 +174,7 @@ def _implicit_factor(grid: Grid, alpha: float, dt: float) -> np.ndarray:
 def _reflection_axes(grid: Grid, force, drift: str, tau: float) -> tuple:
     """The axes whose reflection x_a -> -x_a leaves drift_step_matrix(grid,
     force, drift, tau) exactly unchanged."""
-    mat = drift_step_matrix(grid, force, drift, tau)
-    nodes = np.arange(grid.size).reshape(grid.shape)
-    axes = []
-    for a in range(grid.d):
-        perm = np.flip(nodes, a).ravel()
-        if (mat[perm][:, perm] != mat).nnz == 0:
-            axes.append(a)
-    return tuple(axes)
+    return mirror_axes(grid, drift_step_matrix(grid, force, drift, tau))
 
 
 @lru_cache(maxsize=32)
@@ -187,17 +182,7 @@ def _even_block(grid: Grid, force, drift: str, tau: float, axes: tuple) -> sp.cs
     """drift_step_matrix on the fields even under the reflections of axes
     (which leave it unchanged): its rows on the first half of those axes, its
     columns folded onto that half (a node and its mirror image add)."""
-    mat = drift_step_matrix(grid, force, drift, tau).tocoo()
-    half = grid.n // 2
-    index = np.indices(grid.shape)
-    top = np.all([index[a] < half for a in axes], axis=0).ravel()
-    pos = [np.minimum(i, grid.n - 1 - i) if a in axes else i for a, i in enumerate(index)]
-    shape = tuple(half if a in axes else grid.n for a in range(grid.d))
-    fold = np.ravel_multi_index(pos, shape).ravel()
-    keep = top[mat.row]
-    size = math.prod(shape)
-    return readonly(sp.csr_array((mat.data[keep], (fold[mat.row[keep]], fold[mat.col[keep]])),
-                                 shape=(size, size)))
+    return readonly(fold_sparse(grid, drift_step_matrix(grid, force, drift, tau), axes))
 
 
 class _Stepper:

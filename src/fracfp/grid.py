@@ -6,7 +6,8 @@ centering keeps the node set symmetric under x -> -x (bit for bit: the
 negative half of the axis is the mirrored positive half) and keeps the
 singular jump kernel away from zero offsets.  A field even under the
 reflection of some axes is held by its first half along them (``Grid.half``)
-and rebuilt by ``unfold``.  All quadrature is the midpoint rule,
+and rebuilt by ``unfold``; ``fold`` takes any field's part of one parity
+pattern onto that half.  All quadrature is the midpoint rule,
 integral(u) ~ sum(u) * h^d.
 
 Weights are powers of the Japanese bracket <x> = sqrt(1 + |x|^2).  Also here,
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["CheckFailure", "Grid", "Field", "build_grid", "weight_field", "integrate",
-           "normalized_gaussian", "smooth_indicator", "line_fit", "along", "unfold"]
+           "normalized_gaussian", "smooth_indicator", "line_fit", "along", "fold", "unfold"]
 
 
 class CheckFailure(ArithmeticError):
@@ -83,6 +84,10 @@ class Grid:
         other axis whole: a field's (or a multiplier's) part on the
         half-grid."""
         return tuple(slice(self.n // 2) if a in axes else slice(None) for a in range(self.d))
+
+    def half_shape(self, axes) -> tuple[int, ...]:
+        """The shape of a field's part on the half-grid of axes (``half``)."""
+        return tuple(self.n // 2 if a in axes else self.n for a in range(self.d))
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays, one per axis, each shaped like a field."""
@@ -170,6 +175,18 @@ def smooth_indicator(grid: Grid, R: float) -> np.ndarray:
 def along(axis: int, index) -> tuple:
     """Index tuple that applies ``index`` to ``axis`` and leaves every other axis whole."""
     return (slice(None),) * axis + (index,)
+
+
+def fold(values: np.ndarray, axes, signs=None) -> np.ndarray:
+    """The first half along each axis in axes of the part of values with
+    parity signs[i] (even, +1, by default) under the reflection of axes[i]:
+    per axis, (the first half + signs[i] times the mirrored second half) / 2.
+    unfold rebuilds that part, and the parts of all 2^s sign patterns sum to
+    values; an even field folds to its first half exactly."""
+    for a, s in zip(axes, signs or (1.0,) * len(axes)):
+        first = along(a, slice(values.shape[a] // 2))
+        values = 0.5 * (values[first] + s * np.flip(values, a)[first])
+    return values
 
 
 def unfold(values: np.ndarray, axes, signs=None) -> np.ndarray:

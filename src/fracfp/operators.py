@@ -43,9 +43,10 @@ adjoint its transpose, and the time stepper and dense assembly build on it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -53,7 +54,7 @@ import scipy.fft as sfft
 import scipy.sparse as sp
 from scipy.special import gamma as _gamma
 
-from fracfp.grid import Field, Grid
+from fracfp.grid import Field, Grid, unfold
 
 __all__ = [
     "OperatorConfig",
@@ -71,6 +72,8 @@ __all__ = [
     "capped_convolution",
     "drift_matrix",
     "drift_step_matrix",
+    "mirror_axes",
+    "fold_sparse",
     "laplacian_matrix",
     "generator_apply",
     "adjoint_apply",
@@ -748,6 +751,40 @@ def max_drift_speed(grid: Grid, force: ForceField) -> float:
     return total
 
 
+def mirror_axes(grid: Grid, mat: sp.csr_array) -> tuple:
+    """The axes whose reflection x_a -> -x_a leaves the sparse node matrix
+    mat exactly unchanged."""
+    nodes = np.arange(grid.size).reshape(grid.shape)
+    axes = []
+    for a in range(grid.d):
+        perm = np.flip(nodes, a).ravel()
+        if (mat[perm][:, perm] != mat).nnz == 0:
+            axes.append(a)
+    return tuple(axes)
+
+
+def fold_sparse(grid: Grid, mat: sp.csr_array, axes: tuple, signs=None) -> sp.csr_array:
+    """The sparse node matrix mat on the fields of parity signs[i] (+1 even,
+    -1 odd; even by default) under the reflections of axes, which leave mat
+    unchanged: its rows on the first half of those axes, each column added
+    to signs times its mirror image there.  A new matrix on the row-major
+    order of the half-grid, its duplicates summed."""
+    mat = mat.tocoo()
+    half = grid.n // 2
+    index = np.indices(grid.shape).reshape(grid.d, -1)
+    lower = index < half
+    folded = np.isin(np.arange(grid.d), axes)[:, None]
+    shape = grid.half_shape(axes)
+    fold = np.ravel_multi_index(tuple(np.where(folded & ~lower, grid.n - 1 - index, index)), shape)
+    top = lower[list(axes)].all(axis=0)
+    sign = np.prod(np.where(lower[list(axes)], 1.0,
+                            np.reshape(signs or (1,) * len(axes), (-1, 1))), axis=0)
+    keep = top[mat.row]
+    row, col = mat.row[keep], mat.col[keep]
+    size = math.prod(shape)
+    return sp.csr_array((mat.data[keep] * sign[col], (fold[row], fold[col])), shape=(size, size))
+
+
 # ---------------------------------------------------------------------------
 # the generator Lambda = I + div(E .) and its adjoint
 # ---------------------------------------------------------------------------
@@ -781,17 +818,40 @@ def adjoint_apply(g: Field, cfg: OperatorConfig) -> Field:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Dense realization of Lambda on the flattened node set; Lambda^* is its
-    transpose, mat.T.  mat is read-only, and the object compares and hashes
-    by identity, so caches can key on it."""
+    """Dense realization of Lambda on the parity blocks of its axis reflections.
+
+    ``axes`` are the reflections x_a -> -x_a that leave drift_matrix exactly
+    unchanged; the periodic jump part commutes with every one.  Lambda then
+    maps the fields of each parity pattern ``signs`` (per axis, +1 even or -1
+    odd) to fields of that pattern, so it is block diagonal in the even/odd
+    basis (Cantoni and Butler, Linear Algebra Appl. 1976), and
+    ``blocks[signs]`` is Lambda there: rows on the first half of each
+    reflected axis, each column added to signs times its mirror image
+    (fold_sparse), of side N / 2^s.  With no reflection the one block, under
+    (), is the whole matrix.  Lambda^* has the transposed blocks.
+    ``max_abs`` is max |Lambda| over the full matrix.
+
+    ``mat``, the full N x N matrix, is built on first access, for the tests
+    and the small-N instruments (b_semigroup_decay, duhamel_residual).  The
+    arrays are read-only, and the object compares and hashes by identity, so
+    caches can key on it."""
 
     grid: Grid
     cfg: OperatorConfig
-    mat: np.ndarray
+    axes: tuple
+    blocks: dict
+    max_abs: float
 
     @property
     def size(self) -> int:
-        return self.mat.shape[0]
+        return self.grid.size
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        a = _jump_matrix(self.grid, self.cfg.alpha)
+        drift = drift_matrix(self.grid, self.cfg.force_field(), self.cfg.drift).tocoo()
+        a[drift.row, drift.col] += drift.data  # canonical CSR: no repeated (row, col)
+        return readonly(a)
 
 
 def _jump_matrix(grid: Grid, alpha: float) -> np.ndarray:
@@ -803,25 +863,55 @@ def _jump_matrix(grid: Grid, alpha: float) -> np.ndarray:
     return a
 
 
+def _gather(table: np.ndarray, index: list) -> np.ndarray:
+    """The dense matrix over row-major nodes whose entry at nodes (i, j) is
+    table[index[0][i_0, j_0], index[1][i_1, j_1], ...]: index[a] is the
+    square table index along axis a."""
+    d = len(index)
+    gather = []
+    for a, idx in enumerate(index):
+        shape = [1] * (2 * d)
+        shape[a] = shape[d + a] = len(idx)
+        gather.append(idx.reshape(shape))
+    size = math.prod(len(idx) for idx in index)
+    return table[tuple(gather)].reshape(size, size)
+
+
 def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:
     """Dense matrix of a translation-invariant operator on the n^d nodes in
     row-major order: the entry of nodes (i, j) is table[(center + i_a - j_a)
     mod m per axis a], m the table's axis length.  A circulant row (m = n)
     has center 0; an offset kernel over -n..n (m = 2n + 1) has center n."""
     i = np.arange(n)
-    index = (center + i[:, None] - i[None, :]) % table.shape[0]
-    d = table.ndim
-    gather = []
-    for a in range(d):
-        shape = [1] * (2 * d)
-        shape[a] = shape[d + a] = n
-        gather.append(index.reshape(shape))
-    return table[tuple(gather)].reshape(n**d, n**d)
+    return _gather(table, [(center + i[:, None] - i[None, :]) % table.shape[0]] * table.ndim)
+
+
+def _max_abs(grid: Grid, row: np.ndarray, diag: np.ndarray, drift: sp.csr_array) -> float:
+    """max |J + D| over the full matrix, from the circulant row of J (zero at
+    offset 0), its diagonal per node and the sparse D: D changes the entries
+    it touches, and an offset class (or a diagonal node) that D does not
+    cover everywhere keeps its J value somewhere."""
+    coo = drift.tocoo()
+    pos = zip(np.unravel_index(coo.row, grid.shape), np.unravel_index(coo.col, grid.shape))
+    offset = np.ravel_multi_index(tuple((r - c) % grid.n for r, c in pos), grid.shape)
+    on_diag = coo.row == coo.col
+    touched = np.abs(np.where(on_diag, diag[coo.row], row.ravel()[offset]) + coo.data)
+    kept = np.concatenate([row.ravel()[np.bincount(offset, minlength=grid.size) < grid.size],
+                           np.delete(diag, coo.row[on_diag])])
+    return float(max(touched.max(initial=0.0), np.abs(kept).max(initial=0.0)))
 
 
 def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatrix:
-    """Dense generator Lambda on n^d <= 4096 nodes: the jump matrix with the
-    sparse drift added in place.
+    """Dense generator Lambda on n^d <= 4096 nodes, as its parity blocks: the
+    jump blocks from the circulant row c (_fold_kernel) plus the folded
+    sparse drift, without the N x N matrix.
+
+    Along a reflected axis with sign s the entry of rows/columns i, j < n/2
+    is c[i - j] + s c[i + j + 1] (column j and its mirror image n - 1 - j);
+    along the others it is c[i - j] (indices mod n).  The diagonal of the
+    jump part is minus its off-diagonal column sums in the even block, which
+    keeps them (a node's column meets every offset once); with no reflection
+    that is _jump_matrix exactly, so the one block is the full matrix.
 
     The jump part always uses the conservative quadrature stencil: the
     spectral multiplier has no Metzler matrix realization, and the maximum
@@ -832,10 +922,29 @@ def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatri
         raise ValueError(
             f"dense assembly limited to n^d <= {MAX_DENSE}, got {grid.size}"
         )
-    a = _jump_matrix(grid, cfg.alpha)
-    drift = drift_matrix(grid, cfg.force_field(), cfg.drift).tocoo()
-    a[drift.row, drift.col] += drift.data  # canonical CSR: no repeated (row, col)
-    return GeneratorMatrix(grid=grid, cfg=cfg, mat=readonly(a))
+    drift = drift_matrix(grid, cfg.force_field(), cfg.drift)
+    axes = mirror_axes(grid, drift)
+    c = _fold_kernel(grid, cfg.alpha).copy()
+    c.flat[0] = 0.0
+    n, i, j = grid.n, np.arange(grid.n), np.arange(grid.n // 2)
+    whole = [((i[:, None] - i[None, :]) % n, 1)]  # per axis, the (index into c, sign) terms
+    pair, mirror = (j[:, None] - j[None, :]) % n, j[:, None] + j[None, :] + 1
+    blocks, diag = {}, None
+    for signs in itertools.product((1, -1), repeat=len(axes)):  # the even block first
+        terms = [whole] * grid.d
+        for a, s in zip(axes, signs):
+            terms[a] = [(pair, 1), (mirror, s)]
+        blk = sum(math.prod(sign for _, sign in combo) * _gather(c, [idx for idx, _ in combo])
+                  for combo in itertools.product(*terms))
+        if diag is None:
+            diag = -blk.sum(axis=0)
+        blk[np.diag_indices_from(blk)] += diag
+        part = fold_sparse(grid, drift, axes, signs).tocoo()
+        blk[part.row, part.col] += part.data  # summed duplicates: no repeated (row, col)
+        blocks[signs] = readonly(blk)
+    full_diag = unfold(diag.reshape(grid.half_shape(axes)), axes).ravel()
+    return GeneratorMatrix(grid=grid, cfg=cfg, axes=axes, blocks=blocks,
+                           max_abs=_max_abs(grid, c, full_diag, drift))
 
 
 # ---------------------------------------------------------------------------

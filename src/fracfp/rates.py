@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from fracfp.grid import CheckFailure, Field, Grid, line_fit, smooth_indicator, weight_field
+from fracfp.grid import (
+    CheckFailure,
+    Field,
+    Grid,
+    fold,
+    line_fit,
+    smooth_indicator,
+    unfold,
+    weight_field,
+)
 from fracfp.operators import GeneratorMatrix, OperatorConfig, readonly
 from fracfp.evolution import auto_dt, evolve
 from fracfp.functionals import cosine_noise, signed_power, weighted_norm
@@ -56,7 +65,7 @@ ENVELOPE_TOL = 0.1  # relative slack of decay_fit's predicted envelope
 SLOPE_SAMPLES = 32  # output times of a regularization-slope run
 REGULARIZATION_TOL = 0.2  # relative tolerance of a regularization-slope verdict
 SEMIGROUP_TOL = 0.1  # slack of the b_semigroup_decay norm and exponent bounds
-HARRIS_MAX_SIZE = 1024  # n^d cap of the dense expm behind harris_contraction and lyapunov_check
+HARRIS_MAX_SIZE = 1024  # n^d cap of the dense block expm behind harris_contraction and lyapunov_check
 
 
 def _model_values(model: str, ts: np.ndarray, rate: float) -> np.ndarray:
@@ -393,20 +402,33 @@ def harris_bank(grid: Grid, k: float, lambda_w: float, count: int = 50) -> list:
     return out[:count]
 
 
-# generator -> {t: P_t}; an entry goes with its generator
+# generator -> {(t, signs): block of P_t}; an entry goes with its generator
 _SEMIGROUPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def semigroup(gm: GeneratorMatrix, t: float) -> np.ndarray:
-    """Read-only dense P_t = e^{t Lambda^*}, Lambda^* = gm.mat.T, once per
-    (gm, t) for lyapunov_check and harris_contraction, and kept only while gm
-    lives; grids above HARRIS_MAX_SIZE nodes raise."""
+def semigroup(gm: GeneratorMatrix, t: float, signs: tuple) -> np.ndarray:
+    """Read-only dense block of P_t = e^{t Lambda^*} on the fields of parity
+    signs: Lambda^* has the transposed blocks of gm, so this is
+    expm(t gm.blocks[signs].T), once per (gm, t, signs) for lyapunov_check
+    and harris_contraction, and kept only while gm lives; grids above
+    HARRIS_MAX_SIZE nodes raise."""
     if gm.size > HARRIS_MAX_SIZE:
         raise ValueError(f"dense semigroup expm restricted to n^d <= {HARRIS_MAX_SIZE}")
-    by_t = _SEMIGROUPS.setdefault(gm, {})
-    if t not in by_t:
-        by_t[t] = readonly(expm(gm.mat.T * t))
-    return by_t[t]
+    cache = _SEMIGROUPS.setdefault(gm, {})
+    if (t, signs) not in cache:
+        cache[t, signs] = readonly(expm(gm.blocks[signs].T * t))
+    return cache[t, signs]
+
+
+def semigroup_apply(gm: GeneratorMatrix, t: float, phi: np.ndarray) -> np.ndarray:
+    """P_t phi for an observable phi on the grid: the sum over the parity
+    patterns of phi's part (fold) through its semigroup block."""
+    out = 0.0
+    for signs in gm.blocks:
+        part = fold(phi, gm.axes, signs)
+        moved = semigroup(gm, t, signs) @ part.ravel(order="C")
+        out = out + unfold(moved.reshape(part.shape), gm.axes, signs)
+    return out
 
 
 def harris_contraction(gm: GeneratorMatrix, t: float, k: float, lambda_w: float) -> float:
@@ -415,19 +437,18 @@ def harris_contraction(gm: GeneratorMatrix, t: float, k: float, lambda_w: float)
     P_t = e^{t Lambda^*} acts on observables; the seminorm weights are
     m_lambda = 1 + lambda_w <x>^k.  The bank supremum lower-bounds the true
     operator seminorm, so a ratio < 1 is necessary-but-weaker evidence of
-    contraction (recorded as such).  P_t is the dense ``semigroup`` of the
-    generator gm.
+    contraction (recorded as such).  P_t acts through the dense
+    ``semigroup`` blocks of the generator gm (semigroup_apply).
     """
     grid = gm.grid
-    pt = semigroup(gm, float(t))
+    t = float(t)
     m_lam = (1.0 + lambda_w * grid.bracket() ** k).ravel(order="C")
     worst = 0.0
     for phi in harris_bank(grid, k, lambda_w):
-        phi = phi.ravel(order="C")
         s0 = harris_seminorm(phi, m_lam)
         if s0 <= 0.0:
             continue
-        s1 = harris_seminorm(pt @ phi, m_lam)
+        s1 = harris_seminorm(semigroup_apply(gm, t, phi), m_lam)
         worst = max(worst, s1 / s0)
     return worst
 
@@ -438,13 +459,17 @@ def lyapunov_check(gm: GeneratorMatrix, t_samples, k: float) -> dict:
     Fits (a, b) from the generator inequality Lambda^* m <= b - a m (a is 90%
     of the worst outer-region ratio, b the resulting envelope max) and then
     verifies the semigroup envelope nodewise at each sampled t.  gm is the
-    generator; Lambda^* is its transpose.  CheckFailure "lyapunov-drift-rate"
-    (measured = a, tolerance 0) when a <= 0: Lambda^* m is not pushed down.
+    generator; Lambda^* is its transpose.  The weight m is radial, so even
+    under every reflection of gm.axes: only the even block acts, on the
+    first halves.  CheckFailure "lyapunov-drift-rate" (measured = a,
+    tolerance 0) when a <= 0: Lambda^* m is not pushed down.
     """
     grid = gm.grid
-    m = weight_field(grid, k).values.ravel(order="C")
-    z = gm.mat.T @ m
-    outer = (grid.radius2() >= (grid.L / 2.0) ** 2).ravel(order="C")
+    even = (1,) * len(gm.axes)
+    half = grid.half(gm.axes)
+    m = weight_field(grid, k).values[half].ravel(order="C")
+    z = gm.blocks[even].T @ m
+    outer = (grid.radius2()[half] >= (grid.L / 2.0) ** 2).ravel(order="C")
     a = 0.9 * float(np.min(-z[outer] / m[outer]))
     if a <= 0.0:
         raise CheckFailure("lyapunov-drift-rate", a, 0.0)
@@ -452,7 +477,7 @@ def lyapunov_check(gm: GeneratorMatrix, t_samples, k: float) -> dict:
     c = b / a
     out = {"a": a, "b": b, "c": c, "gamma": {}, "envelope_ok": {}, "k": k}
     for t in np.atleast_1d(t_samples):
-        y = semigroup(gm, float(t)) @ m
+        y = semigroup(gm, float(t), even) @ m
         gamma_t = float(np.max((y - c) / m))
         out["gamma"][float(t)] = gamma_t
         out["envelope_ok"][float(t)] = bool(np.all(y <= gamma_t * m + c + 1e-12))

@@ -7,13 +7,14 @@
   (the zero eigenvalue is simple with a positive eigenvector, the numeric
   shadow of uniqueness).
 
-The eigenpair route works in a symmetry-adapted basis.  Each axis reflection
+Both dense routes work in a symmetry-adapted basis.  Each axis reflection
 x_a -> -x_a that commutes with the generator (every axis, for a radial force
 and the cell-centered grid) splits the fields into even and odd parts, so
 the matrix is block diagonal with one block of size N / 2^s per parity
-pattern over the s symmetric axes.  LAPACK's ``eig`` on the blocks gives the
-full spectrum at 1/4^s of the cost.  The linear-solve route keeps the full
-bordered matrix, so it stays an independent check of the reduced one.
+pattern over the s symmetric axes (GeneratorMatrix.blocks).  The stationary
+state is even, so the linear-solve route solves the even block alone; the
+eigenpair route takes the spectrum of every block (LAPACK on the blocks:
+1/4^s of the full cost) and the eigenvectors of the even block.
 
 For the quadratic-potential drift E = x the equilibrium is explicit in
 Fourier space: F^(xi) = exp(-(2 pi |xi|)^alpha / alpha); at alpha = 1 this is
@@ -24,7 +25,6 @@ A route that breaks down raises grid.CheckFailure, named after the check.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import reduce
@@ -36,7 +36,6 @@ from fracfp.grid import (
     CheckFailure,
     Field,
     Grid,
-    along,
     integrate,
     line_fit,
     normalized_gaussian,
@@ -158,40 +157,29 @@ def steady_by_evolution(
 
 
 def steady_by_linear_solve(gm: GeneratorMatrix) -> SteadyState:
-    """Bordered solve: Lambda F = 0 with the row at the node nearest the
-    origin replaced by the unit-mass constraint (best conditioning: F peaks
-    there)."""
+    """Bordered solve on the even block: Lambda F = 0 with the row at the
+    folded node nearest the origin replaced by the unit-mass constraint (best
+    conditioning: F peaks there), each folded node weighted by the cell
+    volume times the 2^s nodes it stands for.  The stationary state is even
+    under every reflection of gm.axes, and the even block keeps the zero
+    column sums, so the replaced row holds to roundoff as well."""
     grid = gm.grid
-    a = gm.mat.copy()
-    j0 = int(np.argmin(grid.radius2().ravel(order="C")))
-    a[j0, :] = grid.cell_volume
-    b = np.zeros(grid.size)
+    block = gm.blocks[(1,) * len(gm.axes)]
+    a = block.copy()
+    j0 = int(np.argmin(grid.radius2()[grid.half(gm.axes)].ravel(order="C")))
+    a[j0, :] = grid.cell_volume * 2 ** len(gm.axes)
+    b = np.zeros(len(a))
     b[j0] = 1.0
-    sol = _la.solve(a, b)
-    resid_rows = gm.mat @ sol
+    sol = _la.solve(a, b, overwrite_a=True)
+    resid_rows = block @ sol
     resid_rows[j0] = 0.0
-    field = _finalize(grid, sol.reshape(grid.shape), "linear-solve")
+    field = _finalize(grid, unfold(sol.reshape(grid.half_shape(gm.axes)), gm.axes), "linear-solve")
     return SteadyState(field=field, route="linear-solve", residual=float(np.max(np.abs(resid_rows))))
 
 
-SYMMETRY_TOL = 1e-12  # an axis reflection is a symmetry when it moves A by less than this times max|A|
 # roundoff bound on the leading pair: ||A v - lambda v||_inf against max|A| ||v||_inf,
 # and the eigenvector's mass against its L1 norm
 RESIDUAL_TOL = 1e-10
-
-
-def _parity_block(t: np.ndarray, axes, signs) -> np.ndarray:
-    """The generator tensor t (row axes, then column axes) on the fields with
-    parity signs[i] under the reflection of axes[i]: rows restricted to the
-    first half of each reflected axis (n is even: build_grid takes powers of
-    two), columns folded onto that half."""
-    d = t.ndim // 2
-    h = t.shape[0] // 2
-    for a, s in zip(axes, signs):
-        t = t[along(a, slice(h))]
-        half = along(d + a, slice(h))
-        t = t[half] + s * np.flip(t, d + a)[half]
-    return t
 
 
 def leading_eigenpair(gm: GeneratorMatrix):
@@ -201,53 +189,46 @@ def leading_eigenpair(gm: GeneratorMatrix):
     simplicity plus positivity of the eigenvector witness uniqueness of the
     stationary state.
 
-    ``eig`` runs on the parity blocks of the axis reflections that leave the
-    matrix unchanged (to SYMMETRY_TOL); with none, the one block is the whole
-    matrix.  The leading pair is the rightmost eigenvalue over all blocks, its
-    eigenvector unfolded to the full grid, and the gap is taken over the
-    union of the block spectra.  Raises CheckFailure, in this order, when
-    the rightmost real part exceeds 1e-8 max|A| (an unstable generator: the
-    tolerance of the leading-eigenvalue record), when the leading eigenvalue
-    is complex beyond roundoff, when its eigenvector has zero mass, or when
-    the pair misses ||A v - lambda v||_inf <= RESIDUAL_TOL max|A| ||v||_inf
-    on the full matrix: "spectral-abscissa", "leading-eigenvalue-real",
+    The spectrum is the union of the spectra of gm.blocks.  ``eig`` computes
+    eigenvectors for the even block only, ``eigvals`` the other spectra; the
+    leading pair is the rightmost eigenvalue over all blocks, and should
+    another block hold it, ``eig`` runs there for its eigenvector (which has
+    zero mass).  The eigenvector is unfolded to the full grid, and the gap
+    is taken over the union.  With A = Lambda and max|A| = gm.max_abs,
+    raises CheckFailure, in this order, when the rightmost real part exceeds
+    1e-8 max|A| (an unstable generator: the tolerance of the
+    leading-eigenvalue record), when the leading eigenvalue is complex
+    beyond roundoff, when its eigenvector has zero mass, or when the pair
+    misses ||B v - lambda v||_inf <= RESIDUAL_TOL max|A| ||v||_inf on its
+    block B: "spectral-abscissa", "leading-eigenvalue-real",
     "eigenvector-mass" and "eigenpair-residual".
     """
     grid = gm.grid
-    d = grid.d
-    scale = float(np.abs(gm.mat).max())
-    t = gm.mat.reshape(grid.shape * 2)
-    h = grid.n // 2
-    axes = []
-    for a in range(d):
-        # A - P A P is odd under the reflection P: its first row half holds its max
-        top = along(a, slice(h))
-        if np.abs(t[top] - np.flip(t, (a, d + a))[top]).max() <= SYMMETRY_TOL * scale:
-            axes.append(a)
-    spectra, lead = [], None
-    for signs in itertools.product((1.0, -1.0), repeat=len(axes)):
-        block = _parity_block(t, axes, signs)
-        shape = block.shape[:d]
-        lam, vecs = _la.eig(block.reshape(math.prod(shape), -1))
-        spectra.append(lam.real)
-        k = int(np.argmax(lam.real))
-        if lead is None or lam[k].real > lead[0].real:
-            lead = (lam[k], vecs[:, k].reshape(shape), signs)
-    lam, vec, signs = lead
+    scale = gm.max_abs
+    even = (1,) * len(gm.axes)
+    lam, vecs = _la.eig(gm.blocks[even])
+    spectra = {s: lam if s == even else _la.eigvals(b) for s, b in gm.blocks.items()}
+    signs = max(spectra, key=lambda s: spectra[s].real.max())  # the even block on ties
+    if signs != even:
+        # its eigenvector is odd along some axis: of zero mass, it fails below
+        lam, vecs = _la.eig(gm.blocks[signs])
+    k = int(np.argmax(lam.real))
+    lam = lam[k]
     if lam.real > 1e-8 * scale:
         raise CheckFailure("spectral-abscissa", lam.real, 1e-8 * scale)
     if abs(lam.imag) > 1e-8 * scale:
         raise CheckFailure("leading-eigenvalue-real", abs(lam.imag), 1e-8 * scale)
-    vec = unfold(vec.real, axes, signs).ravel()
+    vec = unfold(vecs[:, k].real.reshape(grid.half_shape(gm.axes)), gm.axes, signs).ravel()
     mass = float(np.sum(vec) * grid.cell_volume)
     l1 = float(np.sum(np.abs(vec)) * grid.cell_volume)
     if abs(mass) <= RESIDUAL_TOL * l1:
         raise CheckFailure("eigenvector-mass", abs(mass), RESIDUAL_TOL * l1)
     vec = vec / mass
-    resid = float(np.abs(gm.mat @ vec - lam.real * vec).max() / np.abs(vec).max())
+    half = vec.reshape(grid.shape)[grid.half(gm.axes)].ravel()
+    resid = float(np.abs(gm.blocks[signs] @ half - lam.real * half).max() / np.abs(half).max())
     if resid > RESIDUAL_TOL * scale:
         raise CheckFailure("eigenpair-residual", resid, RESIDUAL_TOL * scale)
-    reals = np.sort(np.concatenate(spectra))
+    reals = np.sort(np.concatenate([spec.real for spec in spectra.values()]))
     gap = float(lam.real - reals[-2])
     return float(lam.real), Field(grid, vec.reshape(grid.shape)), gap
 

@@ -10,6 +10,7 @@ import pytest
 import fracfp
 import fracfp.cli
 import fracfp.evolution
+import fracfp.operators
 import fracfp.rates
 
 from fracfp.cli import (
@@ -314,7 +315,7 @@ def test_all_suite_assembles_one_generator(tmp_path, monkeypatch):
     for name in ("route-agreement-L1", "leading-eigenvalue", "lyapunov-gamma1", "harris-contraction"):
         assert name in names
     assert len(built) == 1 and not built[0].mat.flags.writeable
-    assert expms == [(64, 64)]
+    assert expms == [(32, 32)] * 2  # one per parity block of the radial force
 
 
 def test_float_printing_roundtrip(tmp_path, tiny_cfg_text):
@@ -500,7 +501,41 @@ def test_rates_suite_computes_one_semigroup(monkeypatch):
     fracfp.cli._suite_rates(cfg, report, {})
     names = [r.name for r in report.records]
     assert "lyapunov-gamma1" in names and "harris-contraction" in names
-    assert shapes == [(64, 64)]
+    assert shapes == [(32, 32)] * 2  # one per parity block of the radial force
+
+
+def test_rates_suite_above_the_expm_cap_has_no_harris_records():
+    # the cap keeps the 1d n = 2048 rates run (the evolve-1d benchmark) free
+    # of the dense block expm and of both records
+    assert fracfp.rates.HARRIS_MAX_SIZE == fracfp.cli.HARRIS_MAX_SIZE == 1024
+    cfg = ScenarioConfig(name="r", d=1, L=20.0, n=2048, alpha=1.0, gamma=2.0, k=0.5,
+                         suite="rates", horizon=8.0)
+    assert cfg.grid().size > fracfp.rates.HARRIS_MAX_SIZE
+    report = fracfp.cli.RunReport(scenario=cfg)
+    fracfp.cli._suite_rates(cfg, report, {})
+    names = [r.name for r in report.records]
+    assert "exponential-rate-positive" in names
+    assert "lyapunov-gamma1" not in names and "harris-contraction" not in names
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
+def test_no_cli_route_builds_the_full_matrix(tmp_path, monkeypatch, d, n):
+    # the dense routes work on the parity blocks: the N x N jump matrix is never built
+    calls = []
+    jump_matrix = fracfp.operators._jump_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return jump_matrix(*args)
+
+    monkeypatch.setattr(fracfp.operators, "_jump_matrix", counting)
+    cfg = ScenarioConfig(name="all", d=d, L=10.0, n=n, alpha=1.0, gamma=2.0, k=0.5,
+                         method="quadrature", suite="all", horizon=8.0)
+    report = run_scenario(cfg, tmp_path / "o")
+    names = [r.name for r in report.records]
+    for name in ("route-agreement-L1", "leading-eigenvalue", "lyapunov-gamma1", "harris-contraction"):
+        assert name in names
+    assert calls == []
 
 
 def test_rates_suite_2d_n32_has_the_harris_records(tmp_path, capsys):

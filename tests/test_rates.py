@@ -4,9 +4,15 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from fracfp.grid import CheckFailure, Field, build_grid, weight_field
-from fracfp.operators import GeneratorMatrix, OperatorConfig, assemble_generator_matrix
+from fracfp.grid import CheckFailure, Field, build_grid, fold, unfold, weight_field
+from fracfp.operators import (
+    ForceField,
+    GeneratorMatrix,
+    OperatorConfig,
+    assemble_generator_matrix,
+)
 from fracfp.evolution import evolve
 from fracfp.rates import (
     b_semigroup_decay,
@@ -20,6 +26,7 @@ from fracfp.rates import (
     polynomial_rate_check,
     regularization_slope,
     semigroup,
+    semigroup_apply,
     weighted_opnorm,
 )
 
@@ -232,7 +239,8 @@ def test_lyapunov_drift_at_origin(generator_256):
 
 def test_harris_contraction_identity(generator_256):
     g = generator_256.grid
-    ident = GeneratorMatrix(grid=g, cfg=generator_256.cfg, mat=np.zeros((256, 256)))
+    ident = GeneratorMatrix(grid=g, cfg=generator_256.cfg, axes=(), blocks={(): np.zeros((256, 256))},
+                            max_abs=0.0)
     assert harris_contraction(ident, 0.0, 0.5, 0.4) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -269,9 +277,8 @@ def test_seminorm_shift_identity(generator_256):
     # m_lam^{-1}-weighted sup norm; the constant c = max(phi - s m_lam) attains it
     g = generator_256.grid
     m_lam = 1.0 + 0.4 * g.bracket() ** 0.5
-    pt = semigroup(generator_256, 0.5)
     for phi in harris_bank(g, 0.5, 0.4, count=10):
-        for psi in (phi, pt @ phi):
+        for psi in (phi, semigroup_apply(generator_256, 0.5, phi)):
             s = harris_seminorm(psi, m_lam)
             assert s == pairwise_seminorm(psi, m_lam)
             c = np.max(psi - s * m_lam)
@@ -296,9 +303,10 @@ def test_seminorm_matches_the_pairwise_formula():
 
 
 def test_one_semigroup_per_generator(generator_256):
-    pt = semigroup(generator_256, 1.0)
-    assert semigroup(generator_256, 1.0) is pt
-    assert not pt.flags.writeable
+    for signs in generator_256.blocks:
+        pt = semigroup(generator_256, 1.0, signs)
+        assert semigroup(generator_256, 1.0, signs) is pt
+        assert not pt.flags.writeable
 
 
 def test_semigroup_does_not_outlive_its_generator():
@@ -309,6 +317,62 @@ def test_semigroup_does_not_outlive_its_generator():
     del gm
     gc.collect()
     assert alive() is None
+
+
+def _shifted_y(p):
+    # mirror-symmetric in x only
+    return np.stack([p[..., 0], p[..., 1] - 0.5], axis=-1)
+
+
+# name -> (d, n, force); L = 10, alpha = 1, gamma = 2, quadrature jump
+SEMIGROUP_CASES = {
+    "1d": (1, 128, None),
+    "2d": (2, 16, None),
+    "2d-x-symmetric": (2, 16, ForceField(2.0, _shifted_y)),
+}
+
+
+def full_lyapunov_and_harris(gm, pt, k, t):
+    """lyapunov_check's (a, b, c, gamma_t) and harris_contraction on the full
+    matrix gm.mat and the full semigroup pt = expm(t gm.mat.T)."""
+    grid = gm.grid
+    m = weight_field(grid, k).values.ravel()
+    z = gm.mat.T @ m
+    outer = (grid.radius2() >= (grid.L / 2.0) ** 2).ravel()
+    a = 0.9 * float(np.min(-z[outer] / m[outer]))
+    b = float(np.max(z + a * m))
+    c = b / a
+    gamma_t = float(np.max((pt @ m - c) / m))
+    m_lam = (1.0 + grid.bracket() ** k / c).ravel()
+    worst = 0.0
+    for phi in harris_bank(grid, k, 1.0 / c):
+        s0 = harris_seminorm(phi, m_lam)
+        if s0 > 0.0:
+            worst = max(worst, harris_seminorm(pt @ phi.ravel(), m_lam) / s0)
+    return (a, b, c, gamma_t), worst
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUP_CASES))
+def test_block_semigroup_matches_the_full_expm(name):
+    d, n, force = SEMIGROUP_CASES[name]
+    gm = assemble_generator_matrix(
+        build_grid(d, 10.0, n), OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature", force=force))
+    pt = expm(gm.mat.T)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        phi = rng.standard_normal(gm.grid.shape)
+        ref = (pt @ phi.ravel()).reshape(phi.shape)
+        assert np.abs(semigroup_apply(gm, 1.0, phi) - ref).max() <= 1e-12 * np.abs(ref).max()
+    for signs in gm.blocks:
+        # the block on a part of one parity pattern is P_t on that part
+        part = fold(phi, gm.axes, signs)
+        ref = fold((pt @ unfold(part, gm.axes, signs).ravel()).reshape(phi.shape), gm.axes, signs)
+        assert np.abs(semigroup(gm, 1.0, signs) @ part.ravel() - ref.ravel()).max() <= (
+            1e-12 * np.abs(ref).max())
+    (a, b, c, gamma_1), harris = full_lyapunov_and_harris(gm, pt, 0.5, 1.0)
+    ly = lyapunov_check(gm, [1.0], 0.5)
+    assert [ly["a"], ly["b"], ly["c"], ly["gamma"][1.0]] == pytest.approx([a, b, c, gamma_1], rel=1e-12)
+    assert harris_contraction(gm, 1.0, 0.5, 1.0 / ly["c"]) == pytest.approx(harris, rel=1e-12)
 
 
 def test_harris_guard_size():

@@ -1,11 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from fracfp import steady
 from fracfp.evolution import _Stepper, auto_dt
-from fracfp.grid import CheckFailure, Field, build_grid, integrate, normalized_gaussian
-from fracfp.operators import ForceField, OperatorConfig, assemble_generator_matrix
+from fracfp.grid import CheckFailure, Field, along, build_grid, integrate, normalized_gaussian
+from fracfp.operators import (
+    ForceField,
+    OperatorConfig,
+    assemble_generator_matrix,
+    fold_sparse,
+    laplacian_matrix,
+    mirror_axes,
+)
 from fracfp.steady import (
     closed_form_equilibrium,
     leading_eigenpair,
@@ -146,28 +155,30 @@ def test_eigenpair_matches_full_eig(name):
 @pytest.mark.parametrize(
     "name, sizes",
     [
-        ("1d-upwind", [128] * 2),
-        ("2d-upwind", [64] * 4),  # N / 2^d for the radial force
-        ("2d-x-symmetric", [128] * 2),
-        ("1d-shifted", [128]),  # no symmetric axis: the whole matrix
+        # (sizes passed to eig, sizes passed to eigvals)
+        ("1d-upwind", ([128], [128])),
+        ("2d-upwind", ([64], [64] * 3)),  # N / 2^d for the radial force
+        ("2d-x-symmetric", ([128], [128])),
+        ("1d-shifted", ([128], [])),  # no symmetric axis: the whole matrix
     ],
 )
 def test_eigenpair_runs_eig_on_parity_blocks(name, sizes, monkeypatch):
-    sizes_seen = []
-    eig = steady._la.eig
+    # eigenvectors for the even block only; the other blocks give eigenvalues
+    seen = {"eig": [], "eigvals": []}
+    for func in seen:
+        original = getattr(steady._la, func)
 
-    def recording_eig(a, *args, **kwargs):
-        sizes_seen.append(a.shape[0])
-        return eig(a, *args, **kwargs)
+        def recording(a, *args, _func=func, _original=original, **kwargs):
+            seen[_func].append(a.shape[0])
+            return _original(a, *args, **kwargs)
 
-    gm = _eig_case(name)
-    monkeypatch.setattr(steady._la, "eig", recording_eig)
-    leading_eigenpair(gm)
-    assert sizes_seen == sizes
+        monkeypatch.setattr(steady._la, func, recording)
+    leading_eigenpair(_eig_case(name))
+    assert (seen["eig"], seen["eigvals"]) == sizes
 
 
 def test_eigenpair_residual_certificate(monkeypatch):
-    # a leading eigenvector that is off by 1e-6 fails the full-matrix check
+    # a leading eigenvector of the block that is off by 1e-6 fails the block's check
     eig = steady._la.eig
 
     def perturbed_eig(a, *args, **kwargs):
@@ -178,7 +189,130 @@ def test_eigenpair_residual_certificate(monkeypatch):
     monkeypatch.setattr(steady._la, "eig", perturbed_eig)
     with pytest.raises(CheckFailure, match="eigenpair-residual") as exc:
         leading_eigenpair(gm)
-    assert exc.value.measured > exc.value.tolerance == steady.RESIDUAL_TOL * np.abs(gm.mat).max()
+    assert exc.value.measured > exc.value.tolerance == steady.RESIDUAL_TOL * gm.max_abs
+
+
+def parity_block(mat, grid, axes, signs):
+    """The block of the full matrix mat on the fields of parity signs under
+    the reflections of axes: rows on the first half of each, columns folded."""
+    t, d, h = mat.reshape(grid.shape * 2), grid.d, grid.n // 2
+    for a, s in zip(axes, signs):
+        t = t[along(a, slice(h))]
+        half = along(d + a, slice(h))
+        t = t[half] + s * np.flip(t, d + a)[half]
+    return t.reshape(mat.shape[0] // 2 ** len(axes), -1)
+
+
+@pytest.mark.parametrize("name", sorted(EIG_CASES))
+def test_blocks_are_the_parity_blocks_of_the_full_matrix(name):
+    gm = _eig_case(name)
+    scale = np.abs(gm.mat).max()
+    assert list(gm.blocks) == list(itertools.product((1, -1), repeat=len(gm.axes)))
+    for signs, block in gm.blocks.items():
+        assert np.abs(block - parity_block(gm.mat, gm.grid, gm.axes, signs)).max() <= 1e-13 * scale
+        assert not block.flags.writeable
+    assert gm.max_abs == pytest.approx(scale, rel=1e-15)
+
+
+@pytest.mark.parametrize("d, n, axes", [(1, 16, (0,)), (2, 8, (0, 1)), (2, 8, (1,))])
+def test_fold_sparse_is_the_parity_block(d, n, axes):
+    # the Laplacian couples the two halves across each reflection plane (the
+    # flux-form drift does not: its face velocity there is 0)
+    g = build_grid(d, 3.0, n)
+    lap = laplacian_matrix(g)
+    assert mirror_axes(g, lap) == tuple(range(d))
+    for signs in itertools.product((1, -1), repeat=len(axes)):
+        ref = parity_block(lap.toarray(), g, axes, signs)
+        # the entries at the planes sum up to three terms, in another order
+        assert np.abs(fold_sparse(g, lap, axes, signs).toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_max_abs_without_drift():
+    # no drift entry anywhere: max|A| is the jump diagonal, an entry D never touches
+    for d, n in ((1, 32), (2, 8)):
+        gm = assemble_generator_matrix(build_grid(d, 5.0, n), OperatorConfig(
+            alpha=1.0, method="quadrature", force=ForceField(2.0, lambda x: 0.0 * x)))
+        assert gm.axes == tuple(range(d))
+        assert gm.max_abs == pytest.approx(np.abs(gm.mat).max(), rel=1e-15)
+
+
+def test_block_layout_follows_the_force():
+    axes = {name: _eig_case(name).axes for name in EIG_CASES}
+    assert axes == {"1d-upwind": (0,), "2d-upwind": (0, 1), "2d-centered": (0, 1),
+                    "2d-x-symmetric": (0,), "1d-shifted": ()}
+    assert [b.shape for b in _eig_case("2d-x-symmetric").blocks.values()] == [(128, 128)] * 2
+
+
+def _shifted(p):
+    # mirror-symmetric along no axis
+    return p - 0.5
+
+
+def full_matrix_routes(gm):
+    """The bordered solve and the leading pair on the full matrix gm.mat."""
+    grid = gm.grid
+    a = gm.mat.copy()
+    j0 = int(np.argmin(grid.radius2().ravel()))
+    a[j0, :] = grid.cell_volume
+    b = np.zeros(grid.size)
+    b[j0] = 1.0
+    sol = scipy.linalg.solve(a, b)
+    lam, vecs = scipy.linalg.eig(gm.mat)
+    k = int(np.argmax(lam.real))
+    vec = vecs[:, k].real
+    vec = vec / (np.sum(vec) * grid.cell_volume)
+    reals = np.sort(lam.real)
+    return sol / (np.sum(sol) * grid.cell_volume), lam[k].real, vec, lam[k].real - reals[-2]
+
+
+@pytest.mark.parametrize("d, n", [(1, 128), (2, 16)])
+def test_shifted_force_has_one_block_the_full_matrix(d, n):
+    # no reflection leaves the drift unchanged: both routes run on the full
+    # matrix as before, bit for bit
+    gm = assemble_generator_matrix(
+        build_grid(d, 10.0, n),
+        OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature", force=ForceField(2.0, _shifted)))
+    assert gm.axes == () and list(gm.blocks) == [()]
+    assert np.array_equal(gm.blocks[()], gm.mat)
+    assert gm.max_abs == np.abs(gm.mat).max()
+    sol, lam_ref, vec_ref, gap_ref = full_matrix_routes(gm)
+    assert np.array_equal(steady_by_linear_solve(gm).field.values.ravel(), sol)
+    lam, vec, gap = leading_eigenpair(gm)
+    assert (lam, gap) == (lam_ref, gap_ref)
+    assert np.array_equal(vec.values.ravel(), vec_ref)
+
+
+def test_linear_solve_matches_the_full_bordered_matrix():
+    gm = _eig_case("2d-upwind")
+    sol = full_matrix_routes(gm)[0].reshape(gm.grid.shape)
+    F = steady_by_linear_solve(gm).field.values
+    assert np.abs(F - sol).max() <= 1e-12 * sol.max()
+    assert np.array_equal(F, np.flip(F, 0)) and np.array_equal(F, np.flip(F, 1))
+
+
+def test_leading_pair_in_an_odd_block_fails_on_its_mass(monkeypatch):
+    # should an odd block hold the rightmost eigenvalue, its eigenvector
+    # (odd, so of zero mass) fails the eigenvector-mass check
+    gm = _eig_case("2d-upwind")
+    eigvals = steady._la.eigvals
+
+    def lifted(a, *args, **kwargs):
+        lam = eigvals(a, *args, **kwargs)
+        return lam - lam.real.max() + 1e-10 * gm.max_abs
+
+    eig, blocks_seen = steady._la.eig, []
+
+    def recording_eig(a, *args, **kwargs):
+        blocks_seen.append(next(s for s, b in gm.blocks.items() if b is a))
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(steady._la, "eigvals", lifted)
+    monkeypatch.setattr(steady._la, "eig", recording_eig)
+    with pytest.raises(CheckFailure, match="eigenvector-mass") as exc:
+        leading_eigenpair(gm)
+    assert exc.value.measured <= exc.value.tolerance
+    # the eigenvectors of the block that holds the lifted eigenvalue
+    assert blocks_seen == [(1, 1), (1, -1)]
 
 
 def test_evolution_route_agreement(small_setup):
