@@ -34,7 +34,7 @@ from fracfp.operators import (
     make_force,
     verify_force_hypotheses,
 )
-from fracfp.evolution import POSITIVITY_FLOOR, SchemeConfig, Trajectory, evolve, step_size
+from fracfp.evolution import POSITIVITY_FLOOR, SchemeConfig, evolve, step_size
 from fracfp.functionals import (
     carre_du_champ,
     field_bank,
@@ -85,13 +85,9 @@ class ScenarioConfig:
     def grid(self) -> Grid:
         return build_grid(self.d, self.L, self.n)
 
-    def operator(self, method: str | None = None) -> OperatorConfig:
-        return OperatorConfig(
-            alpha=self.alpha,
-            gamma=self.gamma,
-            method=method or self.method,
-            drift=self.drift,
-        )
+    def operator(self) -> OperatorConfig:
+        return OperatorConfig(alpha=self.alpha, gamma=self.gamma, method=self.method,
+                              drift=self.drift)
 
     def scheme(self) -> SchemeConfig:
         return SchemeConfig(
@@ -105,42 +101,36 @@ class ScenarioConfig:
 _TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
-def _coerce(key: str, raw, lineno: int | None = None):
-    where = f" (line {lineno})" if lineno is not None else ""
+def _coerce(key: str, raw: str, where: str):
+    """The value of one config key from its text, parsed by the field's type."""
     if key not in _TYPES:
         raise ConfigError(f"unknown config key {key!r}{where}")
     kind = _TYPES[key]
     if kind == "str":
-        return str(raw)
+        return raw
+    if kind.endswith("| None") and raw.lower() in ("none", "null", "auto", ""):
+        return None
     try:
-        if kind == "int":
-            return int(raw)
-        if kind.endswith("| None") and str(raw).lower() in ("none", "auto", ""):
-            return None
-        return float(raw)
-    except (TypeError, ValueError) as exc:
+        return int(raw) if kind == "int" else float(raw)
+    except ValueError as exc:
         raise ConfigError(f"cannot parse value for {key!r}{where}: {raw!r}") from exc
 
 
-def parse_config(path: str | Path) -> ScenarioConfig:
-    """Read and validate a scenario config: JSON document or key = value lines."""
-    return _load_config(path, None)
-
-
-def _load_config(path: str | Path, suite: str | None) -> ScenarioConfig:
-    """Read a scenario config, apply the --suite override, then validate once."""
+def parse_config(path: str | Path, suite: str | None = None) -> ScenarioConfig:
+    """Read a scenario config, a JSON object or key = value lines, apply the
+    --suite override, then validate once.  Both formats share one grammar,
+    each value's text parsed by its field's type: a JSON string is that text
+    as written and any other JSON value its JSON text, so 1.7 is no int and
+    true no float, while null means None as none and auto do."""
     text = Path(path).read_text(encoding="utf-8")
-    values: dict = {}
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    items = []  # (key, value text, where)
+    if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-        for key, raw in doc.items():
-            values[key] = _coerce(key, raw)
+        items = [(key, raw if isinstance(raw, str) else json.dumps(raw), "")
+                 for key, raw in doc.items()]
     else:
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
@@ -149,7 +139,8 @@ def _load_config(path: str | Path, suite: str | None) -> ScenarioConfig:
             if "=" not in body:
                 raise ConfigError(f"expected key = value on line {lineno}: {line!r}")
             key, raw = (part.strip() for part in body.split("=", 1))
-            values[key] = _coerce(key, raw, lineno)
+            items.append((key, raw, f" (line {lineno})"))
+    values = {key: _coerce(key, raw, where) for key, raw, where in items}
     if suite:
         values["suite"] = suite
     cfg = ScenarioConfig(**values)
@@ -165,6 +156,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITES}")
     if not cfg.horizon > 0.0:
         raise ConfigError(f"horizon = {cfg.horizon} must be positive")
+    if not math.isfinite(cfg.horizon):
+        raise ConfigError(f"horizon = {cfg.horizon} must be finite: a run takes horizon / dt steps")
     if cfg.seed < 0:
         raise ConfigError(f"seed = {cfg.seed} must be a non-negative integer")
     try:
@@ -249,8 +242,7 @@ def _generator(cfg: ScenarioConfig, artifacts: dict) -> GeneratorMatrix:
     """The dense quadrature generator of the scenario, assembled on first
     need and shared by the steady and rates suites."""
     if "generator" not in artifacts:
-        artifacts["generator"] = assemble_generator_matrix(
-            cfg.grid(), cfg.operator(method="quadrature"))
+        artifacts["generator"] = assemble_generator_matrix(cfg.grid(), cfg.operator())
     return artifacts["generator"]
 
 
@@ -385,7 +377,7 @@ def _suite_rates(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> Non
 
 def _suite_inequalities(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> None:
     grid = cfg.grid()
-    op = cfg.operator(method="quadrature")
+    op = cfg.operator()
     bank = field_bank(grid, count=20, seed=cfg.seed)
     lo, hi = math.inf, -math.inf
     for u in bank:
@@ -452,62 +444,39 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunR
 # ---------------------------------------------------------------------------
 
 
-def _fmt_row(values) -> str:
-    return ",".join(FMT % v if isinstance(v, float) else str(v) for v in values)
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One CSV table, each row written as it comes: floats printed with FMT
+    (round-trip exact), every other value with str.  The row format is read
+    off the first row; a table's rows share their column types."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        line = None
+        for row in rows:
+            line = line or ",".join(FMT if isinstance(v, float) else "%s" for v in row) + "\n"
+            fh.write(line % tuple(row))
 
 
 def emit_outputs(report: RunReport, artifacts: dict, out_dir: Path) -> None:
+    """monitors.csv, steady.csv, rates.csv and report.txt under out_dir; a
+    table no suite filled holds its header only."""
     out_dir = Path(out_dir)
+    tr, ss = artifacts.get("trajectory"), artifacts.get("steady")
+    monitors = () if tr is None else map(np.ndarray.tolist, tr.monitor_columns())
+    steady = () if ss is None else (
+        [*pt, v] for pt, v in zip(ss.field.grid.nodes().tolist(), ss.field.values.ravel().tolist()))
+    rates = ([name, rep.model,
+              *map(float, (rep.fitted, math.nan if rep.predicted is None else rep.predicted,
+                           *rep.window, rep.r2)),
+              rep.verdict] for name, rep in artifacts.get("rates", []))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_monitors(artifacts.get("trajectory"), out_dir / "monitors.csv")
-        _write_steady(artifacts.get("steady"), report.scenario.d, out_dir / "steady.csv")
-        _write_rates(artifacts.get("rates", []), out_dir / "rates.csv")
+        _write_csv(out_dir / "monitors.csv", "t,mass,min,L1m,L2m,Linfm,entropy", monitors)
+        _write_csv(out_dir / "steady.csv", ",".join(["x", "y"][:report.scenario.d] + ["F"]), steady)
+        _write_csv(out_dir / "rates.csv",
+                   "name,model,fitted,predicted,window_lo,window_hi,r2,verdict", rates)
         _write_report(report, artifacts, out_dir / "report.txt")
     except OSError as exc:
         raise OSError(f"cannot write outputs under {out_dir}: {exc}") from exc
-
-
-def _write_monitors(tr: Trajectory | None, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,mass,min,L1m,L2m,Linfm,entropy\n")
-        if tr is None:
-            return
-        cols = tr.monitor_columns()
-        row = ",".join([FMT] * cols.shape[1]) + "\n"
-        for values in cols:
-            fh.write(row % tuple(values.tolist()))
-
-
-def _write_steady(ss, d: int, path: Path) -> None:
-    rows = [",".join(["x", "y"][:d] + ["F"])]
-    if ss is not None:
-        grid = ss.field.grid
-        for pt, v in zip(grid.nodes(), ss.field.values.ravel(order="C")):
-            rows.append(_fmt_row([float(c) for c in pt] + [float(v)]))
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
-def _write_rates(rate_rows, path: Path) -> None:
-    header = "name,model,fitted,predicted,window_lo,window_hi,r2,verdict"
-    rows = [header]
-    for name, rep in rate_rows:
-        pred = math.nan if rep.predicted is None else rep.predicted
-        rows.append(
-            _fmt_row(
-                (
-                    name,
-                    rep.model,
-                    float(rep.fitted),
-                    float(pred),
-                    float(rep.window[0]),
-                    float(rep.window[1]),
-                    float(rep.r2),
-                    rep.verdict,
-                )
-            )
-        )
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def _write_report(report: RunReport, artifacts: dict, path: Path) -> None:
@@ -539,7 +508,7 @@ def _batch_config(path: str, suite: str | None, base: Path) -> tuple[int, str]:
     """Exit code and verdict of one batch config, loaded on its own and run
     into base/<name>: PASS, FAIL, or ERROR for a config error or a crash."""
     try:
-        cfg = _load_config(path, suite)
+        cfg = parse_config(path, suite)
     except CONFIG_ERRORS as exc:
         return 2, f"ERROR {type(exc).__name__}: {exc}"
     try:
@@ -585,7 +554,7 @@ def main(argv=None) -> int:
     if args.batch:
         return _run_batch(args.batch, args.suite, Path(args.out) if args.out else Path("out"))
     try:
-        cfg = _load_config(args.config, args.suite)
+        cfg = parse_config(args.config, args.suite)
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

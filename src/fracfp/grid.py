@@ -139,12 +139,14 @@ def build_grid(d: int, L: float, n: int) -> Grid:
     """Construct a uniform cell-centered grid on [-L, L]^d.
 
     n must be a power of two with n >= 8 (the spectral operator relies on
-    power-of-two transforms), L > 0 and d in {1, 2}.
+    power-of-two transforms), L > 0 finite and d in {1, 2}.
     """
     if d not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d}")
     if not L > 0:
         raise ValueError(f"box half-width must be positive, got {L}")
+    if not np.isfinite(L):
+        raise ValueError(f"L = {L} must be finite: the grid spacing is 2L / n")
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"nodes per axis must be a power of two >= 8, got {n}")
     return Grid(d=d, L=float(L), n=int(n))

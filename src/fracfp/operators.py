@@ -54,7 +54,7 @@ import scipy.fft as sfft
 import scipy.sparse as sp
 from scipy.special import gamma as _gamma
 
-from fracfp.grid import Field, Grid, unfold
+from fracfp.grid import Field, Grid
 
 __all__ = [
     "OperatorConfig",
@@ -848,19 +848,34 @@ class GeneratorMatrix:
 
     @cached_property
     def mat(self) -> np.ndarray:
-        a = _jump_matrix(self.grid, self.cfg.alpha)
-        drift = drift_matrix(self.grid, self.cfg.force_field(), self.cfg.drift).tocoo()
-        a[drift.row, drift.col] += drift.data  # canonical CSR: no repeated (row, col)
-        return readonly(a)
+        return _generator_blocks(self.grid, self.cfg, ())[()]
 
 
-def _jump_matrix(grid: Grid, alpha: float) -> np.ndarray:
-    """Periodic-wrap jump matrix, a new array on each call: circulant symmetric
-    Metzler, column sums zero."""
-    a = offset_matrix(_fold_kernel(grid, alpha), grid.n, 0)
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(a, -a.sum(axis=0))
-    return a
+def _jump_row(grid: Grid, alpha: float) -> np.ndarray:
+    """The circulant row c of the periodic-wrap jump: _fold_kernel off offset
+    0, and at offset 0 the one diagonal -sum_{k != 0} c[k] (zero column sums)."""
+    c = _fold_kernel(grid, alpha).copy()
+    c.flat[0] = 0.0
+    c.flat[0] = -c.sum()
+    return c
+
+
+def _jump_matrix(grid: Grid, alpha: float, axes=(), signs=()) -> np.ndarray:
+    """The periodic-wrap quadrature jump on the fields of parity signs[i]
+    under the reflection of axes[i], a new array; with no axes the full
+    circulant (symmetric Metzler, zero column sums, eigenvalues
+    quadrature_symbol).  For the row c of _jump_row, the entry of rows and
+    columns i, j < n/2 along a reflected axis of sign s is c[i - j] +
+    s c[i + j + 1] (column j and its mirror image n - 1 - j), and c[i - j]
+    along the others (indices mod n): every block has the diagonal c[0]."""
+    c = _jump_row(grid, alpha)
+    n, i, j = grid.n, np.arange(grid.n), np.arange(grid.n // 2)
+    # per axis, the (index into c, sign) terms
+    terms = [[((i[:, None] - i[None, :]) % n, 1)]] * grid.d
+    for a, s in zip(axes, signs):
+        terms[a] = [((j[:, None] - j[None, :]) % n, 1), (j[:, None] + j[None, :] + 1, s)]
+    return sum(math.prod(sign for _, sign in combo) * _gather(c, [idx for idx, _ in combo])
+               for combo in itertools.product(*terms))
 
 
 def _gather(table: np.ndarray, index: list) -> np.ndarray:
@@ -886,32 +901,36 @@ def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:
     return _gather(table, [(center + i[:, None] - i[None, :]) % table.shape[0]] * table.ndim)
 
 
-def _max_abs(grid: Grid, row: np.ndarray, diag: np.ndarray, drift: sp.csr_array) -> float:
-    """max |J + D| over the full matrix, from the circulant row of J (zero at
-    offset 0), its diagonal per node and the sparse D: D changes the entries
-    it touches, and an offset class (or a diagonal node) that D does not
-    cover everywhere keeps its J value somewhere."""
+def _generator_blocks(grid: Grid, cfg: OperatorConfig, axes: tuple) -> dict:
+    """Lambda on the parity blocks of the reflections of axes, the even block
+    first: each the jump block plus the sparse drift folded onto it
+    (fold_sparse).  With no axes the one block, under (), is the full matrix."""
+    drift = drift_matrix(grid, cfg.force_field(), cfg.drift)
+    blocks = {}
+    for signs in itertools.product((1, -1), repeat=len(axes)):
+        blk = _jump_matrix(grid, cfg.alpha, axes, signs)
+        part = fold_sparse(grid, drift, axes, signs).tocoo()
+        blk[part.row, part.col] += part.data  # summed duplicates: no repeated (row, col)
+        blocks[signs] = readonly(blk)
+    return blocks
+
+
+def _max_abs(grid: Grid, row: np.ndarray, drift: sp.csr_array) -> float:
+    """max |J + D| over the full matrix, from the circulant row of J and the
+    sparse D, which changes the entries it touches: it couples neighbours
+    only, not around the box, so every off-diagonal offset class keeps its
+    J value at a wrap-around entry, and the diagonal unless D has all of it."""
     coo = drift.tocoo()
     pos = zip(np.unravel_index(coo.row, grid.shape), np.unravel_index(coo.col, grid.shape))
     offset = np.ravel_multi_index(tuple((r - c) % grid.n for r, c in pos), grid.shape)
-    on_diag = coo.row == coo.col
-    touched = np.abs(np.where(on_diag, diag[coo.row], row.ravel()[offset]) + coo.data)
-    kept = np.concatenate([row.ravel()[np.bincount(offset, minlength=grid.size) < grid.size],
-                           np.delete(diag, coo.row[on_diag])])
-    return float(max(touched.max(initial=0.0), np.abs(kept).max(initial=0.0)))
+    kept = row.ravel()[int(np.count_nonzero(coo.row == coo.col) == grid.size):]
+    return float(max(np.abs(row.ravel()[offset] + coo.data).max(initial=0.0), np.abs(kept).max()))
 
 
 def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatrix:
-    """Dense generator Lambda on n^d <= 4096 nodes, as its parity blocks: the
-    jump blocks from the circulant row c (_fold_kernel) plus the folded
-    sparse drift, without the N x N matrix.
-
-    Along a reflected axis with sign s the entry of rows/columns i, j < n/2
-    is c[i - j] + s c[i + j + 1] (column j and its mirror image n - 1 - j);
-    along the others it is c[i - j] (indices mod n).  The diagonal of the
-    jump part is minus its off-diagonal column sums in the even block, which
-    keeps them (a node's column meets every offset once); with no reflection
-    that is _jump_matrix exactly, so the one block is the full matrix.
+    """Dense generator Lambda on n^d <= 4096 nodes, as its parity blocks under
+    the reflections that leave the drift unchanged (_generator_blocks),
+    without the N x N matrix.
 
     The jump part always uses the conservative quadrature stencil: the
     spectral multiplier has no Metzler matrix realization, and the maximum
@@ -919,32 +938,11 @@ def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatri
     jump entries.
     """
     if grid.size > MAX_DENSE:
-        raise ValueError(
-            f"dense assembly limited to n^d <= {MAX_DENSE}, got {grid.size}"
-        )
+        raise ValueError(f"dense assembly limited to n^d <= {MAX_DENSE}, got {grid.size}")
     drift = drift_matrix(grid, cfg.force_field(), cfg.drift)
     axes = mirror_axes(grid, drift)
-    c = _fold_kernel(grid, cfg.alpha).copy()
-    c.flat[0] = 0.0
-    n, i, j = grid.n, np.arange(grid.n), np.arange(grid.n // 2)
-    whole = [((i[:, None] - i[None, :]) % n, 1)]  # per axis, the (index into c, sign) terms
-    pair, mirror = (j[:, None] - j[None, :]) % n, j[:, None] + j[None, :] + 1
-    blocks, diag = {}, None
-    for signs in itertools.product((1, -1), repeat=len(axes)):  # the even block first
-        terms = [whole] * grid.d
-        for a, s in zip(axes, signs):
-            terms[a] = [(pair, 1), (mirror, s)]
-        blk = sum(math.prod(sign for _, sign in combo) * _gather(c, [idx for idx, _ in combo])
-                  for combo in itertools.product(*terms))
-        if diag is None:
-            diag = -blk.sum(axis=0)
-        blk[np.diag_indices_from(blk)] += diag
-        part = fold_sparse(grid, drift, axes, signs).tocoo()
-        blk[part.row, part.col] += part.data  # summed duplicates: no repeated (row, col)
-        blocks[signs] = readonly(blk)
-    full_diag = unfold(diag.reshape(grid.half_shape(axes)), axes).ravel()
-    return GeneratorMatrix(grid=grid, cfg=cfg, axes=axes, blocks=blocks,
-                           max_abs=_max_abs(grid, c, full_diag, drift))
+    return GeneratorMatrix(grid=grid, cfg=cfg, axes=axes, blocks=_generator_blocks(grid, cfg, axes),
+                           max_abs=_max_abs(grid, _jump_row(grid, cfg.alpha), drift))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -46,6 +47,33 @@ def test_parse_json_document(tmp_path):
     cfg = parse_config(p)
     assert cfg.alpha == 0.8
     assert cfg.suite == "evolve"
+
+
+# one value per field type: int, float, str and float | None (three spellings of None)
+GRAMMAR_CASES = [
+    {"name": "g", "d": 2, "n": 16, "alpha": 0.75, "L": 8, "drift": "centered", "dt": "auto"},
+    {"name": "g", "seed": 7, "horizon": 2.5, "k_bar": "none", "suite": "evolve"},
+    {"name": "g", "n": 64, "p": 1.25, "k": 0.25, "dt": 0.01, "k_bar": None},
+]
+
+
+@pytest.mark.parametrize("values", GRAMMAR_CASES)
+def test_both_config_formats_share_one_grammar(tmp_path, values):
+    lines = "".join(f"{key} = {'null' if v is None else v}\n" for key, v in values.items())
+    from_lines = parse_config(write_cfg(tmp_path, lines))
+    from_json = parse_config(write_cfg(tmp_path, json.dumps(values), "scenario.json"))
+    assert from_lines == from_json
+    assert from_json.name == "g" and type(from_json.alpha) is float
+
+
+@pytest.mark.parametrize("key, value", [("d", 1.7), ("seed", 2.5), ("n", 64.0), ("alpha", True)])
+def test_json_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, key, value):
+    # JSON numbers for int keys must be integers, as in key = value lines
+    doc = {"name": "j", "d": 1, "L": 10, "n": 64, "suite": "evolve", "horizon": 0.5, key: value}
+    p = write_cfg(tmp_path, json.dumps(doc), "scenario.json")
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot parse value for {key!r}: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_comments_and_blank_lines(tmp_path):
@@ -205,7 +233,8 @@ def test_scheme_and_operator_keys_are_config_errors(tmp_path, capsys, line, matc
 
 
 @pytest.mark.parametrize("line,suite", [("horizon = 0", "evolve"), ("seed = -1", "inequalities"),
-                                        ("p = 1", "inequalities"), ("p = 0.5", "inequalities")])
+                                        ("p = 1", "inequalities"), ("p = 0.5", "inequalities"),
+                                        ("horizon = inf", "evolve"), ("L = inf", "evolve")])
 def test_horizon_and_seed_are_config_errors(tmp_path, capsys, line, suite):
     p = write_cfg(tmp_path, f"name = v\nd = 1\nL = 10\nn = 64\nsuite = {suite}\n{line}\n")
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -520,7 +549,8 @@ def test_rates_suite_above_the_expm_cap_has_no_harris_records():
 
 @pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
 def test_no_cli_route_builds_the_full_matrix(tmp_path, monkeypatch, d, n):
-    # the dense routes work on the parity blocks: the N x N jump matrix is never built
+    # the dense routes work on the parity blocks: the jump builder runs once
+    # per block of the one assembly, and never for the N x N matrix
     calls = []
     jump_matrix = fracfp.operators._jump_matrix
 
@@ -535,7 +565,7 @@ def test_no_cli_route_builds_the_full_matrix(tmp_path, monkeypatch, d, n):
     names = [r.name for r in report.records]
     for name in ("route-agreement-L1", "leading-eigenvalue", "lyapunov-gamma1", "harris-contraction"):
         assert name in names
-    assert calls == []
+    assert len(calls) == 2**d and all(args[2] for args in calls)
 
 
 def test_rates_suite_2d_n32_has_the_harris_records(tmp_path, capsys):
@@ -629,10 +659,11 @@ def test_monitors_csv_rows_are_the_formatted_columns(tmp_path):
     g = build_grid(1, 10.0, 64)
     f0 = Field(g, np.exp(-g.radius2()))
     tr = fracfp.evolution.evolve(f0, 0.3, OperatorConfig(1.0, 2.0))
-    fracfp.cli._write_monitors(tr, tmp_path / "m.csv")
+    report = fracfp.cli.RunReport(scenario=ScenarioConfig(name="m", d=1))
+    fracfp.cli.emit_outputs(report, {"trajectory": tr}, tmp_path)
     rows = ["t,mass,min,L1m,L2m,Linfm,entropy"]
     rows += [",".join("%.17g" % float(x) for x in row) for row in tr.monitor_columns()]
-    assert (tmp_path / "m.csv").read_text() == "\n".join(rows) + "\n"
+    assert (tmp_path / "monitors.csv").read_text() == "\n".join(rows) + "\n"
     assert rows[1].endswith(",nan")
 
 
@@ -669,3 +700,20 @@ def test_benchmark_workloads_fold_every_axis(name, tmp_path, monkeypatch):
     f0 = normalized_gaussian(grid)
     evolve(f0, 0.05, cfg.operator(), cfg.scheme(), reference=f0)
     assert seen == [tuple(range(cfg.d))]
+
+
+CHECK_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_benchmark_workloads_match_their_reference(name, tmp_path):
+    # the benchmark's own output check: a change that moves the outputs beyond
+    # its tolerances fails here, not only in a benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_check", CHECK_PATH)
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    cfg = parse_config(write_cfg(tmp_path, f"name = {name}\n" + BENCH_WORKLOADS[name]))
+    run_scenario(cfg, tmp_path / "o")
+    params = {"d": cfg.d, "n": cfg.n, "L": cfg.L}
+    reference = CHECK_PATH.parent / "reference" / name
+    assert check.check_outputs(tmp_path / "o", params, reference) == []

@@ -183,3 +183,12 @@ def test_two_exception_classes():
             getattr(b, "id", getattr(b, "attr", "")).endswith(("Error", "Exception", "Failure"))
             for b in node.bases))
     assert found == ["cli.ConfigError", "grid.CheckFailure"]
+
+
+def test_one_jump_builder():
+    """Every dense jump matrix, the full circulant or a parity block, comes
+    from _jump_matrix; the table gather serves it and offset_matrix only."""
+    tree = _parse(PACKAGE / "operators.py")
+    callers = sorted(fn.name for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef) and _calls_by_name([fn])["_gather"])
+    assert callers == ["_jump_matrix", "offset_matrix"]

@@ -449,6 +449,23 @@ def test_only_the_circulant_row_is_folded(monkeypatch):
             assert st.ker.shape == (2 * n + 1,) * d
 
 
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
+def test_full_jump_matrix_is_the_circulant_of_the_symbol(d, n):
+    # one scalar diagonal, -sum of the row off offset 0, and the eigenvalues
+    # are quadrature_symbol (the circulant's DFT)
+    from fracfp.operators import _fold_kernel, _jump_matrix, quadrature_symbol
+
+    g = build_grid(d, 8.0, n)
+    a = _jump_matrix(g, 1.2)
+    c = _fold_kernel(g, 1.2).copy()
+    c.flat[0] = 0.0
+    assert np.all(np.diag(a) == -c.sum())
+    assert np.abs(a.sum(axis=0)).max() <= 1e-12 * np.abs(a).max()
+    lam = np.sort(np.linalg.eigvals(a).real)
+    sym = np.fft.fftn(np.fft.irfftn(quadrature_symbol(g, 1.2), g.shape, axes=range(d))).real
+    assert np.abs(lam - np.sort(sym.ravel())).max() <= 1e-12 * np.abs(lam).max()
+
+
 DRIFT_CASES = [(d, n, drift) for d, n in ((1, 64), (2, 16)) for drift in DRIFTS]
 
 
