@@ -16,7 +16,10 @@ Two routes to the jump operator I = Lap^(alpha/2):
 One cached builder, cell_tables, integrates a radial kernel over the lattice
 cells (product-integration weights for S(z)/|z|^q and plain cell masses); the
 operator stencil, the capped-kernel convolution and the W^{s,p} seminorm
-weights of the functionals module all read their tables from it.
+weights of the functionals module all read their tables from it.  A radial
+kernel's cell integral depends only on the offsets' absolute values, up to
+their order, so the 2d tables and the periodic-image fold integrate each cell
+once, on one symmetry wedge (_wedge_cells).
 
 Exterior treatment of the standalone quadrature operator is a choice,
 exposed as ``exterior`` on OperatorConfig:
@@ -376,6 +379,25 @@ def _self_cell(kernel: JumpKernel, grid: Grid, power: float, cos_pow: int = 0) -
     return theta_quad(ray, 0.0, 2.0 * math.pi)
 
 
+WEDGE_NODES = 1 << 16  # quadrature nodes per batch of _wedge_cells: bounds its temporaries
+
+
+def _wedge_cells(kernel: JumpKernel, top: int, h: float, npts: int, moment: float):
+    """gl_cell_integrals_2d on the cells centered at (a h, b h), 0 <= a, b <= top:
+    (m0, mm), each of shape (top + 1, top + 1) and exactly symmetric.  A radial
+    kernel's cell integral depends only on (|a|, |b|) up to their order, so
+    each cell is evaluated once, on the wedge a <= b, in batches of at most
+    WEDGE_NODES quadrature nodes, and mirrored across the diagonal."""
+    a, b = np.triu_indices(top + 1)
+    m0, mm = np.empty((2, top + 1, top + 1))
+    step = max(1, WEDGE_NODES // npts**2)
+    for s in range(0, len(a), step):
+        ia, ib = a[s:s + step], b[s:s + step]
+        m0[ia, ib], mm[ia, ib] = gl_cell_integrals_2d(kernel, ia * h, ib * h, h, npts, moment)
+    m0[b, a], mm[b, a] = m0[a, b], mm[a, b]
+    return m0, mm
+
+
 @lru_cache(maxsize=64)
 def cell_tables(grid: Grid, kernel: JumpKernel, q: float) -> tuple[np.ndarray, np.ndarray]:
     """The cell quadrature of a radial kernel on the offsets -n..n per axis:
@@ -386,9 +408,10 @@ def cell_tables(grid: Grid, kernel: JumpKernel, q: float) -> tuple[np.ndarray, n
       offset nodes and the kernel moments are integrated exactly against each
       hat (exact for linear g, so no first-moment sampling error); the center
       holds the hat at 0 over both sides.  In 2d g is sampled at cell centers
-      against Gauss-Legendre cell integrals of kappa |z|^q; the center holds
-      the self-cell moment.
+      against Gauss-Legendre cell integrals of kappa |z|^q, evaluated on one
+      symmetry wedge (_wedge_cells); the center holds the self-cell moment.
     masses: plain cell masses int_cell kappa, 0 at the center.
+    Both tables are exactly even along each axis, and in 2d exactly symmetric.
     """
     n, h = grid.n, grid.h
     if grid.d == 1:
@@ -403,15 +426,15 @@ def cell_tables(grid: Grid, kernel: JumpKernel, q: float) -> tuple[np.ndarray, n
         m0 = kernel.moment(zc - h / 2, zc + h / 2, 0)
         return (readonly(np.concatenate([w[::-1], [2.0 * gw[0]], w])),
                 readonly(np.concatenate([m0[::-1], [0.0], m0])))
-    off = np.arange(-n, n + 1) * h
-    c1, c2 = np.meshgrid(off, off, indexing="ij")
-    m0, mq = gl_cell_integrals_2d(kernel, c1, c2, h, moment=q)
-    rr2 = c1**2 + c2**2
-    rr2[n, n] = 1.0
+    m0, mq = _wedge_cells(kernel, n, h, 10, q)
+    off = np.arange(n + 1) * h
+    rr2 = off[:, None] ** 2 + off[None, :] ** 2
+    rr2[0, 0] = 1.0
     w = mq / rr2 ** (q / 2)
-    w[n, n] = _self_cell(kernel, grid, q)
-    m0[n, n] = 0.0
-    return readonly(w), readonly(m0)
+    w[0, 0] = _self_cell(kernel, grid, q)
+    m0[0, 0] = 0.0
+    index = np.ix_(*[np.abs(np.arange(-n, n + 1))] * 2)
+    return readonly(w[index]), readonly(m0[index])
 
 
 @dataclass(frozen=True)
@@ -440,6 +463,9 @@ class JumpStencil:
         return out
 
 
+IMAGE_BLOCK = 50  # periodic images per block of 1d cell moments: bounds the temporaries
+
+
 @lru_cache(maxsize=32)
 def _fold_kernel(grid: Grid, alpha: float) -> np.ndarray:
     """Exact-periodization circulant row of the full kernel, the generator's
@@ -452,40 +478,43 @@ def _fold_kernel(grid: Grid, alpha: float) -> np.ndarray:
     frequencies; without them the lowest modes lose the kernel tail beyond
     one period (a ~kappa-tail relative error, fatal for equilibrium shapes).
     All additions are nonnegative, so the Metzler structure is preserved.
+
+    The row is averaged over each axis's index reversal k -> -k mod n and
+    over the transposition of the axes, which leave the kernel unchanged: it
+    is exactly even and symmetric, so the dense jump matrix and each of its
+    parity blocks are exactly invariant under the reflections and the axis
+    swap.
     """
     kernel = full_kernel(alpha, grid.d)
     ker = get_stencil(grid, kernel).ker
-    n, d, h, period = grid.n, grid.d, grid.h, 2.0 * grid.L
-    if d == 1:
-        out = np.zeros(n)
-        idx = np.arange(-n, n + 1) % n
-        np.add.at(out, idx, ker)
-        # images: distances r h + m * period and (period - r h) + m * period
-        r = np.arange(n) * h
-        m_max = 500
-        for m in range(1, m_max + 1):
-            for dist in (r + period * m, (period - r) + period * m):
-                out += kernel.moment(dist - h / 2, dist + h / 2, 0)
-        return readonly(out)
-    out = np.zeros((n, n))
+    n, d, h = grid.n, grid.d, grid.h
+    out = np.zeros(grid.shape)
     i = np.arange(-n, n + 1) % n
-    i1 = np.broadcast_to(i[:, None], ker.shape)
-    i2 = np.broadcast_to(i[None, :], ker.shape)
-    np.add.at(out, (i1, i2), ker)
-    # 2d images over the period lattice: the covered offset band already
-    # holds the displacements with m in {0,-1} per axis; add the rest up to
-    # |m| <= 6 (the remainder is negligible at 2d tolerances)
-    off = np.arange(n) * h
-    c1, c2 = np.meshgrid(off, off, indexing="ij")
-    for m1 in range(-6, 6):
-        for m2 in range(-6, 6):
-            if m1 in (0, -1) and m2 in (0, -1):
-                continue
-            m0, _ = gl_cell_integrals_2d(
-                kernel, c1 + period * m1, c2 + period * m2, h, npts=4
-            )
-            out += m0
-    return readonly(out)
+    np.add.at(out, np.ix_(*[i] * d), ker)
+    if d == 1:
+        # images at the offsets k + m n and m n + (n - k), m = 1..500: row k
+        # gets S[k] + S[n - k], S[k] = sum_m cell[k + m n], from the cell
+        # masses on the offsets n..501 n (the period offset n is also a
+        # stencil cell)
+        s = np.zeros(n + 1)
+        for m in range(1, 501, IMAGE_BLOCK):
+            z = np.arange(m * n, (m + IMAGE_BLOCK) * n + 1) * h
+            cell = kernel.moment(z - h / 2, z + h / 2, 0)
+            s[:n] += cell[:-1].reshape(IMAGE_BLOCK, n).sum(axis=0)
+            s[n] += cell[n::n].sum()
+        out += (s + s[::-1])[:n]
+    else:
+        # 2d images over the period lattice: the cells at the offsets
+        # [-6n, 6n) per axis (|m| <= 6 periods; the remainder is negligible
+        # at 2d tolerances) outside the stencil band [-n, n)^2, each folded
+        # modulo n with one reshape-sum
+        m0 = _wedge_cells(kernel, 6 * n, h, 4, 0.0)[0]
+        cells = m0[np.ix_(*[np.abs(np.arange(-6 * n, 6 * n))] * 2)]
+        cells[5 * n:7 * n, 5 * n:7 * n] = 0.0
+        out += cells.reshape(12, n, 12, n).sum(axis=(0, 2))
+    for a in range(d):
+        out = 0.5 * (out + np.roll(np.flip(out, a), 1, a))
+    return readonly(np.mean([out.transpose(p) for p in itertools.permutations(range(d))], axis=0))
 
 
 @lru_cache(maxsize=64)
@@ -751,16 +780,25 @@ def max_drift_speed(grid: Grid, force: ForceField) -> float:
     return total
 
 
+def invariant_under(mat: sp.csr_array, perm: np.ndarray) -> bool:
+    """Whether the node permutation perm leaves the sparse node matrix mat
+    exactly unchanged: mat[perm][:, perm] equals mat entry for entry."""
+    return (mat[perm][:, perm] != mat).nnz == 0
+
+
 def mirror_axes(grid: Grid, mat: sp.csr_array) -> tuple:
     """The axes whose reflection x_a -> -x_a leaves the sparse node matrix
     mat exactly unchanged."""
     nodes = np.arange(grid.size).reshape(grid.shape)
-    axes = []
-    for a in range(grid.d):
-        perm = np.flip(nodes, a).ravel()
-        if (mat[perm][:, perm] != mat).nnz == 0:
-            axes.append(a)
-    return tuple(axes)
+    return tuple(a for a in range(grid.d) if invariant_under(mat, np.flip(nodes, a).ravel()))
+
+
+def swap_pairs(grid: Grid, mat: sp.csr_array, axes: tuple) -> tuple:
+    """The pairs of axes, from axes, whose swap x_a <-> x_b leaves the sparse
+    node matrix mat exactly unchanged."""
+    nodes = np.arange(grid.size).reshape(grid.shape)
+    return tuple(pair for pair in itertools.combinations(axes, 2)
+                 if invariant_under(mat, np.swapaxes(nodes, *pair).ravel()))
 
 
 def fold_sparse(grid: Grid, mat: sp.csr_array, axes: tuple, signs=None) -> sp.csr_array:
@@ -831,6 +869,13 @@ class GeneratorMatrix:
     (), is the whole matrix.  Lambda^* has the transposed blocks.
     ``max_abs`` is max |Lambda| over the full matrix.
 
+    ``swaps`` are the pairs of reflected axes whose swap x_a <-> x_b leaves
+    drift_matrix exactly unchanged (swap_pairs); the jump part, whose row is
+    exactly symmetric, commutes with every one.  The swap maps the block of
+    signs to the block with the signs of the pair exchanged, and splits each
+    block whose signs agree on the pair into its swap-even and swap-odd
+    sectors (steady.leading_eigenpair).  The blocks stay parity blocks.
+
     ``mat``, the full N x N matrix, is built on first access, for the tests
     and the small-N instruments (b_semigroup_decay, duhamel_residual).  The
     arrays are read-only, and the object compares and hashes by identity, so
@@ -841,6 +886,7 @@ class GeneratorMatrix:
     axes: tuple
     blocks: dict
     max_abs: float
+    swaps: tuple = ()
 
     @property
     def size(self) -> int:
@@ -867,15 +913,23 @@ def _jump_matrix(grid: Grid, alpha: float, axes=(), signs=()) -> np.ndarray:
     quadrature_symbol).  For the row c of _jump_row, the entry of rows and
     columns i, j < n/2 along a reflected axis of sign s is c[i - j] +
     s c[i + j + 1] (column j and its mirror image n - 1 - j), and c[i - j]
-    along the others (indices mod n): every block has the diagonal c[0]."""
+    along the others (indices mod n): every block has the diagonal c[0].
+
+    The products of the per-axis terms are summed within each count of
+    mirror-image terms first.  A swap of two reflected axes permutes the
+    products of one count, and the row c is exactly symmetric, so a block
+    whose signs agree on the pair is exactly swap-invariant, and the swap
+    maps the block of signs (s, -s) exactly onto that of (-s, s)."""
     c = _jump_row(grid, alpha)
     n, i, j = grid.n, np.arange(grid.n), np.arange(grid.n // 2)
-    # per axis, the (index into c, sign) terms
+    # per axis, the (index into c, sign) terms, the mirror image second
     terms = [[((i[:, None] - i[None, :]) % n, 1)]] * grid.d
     for a, s in zip(axes, signs):
         terms[a] = [((j[:, None] - j[None, :]) % n, 1), (j[:, None] + j[None, :] + 1, s)]
-    return sum(math.prod(sign for _, sign in combo) * _gather(c, [idx for idx, _ in combo])
-               for combo in itertools.product(*terms))
+    combos = sorted(itertools.product(*(range(len(t)) for t in terms)), key=sum)
+    return sum(sum(math.prod(terms[a][k][1] for a, k in enumerate(combo))
+                   * _gather(c, [terms[a][k][0] for a, k in enumerate(combo)]) for combo in count)
+               for _, count in itertools.groupby(combos, key=sum))
 
 
 def _gather(table: np.ndarray, index: list) -> np.ndarray:
@@ -930,7 +984,8 @@ def _max_abs(grid: Grid, row: np.ndarray, drift: sp.csr_array) -> float:
 def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatrix:
     """Dense generator Lambda on n^d <= 4096 nodes, as its parity blocks under
     the reflections that leave the drift unchanged (_generator_blocks),
-    without the N x N matrix.
+    without the N x N matrix, and the pairs of those axes whose swap leaves
+    the drift unchanged (swap_pairs).
 
     The jump part always uses the conservative quadrature stencil: the
     spectral multiplier has no Metzler matrix realization, and the maximum
@@ -942,7 +997,8 @@ def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatri
     drift = drift_matrix(grid, cfg.force_field(), cfg.drift)
     axes = mirror_axes(grid, drift)
     return GeneratorMatrix(grid=grid, cfg=cfg, axes=axes, blocks=_generator_blocks(grid, cfg, axes),
-                           max_abs=_max_abs(grid, _jump_row(grid, cfg.alpha), drift))
+                           max_abs=_max_abs(grid, _jump_row(grid, cfg.alpha), drift),
+                           swaps=swap_pairs(grid, drift, axes))
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,10 @@ def test_every_setting_is_set_by_some_caller():
 D_FORKS = [
     ("cli", "_suite_steady", "the Cauchy density is the closed form at alpha = 1 in 1d only"),
     ("operators", "_self_cell", "1d exact radial moment, 2d polar angle quadrature"),
-    ("operators", "cell_tables", "1d product-integration hats, 2d Gauss-Legendre cells"),
-    ("operators", "_fold_kernel", "1d exact image masses, 2d Gauss-Legendre image lattice"),
+    ("operators", "cell_tables",
+     "1d product-integration hats, 2d Gauss-Legendre cells on one symmetry wedge"),
+    ("operators", "_fold_kernel",
+     "1d exact image masses in blocks of images, 2d Gauss-Legendre image lattice on one wedge"),
     ("operators", "get_stencil", "1d hat at z = 0 and cumulative sums, 2d self-cell moment"),
     ("operators", "fraclap_of_weight", "the analytic-exterior reference quadrature is 1d"),
 ]

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy
 
 import drift_reference as ref
+import fold_reference
 from fracfp.grid import Field, build_grid, integrate, weight_field
 from fracfp.operators import (
     ForceField,
@@ -396,6 +399,7 @@ def test_cached_arrays_are_read_only():
         _face_velocities,
         _fold_kernel,
         box_frequencies,
+        cell_tables,
         drift_matrix,
         drift_step_matrix,
         far_kernel,
@@ -424,6 +428,13 @@ def test_cached_arrays_are_read_only():
         _implicit_factor(g, 1.0, 0.01),
         assemble_generator_matrix(g, OperatorConfig(alpha=1.0, method="quadrature")).mat,
         plain_conv_kernel(g, far_kernel(1.0, 1, g.h)),
+    ]
+    # the 2d tables built on one symmetry wedge, and the blocks built on them
+    g2 = build_grid(2, 10.0, 16)
+    cached += [
+        *cell_tables(g2, full_kernel(1.0, 2), 2.0),
+        _fold_kernel(g2, 1.0),
+        *assemble_generator_matrix(g2, OperatorConfig(alpha=1.0, method="quadrature")).blocks.values(),
     ]
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
@@ -464,6 +475,49 @@ def test_full_jump_matrix_is_the_circulant_of_the_symbol(d, n):
     lam = np.sort(np.linalg.eigvals(a).real)
     sym = np.fft.fftn(np.fft.irfftn(quadrature_symbol(g, 1.2), g.shape, axes=range(d))).real
     assert np.abs(lam - np.sort(sym.ravel())).max() <= 1e-12 * np.abs(lam).max()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("d, n", [(1, 64), (1, 512), (2, 16), (2, 32)])
+def test_fold_kernel_matches_the_image_loop(d, n, alpha):
+    # the same image cells as the loop over periodic images, each evaluated
+    # once per symmetry class, in another summation order
+    from fracfp.operators import _fold_kernel
+
+    g = build_grid(d, 10.0, n)
+    ref_row = fold_reference.fold_kernel_loop(g, alpha)
+    assert np.abs(_fold_kernel(g, alpha) - ref_row).max() <= 1e-14 * np.abs(ref_row).max()
+
+
+@pytest.mark.parametrize("q", [2.0, 1.3])
+@pytest.mark.parametrize("n", [16, 32])
+def test_wedge_cell_tables_match_the_cell_loop(n, q):
+    from fracfp.operators import cell_tables, full_kernel, windowed_kernel
+
+    g = build_grid(2, 10.0, n)
+    for kernel in (full_kernel(1.0, 2), windowed_kernel(0.7, 2, 0.25)):
+        for table, ref_table in zip(cell_tables(g, kernel, q),
+                                    fold_reference.cell_tables_2d_loop(g, kernel, q)):
+            assert np.abs(table - ref_table).max() <= 1e-14 * np.abs(ref_table).max()
+            assert np.array_equal(table, table.T) and np.array_equal(table, np.flip(table, 0))
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
+def test_jump_row_and_blocks_are_exactly_symmetric(d, n):
+    # the row is exactly even along each axis and, in 2d, exactly symmetric,
+    # so the full circulant and every parity block equal their transposes
+    from fracfp.operators import _fold_kernel, _jump_matrix
+
+    g = build_grid(d, 8.0, n)
+    c = _fold_kernel(g, 1.2)
+    for axis in range(d):
+        assert np.array_equal(c, np.roll(np.flip(c, axis), 1, axis))
+    assert np.array_equal(c, c.T)
+    a = _jump_matrix(g, 1.2)
+    assert np.array_equal(a, a.T)
+    for signs in itertools.product((1, -1), repeat=d):
+        blk = _jump_matrix(g, 1.2, tuple(range(d)), signs)
+        assert np.array_equal(blk, blk.T)
 
 
 DRIFT_CASES = [(d, n, drift) for d, n in ((1, 64), (2, 16)) for drift in DRIFTS]

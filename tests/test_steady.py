@@ -130,6 +130,8 @@ EIG_CASES = {
     "2d-centered": (2, 32, dict(alpha=0.5, gamma=2.5, drift="centered")),
     "2d-x-symmetric": (2, 16, dict(alpha=1.0, gamma=2.0, force=ForceField(2.0, _shifted_y))),
     "1d-shifted": (1, 128, dict(alpha=1.0, gamma=2.0, force=ForceField(2.0, lambda x: x - 0.5))),
+    # E = (x, 2y): both reflections, no axis swap
+    "2d-no-swap": (2, 16, dict(alpha=1.0, gamma=2.0, force=ForceField(2.0, lambda p: p * [1.0, 2.0]))),
 }
 
 
@@ -157,13 +159,17 @@ def test_eigenpair_matches_full_eig(name):
     [
         # (sizes passed to eig, sizes passed to eigvals)
         ("1d-upwind", ([128], [128])),
-        ("2d-upwind", ([64], [64] * 3)),  # N / 2^d for the radial force
+        # the radial force: the (+,+) and (-,-) blocks of side N / 4 = 64 split
+        # into swap sectors of 36 and 28 (the wedge i <= j and i < j of the
+        # 8 x 8 half-grid), and (-,+) has the spectrum of (+,-)
+        ("2d-upwind", ([36], [28, 64, 36, 28])),
         ("2d-x-symmetric", ([128], [128])),
         ("1d-shifted", ([128], [])),  # no symmetric axis: the whole matrix
+        ("2d-no-swap", ([64], [64] * 3)),  # N / 2^d, no swap sectors
     ],
 )
 def test_eigenpair_runs_eig_on_parity_blocks(name, sizes, monkeypatch):
-    # eigenvectors for the even block only; the other blocks give eigenvalues
+    # eigenvectors for the fully even sector only; the others give eigenvalues
     seen = {"eig": [], "eigvals": []}
     for func in seen:
         original = getattr(steady._la, func)
@@ -239,8 +245,46 @@ def test_max_abs_without_drift():
 def test_block_layout_follows_the_force():
     axes = {name: _eig_case(name).axes for name in EIG_CASES}
     assert axes == {"1d-upwind": (0,), "2d-upwind": (0, 1), "2d-centered": (0, 1),
-                    "2d-x-symmetric": (0,), "1d-shifted": ()}
+                    "2d-x-symmetric": (0,), "1d-shifted": (), "2d-no-swap": (0, 1)}
+    swaps = {name: _eig_case(name).swaps for name in EIG_CASES}
+    assert swaps == {"1d-upwind": (), "2d-upwind": ((0, 1),), "2d-centered": ((0, 1),),
+                     "2d-x-symmetric": (), "1d-shifted": (), "2d-no-swap": ()}
     assert [b.shape for b in _eig_case("2d-x-symmetric").blocks.values()] == [(128, 128)] * 2
+
+
+@pytest.mark.parametrize("drift", ["upwind", "centered"])
+@pytest.mark.parametrize("gamma, L", [(2.0, 10.0), (2.5, 7.3), (3.0, 8.0)])
+def test_radial_force_has_the_axis_swap(drift, gamma, L):
+    # the drift of a radial force is exactly swap-invariant, so every parity
+    # block is: (+,+) and (-,-) map onto themselves, (+,-) onto (-,+)
+    gm = assemble_generator_matrix(build_grid(2, L, 16), OperatorConfig(
+        alpha=1.0, gamma=gamma, method="quadrature", drift=drift))
+    assert gm.axes == (0, 1) and gm.swaps == ((0, 1),)
+    for (s0, s1), block in gm.blocks.items():
+        swapped = block.reshape((8,) * 4).transpose(1, 0, 3, 2).reshape(64, 64)
+        assert np.array_equal(swapped, gm.blocks[s1, s0])
+
+
+@pytest.mark.parametrize("name", ["2d-upwind", "2d-centered"])
+def test_sectors_split_the_spectrum_of_each_block(name):
+    # the swap sectors of a block have its spectrum between them, and the
+    # (+,-) block stands for (-,+)
+    gm = _eig_case(name)
+    sectors = steady._sectors(gm)
+    m = gm.grid.n // 2
+    wedge, strict = m * (m + 1) // 2, m * (m - 1) // 2
+    assert [(key, len(part[0]), part[1]) for key, part in sectors.items()] == [
+        (((1, 1), 1), wedge, 1), (((1, 1), -1), strict, 1), (((1, -1), 1), m * m, 2),
+        (((-1, -1), 1), wedge, 1), (((-1, -1), -1), strict, 1)]
+
+    def parts(lam):  # sorted real and imaginary parts, robust to near ties
+        return np.concatenate([np.sort(lam.real), np.sort(lam.imag)])
+
+    for signs, split in (((1, 1), (1, -1)), ((-1, -1), (1, -1)), ((-1, 1), (1,))):
+        ref = parts(scipy.linalg.eigvals(gm.blocks[signs]))
+        key = signs if signs != (-1, 1) else (1, -1)
+        got = parts(np.concatenate([scipy.linalg.eigvals(sectors[key, s][0]) for s in split]))
+        assert np.abs(got - ref).max() <= 1e-10 * gm.max_abs
 
 
 def _shifted(p):
@@ -290,29 +334,54 @@ def test_linear_solve_matches_the_full_bordered_matrix():
     assert np.array_equal(F, np.flip(F, 0)) and np.array_equal(F, np.flip(F, 1))
 
 
+def _lift_one_sector(gm, target, monkeypatch):
+    """Make the sector under target hold the rightmost eigenvalue, 1e-10
+    max|A| right of 0: its eigvals are shifted there.  Returns the list of
+    the sector keys eig runs on."""
+    sectors, built = steady._sectors, {}
+    eigvals, eig, seen = steady._la.eigvals, steady._la.eig, []
+
+    def recording_sectors(g):
+        built.update(sectors(g))
+        return built
+
+    def lifted(a, *args, **kwargs):
+        lam = eigvals(a, *args, **kwargs)
+        if a is not built[target][0]:
+            return lam
+        return lam - lam.real.max() + 1e-10 * gm.max_abs
+
+    def recording_eig(a, *args, **kwargs):
+        seen.append(next(key for key, part in built.items() if part[0] is a))
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(steady, "_sectors", recording_sectors)
+    monkeypatch.setattr(steady._la, "eigvals", lifted)
+    monkeypatch.setattr(steady._la, "eig", recording_eig)
+    return seen
+
+
 def test_leading_pair_in_an_odd_block_fails_on_its_mass(monkeypatch):
     # should an odd block hold the rightmost eigenvalue, its eigenvector
     # (odd, so of zero mass) fails the eigenvector-mass check
     gm = _eig_case("2d-upwind")
-    eigvals = steady._la.eigvals
-
-    def lifted(a, *args, **kwargs):
-        lam = eigvals(a, *args, **kwargs)
-        return lam - lam.real.max() + 1e-10 * gm.max_abs
-
-    eig, blocks_seen = steady._la.eig, []
-
-    def recording_eig(a, *args, **kwargs):
-        blocks_seen.append(next(s for s, b in gm.blocks.items() if b is a))
-        return eig(a, *args, **kwargs)
-
-    monkeypatch.setattr(steady._la, "eigvals", lifted)
-    monkeypatch.setattr(steady._la, "eig", recording_eig)
+    seen = _lift_one_sector(gm, ((1, -1), 1), monkeypatch)
     with pytest.raises(CheckFailure, match="eigenvector-mass") as exc:
         leading_eigenpair(gm)
     assert exc.value.measured <= exc.value.tolerance
     # the eigenvectors of the block that holds the lifted eigenvalue
-    assert blocks_seen == [(1, 1), (1, -1)]
+    assert seen == [((1, 1), 1), ((1, -1), 1)]
+
+
+def test_leading_pair_in_a_swap_odd_sector_fails_on_its_mass(monkeypatch):
+    # the swap-odd sector of the even block: its eigenvector is even under
+    # both reflections but odd under the swap, so of zero mass too
+    gm = _eig_case("2d-upwind")
+    seen = _lift_one_sector(gm, ((1, 1), -1), monkeypatch)
+    with pytest.raises(CheckFailure, match="eigenvector-mass") as exc:
+        leading_eigenpair(gm)
+    assert exc.value.measured <= exc.value.tolerance
+    assert seen == [((1, 1), 1), ((1, 1), -1)]
 
 
 def test_evolution_route_agreement(small_setup):
