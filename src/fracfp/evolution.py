@@ -30,12 +30,13 @@ Reflection fold.  An odd force field (E(-x) = -E(x) along an axis) maps
 fields even along that axis to even fields.  The stepper finds the axes
 whose reflection leaves its drift substep matrix exactly unchanged, and
 evolve folds the run onto those along which f0, the path, the weight and
-the entropy reference are exactly even as well: the stack holds the first
-half of each folded axis, the drift substep is the matrix's even block
-(rows on the half, each column added to its mirror image) and the jump
-substep is a DCT-II multiply there (fourier_multiply).  Sums over the half
-count each node 2^s times for s folded axes; snapshots and path states are
-unfolded.  A field with no even axis steps exactly as without the fold.
+the entropy reference are exactly even as well: the even orbit map of
+those reflections (operators.orbit_maps) restricts the stack to the first
+half of each folded axis and lifts snapshots and path states back, the
+drift substep is the matrix folded onto that map and the jump substep a
+DCT-II multiply there (fourier_multiply).  Sums over the half count each
+node 2^s times for s folded axes.  A field with no even axis steps exactly
+as without the fold.
 
 Monitors.  Each step's stack is copied into a preallocated block of
 MONITOR_BLOCK_BYTES, and one pass of reductions serves the whole block: at
@@ -62,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from fracfp.grid import CheckFailure, Field, Grid, smooth_indicator, unfold, weight_field
+from fracfp.grid import CheckFailure, Field, Grid, smooth_indicator, weight_field
 from fracfp.operators import (
     OperatorConfig,
     _jump_matrix,  # not called here: perfbench/spans.py LAYERS patches this binding
@@ -70,17 +71,17 @@ from fracfp.operators import (
     drift_matrix,
     drift_step_matrix,
     far_kernel,
-    fold_sparse,
     fourier_multiply,
     get_stencil,
     laplacian_matrix,
     max_drift_speed,
-    mirror_axes,
     offset_matrix,
+    orbit_maps,
     plain_conv_kernel,
     quadrature_symbol,
     readonly,
     spectral_symbol,
+    symmetries,
     windowed_kernel,
 )
 
@@ -172,17 +173,14 @@ def _implicit_factor(grid: Grid, alpha: float, dt: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _reflection_axes(grid: Grid, force, drift: str, tau: float) -> tuple:
-    """The axes whose reflection x_a -> -x_a leaves drift_step_matrix(grid,
-    force, drift, tau) exactly unchanged."""
-    return mirror_axes(grid, drift_step_matrix(grid, force, drift, tau))
+    """The reflections that leave drift_step_matrix exactly unchanged."""
+    return symmetries(grid, drift_step_matrix(grid, force, drift, tau))[0]
 
 
 @lru_cache(maxsize=32)
-def _even_block(grid: Grid, force, drift: str, tau: float, axes: tuple) -> sp.csr_array:
-    """drift_step_matrix on the fields even under the reflections of axes
-    (which leave it unchanged): its rows on the first half of those axes, its
-    columns folded onto that half (a node and its mirror image add)."""
-    return readonly(fold_sparse(grid, drift_step_matrix(grid, force, drift, tau), axes))
+def _even_block(grid: Grid, force, drift: str, tau: float, omap) -> sp.csr_array:
+    """drift_step_matrix folded onto the orbit map omap (OrbitMap.fold)."""
+    return readonly(omap.fold(drift_step_matrix(grid, force, drift, tau)))
 
 
 class _Stepper:
@@ -205,11 +203,13 @@ class _Stepper:
         self.even = ()
 
     def fold(self, axes: tuple) -> None:
-        """Step the first halves along axes (a subset of self.axes) of fields
-        even under those reflections: the even block of the drift substep
+        """Step fields even under the reflections of axes (a subset of
+        self.axes) on their first halves along axes, which the even orbit
+        map ``map`` restricts and lifts: the drift substep folded onto it
         and the first n/2 modes of the multiplier."""
+        self.map = next(iter(orbit_maps(self.grid, axes).values()))[0]
         if axes:
-            self.drift = _even_block(*self.key, axes)
+            self.drift = _even_block(*self.key, self.map)
             self.mult = self.mult[self.grid.half(axes)]
         self.even = axes
 
@@ -283,10 +283,10 @@ def evolve(
     inputs = np.concatenate(inputs)
     even = tuple(a for a in st.axes if np.array_equal(inputs, np.flip(inputs, a + 1)))
     st.fold(even)
-    half = grid.half(even)
+    half = grid.half_shape(even)
     vol = grid.cell_volume * 2 ** len(even)  # a half-grid node stands for 2^s nodes
-    mw = np.ascontiguousarray(mw[half])
-    ref_inv = None if reference is None else 1.0 / reference.values[half]
+    mw = st.map.restrict(mw).reshape(half)
+    ref_inv = None if reference is None else 1.0 / st.map.restrict(reference.values).reshape(half)
     axes = tuple(range(1, grid.d + 1))  # a lane's grid axes
     stack_axes = tuple(a + 1 for a in axes)
 
@@ -326,14 +326,14 @@ def evolve(
         j = min((k - 1) // chunk, lanes - 1)
         snap_at.setdefault(k - base[j], []).append((j, k))
 
-    v = np.array(path[(slice(None, lanes),) + half])  # C-contiguous: the lanes' start states
+    v = st.map.restrict(path[:lanes]).reshape((lanes,) + half)  # the lanes' start states
     mon[1:, 0] = record(v[:1])[:, 0]
     mass0 = mon[1, 0] * vol
     # the drift's scale, max(|mass0|, ||f0||_1) (1 for f0 = 0); for f0 >= 0
     # it is mass0 and rel0 is 1, so drift = mass / mass0 - 1
     scale = max(abs(mass0), np.abs(v[:1]).sum(axis=axes).tolist()[0] * vol) or 1.0
     rel0 = mass0 / scale
-    snaps = {0: v[0].copy()} if 0 in want else {}  # step -> state, unfolded at the end
+    snaps = {0: v[0].copy()} if 0 in want else {}  # step -> state, lifted at the end
     failure = None
     lo, hi, i, b = 0, lanes, 0, 0  # live lanes lo..hi-1, i steps into each, b in the block
     # an overflow or invalid operation leaves a non-finite sum, which the
@@ -371,7 +371,7 @@ def evolve(
             if i in (chunk, last):
                 if i == chunk:
                     for j in range(lo, min(hi, len(path) - 1)):
-                        if not np.array_equal(unfold(v[j - lo], even), path[j + 1]):
+                        if not np.array_equal(st.map.lift(v[j - lo]), path[j + 1]):
                             raise ValueError(
                                 f"the chunk from path state {j} does not end on path "
                                 f"state {j + 1}: the path comes from another operator or scheme"
@@ -392,7 +392,7 @@ def evolve(
     return Trajectory(
         grid=grid,
         times=np.array(sorted(snaps)) * dt,
-        snapshots=[f0.with_values(unfold(snaps[k], even)) for k in sorted(snaps)],
+        snapshots=[f0.with_values(st.map.lift(snaps[k])) for k in sorted(snaps)],
         monitor_t=mon[0],
         mass=mon[1],
         min_value=mon[2],

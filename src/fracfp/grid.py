@@ -4,10 +4,10 @@ The computational domain is the box [-L, L]^d (d = 1 or 2) discretized by n
 cell-centered nodes per axis, x_i = -L + (i + 1/2) h with h = 2L/n.  Cell
 centering keeps the node set symmetric under x -> -x (bit for bit: the
 negative half of the axis is the mirrored positive half) and keeps the
-singular jump kernel away from zero offsets.  A field even under the
-reflection of some axes is held by its first half along them (``Grid.half``)
-and rebuilt by ``unfold``; ``fold`` takes any field's part of one parity
-pattern onto that half.  All quadrature is the midpoint rule,
+singular jump kernel away from zero offsets.  The first half of each
+reflected axis (``Grid.half``) holds the representative nodes of the
+reflections' orbits; the orbit maps of operators.orbit_maps restrict fields
+to them and lift them back.  All quadrature is the midpoint rule,
 integral(u) ~ sum(u) * h^d.
 
 Weights are powers of the Japanese bracket <x> = sqrt(1 + |x|^2).  Also here,
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["CheckFailure", "Grid", "Field", "build_grid", "weight_field", "integrate",
-           "normalized_gaussian", "smooth_indicator", "line_fit", "along", "fold", "unfold"]
+           "normalized_gaussian", "smooth_indicator", "line_fit"]
 
 
 class CheckFailure(ArithmeticError):
@@ -172,32 +172,6 @@ def smooth_indicator(grid: Grid, R: float) -> np.ndarray:
     """Smoothstep radial cutoff with 1_{B_R} <= chi <= 1_{B_2R}."""
     s = np.clip((np.sqrt(grid.radius2()) - R) / R, 0.0, 1.0)
     return 1.0 - (3.0 * s**2 - 2.0 * s**3)
-
-
-def along(axis: int, index) -> tuple:
-    """Index tuple that applies ``index`` to ``axis`` and leaves every other axis whole."""
-    return (slice(None),) * axis + (index,)
-
-
-def fold(values: np.ndarray, axes, signs=None) -> np.ndarray:
-    """The first half along each axis in axes of the part of values with
-    parity signs[i] (even, +1, by default) under the reflection of axes[i]:
-    per axis, (the first half + signs[i] times the mirrored second half) / 2.
-    unfold rebuilds that part, and the parts of all 2^s sign patterns sum to
-    values; an even field folds to its first half exactly."""
-    for a, s in zip(axes, signs or (1.0,) * len(axes)):
-        first = along(a, slice(values.shape[a] // 2))
-        values = 0.5 * (values[first] + s * np.flip(values, a)[first])
-    return values
-
-
-def unfold(values: np.ndarray, axes, signs=None) -> np.ndarray:
-    """The array on the whole of each axis in axes from its first half there:
-    the half, then signs[i] times its mirror image along axes[i] (even,
-    +1, by default)."""
-    for a, s in zip(axes, signs or (1.0,) * len(axes)):
-        values = np.concatenate([values, s * np.flip(values, a)], axis=a)
-    return values
 
 
 def line_fit(x: np.ndarray, y: np.ndarray):

@@ -75,8 +75,8 @@ __all__ = [
     "capped_convolution",
     "drift_matrix",
     "drift_step_matrix",
-    "mirror_axes",
-    "fold_sparse",
+    "symmetries",
+    "orbit_maps",
     "laplacian_matrix",
     "generator_apply",
     "adjoint_apply",
@@ -354,8 +354,9 @@ def gl_cell_integrals_2d(kernel: JumpKernel, centers1, centers2, h, npts=10, mom
     r = np.hypot(z1, z2)
     kv = kernel.value(r)
     m0 = np.sum(kv * w2d, axis=(-2, -1))
-    mm = np.sum(kv * r**moment * w2d, axis=(-2, -1))
-    return m0, mm
+    if moment == 0:
+        return m0, m0  # r**0 is 1: the moment table is the mass table
+    return m0, np.sum(kv * r**moment * w2d, axis=(-2, -1))
 
 
 def theta_quad(f, a, b):
@@ -481,9 +482,8 @@ def _fold_kernel(grid: Grid, alpha: float) -> np.ndarray:
 
     The row is averaged over each axis's index reversal k -> -k mod n and
     over the transposition of the axes, which leave the kernel unchanged: it
-    is exactly even and symmetric, so the dense jump matrix and each of its
-    parity blocks are exactly invariant under the reflections and the axis
-    swap.
+    is exactly even and symmetric, so the dense jump matrix is exactly
+    invariant under the reflections and the axis swap.
     """
     kernel = full_kernel(alpha, grid.d)
     ker = get_stencil(grid, kernel).ker
@@ -780,47 +780,103 @@ def max_drift_speed(grid: Grid, force: ForceField) -> float:
     return total
 
 
-def invariant_under(mat: sp.csr_array, perm: np.ndarray) -> bool:
-    """Whether the node permutation perm leaves the sparse node matrix mat
-    exactly unchanged: mat[perm][:, perm] equals mat entry for entry."""
-    return (mat[perm][:, perm] != mat).nnz == 0
-
-
-def mirror_axes(grid: Grid, mat: sp.csr_array) -> tuple:
-    """The axes whose reflection x_a -> -x_a leaves the sparse node matrix
-    mat exactly unchanged."""
+def symmetries(grid: Grid, mat: sp.csr_array) -> tuple:
+    """(axes, swaps): the axes whose reflection x_a -> -x_a, and the pairs of
+    them whose swap x_a <-> x_b, leave the sparse node matrix mat exactly
+    unchanged, mat[perm][:, perm] equal to mat entry for entry."""
     nodes = np.arange(grid.size).reshape(grid.shape)
-    return tuple(a for a in range(grid.d) if invariant_under(mat, np.flip(nodes, a).ravel()))
+
+    def invariant(perm):
+        return (mat[perm.ravel()][:, perm.ravel()] != mat).nnz == 0
+
+    axes = tuple(a for a in range(grid.d) if invariant(np.flip(nodes, a)))
+    return axes, tuple(p for p in itertools.combinations(axes, 2) if invariant(np.swapaxes(nodes, *p)))
 
 
-def swap_pairs(grid: Grid, mat: sp.csr_array, axes: tuple) -> tuple:
-    """The pairs of axes, from axes, whose swap x_a <-> x_b leaves the sparse
-    node matrix mat exactly unchanged."""
+@dataclass(frozen=True, eq=False)
+class OrbitMap:
+    """One sector of a group of node permutations (axis reflections, and the
+    axis swap where it applies): the fields f with f(g x) = chi(g) f(x) for a
+    character chi of the group, held by their values on ``reps``, one node
+    per orbit on which chi does not vanish (the orbit minima, ascending), of
+    ``sizes`` nodes each.  Node x lies on orbit ``index[x]`` with ``weight[x]``
+    = chi(g) for the g that takes x to that orbit's representative, or 0
+    where chi vanishes.  Nodes are flat row-major indices on the grid
+    ``shape``; the arrays are read-only."""
+
+    shape: tuple
+    index: np.ndarray
+    weight: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """The coefficients of fields of the sector: their values on reps."""
+        return values.reshape(values.shape[:values.ndim - len(self.shape)] + (-1,))[..., self.reps]
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """The coefficients of one field's part in the sector: weighted orbit means."""
+        return np.bincount(self.index, self.weight * values.ravel(), len(self.reps)) / self.sizes
+
+    def lift(self, coef: np.ndarray) -> np.ndarray:
+        """The field of the sector with the coefficients coef."""
+        return (coef.ravel()[self.index] * self.weight).reshape(self.shape)
+
+    def fold(self, mat: sp.csr_array) -> sp.csr_array:
+        """The sparse node matrix mat, which commutes with the group, on the
+        coefficients, a new matrix: its rows on reps, each column added into
+        its orbit with its weight, entry by entry, duplicates summed."""
+        mat = mat.tocoo()
+        keep = (self.reps[self.index[mat.row]] == mat.row) & (self.weight[mat.col] != 0)
+        row, col = mat.row[keep], mat.col[keep]
+        return sp.csr_array((mat.data[keep] * self.weight[col], (self.index[row], self.index[col])),
+                            shape=(len(self.reps),) * 2)
+
+
+def _orbit_map(shape: tuple, images: list, chars: list) -> OrbitMap:
+    """The OrbitMap of the character chars[g] of the group whose element g
+    takes each node x to images[g][x]."""
+    images, chars = np.array(images), np.array(chars, dtype=float)
+    rep = images.min(axis=0)
+    hit = images == rep  # the elements that take each node to its orbit's minimum
+    weight = chars[hit.argmax(axis=0)]
+    # two of them with different characters: chi is not 1 on the stabilizer
+    weight[(hit & (chars[:, None] != weight)).any(axis=0)] = 0.0
+    first = (rep == np.arange(rep.size)) & (weight != 0)
+    index = np.where(weight != 0, np.cumsum(first)[rep] - 1, 0)
+    sizes = np.bincount(index[weight != 0], minlength=np.count_nonzero(first))
+    return OrbitMap(shape, *map(readonly, (index, weight, np.flatnonzero(first), sizes)))
+
+
+@lru_cache(maxsize=16)
+def orbit_maps(grid: Grid, axes: tuple, swaps: tuple = ()) -> dict:
+    """The orbit maps of the sectors of the group of the reflections of axes
+    and the swaps (at most the pair (0, 1) of axes (0, 1)), keyed (signs,
+    swap) by the characters of the reflections and of the swap (1 without
+    it), the fully even sector first; each entry is the tuple of maps that
+    share one sector matrix.  The swap exchanges the signs of the pair: the
+    sector of (+1, -1) stands for (-1, +1) too, by its second map (the first
+    composed with the swap), and that of (s, s) splits into swap-even and
+    swap-odd sectors (Fassler and Stiefel, Group Theoretical Methods and
+    Their Applications, 1992).  With no axes the one map is the identity."""
     nodes = np.arange(grid.size).reshape(grid.shape)
-    return tuple(pair for pair in itertools.combinations(axes, 2)
-                 if invariant_under(mat, np.swapaxes(nodes, *pair).ravel()))
-
-
-def fold_sparse(grid: Grid, mat: sp.csr_array, axes: tuple, signs=None) -> sp.csr_array:
-    """The sparse node matrix mat on the fields of parity signs[i] (+1 even,
-    -1 odd; even by default) under the reflections of axes, which leave mat
-    unchanged: its rows on the first half of those axes, each column added
-    to signs times its mirror image there.  A new matrix on the row-major
-    order of the half-grid, its duplicates summed."""
-    mat = mat.tocoo()
-    half = grid.n // 2
-    index = np.indices(grid.shape).reshape(grid.d, -1)
-    lower = index < half
-    folded = np.isin(np.arange(grid.d), axes)[:, None]
-    shape = grid.half_shape(axes)
-    fold = np.ravel_multi_index(tuple(np.where(folded & ~lower, grid.n - 1 - index, index)), shape)
-    top = lower[list(axes)].all(axis=0)
-    sign = np.prod(np.where(lower[list(axes)], 1.0,
-                            np.reshape(signs or (1,) * len(axes), (-1, 1))), axis=0)
-    keep = top[mat.row]
-    row, col = mat.row[keep], mat.col[keep]
-    size = math.prod(shape)
-    return sp.csr_array((mat.data[keep] * sign[col], (fold[row], fold[col])), shape=(size, size))
+    flips = list(itertools.product((0, 1), repeat=len(axes)))
+    images = [np.flip(nodes, [a for a, f in zip(axes, fl) if f]).ravel() for fl in flips]
+    swap = nodes.T.ravel()
+    out = {}
+    for signs in itertools.product((1, -1), repeat=len(axes)):
+        chars = [math.prod(s for s, f in zip(signs, fl) if f) for fl in flips]
+        if not swaps:
+            out[signs, 1] = (_orbit_map(grid.shape, images, chars),)
+        elif signs[0] > signs[1]:
+            first = _orbit_map(grid.shape, images, chars)
+            out[signs, 1] = (first, OrbitMap(grid.shape, *map(readonly, (
+                first.index[swap], first.weight[swap], swap[first.reps], first.sizes))))
+        elif signs[0] == signs[1]:
+            for t in (1, -1):
+                out[signs, t] = (_orbit_map(grid.shape, images + [im[swap] for im in images],
+                                            chars + [t * c for c in chars]),)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -856,35 +912,28 @@ def adjoint_apply(g: Field, cfg: OperatorConfig) -> Field:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Dense realization of Lambda on the parity blocks of its axis reflections.
+    """Dense realization of Lambda on the sectors of its symmetry group.
 
-    ``axes`` are the reflections x_a -> -x_a that leave drift_matrix exactly
-    unchanged; the periodic jump part commutes with every one.  Lambda then
-    maps the fields of each parity pattern ``signs`` (per axis, +1 even or -1
-    odd) to fields of that pattern, so it is block diagonal in the even/odd
-    basis (Cantoni and Butler, Linear Algebra Appl. 1976), and
-    ``blocks[signs]`` is Lambda there: rows on the first half of each
-    reflected axis, each column added to signs times its mirror image
-    (fold_sparse), of side N / 2^s.  With no reflection the one block, under
-    (), is the whole matrix.  Lambda^* has the transposed blocks.
-    ``max_abs`` is max |Lambda| over the full matrix.
-
-    ``swaps`` are the pairs of reflected axes whose swap x_a <-> x_b leaves
-    drift_matrix exactly unchanged (swap_pairs); the jump part, whose row is
-    exactly symmetric, commutes with every one.  The swap maps the block of
-    signs to the block with the signs of the pair exchanged, and splits each
-    block whose signs agree on the pair into its swap-even and swap-odd
-    sectors (steady.leading_eigenpair).  The blocks stay parity blocks.
+    ``axes`` and ``swaps`` are the reflections and axis swaps that leave
+    drift_matrix exactly unchanged (symmetries); the periodic jump part,
+    whose row is exactly even and symmetric, commutes with all of them, so
+    Lambda is block diagonal in the symmetry-adapted basis (Cantoni and
+    Butler, Linear Algebra Appl. 1976).  ``sectors[key]`` is (matrix, maps)
+    for each sector of orbit_maps(grid, axes, swaps): Lambda on the
+    coefficients of maps[0], its spectrum counted once per map; with no
+    symmetry the one sector, ((), 1), is the whole matrix.  Lambda^* on a
+    sector is G^-1 B^T G, B its matrix and G the diagonal of its orbit
+    sizes.  ``max_abs`` is max |Lambda| over the full matrix.
 
     ``mat``, the full N x N matrix, is built on first access, for the tests
-    and the small-N instruments (b_semigroup_decay, duhamel_residual).  The
-    arrays are read-only, and the object compares and hashes by identity, so
-    caches can key on it."""
+    and the small-N instruments (b_semigroup_decay, duhamel_residual), and
+    ``apply`` is Lambda without a matrix.  The arrays are read-only, and the
+    object compares and hashes by identity, so caches can key on it."""
 
     grid: Grid
     cfg: OperatorConfig
     axes: tuple
-    blocks: dict
+    sectors: dict
     max_abs: float
     swaps: tuple = ()
 
@@ -894,7 +943,14 @@ class GeneratorMatrix:
 
     @cached_property
     def mat(self) -> np.ndarray:
-        return _generator_blocks(self.grid, self.cfg, ())[()]
+        return _generator_sectors(self.grid, self.cfg, orbit_maps(self.grid, ()))[(), 1][0]
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Lambda on the field values: fourier_multiply by quadrature_symbol
+        plus the sparse drift."""
+        drift = drift_matrix(self.grid, self.cfg.force_field(), self.cfg.drift) @ values.ravel()
+        jump = fourier_multiply(values, quadrature_symbol(self.grid, float(self.cfg.alpha)))
+        return jump + drift.reshape(self.grid.shape)
 
 
 def _jump_row(grid: Grid, alpha: float) -> np.ndarray:
@@ -906,44 +962,30 @@ def _jump_row(grid: Grid, alpha: float) -> np.ndarray:
     return c
 
 
-def _jump_matrix(grid: Grid, alpha: float, axes=(), signs=()) -> np.ndarray:
-    """The periodic-wrap quadrature jump on the fields of parity signs[i]
-    under the reflection of axes[i], a new array; with no axes the full
-    circulant (symmetric Metzler, zero column sums, eigenvalues
-    quadrature_symbol).  For the row c of _jump_row, the entry of rows and
-    columns i, j < n/2 along a reflected axis of sign s is c[i - j] +
-    s c[i + j + 1] (column j and its mirror image n - 1 - j), and c[i - j]
-    along the others (indices mod n): every block has the diagonal c[0].
-
-    The products of the per-axis terms are summed within each count of
-    mirror-image terms first.  A swap of two reflected axes permutes the
-    products of one count, and the row c is exactly symmetric, so a block
-    whose signs agree on the pair is exactly swap-invariant, and the swap
-    maps the block of signs (s, -s) exactly onto that of (-s, s)."""
-    c = _jump_row(grid, alpha)
-    n, i, j = grid.n, np.arange(grid.n), np.arange(grid.n // 2)
-    # per axis, the (index into c, sign) terms, the mirror image second
-    terms = [[((i[:, None] - i[None, :]) % n, 1)]] * grid.d
-    for a, s in zip(axes, signs):
-        terms[a] = [((j[:, None] - j[None, :]) % n, 1), (j[:, None] + j[None, :] + 1, s)]
-    combos = sorted(itertools.product(*(range(len(t)) for t in terms)), key=sum)
-    return sum(sum(math.prod(terms[a][k][1] for a, k in enumerate(combo))
-                   * _gather(c, [terms[a][k][0] for a, k in enumerate(combo)]) for combo in count)
-               for _, count in itertools.groupby(combos, key=sum))
+def _jump_matrix(grid: Grid, alpha: float, omap: OrbitMap | None = None) -> np.ndarray:
+    """The periodic-wrap quadrature jump on the sector of omap (by default
+    the identity: the full circulant, symmetric Metzler with zero column
+    sums and eigenvalues quadrature_symbol), a new array.  Its entry (k, l)
+    sums weight[x] c[rep_k - x] over the nodes x of orbit l in node order,
+    c the row of _jump_row (in 1d, c[i - j] + s c[i + j + 1] for parity s)."""
+    omap = omap or orbit_maps(grid, ())[(), 1][0]
+    live = np.flatnonzero(omap.weight)
+    orbit_sum = sp.csr_array((omap.weight[live], (omap.index[live], live)),
+                             shape=(len(omap.reps), grid.size))
+    # the transpose, as c is even (c[x - rep_k] = c[rep_k - x]); its gather
+    # is freed before the copy
+    transposed = orbit_sum @ _gather(_jump_row(grid, alpha), 0, grid.n, omap.reps)
+    return np.ascontiguousarray(transposed.T)
 
 
-def _gather(table: np.ndarray, index: list) -> np.ndarray:
-    """The dense matrix over row-major nodes whose entry at nodes (i, j) is
-    table[index[0][i_0, j_0], index[1][i_1, j_1], ...]: index[a] is the
-    square table index along axis a."""
-    d = len(index)
-    gather = []
-    for a, idx in enumerate(index):
-        shape = [1] * (2 * d)
-        shape[a] = shape[d + a] = len(idx)
-        gather.append(idx.reshape(shape))
-    size = math.prod(len(idx) for idx in index)
-    return table[tuple(gather)].reshape(size, size)
+def _gather(table: np.ndarray, center: int, n: int, cols: np.ndarray) -> np.ndarray:
+    """The dense matrix over all n^d nodes i (rows, row-major) and the nodes
+    cols j (flat indices) whose entry is table[(center + i_a - j_a) mod m per
+    axis a], m the table's axis length."""
+    d, i = table.ndim, np.arange(n)[:, None]
+    index = [((center + i - j) % table.shape[0]).reshape([n if b == a else 1 for b in range(d)] + [-1])
+             for a, j in enumerate(np.unravel_index(cols, (n,) * d))]
+    return table[tuple(index)].reshape(n**d, len(cols))
 
 
 def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:
@@ -951,22 +993,20 @@ def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:
     row-major order: the entry of nodes (i, j) is table[(center + i_a - j_a)
     mod m per axis a], m the table's axis length.  A circulant row (m = n)
     has center 0; an offset kernel over -n..n (m = 2n + 1) has center n."""
-    i = np.arange(n)
-    return _gather(table, [(center + i[:, None] - i[None, :]) % table.shape[0]] * table.ndim)
+    return _gather(table, center, n, np.arange(n**table.ndim))
 
 
-def _generator_blocks(grid: Grid, cfg: OperatorConfig, axes: tuple) -> dict:
-    """Lambda on the parity blocks of the reflections of axes, the even block
-    first: each the jump block plus the sparse drift folded onto it
-    (fold_sparse).  With no axes the one block, under (), is the full matrix."""
+def _generator_sectors(grid: Grid, cfg: OperatorConfig, maps: dict) -> dict:
+    """Lambda on the sectors of maps (orbit_maps), keyed alike: (matrix,
+    maps), the jump sector plus the sparse drift folded onto it."""
     drift = drift_matrix(grid, cfg.force_field(), cfg.drift)
-    blocks = {}
-    for signs in itertools.product((1, -1), repeat=len(axes)):
-        blk = _jump_matrix(grid, cfg.alpha, axes, signs)
-        part = fold_sparse(grid, drift, axes, signs).tocoo()
-        blk[part.row, part.col] += part.data  # summed duplicates: no repeated (row, col)
-        blocks[signs] = readonly(blk)
-    return blocks
+    out = {}
+    for key, omaps in maps.items():
+        mat = _jump_matrix(grid, cfg.alpha, omaps[0])
+        part = omaps[0].fold(drift).tocoo()
+        mat[part.row, part.col] += part.data  # summed duplicates: no repeated (row, col)
+        out[key] = (readonly(mat), omaps)
+    return out
 
 
 def _max_abs(grid: Grid, row: np.ndarray, drift: sp.csr_array) -> float:
@@ -982,10 +1022,9 @@ def _max_abs(grid: Grid, row: np.ndarray, drift: sp.csr_array) -> float:
 
 
 def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatrix:
-    """Dense generator Lambda on n^d <= 4096 nodes, as its parity blocks under
-    the reflections that leave the drift unchanged (_generator_blocks),
-    without the N x N matrix, and the pairs of those axes whose swap leaves
-    the drift unchanged (swap_pairs).
+    """Dense generator Lambda on n^d <= 4096 nodes, as its sectors under the
+    reflections and the axis swap that leave the drift unchanged
+    (_generator_sectors), without the N x N matrix.
 
     The jump part always uses the conservative quadrature stencil: the
     spectral multiplier has no Metzler matrix realization, and the maximum
@@ -995,10 +1034,10 @@ def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatri
     if grid.size > MAX_DENSE:
         raise ValueError(f"dense assembly limited to n^d <= {MAX_DENSE}, got {grid.size}")
     drift = drift_matrix(grid, cfg.force_field(), cfg.drift)
-    axes = mirror_axes(grid, drift)
-    return GeneratorMatrix(grid=grid, cfg=cfg, axes=axes, blocks=_generator_blocks(grid, cfg, axes),
-                           max_abs=_max_abs(grid, _jump_row(grid, cfg.alpha), drift),
-                           swaps=swap_pairs(grid, drift, axes))
+    axes, swaps = symmetries(grid, drift)
+    return GeneratorMatrix(grid=grid, cfg=cfg, axes=axes, swaps=swaps,
+                           sectors=_generator_sectors(grid, cfg, orbit_maps(grid, axes, swaps)),
+                           max_abs=_max_abs(grid, _jump_row(grid, cfg.alpha), drift))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,8 @@ from fracfp.grid import (
     CheckFailure,
     Field,
     Grid,
-    fold,
     line_fit,
     smooth_indicator,
-    unfold,
     weight_field,
 )
 from fracfp.operators import GeneratorMatrix, OperatorConfig, readonly
@@ -65,7 +63,7 @@ ENVELOPE_TOL = 0.1  # relative slack of decay_fit's predicted envelope
 SLOPE_SAMPLES = 32  # output times of a regularization-slope run
 REGULARIZATION_TOL = 0.2  # relative tolerance of a regularization-slope verdict
 SEMIGROUP_TOL = 0.1  # slack of the b_semigroup_decay norm and exponent bounds
-HARRIS_MAX_SIZE = 1024  # n^d cap of the dense block expm behind harris_contraction and lyapunov_check
+HARRIS_MAX_SIZE = 1024  # n^d cap of the dense sector expm behind harris_contraction and lyapunov_check
 
 
 def _model_values(model: str, ts: np.ndarray, rate: float) -> np.ndarray:
@@ -402,33 +400,35 @@ def harris_bank(grid: Grid, k: float, lambda_w: float, count: int = 50) -> list:
     return out[:count]
 
 
-# generator -> {(t, signs): block of P_t}; an entry goes with its generator
+# generator -> {(t, key): sector of P_t}; an entry goes with its generator
 _SEMIGROUPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def semigroup(gm: GeneratorMatrix, t: float, signs: tuple) -> np.ndarray:
-    """Read-only dense block of P_t = e^{t Lambda^*} on the fields of parity
-    signs: Lambda^* has the transposed blocks of gm, so this is
-    expm(t gm.blocks[signs].T), once per (gm, t, signs) for lyapunov_check
-    and harris_contraction, and kept only while gm lives; grids above
+def _adjoint(gm: GeneratorMatrix, key: tuple) -> np.ndarray:
+    """Lambda^* on the sector key of gm: G^-1 B^T G, B the sector matrix and
+    G the diagonal of its orbit sizes (B^T when they are all equal)."""
+    mat, (omap, *_) = gm.sectors[key]
+    return (mat * (omap.sizes[:, None] / omap.sizes)).T
+
+
+def semigroup(gm: GeneratorMatrix, t: float, key: tuple) -> np.ndarray:
+    """Read-only dense sector key of P_t = e^{t Lambda^*}: expm(t
+    _adjoint(gm, key)), once per (gm, t, key) for lyapunov_check and
+    harris_contraction, and kept only while gm lives; grids above
     HARRIS_MAX_SIZE nodes raise."""
     if gm.size > HARRIS_MAX_SIZE:
         raise ValueError(f"dense semigroup expm restricted to n^d <= {HARRIS_MAX_SIZE}")
     cache = _SEMIGROUPS.setdefault(gm, {})
-    if (t, signs) not in cache:
-        cache[t, signs] = readonly(expm(gm.blocks[signs].T * t))
-    return cache[t, signs]
+    if (t, key) not in cache:
+        cache[t, key] = readonly(expm(_adjoint(gm, key) * t))
+    return cache[t, key]
 
 
 def semigroup_apply(gm: GeneratorMatrix, t: float, phi: np.ndarray) -> np.ndarray:
-    """P_t phi for an observable phi on the grid: the sum over the parity
-    patterns of phi's part (fold) through its semigroup block."""
-    out = 0.0
-    for signs in gm.blocks:
-        part = fold(phi, gm.axes, signs)
-        moved = semigroup(gm, t, signs) @ part.ravel(order="C")
-        out = out + unfold(moved.reshape(part.shape), gm.axes, signs)
-    return out
+    """P_t phi for an observable phi on the grid: phi's part in each sector,
+    through each of its maps, moved by the sector's semigroup, summed."""
+    return sum(omap.lift(semigroup(gm, t, key) @ omap.project(phi))
+               for key, (_, maps) in gm.sectors.items() for omap in maps)
 
 
 def harris_contraction(gm: GeneratorMatrix, t: float, k: float, lambda_w: float) -> float:
@@ -438,7 +438,7 @@ def harris_contraction(gm: GeneratorMatrix, t: float, k: float, lambda_w: float)
     m_lambda = 1 + lambda_w <x>^k.  The bank supremum lower-bounds the true
     operator seminorm, so a ratio < 1 is necessary-but-weaker evidence of
     contraction (recorded as such).  P_t acts through the dense
-    ``semigroup`` blocks of the generator gm (semigroup_apply).
+    ``semigroup`` sectors of the generator gm (semigroup_apply).
     """
     grid = gm.grid
     t = float(t)
@@ -459,17 +459,16 @@ def lyapunov_check(gm: GeneratorMatrix, t_samples, k: float) -> dict:
     Fits (a, b) from the generator inequality Lambda^* m <= b - a m (a is 90%
     of the worst outer-region ratio, b the resulting envelope max) and then
     verifies the semigroup envelope nodewise at each sampled t.  gm is the
-    generator; Lambda^* is its transpose.  The weight m is radial, so even
-    under every reflection of gm.axes: only the even block acts, on the
-    first halves.  CheckFailure "lyapunov-drift-rate" (measured = a,
-    tolerance 0) when a <= 0: Lambda^* m is not pushed down.
+    generator; Lambda^* is its adjoint.  The weight m is radial, so in the
+    fully even sector of gm: only that sector acts, on its representative
+    nodes.  CheckFailure "lyapunov-drift-rate" (measured = a, tolerance 0)
+    when a <= 0: Lambda^* m is not pushed down.
     """
     grid = gm.grid
-    even = (1,) * len(gm.axes)
-    half = grid.half(gm.axes)
-    m = weight_field(grid, k).values[half].ravel(order="C")
-    z = gm.blocks[even].T @ m
-    outer = (grid.radius2()[half] >= (grid.L / 2.0) ** 2).ravel(order="C")
+    even, (_, (omap,)) = next(iter(gm.sectors.items()))
+    m = omap.restrict(weight_field(grid, k).values)
+    z = _adjoint(gm, even) @ m
+    outer = omap.restrict(grid.radius2()) >= (grid.L / 2.0) ** 2
     a = 0.9 * float(np.min(-z[outer] / m[outer]))
     if a <= 0.0:
         raise CheckFailure("lyapunov-drift-rate", a, 0.0)

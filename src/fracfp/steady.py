@@ -7,21 +7,17 @@
   (the zero eigenvalue is simple with a positive eigenvector, the numeric
   shadow of uniqueness).
 
-Both dense routes work in a symmetry-adapted basis.  Each axis reflection
-x_a -> -x_a that commutes with the generator (every axis, for a radial force
-and the cell-centered grid) splits the fields into even and odd parts, so
-the matrix is block diagonal with one block of size N / 2^s per parity
-pattern over the s symmetric axes (GeneratorMatrix.blocks).  The stationary
-state is even, so the linear-solve route solves the even block alone.  The
-eigenpair route also uses the axis swap (x, y) -> (y, x) when it commutes
-with the generator (a radial force in 2d): with the reflections it makes up
-the symmetry group of the square, of order 8 (Fassler and Stiefel, Group
-Theoretical Methods and Their Applications, 1992).  The swap maps the (+,-)
-block onto the (-,+) block, so the two have one spectrum, and splits the
-(+,+) and (-,-) blocks into swap-even and swap-odd sectors, of about half
-their size.  The route takes the spectrum of every sector and the
-eigenvectors of the fully even one (at n = 32: sectors of 136 and 120 nodes
-for blocks of 256).
+Both dense routes work in a symmetry-adapted basis.  The axis reflections
+x_a -> -x_a that commute with the generator (every axis, for a radial force
+and the cell-centered grid), and the axis swap where it commutes too (a
+radial force in 2d: the symmetry group of the square; Fassler and Stiefel,
+Group Theoretical Methods and Their Applications, 1992), split the fields
+into sectors (operators.orbit_maps), and the matrix is block diagonal with
+one block per sector (GeneratorMatrix.sectors: at n = 32 in 2d, 136, 120,
+256 standing for two, 136 and 120 unknowns for 1024 nodes).  The stationary
+state lies in the fully even sector, which the linear-solve route solves
+alone; the eigenpair route takes the spectrum of every sector and the
+eigenvectors of the fully even one.
 
 For the quadratic-potential drift E = x the equilibrium is explicit in
 Fourier space: F^(xi) = exp(-(2 pi |xi|)^alpha / alpha); at alpha = 1 this is
@@ -46,7 +42,6 @@ from fracfp.grid import (
     integrate,
     line_fit,
     normalized_gaussian,
-    unfold,
 )
 from fracfp.operators import (
     GeneratorMatrix,
@@ -164,69 +159,29 @@ def steady_by_evolution(
 
 
 def steady_by_linear_solve(gm: GeneratorMatrix) -> SteadyState:
-    """Bordered solve on the even block: Lambda F = 0 with the row at the
-    folded node nearest the origin replaced by the unit-mass constraint (best
-    conditioning: F peaks there), each folded node weighted by the cell
-    volume times the 2^s nodes it stands for.  The stationary state is even
-    under every reflection of gm.axes, and the even block keeps the zero
-    column sums, so the replaced row holds to roundoff as well."""
+    """Bordered solve on the fully even sector: Lambda F = 0 with the row at
+    the representative node nearest the origin (F peaks there: best
+    conditioning) replaced by the unit-mass constraint, each representative
+    weighted by the cell volume times its orbit size.  The column sums of
+    Lambda vanish, so sizes^T B = 0 for the sector matrix B, and the
+    replaced row holds to roundoff as well."""
     grid = gm.grid
-    block = gm.blocks[(1,) * len(gm.axes)]
+    block, (omap,) = next(iter(gm.sectors.values()))
     a = block.copy()
-    j0 = int(np.argmin(grid.radius2()[grid.half(gm.axes)].ravel(order="C")))
-    a[j0, :] = grid.cell_volume * 2 ** len(gm.axes)
+    j0 = int(np.argmin(omap.restrict(grid.radius2())))
+    a[j0, :] = grid.cell_volume * omap.sizes
     b = np.zeros(len(a))
     b[j0] = 1.0
     sol = _la.solve(a, b, overwrite_a=True)
     resid_rows = block @ sol
     resid_rows[j0] = 0.0
-    field = _finalize(grid, unfold(sol.reshape(grid.half_shape(gm.axes)), gm.axes), "linear-solve")
+    field = _finalize(grid, omap.lift(sol), "linear-solve")
     return SteadyState(field=field, route="linear-solve", residual=float(np.max(np.abs(resid_rows))))
 
 
 # roundoff bound on the leading pair: ||A v - lambda v||_inf against max|A| ||v||_inf,
 # and the eigenvector's mass against its L1 norm
 RESIDUAL_TOL = 1e-10
-
-
-def _sectors(gm: GeneratorMatrix) -> dict:
-    """Lambda on the sectors of its symmetry group, keyed (signs, swap), the
-    fully even sector first: (matrix, count, rows, partners) each, whose
-    spectrum counts count times in Lambda's.  A vector u of the matrix is
-    the vector of the parity block gm.blocks[signs] that holds u on the
-    nodes rows and swap u on the nodes partners (flat half-grid indices).
-
-    With no swap (gm.swaps; at most one pair, as d <= 2) the sectors are the
-    blocks, under swap 1, each node its own partner.  Otherwise the swap of
-    the pair (a, b) maps the block of signs to the one with s_a and s_b
-    exchanged: the block with s_a = +1, s_b = -1 stands for both (count 2),
-    and each block with s_a = s_b splits into the fields even (swap +1) and
-    odd (-1) under the swap, with fold_sparse's rule: rows on the wedge
-    i_a <= i_b of the half-grid (i_a < i_b when odd: an odd field vanishes
-    on the diagonal), each column added to swap times the column of its
-    transposed node."""
-    shape = gm.grid.half_shape(gm.axes)
-    nodes = np.arange(math.prod(shape)).reshape(shape)
-    if not gm.swaps:
-        return {(signs, 1): (block, 1, nodes.ravel(), nodes.ravel())
-                for signs, block in gm.blocks.items()}
-    (a, b), = gm.swaps
-    sa, sb = gm.axes.index(a), gm.axes.index(b)
-    index = np.indices(shape)
-    out = {}
-    for signs, block in gm.blocks.items():
-        if signs[sa] != signs[sb]:
-            if signs[sa] > 0:
-                out[signs, 1] = (block, 2, nodes.ravel(), nodes.ravel())
-            continue
-        for swap in (1, -1):
-            wedge = index[a] <= index[b] if swap > 0 else index[a] < index[b]
-            rows, partners = nodes[wedge], np.swapaxes(nodes, a, b)[wedge]
-            off = rows != partners
-            sector = block[np.ix_(rows, rows)]
-            sector[:, off] += swap * block[np.ix_(rows, partners[off])]
-            out[signs, swap] = (sector, 1, rows, partners)
-    return out
 
 
 def leading_eigenpair(gm: GeneratorMatrix):
@@ -236,58 +191,49 @@ def leading_eigenpair(gm: GeneratorMatrix):
     simplicity plus positivity of the eigenvector witness uniqueness of the
     stationary state.
 
-    The spectrum is the union of the spectra of the sectors of gm (_sectors:
-    the parity blocks, each split under the axis swap when gm.swaps has
-    one).  ``eig`` computes eigenvectors for the fully even sector only,
-    ``eigvals`` the other spectra; the leading pair is the rightmost
-    eigenvalue over all sectors, and should another sector hold it, ``eig``
-    runs there for its eigenvector (which has zero mass).  The eigenvector is
-    lifted to its parity block and unfolded to the full grid, and the gap is
-    taken over the union, each spectrum counted as often as its sector
-    stands for.  With A = Lambda and max|A| = gm.max_abs, raises
-    CheckFailure, in this order, when the rightmost real part exceeds 1e-8
-    max|A| (an unstable generator: the tolerance of the leading-eigenvalue
-    record), when the leading eigenvalue is complex beyond roundoff, when its
-    eigenvector has zero mass, or when the pair misses ||B v - lambda v||_inf
-    <= RESIDUAL_TOL max|A| ||v||_inf on its parity block B (not on the
-    sector, so the certificate checks the split as well):
-    "spectral-abscissa", "leading-eigenvalue-real", "eigenvector-mass" and
-    "eigenpair-residual".
+    The spectrum is the union of the spectra of the sectors of gm, each
+    counted once per map of its sector.  ``eig`` computes eigenvectors for
+    the fully even sector only, ``eigvals`` the other spectra; should
+    another sector hold the rightmost eigenvalue, ``eig`` runs there for its
+    eigenvector (which has zero mass).  The eigenvector is lifted to the
+    grid through the sector's orbit map.  With A = Lambda and max|A| =
+    gm.max_abs, raises CheckFailure, in this order, when the rightmost real
+    part exceeds 1e-8 max|A| (an unstable generator: the tolerance of the
+    leading-eigenvalue record), when the leading eigenvalue is complex
+    beyond roundoff, when its eigenvector has zero mass, or when the lifted
+    pair misses ||A v - lambda v||_inf <= RESIDUAL_TOL max|A| ||v||_inf, A
+    applied without a matrix (gm.apply), which checks the sector, its fold
+    and the lift: "spectral-abscissa", "leading-eigenvalue-real",
+    "eigenvector-mass" and "eigenpair-residual".
     """
-    grid = gm.grid
-    scale = gm.max_abs
-    sectors = _sectors(gm)
-    even = next(iter(sectors))
-    lam, vecs = _la.eig(sectors[even][0])
-    spectra = {key: lam if key == even else _la.eigvals(part[0]) for key, part in sectors.items()}
+    grid, scale = gm.grid, gm.max_abs
+    even = next(iter(gm.sectors))
+    lam, vecs = _la.eig(gm.sectors[even][0])
+    spectra = {key: lam if key == even else _la.eigvals(mat) for key, (mat, _) in gm.sectors.items()}
     key = max(spectra, key=lambda s: spectra[s].real.max())  # the even sector on ties
     if key != even:
         # its eigenvector is odd under some reflection or the swap: of zero
         # mass, it fails below
-        lam, vecs = _la.eig(sectors[key][0])
+        lam, vecs = _la.eig(gm.sectors[key][0])
     k = int(np.argmax(lam.real))
     lam = lam[k]
     if lam.real > 1e-8 * scale:
         raise CheckFailure("spectral-abscissa", lam.real, 1e-8 * scale)
     if abs(lam.imag) > 1e-8 * scale:
         raise CheckFailure("leading-eigenvalue-real", abs(lam.imag), 1e-8 * scale)
-    signs, swap = key
-    _, _, rows, partners = sectors[key]
-    half = np.zeros(len(gm.blocks[signs]))
-    half[partners] = swap * vecs[:, k].real
-    half[rows] = vecs[:, k].real
-    vec = unfold(half.reshape(grid.half_shape(gm.axes)), gm.axes, signs).ravel()
+    vec = gm.sectors[key][1][0].lift(vecs[:, k].real)
     mass = float(np.sum(vec) * grid.cell_volume)
     l1 = float(np.sum(np.abs(vec)) * grid.cell_volume)
     if abs(mass) <= RESIDUAL_TOL * l1:
         raise CheckFailure("eigenvector-mass", abs(mass), RESIDUAL_TOL * l1)
-    vec, half = vec / mass, half / mass
-    resid = float(np.abs(gm.blocks[signs] @ half - lam.real * half).max() / np.abs(half).max())
+    vec = vec / mass
+    resid = float(np.abs(gm.apply(vec) - lam.real * vec).max() / np.abs(vec).max())
     if resid > RESIDUAL_TOL * scale:
         raise CheckFailure("eigenpair-residual", resid, RESIDUAL_TOL * scale)
-    reals = np.sort(np.concatenate([np.tile(spec.real, sectors[s][1]) for s, spec in spectra.items()]))
+    reals = np.sort(np.concatenate([np.tile(spec.real, len(gm.sectors[s][1]))
+                                    for s, spec in spectra.items()]))
     gap = float(lam.real - reals[-2])
-    return float(lam.real), Field(grid, vec.reshape(grid.shape)), gap
+    return float(lam.real), Field(grid, vec), gap
 
 
 TAIL_FIT_POINTS = 8  # fewest nodes with F > 0 tail_exponent fits

@@ -1,14 +1,20 @@
-"""Loop references for the lattice sums of fracfp.operators.
+"""Loop references for the lattice sums of fracfp.operators, and the
+half-grid fold of a sparse matrix.
 
-Each function sums the cells of a radial kernel one lattice offset (or one
+Each loop sums the cells of a radial kernel one lattice offset (or one
 periodic image) at a time, with no symmetry: the periodic-wrap circulant row
 (the operator stencil folded modulo n plus the kernel mass of the periodic
 images beyond it) and the 2d cell quadrature over the offsets -n..n.  The
 tests compare _fold_kernel and cell_tables, which evaluate each cell once per
-symmetry class, against them.
+symmetry class, against them.  fold_sparse folds a sparse node matrix onto
+the half-grid of its reflections, axis by axis: the reference the stepper's
+folded drift matches bit for bit.
 """
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 
 from fracfp.operators import _self_cell, full_kernel, get_stencil, gl_cell_integrals_2d
 
@@ -54,3 +60,25 @@ def cell_tables_2d_loop(grid, kernel, q: float):
     w[n, n] = _self_cell(kernel, grid, q)
     m0[n, n] = 0.0
     return w, m0
+
+
+def fold_sparse(grid, mat, axes, signs=None):
+    """The sparse node matrix mat on the fields of parity signs[i] (+1 even,
+    -1 odd; even by default) under the reflections of axes, which leave mat
+    unchanged: its rows on the first half of those axes, each column added
+    to signs times its mirror image there.  A new matrix on the row-major
+    order of the half-grid, its duplicates summed."""
+    mat = mat.tocoo()
+    half = grid.n // 2
+    index = np.indices(grid.shape).reshape(grid.d, -1)
+    lower = index < half
+    folded = np.isin(np.arange(grid.d), axes)[:, None]
+    shape = grid.half_shape(axes)
+    fold = np.ravel_multi_index(tuple(np.where(folded & ~lower, grid.n - 1 - index, index)), shape)
+    top = lower[list(axes)].all(axis=0)
+    sign = np.prod(np.where(lower[list(axes)], 1.0,
+                            np.reshape(signs or (1,) * len(axes), (-1, 1))), axis=0)
+    keep = top[mat.row]
+    row, col = mat.row[keep], mat.col[keep]
+    size = math.prod(shape)
+    return sp.csr_array((mat.data[keep] * sign[col], (fold[row], fold[col])), shape=(size, size))

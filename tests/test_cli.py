@@ -549,8 +549,9 @@ def test_rates_suite_above_the_expm_cap_has_no_harris_records():
 
 @pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
 def test_no_cli_route_builds_the_full_matrix(tmp_path, monkeypatch, d, n):
-    # the dense routes work on the parity blocks: the jump builder runs once
-    # per block of the one assembly, and never for the N x N matrix
+    # the dense routes work on the sectors: the jump builder runs once per
+    # sector of the one assembly (two in 1d, five for the square's symmetry
+    # group in 2d), and never for the N x N matrix
     calls = []
     jump_matrix = fracfp.operators._jump_matrix
 
@@ -565,7 +566,7 @@ def test_no_cli_route_builds_the_full_matrix(tmp_path, monkeypatch, d, n):
     names = [r.name for r in report.records]
     for name in ("route-agreement-L1", "leading-eigenvalue", "lyapunov-gamma1", "harris-contraction"):
         assert name in names
-    assert len(calls) == 2**d and all(args[2] for args in calls)
+    assert len(calls) == {1: 2, 2: 5}[d] and all(len(args[2].reps) < n**d for args in calls)
 
 
 def test_rates_suite_2d_n32_has_the_harris_records(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import drift_reference as ref
+import fold_reference
 import fracfp.evolution
 from fracfp.grid import CheckFailure, Field, build_grid
 from fracfp.operators import (
@@ -552,6 +553,22 @@ def test_fold_matches_the_full_grid_stepper(d, L, n, drift, solver, folds):
     # an unfolded snapshot is even bit for bit
     for a in range(d):
         assert np.array_equal(got, np.flip(got, a))
+
+
+# the grids of the benchmark workloads (perfbench/run.py WORKLOADS)
+@pytest.mark.parametrize("d, L, n", [(1, 20.0, 2048), (2, 10.0, 32), (1, 10.0, 512)])
+@pytest.mark.parametrize("drift", ["upwind", "centered"])
+def test_folded_drift_is_the_half_grid_fold_bit_for_bit(d, L, n, drift):
+    # the drift substep folded onto the even orbit map is the axis-by-axis
+    # half-grid fold of the matrix, entry for entry and in the same order
+    g = build_grid(d, L, n)
+    st = _Stepper(g, OperatorConfig(alpha=1.0, gamma=2.0, drift=drift), SchemeConfig())
+    assert st.axes == tuple(range(d))
+    want = fold_reference.fold_sparse(g, st.drift, st.axes)
+    st.fold(st.axes)
+    for got, ref_arr in ((st.drift.data, want.data), (st.drift.indices, want.indices),
+                         (st.drift.indptr, want.indptr)):
+        assert got.dtype == ref_arr.dtype and np.array_equal(got, ref_arr)
 
 
 @pytest.mark.parametrize("shift, even", [(1, (0,)), (0, (1,))])

@@ -1,11 +1,11 @@
-import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from fracfp.grid import build_grid, fold, integrate, normalized_gaussian, unfold, weight_field, Field
+from fracfp.grid import build_grid, integrate, normalized_gaussian, weight_field, Field
+from fracfp.operators import orbit_maps
 
 
 def test_build_grid_basic_1d():
@@ -22,27 +22,15 @@ def test_axis_is_exactly_odd(d, L, n):
     x = g.axis
     assert np.array_equal(x[::-1], -x)
     assert np.max(np.abs(x - (-L + (np.arange(n) + 0.5) * g.h))) <= 4 * np.spacing(L)
-    # so the probe density is even bit for bit, and its half unfolds to it
+    # so the probe density is even bit for bit, and its half, the
+    # coefficients of the even orbit map, lifts to it
     f = normalized_gaussian(g).values
     for a in range(d):
         assert np.array_equal(f, np.flip(f, a))
     axes = tuple(range(d))
-    assert np.array_equal(unfold(f[g.half(axes)], axes), f)
-    assert np.array_equal(fold(f, axes), f[g.half(axes)])
-
-
-@pytest.mark.parametrize("d, axes", [(1, (0,)), (2, (0, 1)), (2, (1,))])
-def test_parity_parts_sum_to_the_field(d, axes):
-    g = build_grid(d, 3.0, 8)
-    v = np.random.default_rng(1).standard_normal(g.shape)
-    total = 0.0
-    for signs in itertools.product((1, -1), repeat=len(axes)):
-        part = unfold(fold(v, axes, signs), axes, signs)
-        assert part.shape == v.shape and fold(v, axes, signs).shape == g.half_shape(axes)
-        for a, s in zip(axes, signs):
-            assert np.array_equal(np.flip(part, a), s * part)
-        total = total + part
-    assert np.abs(total - v).max() <= 1e-15 * np.abs(v).max()
+    (even,) = next(iter(orbit_maps(g, axes).values()))
+    assert np.array_equal(even.restrict(f), f[g.half(axes)].ravel())
+    assert np.array_equal(even.lift(f[g.half(axes)]), f)
 
 
 def test_build_grid_2d_cell_volume():

@@ -187,10 +187,35 @@ def test_two_exception_classes():
     assert found == ["cli.ConfigError", "grid.CheckFailure"]
 
 
-def test_one_jump_builder():
-    """Every dense jump matrix, the full circulant or a parity block, comes
-    from _jump_matrix; the table gather serves it and offset_matrix only."""
-    tree = _parse(PACKAGE / "operators.py")
-    callers = sorted(fn.name for fn in ast.walk(tree)
-                     if isinstance(fn, ast.FunctionDef) and _calls_by_name([fn])["_gather"])
-    assert callers == ["_jump_matrix", "offset_matrix"]
+# (module, function) of every call of operators.orbit_maps, the one builder
+# of the orbit maps of the symmetry sectors
+ORBIT_MAP_CALLERS = [
+    ("evolution", "fold"),  # _Stepper.fold: the even sector of the stepped reflections
+    ("operators", "_jump_matrix"),  # without a map: the identity one
+    ("operators", "assemble_generator_matrix"),  # GeneratorMatrix.sectors
+    ("operators", "mat"),  # GeneratorMatrix.mat: the one sector of no symmetry
+]
+
+
+def test_one_orbit_map_builder():
+    """Every sector, of the dense generator and of the stepper, comes from
+    orbit_maps: its callers are the list above, only the builder constructs
+    an OrbitMap, every dense jump matrix comes from _jump_matrix (the table
+    gather serves it and offset_matrix only), and grid exports no fold
+    helpers."""
+    callers, built, gathers = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(_parse(path)):
+            if isinstance(fn, ast.FunctionDef):
+                calls = _calls_by_name([fn])
+                callers += [(path.stem, fn.name)] * len(calls["orbit_maps"])
+                built += [(path.stem, fn.name)] * len(calls["OrbitMap"])
+                gathers += [(path.stem, fn.name)] * len(calls["_gather"])
+    assert sorted(callers) == ORBIT_MAP_CALLERS
+    assert sorted(set(built)) == [("operators", "_orbit_map"), ("operators", "orbit_maps")]
+    assert sorted(gathers) == [("operators", "_jump_matrix"), ("operators", "offset_matrix")]
+    tree = _parse(PACKAGE / "grid.py")
+    exported = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "__all__")
+    defined = exported + [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert not [name for name in defined if "fold" in name or name == "along"]

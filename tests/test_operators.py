@@ -22,9 +22,11 @@ from fracfp.operators import (
     make_force,
     norm_constant,
     offset_matrix,
+    orbit_maps,
     quadrature_fraclap,
     spectral_fraclap,
     split_fraclap,
+    symmetries,
     verify_force_hypotheses,
 )
 
@@ -429,13 +431,16 @@ def test_cached_arrays_are_read_only():
         assemble_generator_matrix(g, OperatorConfig(alpha=1.0, method="quadrature")).mat,
         plain_conv_kernel(g, far_kernel(1.0, 1, g.h)),
     ]
-    # the 2d tables built on one symmetry wedge, and the blocks built on them
+    # the 2d tables built on one symmetry wedge, and the sectors built on
+    # them with their orbit maps
     g2 = build_grid(2, 10.0, 16)
     cached += [
         *cell_tables(g2, full_kernel(1.0, 2), 2.0),
         _fold_kernel(g2, 1.0),
-        *assemble_generator_matrix(g2, OperatorConfig(alpha=1.0, method="quadrature")).blocks.values(),
     ]
+    gm2 = assemble_generator_matrix(g2, OperatorConfig(alpha=1.0, method="quadrature"))
+    for mat, maps in gm2.sectors.values():
+        cached += [mat, *(arr for omap in maps for arr in (omap.index, omap.weight, omap.reps, omap.sizes))]
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
@@ -505,7 +510,7 @@ def test_wedge_cell_tables_match_the_cell_loop(n, q):
 @pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
 def test_jump_row_and_blocks_are_exactly_symmetric(d, n):
     # the row is exactly even along each axis and, in 2d, exactly symmetric,
-    # so the full circulant and every parity block equal their transposes
+    # so the full circulant and every parity sector equal their transposes
     from fracfp.operators import _fold_kernel, _jump_matrix
 
     g = build_grid(d, 8.0, n)
@@ -515,9 +520,49 @@ def test_jump_row_and_blocks_are_exactly_symmetric(d, n):
     assert np.array_equal(c, c.T)
     a = _jump_matrix(g, 1.2)
     assert np.array_equal(a, a.T)
-    for signs in itertools.product((1, -1), repeat=d):
-        blk = _jump_matrix(g, 1.2, tuple(range(d)), signs)
+    for (omap,) in orbit_maps(g, tuple(range(d))).values():
+        blk = _jump_matrix(g, 1.2, omap)
         assert np.array_equal(blk, blk.T)
+
+
+def _shifted_y(p):
+    # mirror-symmetric in x only
+    return np.stack([p[..., 0], p[..., 1] - 0.5], axis=-1)
+
+
+# name -> (d, force, the axes and swaps that leave its drift unchanged)
+MAP_CASES = {
+    "1d": (1, None, (0,), ()),
+    "2d-radial": (2, None, (0, 1), ((0, 1),)),
+    "2d-x-symmetric": (2, ForceField(2.0, _shifted_y), (0,), ()),
+    "2d-no-swap": (2, ForceField(2.0, lambda p: p * [1.0, 2.0]), (0, 1), ()),
+    "2d-shifted": (2, ForceField(2.0, lambda p: p - 0.5), (), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_CASES))
+def test_orbit_maps_decompose_every_field(name):
+    # the sectors' parts of a field, over every map, have the sectors'
+    # parities, are orthogonal and sum to the field, and the maps'
+    # coefficients count every node once
+    d, force, axes, swaps = MAP_CASES[name]
+    g = build_grid(d, 3.0, 8)
+    drift = drift_matrix(g, OperatorConfig(alpha=1.0, force=force).force_field(), "upwind")
+    assert symmetries(g, drift) == (axes, swaps)
+    v = np.random.default_rng(1).standard_normal(g.shape)
+    sizes, parts = 0, []
+    for (signs, _), group in orbit_maps(g, axes, swaps).items():
+        # each part has the parities of its key (the swapped map: swapped)
+        for omap, parities in zip(group, (signs, signs[::-1])):
+            sizes += len(omap.reps)
+            parts.append(omap.lift(omap.project(v)))
+            for a, s in zip(axes, parities):
+                assert np.array_equal(np.flip(parts[-1], a), s * parts[-1])
+    assert len(parts) == {0: 1, 1: 2, 2: 4 + len(swaps) * 2}[len(axes)]
+    assert sizes == g.size
+    assert np.abs(sum(parts) - v).max() <= 1e-15 * np.abs(v).max()
+    for p, q in itertools.combinations(parts, 2):
+        assert abs(np.sum(p * q)) <= 1e-15 * np.sum(v * v)
 
 
 DRIFT_CASES = [(d, n, drift) for d, n in ((1, 64), (2, 16)) for drift in DRIFTS]

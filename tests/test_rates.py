@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from fracfp.grid import CheckFailure, Field, build_grid, fold, unfold, weight_field
+from fracfp.grid import CheckFailure, Field, build_grid, weight_field
 from fracfp.operators import (
     ForceField,
     GeneratorMatrix,
     OperatorConfig,
     assemble_generator_matrix,
+    orbit_maps,
 )
 from fracfp.evolution import evolve
 from fracfp.rates import (
@@ -239,8 +240,8 @@ def test_lyapunov_drift_at_origin(generator_256):
 
 def test_harris_contraction_identity(generator_256):
     g = generator_256.grid
-    ident = GeneratorMatrix(grid=g, cfg=generator_256.cfg, axes=(), blocks={(): np.zeros((256, 256))},
-                            max_abs=0.0)
+    ident = GeneratorMatrix(grid=g, cfg=generator_256.cfg, axes=(), max_abs=0.0,
+                            sectors={((), 1): (np.zeros((256, 256)), orbit_maps(g, ())[(), 1])})
     assert harris_contraction(ident, 0.0, 0.5, 0.4) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -303,9 +304,9 @@ def test_seminorm_matches_the_pairwise_formula():
 
 
 def test_one_semigroup_per_generator(generator_256):
-    for signs in generator_256.blocks:
-        pt = semigroup(generator_256, 1.0, signs)
-        assert semigroup(generator_256, 1.0, signs) is pt
+    for key in generator_256.sectors:
+        pt = semigroup(generator_256, 1.0, key)
+        assert semigroup(generator_256, 1.0, key) is pt
         assert not pt.flags.writeable
 
 
@@ -357,18 +358,22 @@ def test_block_semigroup_matches_the_full_expm(name):
     d, n, force = SEMIGROUP_CASES[name]
     gm = assemble_generator_matrix(
         build_grid(d, 10.0, n), OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature", force=force))
+    if name == "2d":  # the radial force: sectors of the square's symmetry group
+        sizes = {int(size) for _, maps in gm.sectors.values() for size in maps[0].sizes}
+        assert gm.swaps == ((0, 1),) and sizes == {4, 8}
     pt = expm(gm.mat.T)
     rng = np.random.default_rng(3)
     for _ in range(3):
         phi = rng.standard_normal(gm.grid.shape)
         ref = (pt @ phi.ravel()).reshape(phi.shape)
         assert np.abs(semigroup_apply(gm, 1.0, phi) - ref).max() <= 1e-12 * np.abs(ref).max()
-    for signs in gm.blocks:
-        # the block on a part of one parity pattern is P_t on that part
-        part = fold(phi, gm.axes, signs)
-        ref = fold((pt @ unfold(part, gm.axes, signs).ravel()).reshape(phi.shape), gm.axes, signs)
-        assert np.abs(semigroup(gm, 1.0, signs) @ part.ravel() - ref.ravel()).max() <= (
-            1e-12 * np.abs(ref).max())
+    for key, (_, maps) in gm.sectors.items():
+        # the sector on the part of phi in it, through each of its maps, is
+        # P_t on that part
+        for omap in maps:
+            part = omap.project(phi)
+            ref = omap.project(pt @ omap.lift(part).ravel())
+            assert np.abs(semigroup(gm, 1.0, key) @ part - ref).max() <= 1e-12 * np.abs(ref).max()
     (a, b, c, gamma_1), harris = full_lyapunov_and_harris(gm, pt, 0.5, 1.0)
     ly = lyapunov_check(gm, [1.0], 0.5)
     assert [ly["a"], ly["b"], ly["c"], ly["gamma"][1.0]] == pytest.approx([a, b, c, gamma_1], rel=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,14 +7,14 @@ import scipy.linalg
 
 from fracfp import steady
 from fracfp.evolution import _Stepper, auto_dt
-from fracfp.grid import CheckFailure, Field, along, build_grid, integrate, normalized_gaussian
+from fracfp.grid import CheckFailure, Field, build_grid, integrate, normalized_gaussian
 from fracfp.operators import (
     ForceField,
     OperatorConfig,
     assemble_generator_matrix,
-    fold_sparse,
     laplacian_matrix,
-    mirror_axes,
+    orbit_maps,
+    symmetries,
 )
 from fracfp.steady import (
     closed_form_equilibrium,
@@ -184,7 +185,8 @@ def test_eigenpair_runs_eig_on_parity_blocks(name, sizes, monkeypatch):
 
 
 def test_eigenpair_residual_certificate(monkeypatch):
-    # a leading eigenvector of the block that is off by 1e-6 fails the block's check
+    # a leading eigenvector of the sector that is off by 1e-6 fails the
+    # check of the lifted pair on the full generator
     eig = steady._la.eig
 
     def perturbed_eig(a, *args, **kwargs):
@@ -198,39 +200,88 @@ def test_eigenpair_residual_certificate(monkeypatch):
     assert exc.value.measured > exc.value.tolerance == steady.RESIDUAL_TOL * gm.max_abs
 
 
+def test_eigenpair_certificate_sees_a_wrong_lift(monkeypatch):
+    # one flipped weight of the fully even map, on the orbit nearest the
+    # origin: the sector and its eigenpair are right, the lifted eigenvector
+    # is not, and the check on the full generator sees it
+    gm = _eig_case("2d-upwind")
+    key, (mat, (omap,)) = next(iter(gm.sectors.items()))
+    j0 = int(np.argmin(gm.grid.radius2().ravel()[omap.reps]))
+    node = np.flatnonzero(omap.index == j0)[-1]
+    assert node != omap.reps[j0]
+    weight = omap.weight.copy()
+    weight[node] = -weight[node]
+    monkeypatch.setitem(gm.sectors, key, (mat, (dataclasses.replace(omap, weight=weight),)))
+    with pytest.raises(CheckFailure, match="eigenpair-residual") as exc:
+        leading_eigenpair(gm)
+    assert exc.value.measured > exc.value.tolerance == steady.RESIDUAL_TOL * gm.max_abs
+
+
 def parity_block(mat, grid, axes, signs):
     """The block of the full matrix mat on the fields of parity signs under
     the reflections of axes: rows on the first half of each, columns folded."""
     t, d, h = mat.reshape(grid.shape * 2), grid.d, grid.n // 2
     for a, s in zip(axes, signs):
-        t = t[along(a, slice(h))]
-        half = along(d + a, slice(h))
-        t = t[half] + s * np.flip(t, d + a)[half]
+        t = np.take(t, range(h), axis=a)
+        t = np.take(t, range(h), axis=d + a) + s * np.take(np.flip(t, d + a), range(h), axis=d + a)
     return t.reshape(mat.shape[0] // 2 ** len(axes), -1)
+
+
+def sector_reference(mat, grid, axes, swaps, key):
+    """The sector key of the full matrix mat: its parity block, split under
+    the swap of swaps when the signs agree on the pair (2d, axes (0, 1)):
+    rows on the wedge i_0 <= i_1 of the half-grid (i_0 < i_1 when swap-odd),
+    each column added to swap times the column of its transposed node."""
+    signs, swap = key
+    block = parity_block(mat, grid, axes, signs)
+    if not swaps or signs[0] != signs[1]:
+        return block
+    nodes = np.arange(len(block)).reshape(grid.half_shape(axes))
+    i, j = np.indices(nodes.shape)
+    rows, partners = nodes[i <= j], nodes.T[i <= j]
+    if swap < 0:
+        rows, partners = nodes[i < j], nodes.T[i < j]
+    off = rows != partners
+    sector = block[np.ix_(rows, rows)]
+    sector[:, off] += swap * block[np.ix_(rows, partners[off])]
+    return sector
+
+
+def sector_keys(axes, swaps):
+    """The sector keys of the reflections of axes and the swaps, in order."""
+    if not swaps:
+        return [(signs, 1) for signs in itertools.product((1, -1), repeat=len(axes))]
+    return [((1, 1), 1), ((1, 1), -1), ((1, -1), 1), ((-1, -1), 1), ((-1, -1), -1)]
 
 
 @pytest.mark.parametrize("name", sorted(EIG_CASES))
 def test_blocks_are_the_parity_blocks_of_the_full_matrix(name):
+    # each sector is the one built from the full matrix, and the (+,-)
+    # sector of a swap-invariant generator stands for (-,+) (two maps)
     gm = _eig_case(name)
     scale = np.abs(gm.mat).max()
-    assert list(gm.blocks) == list(itertools.product((1, -1), repeat=len(gm.axes)))
-    for signs, block in gm.blocks.items():
-        assert np.abs(block - parity_block(gm.mat, gm.grid, gm.axes, signs)).max() <= 1e-13 * scale
-        assert not block.flags.writeable
+    assert list(gm.sectors) == sector_keys(gm.axes, gm.swaps)
+    for key, (mat, maps) in gm.sectors.items():
+        ref = sector_reference(gm.mat, gm.grid, gm.axes, gm.swaps, key)
+        assert np.abs(mat - ref).max() <= 1e-13 * scale
+        assert not mat.flags.writeable
+        assert len(maps) == (2 if gm.swaps and key == ((1, -1), 1) else 1)
     assert gm.max_abs == pytest.approx(scale, rel=1e-15)
 
 
 @pytest.mark.parametrize("d, n, axes", [(1, 16, (0,)), (2, 8, (0, 1)), (2, 8, (1,))])
 def test_fold_sparse_is_the_parity_block(d, n, axes):
     # the Laplacian couples the two halves across each reflection plane (the
-    # flux-form drift does not: its face velocity there is 0)
+    # flux-form drift does not: its face velocity there is 0); it is swap
+    # invariant too
     g = build_grid(d, 3.0, n)
     lap = laplacian_matrix(g)
-    assert mirror_axes(g, lap) == tuple(range(d))
-    for signs in itertools.product((1, -1), repeat=len(axes)):
-        ref = parity_block(lap.toarray(), g, axes, signs)
-        # the entries at the planes sum up to three terms, in another order
-        assert np.abs(fold_sparse(g, lap, axes, signs).toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert symmetries(g, lap)[0] == tuple(range(d))
+    for swaps in {(), symmetries(g, lap)[1] if axes == (0, 1) else ()}:
+        for key, (omap, *_) in orbit_maps(g, axes, swaps).items():
+            ref = sector_reference(lap.toarray(), g, axes, swaps, key)
+            # the entries at the planes sum up to three terms, in another order
+            assert np.abs(omap.fold(lap).toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_max_abs_without_drift():
@@ -249,31 +300,33 @@ def test_block_layout_follows_the_force():
     swaps = {name: _eig_case(name).swaps for name in EIG_CASES}
     assert swaps == {"1d-upwind": (), "2d-upwind": ((0, 1),), "2d-centered": ((0, 1),),
                      "2d-x-symmetric": (), "1d-shifted": (), "2d-no-swap": ()}
-    assert [b.shape for b in _eig_case("2d-x-symmetric").blocks.values()] == [(128, 128)] * 2
+    assert [m.shape for m, _ in _eig_case("2d-x-symmetric").sectors.values()] == [(128, 128)] * 2
 
 
 @pytest.mark.parametrize("drift", ["upwind", "centered"])
 @pytest.mark.parametrize("gamma, L", [(2.0, 10.0), (2.5, 7.3), (3.0, 8.0)])
 def test_radial_force_has_the_axis_swap(drift, gamma, L):
-    # the drift of a radial force is exactly swap-invariant, so every parity
-    # block is: (+,+) and (-,-) map onto themselves, (+,-) onto (-,+)
+    # the drift of a radial force is exactly swap-invariant, so the full
+    # matrix is, and the (+,-) sector's second map, the first composed with
+    # the swap, stands for (-,+)
     gm = assemble_generator_matrix(build_grid(2, L, 16), OperatorConfig(
         alpha=1.0, gamma=gamma, method="quadrature", drift=drift))
     assert gm.axes == (0, 1) and gm.swaps == ((0, 1),)
-    for (s0, s1), block in gm.blocks.items():
-        swapped = block.reshape((8,) * 4).transpose(1, 0, 3, 2).reshape(64, 64)
-        assert np.array_equal(swapped, gm.blocks[s1, s0])
+    swap = np.arange(256).reshape(16, 16).T.ravel()
+    assert np.array_equal(gm.mat[np.ix_(swap, swap)], gm.mat)
+    _, (first, second) = gm.sectors[(1, -1), 1]
+    assert np.array_equal(second.index, first.index[swap])
+    assert np.array_equal(second.weight, first.weight[swap])
 
 
 @pytest.mark.parametrize("name", ["2d-upwind", "2d-centered"])
 def test_sectors_split_the_spectrum_of_each_block(name):
-    # the swap sectors of a block have its spectrum between them, and the
-    # (+,-) block stands for (-,+)
+    # the swap sectors of a parity block have its spectrum between them, and
+    # the (+,-) sector stands for (-,+)
     gm = _eig_case(name)
-    sectors = steady._sectors(gm)
     m = gm.grid.n // 2
     wedge, strict = m * (m + 1) // 2, m * (m - 1) // 2
-    assert [(key, len(part[0]), part[1]) for key, part in sectors.items()] == [
+    assert [(key, len(mat), len(maps)) for key, (mat, maps) in gm.sectors.items()] == [
         (((1, 1), 1), wedge, 1), (((1, 1), -1), strict, 1), (((1, -1), 1), m * m, 2),
         (((-1, -1), 1), wedge, 1), (((-1, -1), -1), strict, 1)]
 
@@ -281,9 +334,9 @@ def test_sectors_split_the_spectrum_of_each_block(name):
         return np.concatenate([np.sort(lam.real), np.sort(lam.imag)])
 
     for signs, split in (((1, 1), (1, -1)), ((-1, -1), (1, -1)), ((-1, 1), (1,))):
-        ref = parts(scipy.linalg.eigvals(gm.blocks[signs]))
+        ref = parts(scipy.linalg.eigvals(parity_block(gm.mat, gm.grid, gm.axes, signs)))
         key = signs if signs != (-1, 1) else (1, -1)
-        got = parts(np.concatenate([scipy.linalg.eigvals(sectors[key, s][0]) for s in split]))
+        got = parts(np.concatenate([scipy.linalg.eigvals(gm.sectors[key, s][0]) for s in split]))
         assert np.abs(got - ref).max() <= 1e-10 * gm.max_abs
 
 
@@ -316,8 +369,8 @@ def test_shifted_force_has_one_block_the_full_matrix(d, n):
     gm = assemble_generator_matrix(
         build_grid(d, 10.0, n),
         OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature", force=ForceField(2.0, _shifted)))
-    assert gm.axes == () and list(gm.blocks) == [()]
-    assert np.array_equal(gm.blocks[()], gm.mat)
+    assert gm.axes == () and list(gm.sectors) == [((), 1)]
+    assert np.array_equal(gm.sectors[(), 1][0], gm.mat)
     assert gm.max_abs == np.abs(gm.mat).max()
     sol, lam_ref, vec_ref, gap_ref = full_matrix_routes(gm)
     assert np.array_equal(steady_by_linear_solve(gm).field.values.ravel(), sol)
@@ -338,24 +391,18 @@ def _lift_one_sector(gm, target, monkeypatch):
     """Make the sector under target hold the rightmost eigenvalue, 1e-10
     max|A| right of 0: its eigvals are shifted there.  Returns the list of
     the sector keys eig runs on."""
-    sectors, built = steady._sectors, {}
     eigvals, eig, seen = steady._la.eigvals, steady._la.eig, []
-
-    def recording_sectors(g):
-        built.update(sectors(g))
-        return built
 
     def lifted(a, *args, **kwargs):
         lam = eigvals(a, *args, **kwargs)
-        if a is not built[target][0]:
+        if a is not gm.sectors[target][0]:
             return lam
         return lam - lam.real.max() + 1e-10 * gm.max_abs
 
     def recording_eig(a, *args, **kwargs):
-        seen.append(next(key for key, part in built.items() if part[0] is a))
+        seen.append(next(key for key, (mat, _) in gm.sectors.items() if mat is a))
         return eig(a, *args, **kwargs)
 
-    monkeypatch.setattr(steady, "_sectors", recording_sectors)
     monkeypatch.setattr(steady._la, "eigvals", lifted)
     monkeypatch.setattr(steady._la, "eig", recording_eig)
     return seen
