@@ -3,22 +3,24 @@
 The drift substep is an explicit conservative flux-form update (CFL-limited;
 upwind Heun by default, Lax-Wendroff when the operator asks for centered
 drift), precomposed into one sparse banded matrix (drift_step_matrix), so a
-substep is one matvec.  For upwind that matrix is (I + P @ P)/2 with
-P = I + tau*D >= 0 under the CFL bound: a column-stochastic matrix, so
-positivity and mass survive the substep.  The jump substep is one
-fourier_multiply: the exact spectral exp(-(2 pi |xi|)^alpha dt) (unconditionally
-stable, exactly mass preserving) or backward Euler with the periodized
-quadrature circulant, an FFT divide by 1 - dt*lambda_k (lambda_k:
+substep is one matvec: scipy's compiled csr_matvec, the kernel D @ v runs,
+called directly on the matrix's arrays (operators.lane_product).  For upwind
+that matrix is (I + P @ P)/2 with P = I + tau*D >= 0 under the CFL bound: a
+column-stochastic matrix, so positivity and mass survive the substep.  The jump
+substep is one fourier_multiply: the exact spectral exp(-(2 pi |xi|)^alpha dt)
+(unconditionally stable, exactly mass preserving) or backward Euler with the
+periodized quadrature circulant, an FFT divide by 1 - dt*lambda_k (lambda_k:
 quadrature_symbol).  That M-matrix inverse is a column-stochastic kernel, so
 positivity and mass hold to FFT roundoff at any grid size.  A step is
 half-drift / full-jump / half-drift (the drift matrix at tau = dt/2).
 
 The step loop works on raw ndarrays: Field validation happens at the API
 boundary (the initial field and the snapshots).  ``evolve``, the one entry,
-steps a C-contiguous stack of shape (lanes, *grid.shape): one sparse product
-per drift substep and one batched fourier_multiply per jump substep serve
-every lane, and the monitors reduce each lane over its trailing axes, so
-every lane is bit for bit the field a single-lane run computes.  Without a
+steps a C-contiguous stack of shape (lanes, *grid.shape): a drift substep
+makes the one csr_matvec call of a single-lane run once per lane, one batched
+fourier_multiply (pocketfft, called as scipy.fft calls it) per jump substep
+serves every lane, and the monitors reduce each lane over its trailing axes,
+so every lane is bit for bit the field a single-lane run computes.  Without a
 path the stack has one lane.  With a path (the unit-time states that
 steady_by_evolution visited from the same f0, ``SteadyState.path``) every
 unit chunk whose start state is known runs as its own lane, side by side,
@@ -73,6 +75,7 @@ from fracfp.operators import (
     far_kernel,
     fourier_multiply,
     get_stencil,
+    lane_product,
     laplacian_matrix,
     max_drift_speed,
     offset_matrix,
@@ -117,7 +120,8 @@ class SchemeConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots plus per-step scalar monitors of one evolution run."""
+    """Snapshots plus per-step scalar monitors of one evolution run; meta
+    holds dt, nsteps, the stacked steps made (advances) and the lanes."""
 
     grid: Grid
     times: np.ndarray
@@ -196,6 +200,8 @@ class _Stepper:
         self.grid = grid
         self.key = (grid, cfg.force_field(), cfg.drift, 0.5 * self.dt)
         self.drift = drift_step_matrix(*self.key)
+        # the drift substep: per lane, the one csr_matvec call that D @ v makes
+        self._drift = lane_product(self.drift)
         multiplier = (_diffusion_multiplier if scheme.diffusion_solver == "exact-spectral"
                       else _implicit_factor)
         self.mult = multiplier(grid, cfg.alpha, self.dt)
@@ -210,17 +216,9 @@ class _Stepper:
         self.map = next(iter(orbit_maps(self.grid, axes).values()))[0]
         if axes:
             self.drift = _even_block(*self.key, self.map)
+            self._drift = lane_product(self.drift)
             self.mult = self.mult[self.grid.half(axes)]
         self.even = axes
-
-    def _drift(self, values: np.ndarray) -> np.ndarray:
-        # one product D @ X.T for all lanes (a single lane: one matvec), made
-        # C-contiguous again so that each lane's FFTs and reductions run as
-        # in a single-lane run
-        flat = values.reshape(-1, self.drift.shape[1])
-        if len(flat) == 1:
-            return (self.drift @ flat[0]).reshape(values.shape)
-        return np.ascontiguousarray((self.drift @ flat.T).T).reshape(values.shape)
 
     def advance(self, values: np.ndarray) -> np.ndarray:
         return self._drift(fourier_multiply(self._drift(values), self.mult, self.even))
@@ -400,7 +398,7 @@ def evolve(
         l2m=mon[5],
         linfm=mon[3],
         entropy=mon[6] if ref_inv is not None else None,
-        meta={"dt": dt, "nsteps": nsteps},
+        meta={"dt": dt, "nsteps": nsteps, "advances": i, "lanes": lanes},
     )
 
 

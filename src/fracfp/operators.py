@@ -53,8 +53,9 @@ from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
-import scipy.fft as sfft
 import scipy.sparse as sp
+from scipy.fft._pocketfft import pypocketfft
+from scipy.sparse import _sparsetools
 from scipy.special import gamma as _gamma
 
 from fracfp.grid import Field, Grid
@@ -270,7 +271,7 @@ def windowed_kernel(alpha: float, d: int, eps: float) -> JumpKernel:
 
 
 # ---------------------------------------------------------------------------
-# FFT layer: Fourier multipliers (scipy.fft) and zero-padded convolutions (numpy.fft)
+# FFT layer: Fourier multipliers (pocketfft) and zero-padded convolutions (numpy.fft)
 # ---------------------------------------------------------------------------
 
 
@@ -284,10 +285,13 @@ def box_frequencies(grid: Grid) -> tuple[np.ndarray, ...]:
 
 def fourier_multiply(values: np.ndarray, mult: np.ndarray, even=()) -> np.ndarray:
     """irfftn(rfftn(values) * mult) over the trailing mult.ndim axes: the
-    multiplier mult, given in the rfftn layout, applied to a field on the
-    periodic box, or to each field of a stack of them.  The transforms are
-    scipy.fft's, axis by axis (rfft, then fft over the earlier grid axes),
-    without rfftn's argument handling: that is a few percent of a time step.
+    multiplier mult, given in the rfftn layout, applied to a float64 field on
+    the periodic box, or to each field of a stack of them.  The transforms
+    run axis by axis (rfft, then fft over the earlier grid axes) in scipy's
+    compiled pocketfft, called with the arguments scipy.fft's wrappers pass
+    (inorm 0 forward, 2 inverse; one thread): their results bit for bit,
+    without their per-call dispatch.  Each transform writes in place where
+    the previous output's dtype and layout allow; values is never written.
 
     ``even`` lists grid axes (0 first) along which values holds the first
     half of a field even under the reflection of that axis, and mult the
@@ -304,17 +308,18 @@ def fourier_multiply(values: np.ndarray, mult: np.ndarray, even=()) -> np.ndarra
     real_last = values.ndim - 1 not in cos
     spec = values
     for a in cos:
-        spec = sfft.dct(spec, 2, axis=a)
+        spec = pypocketfft.dct(spec, 2, (a,), 0, None if spec is values else spec, 1)
     if real_last:
-        spec = sfft.rfft(spec)
-    for a in waves:
-        spec = sfft.fft(spec, axis=a)
+        spec = pypocketfft.r2c(spec, (-1,), True, 0, None, 1)
+    for a in waves:  # a real spec (the last axis folded) becomes complex here
+        spec = pypocketfft.c2c(spec, (a,), True, 0, spec if spec.dtype.kind == "c" else None, 1)
     spec *= mult
     for a in waves:
-        spec = sfft.ifft(spec, axis=a)
-    spec = sfft.irfft(spec, values.shape[-1]) if real_last else spec.real
+        spec = pypocketfft.c2c(spec, (a,), False, 2, spec, 1)
+    spec = (pypocketfft.c2r(spec, (-1,), values.shape[-1], False, 2, None, 1) if real_last
+            else spec.real)  # a strided view when waves made spec complex
     for a in cos:
-        spec = sfft.idct(spec, 2, axis=a)
+        spec = pypocketfft.dct(spec, 3, (a,), 2, spec if spec.flags.c_contiguous else None, 1)
     return spec
 
 
@@ -768,6 +773,26 @@ def drift_step_matrix(grid: Grid, force: ForceField, drift: str, tau: float) -> 
         lw = 0.5 * (s_hi + s_lo) + c * (s_hi - s_lo) @ sp.diags_array(e_node[a].ravel())
         maps.append(e_face @ lw)
     return readonly(eye + tau * _face_divergence(grid, maps))
+
+
+def lane_product(mat: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> mat @ x for the square CSR matrix mat, on one field or on each
+    lane of a stack whose trailing axes hold mat.shape[1] values.  Each lane
+    is one call of scipy.sparse's compiled csr_matvec, the kernel that
+    mat @ x runs, on mat's own arrays into a zeroed output, so it is
+    mat @ x bit for bit, without the per-call dispatch of mat @ x."""
+    m, n = mat.shape
+    if mat.format != "csr" or m != n:
+        raise ValueError("lane_product needs a square CSR matrix")
+    args = (m, n, mat.indptr, mat.indices, mat.data)
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(values.shape)
+        for x, y in zip(values.reshape(-1, n), out.reshape(-1, n)):
+            _sparsetools.csr_matvec(*args, x, y)
+        return out
+
+    return apply
 
 
 def max_drift_speed(grid: Grid, force: ForceField) -> float:

@@ -421,6 +421,8 @@ def test_evolve_on_a_path_is_the_single_lane_run(d, drift, splitting, solver, mo
         lanes = evolve(f0, T, cfg, scheme, output_times=times, reference=ref, path=ss.path)
         # one stacked step per step of a chunk: the lanes share every advance
         assert sum(calls) == one.meta["nsteps"] and max(calls) == min(len(ss.path), int(T) + 1)
+        assert one.meta["advances"] == one.meta["nsteps"] and one.meta["lanes"] == 1
+        assert lanes.meta["advances"] == len(calls) and lanes.meta["lanes"] == max(calls)
         for a, b in zip(one.monitor_columns().T, lanes.monitor_columns().T):
             assert np.array_equal(a, b)
         assert np.array_equal(one.times, lanes.times)
@@ -560,12 +562,28 @@ def test_fold_matches_the_full_grid_stepper(d, L, n, drift, solver, folds):
 @pytest.mark.parametrize("drift", ["upwind", "centered"])
 def test_folded_drift_is_the_half_grid_fold_bit_for_bit(d, L, n, drift):
     # the drift substep folded onto the even orbit map is the axis-by-axis
-    # half-grid fold of the matrix, entry for entry and in the same order
+    # half-grid fold of the matrix, entry for entry and in the same order;
+    # the substep applies it, whole or folded, to one field or to each lane
+    # of a stack bit for bit as the sparse product does
     g = build_grid(d, L, n)
-    st = _Stepper(g, OperatorConfig(alpha=1.0, gamma=2.0, drift=drift), SchemeConfig())
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0, drift=drift)
+    st = _Stepper(g, cfg, SchemeConfig())
     assert st.axes == tuple(range(d))
-    want = fold_reference.fold_sparse(g, st.drift, st.axes)
+    whole = drift_step_matrix(g, cfg.force_field(), drift, 0.5 * st.dt)
+    want = fold_reference.fold_sparse(g, whole, st.axes)
+    rng = np.random.default_rng(3)
+
+    def substep_is_the_product(mat):
+        for shape in ((), (1,), (3,)):
+            v = rng.standard_normal(shape + g.half_shape(st.even))
+            got = st._drift(v)
+            assert got.shape == v.shape
+            for lane, out in zip(v.reshape(-1, mat.shape[1]), got.reshape(-1, mat.shape[0])):
+                assert np.array_equal(out, mat @ lane)
+
+    substep_is_the_product(whole)
     st.fold(st.axes)
+    substep_is_the_product(want)
     for got, ref_arr in ((st.drift.data, want.data), (st.drift.indices, want.indices),
                          (st.drift.indptr, want.indptr)):
         assert got.dtype == ref_arr.dtype and np.array_equal(got, ref_arr)

@@ -219,3 +219,42 @@ def test_one_orbit_map_builder():
                     and getattr(node.targets[0], "id", None) == "__all__")
     defined = exported + [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert not [name for name in defined if "fold" in name or name == "along"]
+
+
+# scipy's compiled kernels that the time step calls directly, and the
+# operators function that is the one caller of each
+PRIVATE_KERNELS = {"scipy.fft._pocketfft": "fourier_multiply",
+                   "scipy.sparse._sparsetools": "lane_product"}
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Dotted name of each imported module or name -> its local binding."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name: alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            out |= {f"{node.module}.{alias.name}": alias.asname or alias.name
+                    for alias in node.names}
+    return out
+
+
+def test_only_operators_calls_scipys_private_kernels():
+    """operators alone imports scipy's private FFT and sparse kernels, and
+    only fourier_multiply and lane_product call them; no module calls
+    scipy.fft's public transforms, which would bypass fourier_multiply."""
+    found, callers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        for name, binding in _imported(tree).items():
+            kernel = next((k for k in PRIVATE_KERNELS if name.startswith(k)), None)
+            if name == "scipy.fft" or name.startswith("scipy.fft.") and kernel is None:
+                found.append(f"{path.name} imports {name}")
+            elif kernel is not None and path.stem != "operators":
+                found.append(f"{path.name} imports {name}")
+            elif kernel is not None:
+                callers |= {(kernel, fn.name) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                            for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                            and getattr(node.value, "id", None) == binding}
+    assert not found, "\n".join(found)
+    assert callers == set(PRIVATE_KERNELS.items())
