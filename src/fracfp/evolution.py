@@ -50,9 +50,10 @@ check, (mass - mass0) / max(|mass0|, ||f0||_1), so a field of roundoff mass
 check drops out with the lanes after it, and the earliest failing step
 overall is raised as a CheckFailure.
 
-Also here: the viscosity-regularized generator (a validation mode with a
-truncated kernel, a cut-off force and an added eps*Laplacian), and the
-Duhamel identity check e^{tL} = e^{tB} + e^{tL} * A e^{tB} on dense matrices.
+Also here: the viscosity-regularized generator (a validation mode, applied
+but never stepped, with a truncated kernel, a cut-off force and an added
+eps*Laplacian), and the Duhamel identity check
+e^{tL} = e^{tB} + e^{tL} * A e^{tB} on dense matrices.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ __all__ = [
     "auto_dt",
     "step_size",
     "evolve",
-    "viscosity_step",
     "radial_cutoff",
     "duhamel_residual",
 ]
@@ -428,31 +428,12 @@ def viscosity_generator_apply(f: Field, eps: float, cfg: OperatorConfig) -> Fiel
     chi = radial_cutoff(grid, eps).values
     # div(E * chi f) = div(E_eps f) with E_eps = chi E evaluated at faces;
     # using the product at cell values keeps the flux form conservative.
-    # Upwind whatever cfg.drift says, as the stability bound of viscosity_step
-    # (speed / h) assumes.
+    # Upwind whatever cfg.drift says: the regularized generator is a
+    # monotone (Metzler) operator.
     d_up = drift_matrix(grid, cfg.force_field(), "upwind")
     drift = (d_up @ (f.values * chi).ravel()).reshape(grid.shape)
     lap = (laplacian_matrix(grid) @ f.values.ravel()).reshape(grid.shape)
     return f.with_values(jump + drift + eps * lap)
-
-
-def viscosity_step(f: Field, eps: float, cfg: OperatorConfig) -> Field:
-    """One explicit Euler step of the regularized generator (validation only),
-    of size 0.9 times the explicit stability bound."""
-    grid = f.grid
-    speed = max_drift_speed(grid, cfg.force_field())
-    st = get_stencil(grid, windowed_kernel(cfg.alpha, grid.d, eps))
-    stiff = (
-        2.0 * grid.d * eps / grid.h**2
-        + float(np.max(st.deg_in + st.ext_mass))
-        + speed / grid.h
-    )
-    dt = 0.9 / stiff
-    rhs = viscosity_generator_apply(f, eps, cfg)
-    out = f.values + dt * rhs.values
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("viscosity step produced non-finite values")
-    return f.with_values(out)
 
 
 # ---------------------------------------------------------------------------

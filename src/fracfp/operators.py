@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
@@ -370,17 +370,17 @@ def theta_quad(f, a, b):
     return float(np.trapezoid(f(t), t))
 
 
-def _self_cell(kernel: JumpKernel, grid: Grid, power: float, cos_pow: int = 0) -> float:
-    """int kappa(|z|) |z|^power (z_1/|z|)^cos_pow dz over the self cell
-    [-h/2, h/2]^d, in polar form: exact radial moments, and in 2d the angle by
-    theta_quad, each ray ending at the cell edge."""
+def _self_cell(kernel: JumpKernel, grid: Grid, power: float) -> float:
+    """int kappa(|z|) |z|^power dz over the self cell [-h/2, h/2]^d, in polar
+    form: exact radial moments, and in 2d the angle by theta_quad, each ray
+    ending at the cell edge."""
     h = grid.h
     if grid.d == 1:
         return 2.0 * float(kernel.moment(0.0, h / 2, power))
 
     def ray(t):
         rmax = (h / 2) / np.maximum(np.abs(np.cos(t)), np.abs(np.sin(t)))
-        return np.cos(t) ** cos_pow * kernel.moment(0.0, rmax, power + 1)
+        return kernel.moment(0.0, rmax, power + 1)
 
     return theta_quad(ray, 0.0, 2.0 * math.pi)
 
@@ -526,15 +526,20 @@ def _fold_kernel(grid: Grid, alpha: float) -> np.ndarray:
 def get_stencil(grid: Grid, kernel: JumpKernel) -> JumpStencil:
     """The operator stencil of a kernel: the cell_tables weights at q = 2, so
     the smooth factor S(z)/|z|^2 meets the kernel moment kappa |z|^2.  The
-    z = 0 term carries (1/2) Lap u times the self-cell moment, moved onto the
-    nearest-neighbour offsets as the discrete second derivative."""
-    n, h = grid.n, grid.h
+    z = 0 term carries (1/2) d_a^2 u times weights[center] / d along each
+    axis a (the center weight is the hat at 0 in 1d; in 2d the self-cell
+    moment int_cell kappa |z|^2, whose parts int_cell kappa z_a^2 are equal by
+    the swap symmetry), moved onto the nearest-neighbour offsets as the
+    discrete second derivative."""
+    n, h, d = grid.n, grid.h, grid.d
     weights, masses = cell_tables(grid, kernel, 2.0)
     ker = weights.copy()
-    ker[(n,) * grid.d] = 0.0
-    if grid.d == 1:
-        # the hat at z = 0 (both sides): the node value S_1/h^2
-        ker[[n - 1, n + 1]] += 0.5 * weights[n] / h**2
+    center = (n,) * d
+    ker[center] = 0.0
+    axis_term = 0.5 * (weights[center] / d) / h**2
+    for a, s in itertools.product(range(d), (-1, 1)):
+        ker[tuple(n + s * (b == a) for b in range(d))] += axis_term
+    if d == 1:
         idx = np.arange(n)
         cnu = np.concatenate([[0.0], np.cumsum(ker[n + 1 :])])
         deg_in = cnu[n - 1 - idx] + cnu[idx]
@@ -542,10 +547,6 @@ def get_stencil(grid: Grid, kernel: JumpKernel) -> JumpStencil:
         beyond = float(kernel.moment((n + 0.5) * h, math.inf, 0))
         ext = (cw[n] - cw[n - 1 - idx]) + (cw[n] - cw[idx]) + 2.0 * beyond
         return JumpStencil(grid, *map(readonly, (ker, deg_in, ext)))
-    # self cell: (1/2) Lap u * int_cell kappa z1^2
-    mc = _self_cell(kernel, grid, 2.0, cos_pow=2)
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ker[n + di, n + dj] += mc / (2.0 * h**2)
     ones = np.ones(grid.shape)
     deg_in = convolve_same(ones, ker)
     # exterior: plain masses of not-covered cells + analytic beyond-square tail
@@ -950,10 +951,12 @@ class GeneratorMatrix:
     sector is G^-1 B^T G, B its matrix and G the diagonal of its orbit
     sizes.  ``max_abs`` is max |Lambda| over the full matrix.
 
+    ``cfg`` names the jump the sectors hold: its method is always
+    "quadrature", so generator_apply(f, gm.cfg) is Lambda without a matrix.
     ``mat``, the full N x N matrix, is built on first access, for the tests
-    and the small-N instruments (b_semigroup_decay, duhamel_residual), and
-    ``apply`` is Lambda without a matrix.  The arrays are read-only, and the
-    object compares and hashes by identity, so caches can key on it."""
+    and the small-N instruments (b_semigroup_decay, duhamel_residual).  The
+    arrays are read-only, and the object compares and hashes by identity, so
+    caches can key on it."""
 
     grid: Grid
     cfg: OperatorConfig
@@ -969,13 +972,6 @@ class GeneratorMatrix:
     @cached_property
     def mat(self) -> np.ndarray:
         return _generator_sectors(self.grid, self.cfg, orbit_maps(self.grid, ()))[(), 1][0]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Lambda on the field values: fourier_multiply by quadrature_symbol
-        plus the sparse drift."""
-        drift = drift_matrix(self.grid, self.cfg.force_field(), self.cfg.drift) @ values.ravel()
-        jump = fourier_multiply(values, quadrature_symbol(self.grid, float(self.cfg.alpha)))
-        return jump + drift.reshape(self.grid.shape)
 
 
 def _jump_row(grid: Grid, alpha: float) -> np.ndarray:
@@ -1054,10 +1050,11 @@ def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatri
     The jump part always uses the conservative quadrature stencil: the
     spectral multiplier has no Metzler matrix realization, and the maximum
     principle plus Krein-Rutman structure require nonnegative off-diagonal
-    jump entries.
+    jump entries, and the matrix's cfg says so.
     """
     if grid.size > MAX_DENSE:
         raise ValueError(f"dense assembly limited to n^d <= {MAX_DENSE}, got {grid.size}")
+    cfg = replace(cfg, method="quadrature")
     drift = drift_matrix(grid, cfg.force_field(), cfg.drift)
     axes, swaps = symmetries(grid, drift)
     return GeneratorMatrix(grid=grid, cfg=cfg, axes=axes, swaps=swaps,

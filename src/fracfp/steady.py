@@ -95,10 +95,9 @@ def _finalize(grid: Grid, values: np.ndarray, route: str) -> Field:
     return Field(grid, values / mass)
 
 
-def closed_form_equilibrium(alpha: float, grid: Grid, gamma: float = 2.0) -> Field:
-    """Equilibrium for E = x via its Fourier transform exp(-(2pi|xi|)^a / a)."""
-    if gamma != 2.0:
-        raise ValueError("the closed form is specific to the linear drift (gamma = 2)")
+def closed_form_equilibrium(alpha: float, grid: Grid) -> Field:
+    """Equilibrium for the linear drift E = x (gamma = 2) via its Fourier
+    transform exp(-(2pi|xi|)^a / a)."""
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     xi = box_frequencies(grid)
@@ -202,9 +201,9 @@ def leading_eigenpair(gm: GeneratorMatrix):
     leading-eigenvalue record), when the leading eigenvalue is complex
     beyond roundoff, when its eigenvector has zero mass, or when the lifted
     pair misses ||A v - lambda v||_inf <= RESIDUAL_TOL max|A| ||v||_inf, A
-    applied without a matrix (gm.apply), which checks the sector, its fold
-    and the lift: "spectral-abscissa", "leading-eigenvalue-real",
-    "eigenvector-mass" and "eigenpair-residual".
+    applied without a matrix (generator_apply with gm.cfg), which checks the
+    sector, its fold and the lift: "spectral-abscissa",
+    "leading-eigenvalue-real", "eigenvector-mass" and "eigenpair-residual".
     """
     grid, scale = gm.grid, gm.max_abs
     even = next(iter(gm.sectors))
@@ -227,7 +226,8 @@ def leading_eigenpair(gm: GeneratorMatrix):
     if abs(mass) <= RESIDUAL_TOL * l1:
         raise CheckFailure("eigenvector-mass", abs(mass), RESIDUAL_TOL * l1)
     vec = vec / mass
-    resid = float(np.abs(gm.apply(vec) - lam.real * vec).max() / np.abs(vec).max())
+    applied = generator_apply(Field(grid, vec), gm.cfg).values
+    resid = float(np.abs(applied - lam.real * vec).max() / np.abs(vec).max())
     if resid > RESIDUAL_TOL * scale:
         raise CheckFailure("eigenpair-residual", resid, RESIDUAL_TOL * scale)
     reals = np.sort(np.concatenate([np.tile(spec.real, len(gm.sectors[s][1]))

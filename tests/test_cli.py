@@ -89,10 +89,20 @@ def test_unknown_key_is_hard_error(tmp_path):
         parse_config(p)
 
 
-def test_parse_error_reports_line(tmp_path):
+def test_parse_error_reports_line(tmp_path, capsys):
     p = write_cfg(tmp_path, "name = ok\nalpha == 1\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config(p)
+    # a line without "=", and JSON that does not parse: exit 2 through main
+    for text, name, err in [
+        ("name = ok\nalpha 1\n", "scenario.cfg", "expected key = value on line 2: 'alpha 1'"),
+        ('{"name": "ok",\n "alpha": 1,}', "scenario.json", "invalid JSON in "),
+    ]:
+        q = write_cfg(tmp_path, text, name)
+        assert main(["run", str(q), "--out", str(tmp_path / "o")]) == 2
+        msg = capsys.readouterr().err
+        assert msg.startswith(f"config error: {err}") and "line 2" in msg
+    assert not (tmp_path / "o").exists()
 
 
 def test_rejects_p_above_threshold(tmp_path):
@@ -102,10 +112,17 @@ def test_rejects_p_above_threshold(tmp_path):
         parse_config(p)
 
 
-def test_rejects_k_outside_range(tmp_path):
+def test_rejects_k_outside_range(tmp_path, capsys):
     p = write_cfg(tmp_path, "name = t\nalpha = 1\nk = 1.2\n")
     with pytest.raises(ConfigError, match=r"min\(alpha,1\)"):
         parse_config(p)
+    # k_bar must lie in (k, min(alpha, 1)): at either end it is a config error
+    for k_bar in (0.5, 1.0):
+        q = write_cfg(tmp_path, f"name = t\nalpha = 1\nk = 0.5\nk_bar = {k_bar}\n")
+        assert main(["run", str(q), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: k_bar must lie in (k, min(alpha,1)), got {k_bar}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_rejects_weak_confinement_for_steady(tmp_path):

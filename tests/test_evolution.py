@@ -25,7 +25,6 @@ from fracfp.evolution import (
     radial_cutoff,
     step_size,
     viscosity_generator_apply,
-    viscosity_step,
 )
 
 
@@ -205,6 +204,16 @@ def test_entropy_monitor_recorded():
     assert np.all(np.isfinite(tr.entropy))
 
 
+def test_entropy_reference_must_be_positive():
+    # the entropy monitor divides by the reference: one zero node is an input error
+    g = build_grid(1, 15.0, 256)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="spectral")
+    ref = normalized_gaussian(g, s2=4.0).values.copy()
+    ref[0] = 0.0
+    with pytest.raises(ValueError, match="entropy reference must be strictly positive"):
+        evolve(normalized_gaussian(g), 0.5, cfg, reference=Field(g, ref))
+
+
 # ------------------------------------------------------------- viscosity
 
 
@@ -258,14 +267,6 @@ def test_viscosity_cutoff_force_sign():
     e = make_force(2.0).components((g.axis,))[0]
     grad_chi = np.gradient(chi, g.h)
     assert np.max(e * grad_chi) <= 1e-12
-
-
-def test_viscosity_step_runs():
-    g = build_grid(1, 15.0, 128)
-    cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature")
-    f = Field(g, np.exp(-g.axis**2))
-    out = viscosity_step(f, 0.2, cfg)
-    assert np.all(np.isfinite(out.values))
 
 
 # ------------------------------------------------------------- Duhamel

@@ -66,25 +66,16 @@ def _dataclass_fields(tree: ast.Module, cls: str) -> list:
     return [st.target.id for st in body if isinstance(st, ast.AnnAssign)]
 
 
-def test_every_setting_is_set_by_some_caller():
-    """A parameter default, or a config field, that no caller sets is a
-    constant in disguise: each one doubles the configurations tests would
-    have to cover.  Scans src/fracfp and tests."""
+def _sources_and_calls() -> tuple[dict, dict]:
+    """The src/fracfp trees by module, and the calls in them and in tests."""
     src = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     trees = list(src.values()) + [_parse(path) for path in sorted(TESTS.glob("*.py"))]
-    calls = _calls_by_name(trees)
+    return src, _calls_by_name(trees)
 
-    def passed(func: str, name: str, index: int | None) -> bool:
-        for call in calls[func]:
-            if any(kw.arg in (name, None) for kw in call.keywords):
-                return True
-            if any(isinstance(a, ast.Starred) for a in call.args):
-                return True
-            if index is not None and index < len(call.args):
-                return True
-        return False
 
-    found = []
+def _defaulted(src: dict):
+    """(module, function, parameter, positional index or None) of every
+    parameter with a default, self excluded."""
     for stem, tree in src.items():
         methods = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for item in cls.body if isinstance(item, ast.FunctionDef)}
@@ -94,11 +85,34 @@ def test_every_setting_is_set_by_some_caller():
             a = fn.args
             pos = (a.posonlyargs + a.args)[1 if id(fn) in methods else 0:]
             first = len(pos) - len(a.defaults)
-            unset = [arg.arg for i, arg in enumerate(pos[first:], start=first)
-                     if not passed(fn.name, arg.arg, i)]
-            unset += [arg.arg for arg, d in zip(a.kwonlyargs, a.kw_defaults)
-                      if d is not None and not passed(fn.name, arg.arg, None)]
-            found += [f"{stem}.{fn.name}({name}) is never passed" for name in unset]
+            for i, arg in enumerate(pos[first:], start=first):
+                yield stem, fn.name, arg.arg, i
+            for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+                if d is not None:
+                    yield stem, fn.name, arg.arg, None
+
+
+def _passed(calls: dict, func: str, name: str, index: int | None) -> list:
+    """What the calls of func that may set the parameter pass: a constant's
+    value, else the expression node (*args and **kwargs included), which
+    differs from every other."""
+    out = []
+    for call in calls[func]:
+        given = [kw.value for kw in call.keywords if kw.arg in (name, None)]
+        given += [a for a in call.args if isinstance(a, ast.Starred)]
+        if index is not None and index < len(call.args):
+            given.append(call.args[index])
+        out += [g.value if isinstance(g, ast.Constant) else g for g in given]
+    return out
+
+
+def test_every_setting_is_set_by_some_caller():
+    """A parameter default, or a config field, that no caller sets is a
+    constant in disguise: each one doubles the configurations tests would
+    have to cover.  Scans src/fracfp and tests."""
+    src, calls = _sources_and_calls()
+    found = [f"{stem}.{fn}({name}) is never passed" for stem, fn, name, index in _defaulted(src)
+             if not _passed(calls, fn, name, index)]
 
     for stem, cls in (("operators", "OperatorConfig"), ("evolution", "SchemeConfig")):
         for name in _dataclass_fields(src[stem], cls):
@@ -113,6 +127,22 @@ def test_every_setting_is_set_by_some_caller():
     assert not found, "\n".join(found)
 
 
+def test_no_private_setting_has_one_caller_value():
+    """A defaulted parameter of a private function that every caller setting
+    it sets to the same constant is a second function behind a flag: the
+    default serves some callers and the one value the rest.  Scans the call
+    sites in src/fracfp and tests; an expression other than a constant
+    counts as varying."""
+    src, calls = _sources_and_calls()
+    found = []
+    for stem, fn, name, index in _defaulted(src):
+        given = _passed(calls, fn, name, index)
+        if (fn.startswith("_") and not fn.endswith("__") and given
+                and not any(isinstance(g, ast.AST) for g in given) and len(set(given)) == 1):
+            found.append(f"{stem}.{fn}({name}) is only ever set to {given[0]!r}")
+    assert not found, "\n".join(found)
+
+
 # (module, function, why it still branches on the dimension), once per
 # comparison of d with 1 or 2; every other operator is dimension-generic
 D_FORKS = [
@@ -122,7 +152,8 @@ D_FORKS = [
      "1d product-integration hats, 2d Gauss-Legendre cells on one symmetry wedge"),
     ("operators", "_fold_kernel",
      "1d exact image masses in blocks of images, 2d Gauss-Legendre image lattice on one wedge"),
-    ("operators", "get_stencil", "1d hat at z = 0 and cumulative sums, 2d self-cell moment"),
+    ("operators", "get_stencil",
+     "1d cumulative sums and exact tail, 2d convolutions and angular tail"),
     ("operators", "fraclap_of_weight", "the analytic-exterior reference quadrature is 1d"),
 ]
 

@@ -70,12 +70,6 @@ def test_closed_form_gaussian_limit():
     assert var == pytest.approx(1.0, abs=1e-3)
 
 
-def test_closed_form_rejects_other_gamma():
-    g = build_grid(1, 10.0, 64)
-    with pytest.raises(ValueError):
-        closed_form_equilibrium(1.0, g, gamma=3.0)
-
-
 def test_closed_form_2d_mass_and_peak():
     g = build_grid(2, 15.0, 64)
     F = closed_form_equilibrium(1.0, g)
@@ -215,6 +209,27 @@ def test_eigenpair_certificate_sees_a_wrong_lift(monkeypatch):
     with pytest.raises(CheckFailure, match="eigenpair-residual") as exc:
         leading_eigenpair(gm)
     assert exc.value.measured > exc.value.tolerance == steady.RESIDUAL_TOL * gm.max_abs
+
+
+def test_complex_leading_eigenvalue_fails_the_real_check(monkeypatch):
+    # a complex pair of real part 0, inside the abscissa bound, as the even
+    # sector's rightmost eigenvalues: the leading eigenvalue is not real
+    eig = steady._la.eig
+    gm = _eig_case("2d-upwind")
+    even = next(iter(gm.sectors.values()))[0]
+    imag = 1e-3 * gm.max_abs
+
+    def complex_pair(a, *args, **kwargs):
+        lam, vecs = eig(a, *args, **kwargs)
+        if a is even:
+            lam[np.argsort(-lam.real)[:2]] = [1j * imag, -1j * imag]
+        return lam, vecs
+
+    monkeypatch.setattr(steady._la, "eig", complex_pair)
+    with pytest.raises(CheckFailure) as exc:
+        leading_eigenpair(gm)
+    assert exc.value.check == "leading-eigenvalue-real"
+    assert exc.value.measured == imag and exc.value.tolerance == 1e-8 * gm.max_abs
 
 
 def parity_block(mat, grid, axes, signs):
