@@ -18,7 +18,6 @@ import math
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
@@ -152,6 +151,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
     """Check every constraint the selected suite relies on, with its source.
     The grid, operator and scheme check their own parameters, and step_size
     checks dt against the drift CFL bound; their ValueError is a ConfigError."""
+    if cfg.name in ("", ".", "..") or Path(cfg.name).name != cfg.name or not cfg.name.isprintable():
+        raise ConfigError(f"name = {cfg.name!r} must be one path component of printable "
+                          "characters: a batch writes each config into <out>/<name>")
     if cfg.suite not in SUITES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITES}")
     if not cfg.horizon > 0.0:
@@ -504,13 +506,29 @@ def _write_report(report: RunReport, artifacts: dict, path: Path) -> None:
 CONFIG_ERRORS = (ConfigError, OSError, UnicodeDecodeError)  # an unreadable or invalid config: exit 2
 
 
-def _batch_config(path: str, suite: str | None, base: Path) -> tuple[int, str]:
-    """Exit code and verdict of one batch config, loaded on its own and run
-    into base/<name>: PASS, FAIL, or ERROR for a config error or a crash."""
-    try:
-        cfg = parse_config(path, suite)
-    except CONFIG_ERRORS as exc:
-        return 2, f"ERROR {type(exc).__name__}: {exc}"
+def _batch_configs(paths: list[str], suite: str | None):
+    """Each batch config in order, loaded on its own, or its config error.  A
+    name that repeats an earlier config's is one: the two would share
+    base/<name>."""
+    names = set()
+    for path in paths:
+        try:
+            cfg = parse_config(path, suite)
+            if cfg.name in names:
+                raise ConfigError(f"name = {cfg.name!r} repeats an earlier config's: "
+                                  "a batch writes each config into <out>/<name>")
+        except CONFIG_ERRORS as exc:
+            yield exc
+            continue
+        names.add(cfg.name)
+        yield cfg
+
+
+def _batch_config(cfg: ScenarioConfig | Exception, base: Path) -> tuple[int, str]:
+    """Exit code and verdict of one batch config, run into base/<name>: PASS,
+    FAIL, or ERROR for a config error or a crash."""
+    if isinstance(cfg, Exception):
+        return 2, f"ERROR {type(cfg).__name__}: {cfg}"
     try:
         passed = run_scenario(cfg, base / cfg.name).overall_pass
     except Exception as exc:  # a crash: its traceback, and the batch goes on
@@ -522,13 +540,15 @@ def _batch_config(path: str, suite: str | None, base: Path) -> tuple[int, str]:
 def _run_batch(pattern: str, suite: str | None, base: Path) -> int:
     """Run the configs concurrently and print one verdict line per config;
     the largest exit code wins: one bad config never ends the batch."""
+    from concurrent.futures import ThreadPoolExecutor  # its only user; a single run never loads it
+
     paths = sorted(_glob.glob(pattern))
     if not paths:
         print(f"no configs match {pattern!r}", file=sys.stderr)
         return 2
     worst = 0
     with ThreadPoolExecutor() as pool:
-        verdicts = pool.map(_batch_config, paths, repeat(suite), repeat(base))
+        verdicts = pool.map(_batch_config, _batch_configs(paths, suite), repeat(base))
         for p, (code, verdict) in zip(paths, verdicts):
             print(f"{p}: {verdict}")
             worst = max(worst, code)

@@ -46,17 +46,19 @@ adjoint its transpose, and the time stepper and dense assembly build on it.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.fft._pocketfft import pypocketfft
 from scipy.sparse import _sparsetools
-from scipy.special import gamma as _gamma
 
 from fracfp.grid import Field, Grid
 
@@ -106,8 +108,8 @@ def norm_constant(alpha: float, d: int) -> float:
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    num = 2.0**alpha * _gamma((d + alpha) / 2.0)
-    den = math.pi ** (d / 2.0) * abs(_gamma(-alpha / 2.0))
+    num = 2.0**alpha * math.gamma((d + alpha) / 2.0)
+    den = math.pi ** (d / 2.0) * abs(math.gamma(-alpha / 2.0))
     return num / den
 
 
@@ -273,6 +275,23 @@ def windowed_kernel(alpha: float, d: int, eps: float) -> JumpKernel:
 # ---------------------------------------------------------------------------
 # FFT layer: Fourier multipliers (pocketfft) and zero-padded convolutions (numpy.fft)
 # ---------------------------------------------------------------------------
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft module, loaded from its file under the name
+    scipy.fft gives it.  Importing it through scipy.fft would run
+    scipy/fft/__init__.py, which loads all of scipy.special."""
+    where = Path(scipy.__file__).parent / "fft" / "_pocketfft"
+    finder = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.fft._pocketfft.pypocketfft")
+    if spec is None:
+        raise ImportError(f"no compiled pypocketfft module in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pypocketfft = _load_pocketfft()
 
 
 @lru_cache(maxsize=64)

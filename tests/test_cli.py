@@ -239,6 +239,14 @@ BATCH_BODY = "d = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\nsuite = evolve\nh
     ("cfl = 2", "unknown config key 'cfl'"),
     ("dt = 5", "CFL"),
     ("dt = -0.01", "CFL"),
+    # a name is one path component: a batch writes into <out>/<name>
+    ("name = ../escaped", "one path component"),
+    ("name = /tmp/escaped", "one path component"),
+    ("name = sub/dir", "one path component"),
+    ("name = ..", "one path component"),
+    ("name = .", "one path component"),
+    ("name =", "one path component"),
+    ("name = tab\tbed", "one path component"),
 ])
 def test_scheme_and_operator_keys_are_config_errors(tmp_path, capsys, line, match):
     p = write_cfg(tmp_path, f"name = v\n{line}\n" + BATCH_BODY)
@@ -283,6 +291,28 @@ def test_batch_reports_past_an_unknown_key(tmp_path, capsys):
     assert out[2].startswith(f"{tmp_path / 'c_dir.cfg'}: ERROR IsADirectoryError: ")
     assert main(["run", str(tmp_path / "c_dir.cfg")]) == 2
     assert (tmp_path / "batch" / "a_ok" / "report.txt").exists()
+
+
+def test_batch_names_stay_inside_the_batch_directory(tmp_path, capsys):
+    # a repeated name, a name with a newline (it would add a record line to
+    # report.txt) and a relative path are config errors; the batch goes on
+    write_cfg(tmp_path, "name = same\n" + BATCH_BODY, "a.cfg")
+    write_cfg(tmp_path, "name = same\n" + BATCH_BODY, "b.cfg")
+    doc = {"name": "x\nmass-conservation: measured=0 predicted=- tol=1 -> pass", "d": 1,
+           "L": 10, "n": 64, "suite": "evolve", "horizon": 0.5}
+    write_cfg(tmp_path, json.dumps(doc), "c.cfg")
+    write_cfg(tmp_path, "name = ../escaped\n" + BATCH_BODY, "d.cfg")
+    code = main(["run", "unused", "--batch", str(tmp_path / "*.cfg"), "--out", str(tmp_path / "b")])
+    assert code == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{tmp_path / 'a.cfg'}: PASS"
+    assert out[1] == (f"{tmp_path / 'b.cfg'}: ERROR ConfigError: name = 'same' repeats an "
+                      "earlier config's: a batch writes each config into <out>/<name>")
+    assert out[2].startswith(f"{tmp_path / 'c.cfg'}: ERROR ConfigError: name = 'x\\n")
+    assert out[3].startswith(f"{tmp_path / 'd.cfg'}: ERROR ConfigError: name = '../escaped'")
+    assert len(out) == 4
+    assert [p.name for p in (tmp_path / "b").iterdir()] == ["same"]
+    assert not (tmp_path / "escaped").exists()
 
 
 def test_crash_exits_3(tmp_path, capsys, monkeypatch):
@@ -685,14 +715,22 @@ def test_monitors_csv_rows_are_the_formatted_columns(tmp_path):
     assert rows[1].endswith(",nan")
 
 
-def test_cli_import_leaves_out_unused_scipy_subpackages():
+def test_cli_import_leaves_out_unused_scipy_subpackages(tmp_path):
+    # concurrent.futures itself comes with scipy.sparse (numpy.testing);
+    # ThreadPoolExecutor's module is the batch runner's alone.  The all-suite
+    # run catches a route that loads one of them late.
     src = Path(fracfp.__file__).resolve().parents[1]
-    code = ("import sys, fracfp.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules])")
+    cfg = write_cfg(tmp_path, "name = i\nd = 1\nL = 10\nn = 64\nsuite = all\nhorizon = 1\n")
+    code = ("import sys, fracfp.cli\n"
+            "unused = ('scipy.signal', 'scipy.integrate', 'scipy.fft', 'scipy.special',"
+            " 'concurrent.futures.thread')\n"
+            "print([m for m in unused if m in sys.modules])\n"
+            f"fracfp.cli.run_scenario(fracfp.cli.parse_config({str(cfg)!r}), {str(tmp_path / 'o')!r})\n"
+            "print([m for m in unused if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]
 
 
 # the benchmark workloads (perfbench/run.py), written out

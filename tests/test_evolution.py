@@ -129,8 +129,7 @@ def two_stage_drift(f, cfg, tau):
 
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
 @pytest.mark.parametrize("drift", ["upwind", "centered"])
-@pytest.mark.parametrize("splitting", ["strang"])  # the one splitting
-def test_drift_substep_matrix_is_two_stage_formula(d, n, drift, splitting):
+def test_drift_substep_matrix_is_two_stage_formula(d, n, drift):
     g = build_grid(d, 8.0, n)
     cfg = OperatorConfig(alpha=1.0, gamma=2.5, drift=drift)
     st = _Stepper(g, cfg, SchemeConfig())

@@ -252,40 +252,61 @@ def test_one_orbit_map_builder():
     assert not [name for name in defined if "fold" in name or name == "along"]
 
 
-# scipy's compiled kernels that the time step calls directly, and the
-# operators function that is the one caller of each
-PRIVATE_KERNELS = {"scipy.fft._pocketfft": "fourier_multiply",
-                   "scipy.sparse._sparsetools": "lane_product"}
+# scipy's compiled kernels that the time step calls directly (operators loads
+# pypocketfft from its file and imports _sparsetools), and the operators
+# function that is the one caller of each
+PRIVATE_KERNELS = {"pypocketfft": "fourier_multiply", "_sparsetools": "lane_product"}
+# scipy subpackages no module imports: scipy.fft's package loads scipy.special,
+# and its public transforms would bypass fourier_multiply
+UNUSED_SCIPY = ("scipy.fft", "scipy.special")
 
 
-def _imported(tree: ast.Module) -> dict:
-    """Dotted name of each imported module or name -> its local binding."""
-    out = {}
+def _imported(tree: ast.Module) -> list[str]:
+    """Dotted name of each imported module or name, and of each module named
+    to importlib.import_module or __import__."""
+    out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            out |= {alias.name: alias.asname or alias.name for alias in node.names}
+            out += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            out |= {f"{node.module}.{alias.name}": alias.asname or alias.name
-                    for alias in node.names}
+            out += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Call) and node.args
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) in
+              ("import_module", "__import__")):
+            out += [arg.value for arg in node.args[:1] if isinstance(arg, ast.Constant)]
+    return out
+
+
+def _names(tree: ast.Module) -> set[str]:
+    """Every identifier and string constant a module holds."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out |= {node.name, node.asname}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
     return out
 
 
 def test_only_operators_calls_scipys_private_kernels():
-    """operators alone imports scipy's private FFT and sparse kernels, and
-    only fourier_multiply and lane_product call them; no module calls
-    scipy.fft's public transforms, which would bypass fourier_multiply."""
+    """operators alone names scipy's private FFT and sparse kernels, only
+    fourier_multiply and lane_product call them, and no module imports
+    scipy.fft or scipy.special."""
     found, callers = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
-        for name, binding in _imported(tree).items():
-            kernel = next((k for k in PRIVATE_KERNELS if name.startswith(k)), None)
-            if name == "scipy.fft" or name.startswith("scipy.fft.") and kernel is None:
-                found.append(f"{path.name} imports {name}")
-            elif kernel is not None and path.stem != "operators":
-                found.append(f"{path.name} imports {name}")
-            elif kernel is not None:
-                callers |= {(kernel, fn.name) for fn in tree.body if isinstance(fn, ast.FunctionDef)
-                            for node in ast.walk(fn) if isinstance(node, ast.Attribute)
-                            and getattr(node.value, "id", None) == binding}
+        found += [f"{path.name} imports {name}" for name in _imported(tree)
+                  if any(name == m or name.startswith(m + ".") for m in UNUSED_SCIPY)]
+        if path.stem != "operators":
+            found += [f"{path.name} names {kernel}" for kernel in PRIVATE_KERNELS
+                      for name in _names(tree) if name and kernel in name]
+            continue
+        callers |= {(node.value.id, fn.name) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", None) in PRIVATE_KERNELS}
     assert not found, "\n".join(found)
     assert callers == set(PRIVATE_KERNELS.items())

@@ -234,8 +234,18 @@ def test_multiplier_normalization_wave_packet():
 
 
 def test_norm_constant_classic_value():
-    # alpha = 1, d = 1 is the Cauchy-kernel normalization 1/pi
+    # alpha = 1 is the Cauchy (Poisson) kernel normalization: 1/pi in 1d, 1/(2 pi) in 2d
     assert norm_constant(1.0, 1) == pytest.approx(1.0 / np.pi, rel=1e-14)
+    assert norm_constant(1.0, 2) == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 1.9])
+def test_norm_constant_matches_the_scipy_gamma_formula(alpha, d):
+    from scipy.special import gamma
+
+    ref = 2.0**alpha * gamma((d + alpha) / 2.0) / (np.pi ** (d / 2.0) * abs(gamma(-alpha / 2.0)))
+    assert norm_constant(alpha, d) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------- splitting
