@@ -6,20 +6,19 @@ on before any computation, executes deterministically (fixed seeds, fixed
 reduction order for emitted scalars), writes monitors.csv / steady.csv /
 rates.csv / report.txt into the output directory, and exits 0 only when all
 verdicts pass (1 on verification failure, 2 on usage or config errors, 3 on
-a crash).  A batch exits with the largest code of its configs.
+a crash).  Several configs run one after another, each into <out>/<name>,
+and the run exits with the largest code of its configs.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob as _glob
 import json
 import math
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +78,6 @@ class ScenarioConfig:
     horizon: float = 10.0
     suite: str = "all"
     seed: int = 20260810
-    out: str = "out"
 
     def grid(self) -> Grid:
         return build_grid(self.d, self.L, self.n)
@@ -418,7 +416,7 @@ def _suite_inequalities(cfg: ScenarioConfig, report: RunReport, artifacts: dict)
     report.add("nash-chain-constant", nash["c"], 0.0, nash["passes"])
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
+def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunReport:
     """Execute the selected suite deterministically and emit all outputs."""
     report = RunReport(scenario=cfg)
     artifacts: dict = {}
@@ -437,7 +435,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunR
             # a numerical breakdown ends this suite with one FAIL record
             report.fail(exc, f"{name}-")
         report.wall_times[name] = time.perf_counter() - t0
-    emit_outputs(report, artifacts, Path(out_dir if out_dir is not None else cfg.out))
+    emit_outputs(report, artifacts, Path(out_dir))
     return report
 
 
@@ -506,10 +504,9 @@ def _write_report(report: RunReport, artifacts: dict, path: Path) -> None:
 CONFIG_ERRORS = (ConfigError, OSError, UnicodeDecodeError)  # an unreadable or invalid config: exit 2
 
 
-def _batch_configs(paths: list[str], suite: str | None):
-    """Each batch config in order, loaded on its own, or its config error.  A
-    name that repeats an earlier config's is one: the two would share
-    base/<name>."""
+def _load_configs(paths: list[str], suite: str | None):
+    """Each config in order, loaded on its own, or its config error.  A name
+    that repeats an earlier config's is one: the two would share <out>/<name>."""
     names = set()
     for path in paths:
         try:
@@ -524,35 +521,20 @@ def _batch_configs(paths: list[str], suite: str | None):
         yield cfg
 
 
-def _batch_config(cfg: ScenarioConfig | Exception, base: Path) -> tuple[int, str]:
-    """Exit code and verdict of one batch config, run into base/<name>: PASS,
-    FAIL, or ERROR for a config error or a crash."""
+def _outcome(cfg: ScenarioConfig | Exception, out: Path,
+             nested: bool) -> tuple[int, RunReport | Exception]:
+    """The exit code of one loaded config, or of its load error, with what
+    decided it: 0 (PASS) or 1 (FAIL) with the run's report, 2 with the config
+    error, 3 with the crash, whose traceback goes to stderr.  The run writes
+    into out, or into out/<name> when nested."""
     if isinstance(cfg, Exception):
-        return 2, f"ERROR {type(cfg).__name__}: {cfg}"
+        return 2, cfg
     try:
-        passed = run_scenario(cfg, base / cfg.name).overall_pass
-    except Exception as exc:  # a crash: its traceback, and the batch goes on
+        report = run_scenario(cfg, out / cfg.name if nested else out)
+    except Exception as exc:  # a crash, not a verdict
         traceback.print_exception(exc)
-        return 3, f"ERROR {type(exc).__name__}: {exc}"
-    return (0, "PASS") if passed else (1, "FAIL")
-
-
-def _run_batch(pattern: str, suite: str | None, base: Path) -> int:
-    """Run the configs concurrently and print one verdict line per config;
-    the largest exit code wins: one bad config never ends the batch."""
-    from concurrent.futures import ThreadPoolExecutor  # its only user; a single run never loads it
-
-    paths = sorted(_glob.glob(pattern))
-    if not paths:
-        print(f"no configs match {pattern!r}", file=sys.stderr)
-        return 2
-    worst = 0
-    with ThreadPoolExecutor() as pool:
-        verdicts = pool.map(_batch_config, _batch_configs(paths, suite), repeat(base))
-        for p, (code, verdict) in zip(paths, verdicts):
-            print(f"{p}: {verdict}")
-            worst = max(worst, code)
-    return worst
+        return 3, exc
+    return int(not report.overall_pass), report
 
 
 def main(argv=None) -> int:
@@ -561,32 +543,29 @@ def main(argv=None) -> int:
         description="fractional Fokker-Planck laboratory: run scenario configs",
     )
     sub = parser.add_subparsers(dest="command")
-    runp = sub.add_parser("run", help="run one config (or a batch)")
-    runp.add_argument("config", help="path to a key=value or JSON config")
-    runp.add_argument("--out", default=None, help="output directory override")
+    runp = sub.add_parser("run", help="run configs one after another")
+    runp.add_argument("configs", nargs="+", metavar="CONFIG",
+                      help="a key=value or JSON config; several run in turn, each into OUT/<name>")
+    runp.add_argument("--out", default="out", help="output directory (default: out)")
     runp.add_argument("--suite", default=None, choices=SUITES, help="suite override")
-    runp.add_argument("--batch", default=None, help="glob of configs to run concurrently")
     args = parser.parse_args(argv)
     if args.command != "run":
         parser.print_help()
         return 2
 
-    if args.batch:
-        return _run_batch(args.batch, args.suite, Path(args.out) if args.out else Path("out"))
-    try:
-        cfg = parse_config(args.config, args.suite)
-    except CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        rep = run_scenario(cfg, args.out)
-    except Exception:  # a crash, not a verdict
-        traceback.print_exc()
-        return 3
-    for rec in rep.records:
-        print(rec.line())
-    print("PASS" if rep.overall_pass else "FAIL")
-    return 0 if rep.overall_pass else 1
+    # one config prints its records and verdict; several print one verdict line each
+    several, worst = len(args.configs) > 1, 0
+    for path, cfg in zip(args.configs, _load_configs(args.configs, args.suite)):
+        code, result = _outcome(cfg, Path(args.out), several)
+        worst = max(worst, code)
+        verdict = ("PASS", "FAIL")[code] if code < 2 else f"ERROR {type(result).__name__}: {result}"
+        if several:
+            print(f"{path}: {verdict}")
+        elif code == 2:
+            print(f"config error: {result}", file=sys.stderr)
+        elif code < 2:
+            print(*(rec.line() for rec in result.records), verdict, sep="\n")
+    return worst
 
 
 if __name__ == "__main__":

@@ -53,6 +53,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -894,7 +895,7 @@ def _orbit_map(shape: tuple, images: list, chars: list) -> OrbitMap:
 
 
 @lru_cache(maxsize=16)
-def orbit_maps(grid: Grid, axes: tuple, swaps: tuple = ()) -> dict:
+def orbit_maps(grid: Grid, axes: tuple, swaps: tuple = ()) -> MappingProxyType:
     """The orbit maps of the sectors of the group of the reflections of axes
     and the swaps (at most the pair (0, 1) of axes (0, 1)), keyed (signs,
     swap) by the characters of the reflections and of the swap (1 without
@@ -903,7 +904,8 @@ def orbit_maps(grid: Grid, axes: tuple, swaps: tuple = ()) -> dict:
     sector of (+1, -1) stands for (-1, +1) too, by its second map (the first
     composed with the swap), and that of (s, s) splits into swap-even and
     swap-odd sectors (Fassler and Stiefel, Group Theoretical Methods and
-    Their Applications, 1992).  With no axes the one map is the identity."""
+    Their Applications, 1992).  With no axes the one map is the identity.
+    The mapping is read-only: every caller shares the cached one."""
     nodes = np.arange(grid.size).reshape(grid.shape)
     flips = list(itertools.product((0, 1), repeat=len(axes)))
     images = [np.flip(nodes, [a for a, f in zip(axes, fl) if f]).ravel() for fl in flips]
@@ -921,7 +923,7 @@ def orbit_maps(grid: Grid, axes: tuple, swaps: tuple = ()) -> dict:
             for t in (1, -1):
                 out[signs, t] = (_orbit_map(grid.shape, images + [im[swap] for im in images],
                                             chars + [t * c for c in chars]),)
-    return out
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +1038,7 @@ def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:
     return _gather(table, center, n, np.arange(n**table.ndim))
 
 
-def _generator_sectors(grid: Grid, cfg: OperatorConfig, maps: dict) -> dict:
+def _generator_sectors(grid: Grid, cfg: OperatorConfig, maps: MappingProxyType) -> dict:
     """Lambda on the sectors of maps (orbit_maps), keyed alike: (matrix,
     maps), the jump sector plus the sparse drift folded onto it."""
     drift = drift_matrix(grid, cfg.force_field(), cfg.drift)
@@ -1148,8 +1150,7 @@ def fraclap_of_weight(grid: Grid, k: float, alpha: float) -> Field:
     def m(x):
         return (1.0 + np.asarray(x) ** 2) ** (k / 2.0)
 
-    vals = fraclap_reference(m, grid.axis, alpha)
-    return Field(grid, vals)
+    return Field(grid, readonly(fraclap_reference(m, grid.axis, alpha)))
 
 
 # ---------------------------------------------------------------------------

@@ -275,10 +275,11 @@ def polynomial_rate_check(
 def weighted_opnorm(mat: np.ndarray, p: float, w_out: np.ndarray, w_in: np.ndarray) -> float:
     """Estimate ||diag(w_out) mat diag(1/w_in)||_p (Boyd power iteration).
 
-    Exact for p = 1 (maximum weighted column sum); for p in (1, inf) the
-    iteration converges to a stationary value that lower-bounds the norm,
-    maximized over several starts: ones, 4 seeded Gaussians and the heaviest
-    column, at most 40 iterations each.
+    Exact for p = 1 (maximum weighted column sum) and p = inf (maximum
+    weighted row sum); for p in (1, inf) the iteration converges to a
+    stationary value that lower-bounds the norm, maximized over several
+    starts: ones, 4 seeded Gaussians and the heaviest column, at most 40
+    iterations each.
     """
     a = (w_out[:, None] * mat) / w_in[None, :]
     if p == 1.0:

@@ -181,6 +181,12 @@ def test_main_exit_codes(tmp_path, tiny_cfg_text, capsys):
     bad = write_cfg(tmp_path, "name = bad\nk = 5\n", "bad.cfg")
     assert main(["run", str(bad)]) == 2
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+    assert main([]) == 2
+    # usage errors: no config, and the removed --batch option
+    for argv in (["run"], ["run", str(p), "--batch", str(tmp_path / "*.cfg")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_main_suite_override(tmp_path):
@@ -203,9 +209,8 @@ def test_batch_mode(tmp_path):
             "suite = evolve\nhorizon = 0.5\np = 1.2\n",
             f"b{i}.cfg",
         )
-    code = main(
-        ["run", "unused", "--batch", str(tmp_path / "b*.cfg"), "--out", str(tmp_path / "batch")]
-    )
+    paths = [str(tmp_path / f) for f in ("b0.cfg", "b1.cfg")]
+    code = main(["run", *paths, "--out", str(tmp_path / "batch")])
     assert code == 0
     assert (tmp_path / "batch" / "b0" / "report.txt").exists()
     assert (tmp_path / "batch" / "b1" / "report.txt").exists()
@@ -216,9 +221,8 @@ def test_batch_reports_past_a_failing_config(tmp_path, capsys):
     write_cfg(tmp_path, "name = a_ok\n" + body, "a_ok.cfg")
     # dt = 10 breaks the drift CFL bound: a config error of its own config
     write_cfg(tmp_path, "name = b_bad\ndt = 10\n" + body, "b_bad.cfg")
-    code = main(
-        ["run", "unused", "--batch", str(tmp_path / "*.cfg"), "--out", str(tmp_path / "batch")]
-    )
+    paths = [str(tmp_path / f) for f in ("a_ok.cfg", "b_bad.cfg")]
+    code = main(["run", *paths, "--out", str(tmp_path / "batch")])
     assert code == 2
     out = capsys.readouterr().out.splitlines()
     assert f"{tmp_path / 'a_ok.cfg'}: PASS" in out
@@ -237,6 +241,7 @@ BATCH_BODY = "d = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\nsuite = evolve\nh
     ("splitting = yoshida", "unknown config key 'splitting'"),
     ("diffusion_solver = cg", "unknown diffusion solver"),
     ("cfl = 2", "unknown config key 'cfl'"),
+    ("out = elsewhere", "unknown config key 'out'"),
     ("dt = 5", "CFL"),
     ("dt = -0.01", "CFL"),
     # a name is one path component: a batch writes into <out>/<name>
@@ -280,10 +285,9 @@ def test_suite_override_is_validated_once(tmp_path, capsys):
 def test_batch_reports_past_an_unknown_key(tmp_path, capsys):
     write_cfg(tmp_path, "name = a_ok\n" + BATCH_BODY, "a_ok.cfg")
     write_cfg(tmp_path, "name = b_bad\nnonsense = 3\n" + BATCH_BODY, "b_bad.cfg")
-    (tmp_path / "c_dir.cfg").mkdir()  # the glob matches a directory: unreadable
-    code = main(
-        ["run", "unused", "--batch", str(tmp_path / "*.cfg"), "--out", str(tmp_path / "batch")]
-    )
+    (tmp_path / "c_dir.cfg").mkdir()  # a directory: unreadable
+    paths = [str(tmp_path / f) for f in ("a_ok.cfg", "b_bad.cfg", "c_dir.cfg")]
+    code = main(["run", *paths, "--out", str(tmp_path / "batch")])
     assert code == 2
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"{tmp_path / 'a_ok.cfg'}: PASS"
@@ -302,7 +306,8 @@ def test_batch_names_stay_inside_the_batch_directory(tmp_path, capsys):
            "L": 10, "n": 64, "suite": "evolve", "horizon": 0.5}
     write_cfg(tmp_path, json.dumps(doc), "c.cfg")
     write_cfg(tmp_path, "name = ../escaped\n" + BATCH_BODY, "d.cfg")
-    code = main(["run", "unused", "--batch", str(tmp_path / "*.cfg"), "--out", str(tmp_path / "b")])
+    paths = [str(tmp_path / f) for f in ("a.cfg", "b.cfg", "c.cfg", "d.cfg")]
+    code = main(["run", *paths, "--out", str(tmp_path / "b")])
     assert code == 2
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"{tmp_path / 'a.cfg'}: PASS"
@@ -320,13 +325,18 @@ def test_crash_exits_3(tmp_path, capsys, monkeypatch):
         raise RuntimeError("boom")
 
     p = write_cfg(tmp_path, "name = c\n" + BATCH_BODY, "c.cfg")
+    # outputs that cannot be written are a crash: here --out is a file
+    (tmp_path / "file").write_text("")
+    assert main(["run", str(p), "--out", str(tmp_path / "file")]) == 3
+    err = capsys.readouterr().err
+    assert f"OSError: cannot write outputs under {tmp_path / 'file'}: [Errno 17] File exists" in err
     monkeypatch.setattr(fracfp.cli, "evolve", crash)
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
     # a batch exits with its largest code: a crash (3) over a config error (2)
     write_cfg(tmp_path, "name = d\ncfl = 2\n" + BATCH_BODY, "d.cfg")
-    code = main(["run", "unused", "--batch", str(tmp_path / "*.cfg"), "--out", str(tmp_path / "b")])
+    code = main(["run", str(p), str(tmp_path / "d.cfg"), "--out", str(tmp_path / "b")])
     assert code == 3
     captured = capsys.readouterr()
     assert "Traceback" in captured.err
@@ -456,15 +466,21 @@ def test_run_scenario_inequalities_suite(tmp_path):
 
 
 def test_run_scenario_polynomial_regime(tmp_path):
-    cfg = ScenarioConfig(
-        name="pr", d=1, L=30.0, n=256, alpha=1.5, gamma=1.5, k=0.3, k_bar=0.6,
-        suite="rates", horizon=12.0,
-    )
-    validate_config(cfg)
-    rep = run_scenario(cfg, tmp_path / "op")
-    assert rep.overall_pass
-    names = {r.name for r in rep.records}
-    assert "polynomial-envelope-respected" in names
+    # k_bar = None derives min(0.9 min(alpha, 1), 2 k) = 0.6, the value given
+    # explicitly: both predict (k_bar - k) / |2 - gamma| = 0.6
+    for k_bar in (0.6, None):
+        cfg = ScenarioConfig(
+            name="pr", d=1, L=30.0, n=256, alpha=1.5, gamma=1.5, k=0.3, k_bar=k_bar,
+            suite="rates", horizon=12.0,
+        )
+        validate_config(cfg)
+        rep = run_scenario(cfg, tmp_path / "op")
+        assert rep.overall_pass
+        names = {r.name for r in rep.records}
+        assert "polynomial-envelope-respected" in names
+        row = (tmp_path / "op" / "rates.csv").read_text().splitlines()[1].split(",")
+        assert row[:2] == ["polynomial-envelope", "polynomial"]
+        assert float(row[3]) == pytest.approx(0.6, rel=1e-12)
 
 
 def test_short_fit_window_is_a_fail_record(tmp_path, capsys):
@@ -716,21 +732,25 @@ def test_monitors_csv_rows_are_the_formatted_columns(tmp_path):
 
 
 def test_cli_import_leaves_out_unused_scipy_subpackages(tmp_path):
-    # concurrent.futures itself comes with scipy.sparse (numpy.testing);
-    # ThreadPoolExecutor's module is the batch runner's alone.  The all-suite
-    # run catches a route that loads one of them late.
+    # concurrent.futures itself comes with scipy.sparse (numpy.testing), but
+    # not its thread pool; glob is the shell's job.  The all-suite run catches
+    # a route that loads one of them late, the run of two configs a runner
+    # that does.
     src = Path(fracfp.__file__).resolve().parents[1]
     cfg = write_cfg(tmp_path, "name = i\nd = 1\nL = 10\nn = 64\nsuite = all\nhorizon = 1\n")
+    pair = [str(write_cfg(tmp_path, f"name = {name}\n" + BATCH_BODY, f"{name}.cfg")) for name in "jk"]
     code = ("import sys, fracfp.cli\n"
             "unused = ('scipy.signal', 'scipy.integrate', 'scipy.fft', 'scipy.special',"
-            " 'concurrent.futures.thread')\n"
+            " 'concurrent.futures.thread', 'glob')\n"
             "print([m for m in unused if m in sys.modules])\n"
             f"fracfp.cli.run_scenario(fracfp.cli.parse_config({str(cfg)!r}), {str(tmp_path / 'o')!r})\n"
+            "print([m for m in unused if m in sys.modules])\n"
+            f"print(fracfp.cli.main(['run', *{pair!r}, '--out', {str(tmp_path / 'b')!r}]))\n"
             "print([m for m in unused if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["[]", "[]"]
+    assert out.stdout.splitlines() == ["[]", "[]", f"{pair[0]}: PASS", f"{pair[1]}: PASS", "0", "[]"]
 
 
 # the benchmark workloads (perfbench/run.py), written out

@@ -403,9 +403,8 @@ def _steady_path(d, drift, solver):
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("drift", ["upwind", "centered"])
-@pytest.mark.parametrize("splitting", ["strang"])  # the one splitting
 @pytest.mark.parametrize("solver", ["exact-spectral", "implicit-matrix"])
-def test_evolve_on_a_path_is_the_single_lane_run(d, drift, splitting, solver, monkeypatch):
+def test_evolve_on_a_path_is_the_single_lane_run(d, drift, solver, monkeypatch):
     g, cfg, scheme, ss = _steady_path(d, drift, solver)
     f0 = normalized_gaussian(g)
     ref = normalized_gaussian(g, s2=16.0)

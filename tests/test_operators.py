@@ -494,11 +494,20 @@ def test_cached_arrays_are_read_only():
     gm2 = assemble_generator_matrix(g2, OperatorConfig(alpha=1.0, method="quadrature"))
     for mat, maps in gm2.sectors.values():
         cached += [mat, *(arr for omap in maps for arr in (omap.index, omap.weight, omap.reps, omap.sizes))]
+    # the analytic-exterior weight action (1d)
+    cached.append(fraclap_of_weight(g, 0.5, 1.0).values)
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             arr *= 2.0
+    # the orbit maps: a read-only mapping whose values are tuples
+    for maps in (orbit_maps(g, (0,)), orbit_maps(g2, gm2.axes, gm2.swaps)):
+        with pytest.raises(TypeError):
+            maps[next(iter(maps))] = ()
+        with pytest.raises(AttributeError):
+            maps.clear()
+        assert all(isinstance(group, tuple) for group in maps.values())
 
 
 def test_only_the_circulant_row_is_folded(monkeypatch):

@@ -194,8 +194,10 @@ def test_weighted_opnorm_exact_p1():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((40, 40))
     w = np.abs(rng.standard_normal(40)) + 0.5
-    exact = np.max(np.sum(np.abs(w[:, None] * a / w[None, :]), axis=0))
-    assert weighted_opnorm(a, 1.0, w, w) == pytest.approx(exact, rel=1e-14)
+    # p = 1: the maximum weighted column sum; p = inf: the maximum row sum
+    for p, axis in ((1.0, 0), (math.inf, 1)):
+        exact = np.max(np.sum(np.abs(w[:, None] * a / w[None, :]), axis=axis))
+        assert weighted_opnorm(a, p, w, w) == pytest.approx(exact, rel=1e-14)
 
 
 def test_weighted_opnorm_estimator_p2():
