@@ -423,7 +423,7 @@ def viscosity_generator_apply(f: Field, eps: float, cfg: OperatorConfig) -> Fiel
         raise ValueError("eps must lie in (0, 1)")
     grid = f.grid
     st = get_stencil(grid, windowed_kernel(cfg.alpha, grid.d, eps))
-    jump = st.apply(f.values, cfg.exterior)
+    jump = st.apply(f.values)
 
     chi = radial_cutoff(grid, eps).values
     # div(E * chi f) = div(E_eps f) with E_eps = chi E evaluated at faces;

@@ -1,13 +1,16 @@
 """Weighted norms, the carre du champ, dissipation functionals and inequality checks.
 
-All bilinear jump functionals share the conservative pair weights of the
-operator module, so the discrete product rule
+The carre du champ, the dissipations and the inequality checks apply the
+generator's jump J: the periodic quadrature circulant, fourier_multiply by
+quadrature_symbol (what jump_apply evaluates for method "quadrature").  Its
+off-diagonal weights are nonnegative and its rows and columns sum to zero,
+so G(u, v) = (J(uv) - u J(v) - v J(u))/2 is the pairwise sum
+1/2 sum_y c(x - y)(u(y) - u(x))(v(y) - v(x)), and the discrete product rule
 
-    I(uv) = u I(v) + v I(u) + 2 G(u, v)
+    J(uv) = u J(v) + v J(u) + 2 G(u, v)
 
-and the integration by parts <I(u), v> = -int G(u, v) are exact algebraic
-identities of the discretization (up to roundoff), while each side is
-computed through its own code path.
+and the integration by parts <J(u), v> = -int G(u, v) are exact algebraic
+identities of the discretization (up to roundoff).
 
 Signed powers follow the convention x^a := |x|^(a-1) x throughout, including
 inside the p-dissipation for sign-changing fields.
@@ -26,9 +29,10 @@ from fracfp.operators import (
     JumpKernel,
     OperatorConfig,
     cell_tables,
-    full_kernel,
+    fourier_multiply,
     get_stencil,
     norm_constant,
+    quadrature_symbol,
 )
 
 __all__ = [
@@ -67,27 +71,21 @@ def signed_power(x: np.ndarray, a: float) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** a
 
 
-def pair_stencil(grid: Grid, alpha: float):
-    return get_stencil(grid, full_kernel(alpha, grid.d))
+def _jump(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+    """J(values), J the generator's periodic quadrature circulant."""
+    return fourier_multiply(values, quadrature_symbol(grid, float(alpha)))
 
 
 def carre_du_champ(u: Field, v: Field, cfg: OperatorConfig) -> Field:
-    """G(u, v)(x) = int kappa/2 (u* - u)(v* - v), conservative in-box pairs.
-
-    Expanded as (P(uv) - u P(v) - v P(u) + uv deg)/2 through the pair-sum
-    operator P, which is algebraically the pairwise double sum.
-    """
+    """G(u, v) = (J(uv) - u J(v) - v J(u))/2 (Bakry, Gentil and Ledoux 2014,
+    ch. 1), J the generator's periodic jump: nodewise the pair sum
+    1/2 sum_y c(x - y)(u(y) - u(x))(v(y) - v(x)) over its circulant row c."""
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
-    st = pair_stencil(u.grid, cfg.alpha)
+    g, a = u.grid, cfg.alpha
     uu, vv = u.values, v.values
-    out = 0.5 * (
-        st.pair_sum(uu * vv)
-        - uu * st.pair_sum(vv)
-        - vv * st.pair_sum(uu)
-        + uu * vv * st.deg_in
-    )
-    return u.with_values(out)
+    ju, jv = _jump(uu, g, a), _jump(vv, g, a)
+    return u.with_values(0.5 * (_jump(uu * vv, g, a) - uu * jv - vv * ju))
 
 
 def p_dissipation_field(u: Field, p: float, cfg: OperatorConfig) -> Field:
@@ -312,21 +310,17 @@ def poincare_wirtinger_check(v: Field, mu: Field, radius: float, p: float, cfg: 
 def gp_equivalence_ratios(u: Field, p: float, cfg: OperatorConfig):
     """Nodewise ratio brackets of the three D_p-equivalent expressions.
 
-    Compares D_p(u) with (1/p) I(|u|^p) - u^(p-1) I(u), with
-    (1/q) I(|u|^p) - u I(u^(p-1)), and with the squared-increment form
+    Compares D_p(u) with (1/p) J(|u|^p) - u^(p-1) J(u), with
+    (1/q) J(|u|^p) - u J(u^(p-1)), and with the squared-increment form
     G(u^(p/2), u^(p/2)), at nodes where D_p(u) > GP_FLOOR * max D_p(u).
     """
-    st = pair_stencil(u.grid, cfg.alpha)
-
-    def icons(vals):
-        return st.apply(vals, "conservative")
-
     q = p / (p - 1.0)
+    g, a = u.grid, cfg.alpha
     uu = u.values
     dp = p_dissipation_field(u, p, cfg).values
-    absu_p = np.abs(uu) ** p
-    e1 = icons(absu_p) / p - signed_power(uu, p - 1.0) * icons(uu)
-    e2 = icons(absu_p) / q - uu * icons(signed_power(uu, p - 1.0))
+    j_abs = _jump(np.abs(uu) ** p, g, a)
+    e1 = j_abs / p - signed_power(uu, p - 1.0) * _jump(uu, g, a)
+    e2 = j_abs / q - uu * _jump(signed_power(uu, p - 1.0), g, a)
     half = signed_power(uu, p / 2.0)
     e3 = carre_du_champ(u.with_values(half), u.with_values(half), cfg).values
     mask = dp > GP_FLOOR * np.max(dp)
@@ -338,7 +332,7 @@ def gp_equivalence_ratios(u: Field, p: float, cfg: OperatorConfig):
 
 
 def nash_chain_check(bank, p: float, k: float, cfg: OperatorConfig):
-    """Uniform constants for int I(u) u^(p-1) m^p <= C ||u||^p - c N(u).
+    """Uniform constants for int J(u) u^(p-1) m^p <= C ||u||^p - c N(u).
 
     N(u) = ||u||_{L^p(m)}^{p + q alpha/d} ||u||_{L^1(m)}^{-q alpha/d}.  Fits
     C as the largest linear-growth ratio over the bank plus margin, then
@@ -346,16 +340,14 @@ def nash_chain_check(bank, p: float, k: float, cfg: OperatorConfig):
     pass criterion.
     """
     q = p / (p - 1.0)
-    d = bank[0].grid.d
-    st = pair_stencil(bank[0].grid, cfg.alpha)
-    mw = weight_field(bank[0].grid, k).values
-    vol = bank[0].grid.cell_volume
+    grid = bank[0].grid
+    d = grid.d
+    mw = weight_field(grid, k).values
+    vol = grid.cell_volume
     rows = []
     for u in bank:
         uu = u.values
-        lhs = float(
-            np.sum(st.apply(uu, "conservative") * signed_power(uu, p - 1.0) * mw**p) * vol
-        )
+        lhs = float(np.sum(_jump(uu, grid, cfg.alpha) * signed_power(uu, p - 1.0) * mw**p) * vol)
         xp = weighted_norm(u, p, k) ** p
         nash = weighted_norm(u, p, k) ** (p + q * cfg.alpha / d) * weighted_norm(
             u, 1, k

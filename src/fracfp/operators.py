@@ -21,14 +21,10 @@ kernel's cell integral depends only on the offsets' absolute values, up to
 their order, so the 2d tables and the periodic-image fold integrate each cell
 once, on one symmetry wedge (_wedge_cells).
 
-Exterior treatment of the standalone quadrature operator is a choice,
-exposed as ``exterior`` on OperatorConfig:
-
-* "tail": fields are extended by zero outside the box and the analytic
-  exterior kernel mass is charged to -u(x).  Faithful to the whole-space
-  operator for decaying fields, but the box loses mass through outward jumps.
-* "conservative": jumps leaving the box are dropped (the box Markov process:
-  exactly zero column sums, constants map to zero).
+The standalone quadrature operator (quadrature_fraclap) extends fields by
+zero outside the box and charges the analytic exterior kernel mass to -u(x):
+faithful to the whole-space operator for decaying fields, but the box loses
+mass through outward jumps.
 
 The GENERATOR instead wraps jumps around the box: the periodized process has
 the whole-space symbol exactly, so the wrapped quadrature stencil (circulant
@@ -156,7 +152,6 @@ class OperatorConfig:
     alpha: float
     gamma: float = 2.0
     method: str = "spectral"  # {"spectral", "quadrature"}
-    exterior: str = "tail"  # {"tail", "conservative"} for the quadrature route
     drift: str = "upwind"  # {"upwind", "centered"}: centered trades the
     # discrete maximum principle for second-order steady-state accuracy
     force: ForceField | None = None
@@ -166,8 +161,6 @@ class OperatorConfig:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
         if self.method not in ("spectral", "quadrature"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.exterior not in ("tail", "conservative"):
-            raise ValueError(f"unknown exterior mode {self.exterior!r}")
         if self.drift not in ("upwind", "centered"):
             raise ValueError(f"unknown drift scheme {self.drift!r}")
 
@@ -470,7 +463,9 @@ class JumpStencil:
     ker      convolution kernel over offsets, shape (2n+1,)*d, zero center;
     deg_in   per-node total pair weight toward in-box targets;
     ext_mass per-node exterior kernel mass (plain cell masses + analytic
-             beyond-range tail), charged to -u(x) in "tail" mode.
+             beyond-range tail).
+    apply(u) is the jump of the zero extension of u: the in-box pair sum
+    minus (deg_in + ext_mass) u.
     The arrays are read-only: get_stencil caches and shares them.
     """
 
@@ -479,14 +474,8 @@ class JumpStencil:
     deg_in: np.ndarray
     ext_mass: np.ndarray
 
-    def pair_sum(self, values: np.ndarray) -> np.ndarray:
-        return convolve_same(values, self.ker)
-
-    def apply(self, values: np.ndarray, exterior: str) -> np.ndarray:
-        out = self.pair_sum(values) - self.deg_in * values
-        if exterior == "tail":
-            out = out - self.ext_mass * values
-        return out
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return convolve_same(values, self.ker) - self.deg_in * values - self.ext_mass * values
 
 
 IMAGE_BLOCK = 50  # periodic images per block of 1d cell moments: bounds the temporaries
@@ -626,17 +615,13 @@ def check_boundary_decay(f: Field) -> float:
     return ratio
 
 
-def quadrature_fraclap(f: Field, cfg: OperatorConfig, check_decay: bool = True) -> Field:
-    """I(f) through the singular-integral quadrature.
-
-    In "tail" mode fields are extended by zero and the analytic exterior
-    kernel mass is charged to -u(x); in "conservative" mode jumps leaving
-    the box are dropped (Markov box process).
-    """
-    if check_decay:
-        check_boundary_decay(f)
+def quadrature_fraclap(f: Field, cfg: OperatorConfig) -> Field:
+    """I(f) through the singular-integral quadrature on the whole space: f is
+    extended by zero and the analytic exterior kernel mass is charged to
+    -f(x), so f must decay at the box boundary (check_boundary_decay)."""
+    check_boundary_decay(f)
     st = get_stencil(f.grid, full_kernel(cfg.alpha, f.grid.d))
-    return f.with_values(st.apply(f.values, cfg.exterior))
+    return f.with_values(st.apply(f.values))
 
 
 def split_fraclap(f: Field, cfg: OperatorConfig, r: float | None = None):
@@ -655,8 +640,8 @@ def split_fraclap(f: Field, cfg: OperatorConfig, r: float | None = None):
         raise ValueError(f"split radius must lie in (0, L), got {r}")
     near_st = get_stencil(grid, near_kernel(cfg.alpha, grid.d, r))
     far_st = get_stencil(grid, far_kernel(cfg.alpha, grid.d, r))
-    near = f.with_values(near_st.apply(f.values, cfg.exterior))
-    far = f.with_values(far_st.apply(f.values, cfg.exterior))
+    near = f.with_values(near_st.apply(f.values))
+    far = f.with_values(far_st.apply(f.values))
     kc = far_kernel(cfg.alpha, grid.d, r).l1_mass()
     return near, far, kc
 
@@ -937,8 +922,9 @@ def jump_apply(f: Field, cfg: OperatorConfig) -> Field:
     The generator is realized on the periodized box: the quadrature route
     wraps jumps around (the real-space twin of the spectral multiplier), so
     mass is conserved exactly (column sums zero, dual to Lambda^* 1 = 0) and
-    both routes share one equilibrium up to quadrature error.  Standalone
-    exterior treatments live in quadrature_fraclap.
+    both routes share one equilibrium up to quadrature error.  Its
+    quadrature case is the jump of the carre du champ and the inequality
+    checks (functionals); the zero-extension operator is quadrature_fraclap.
     """
     symbol = spectral_symbol if cfg.method == "spectral" else quadrature_symbol
     return f.with_values(fourier_multiply(f.values, symbol(f.grid, float(cfg.alpha))))
@@ -1068,7 +1054,7 @@ def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatri
     reflections and the axis swap that leave the drift unchanged
     (_generator_sectors), without the N x N matrix.
 
-    The jump part always uses the conservative quadrature stencil: the
+    The jump part always uses the periodic quadrature circulant: the
     spectral multiplier has no Metzler matrix realization, and the maximum
     principle plus Krein-Rutman structure require nonnegative off-diagonal
     jump entries, and the matrix's cfg says so.

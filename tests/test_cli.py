@@ -453,16 +453,17 @@ def test_run_scenario_rates_suite(tmp_path):
 
 
 def test_run_scenario_inequalities_suite(tmp_path):
-    cfg = ScenarioConfig(
-        name="q", d=1, L=15.0, n=256, alpha=1.0, gamma=2.0, k=0.5,
-        suite="inequalities",
-    )
-    validate_config(cfg)
-    rep = run_scenario(cfg, tmp_path / "oq")
-    assert rep.overall_pass
-    names = {r.name for r in rep.records}
-    assert {"gp-bracket-lower", "gp-bracket-upper", "integration-by-parts",
-            "poincare-wirtinger-bank", "nash-chain-constant"} <= names
+    for d, L, n in ((1, 15.0, 256), (2, 10.0, 32)):
+        cfg = ScenarioConfig(
+            name="q", d=d, L=L, n=n, alpha=1.0, gamma=2.0, k=0.5,
+            suite="inequalities",
+        )
+        validate_config(cfg)
+        rep = run_scenario(cfg, tmp_path / f"oq{d}")
+        assert rep.overall_pass, (d, [r.name for r in rep.records if not r.passed])
+        names = {r.name for r in rep.records}
+        assert {"gp-bracket-lower", "gp-bracket-upper", "integration-by-parts",
+                "poincare-wirtinger-bank", "nash-chain-constant"} <= names
 
 
 def test_run_scenario_polynomial_regime(tmp_path):

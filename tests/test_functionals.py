@@ -6,7 +6,7 @@ import pytest
 from scipy.special import erf
 
 from fracfp.grid import Field, build_grid, integrate, weight_field
-from fracfp.operators import OperatorConfig, spectral_fraclap
+from fracfp.operators import OperatorConfig, _jump_row, jump_apply, spectral_fraclap
 from fracfp.functionals import (
     carre_du_champ,
     confinement_profile,
@@ -22,10 +22,11 @@ from fracfp.functionals import (
     threshold_p_gamma,
     weighted_norm,
 )
-from fracfp.functionals import _seminorm_weights, pair_stencil
+from fracfp.functionals import _seminorm_weights
 
 
-CFG = OperatorConfig(alpha=1.0, method="quadrature", exterior="conservative")
+# method "quadrature": jump_apply(., CFG) is the generator's periodic circulant J
+CFG = OperatorConfig(alpha=1.0, method="quadrature")
 
 
 @pytest.fixture(scope="module")
@@ -91,24 +92,41 @@ def test_carre_square_nonnegative(grid):
     assert g2.values.min() > -1e-12 * g2.values.max()
 
 
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_carre_is_the_periodic_pair_sum(d, n, alpha):
+    # oracle: G(u, v)(x) = 1/2 sum_y c(x - y)(u(y) - u(x))(v(y) - v(x)), the
+    # brute-force double sum over all node pairs with c the circulant row of
+    # the generator's jump, x - y taken modulo n on each axis
+    g = build_grid(d, 5.0, n)
+    cfg = OperatorConfig(alpha=alpha, method="quadrature")
+    rng = np.random.default_rng(11)
+    u, v = (Field(g, rng.standard_normal(g.shape)) for _ in range(2))
+    idx = np.indices(g.shape).reshape(d, -1)
+    c = _jump_row(g, alpha)[tuple((idx[:, :, None] - idx[:, None, :]) % n)]
+    du = u.values.ravel()[None, :] - u.values.ravel()[:, None]
+    dv = v.values.ravel()[None, :] - v.values.ravel()[:, None]
+    want = 0.5 * np.sum(c * du * dv, axis=1).reshape(g.shape)
+    got = carre_du_champ(u, v, cfg).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_product_rule_exact(grid, gauss):
-    # I(uv) = u I(v) + v I(u) + 2 G(u,v), all through the same pair weights
-    st = pair_stencil(grid, CFG.alpha)
+    # J(uv) = u J(v) + v J(u) + 2 G(u,v), J the generator's periodic jump
     v = Field(grid, np.exp(-((grid.axis - 1.0) ** 2) / 2))
-    lhs = st.apply(gauss.values * v.values, "conservative")
+    lhs = jump_apply(gauss.with_values(gauss.values * v.values), CFG).values
     rhs = (
-        gauss.values * st.apply(v.values, "conservative")
-        + v.values * st.apply(gauss.values, "conservative")
+        gauss.values * jump_apply(v, CFG).values
+        + v.values * jump_apply(gauss, CFG).values
         + 2.0 * carre_du_champ(gauss, v, CFG).values
     )
     assert np.max(np.abs(lhs - rhs)) < 1e-6 * np.max(np.abs(lhs))
 
 
 def test_integration_by_parts(grid, gauss):
-    st = pair_stencil(grid, CFG.alpha)
     v = Field(grid, np.exp(-((grid.axis + 2.0) ** 2)))
-    a1 = float(np.sum(st.apply(gauss.values, "conservative") * v.values) * grid.h)
-    a2 = float(np.sum(gauss.values * st.apply(v.values, "conservative")) * grid.h)
+    a1 = float(np.sum(jump_apply(gauss, CFG).values * v.values) * grid.h)
+    a2 = float(np.sum(gauss.values * jump_apply(v, CFG).values) * grid.h)
     a3 = -integrate(carre_du_champ(gauss, v, CFG))
     scale = max(abs(a1), 1e-30)
     assert abs(a1 - a2) < 1e-6 * scale

@@ -61,6 +61,26 @@ def test_only_operators_runs_the_cell_quadrature():
     assert not found, "\n".join(found)
 
 
+def test_cli_checks_apply_no_box_stencil():
+    """The inequality checks apply the generator's periodic jump: no
+    functionals function that cli imports, nor any functionals function one
+    of them reaches, calls get_stencil (the non-periodic box stencil)."""
+    defs = {fn.name: fn for fn in _parse(PACKAGE / "functionals.py").body
+            if isinstance(fn, ast.FunctionDef)}
+    todo = [alias.name for node in ast.walk(_parse(PACKAGE / "cli.py"))
+            if isinstance(node, ast.ImportFrom) and node.module == "fracfp.functionals"
+            for alias in node.names]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo += list(_calls_by_name([defs[name]]))
+    assert "carre_du_champ" in reached
+    found = sorted(name for name in reached if "get_stencil" in _calls_by_name([defs[name]]))
+    assert not found, f"reach get_stencil: {found}"
+
+
 def _dataclass_fields(tree: ast.Module, cls: str) -> list:
     body = next(n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls)
     return [st.target.id for st in body if isinstance(st, ast.AnnAssign)]

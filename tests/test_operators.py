@@ -173,13 +173,6 @@ def test_spectral_rejects_bad_alpha():
 # ---------------------------------------------------------------- quadrature
 
 
-def test_quadrature_conservative_annihilates_constants():
-    g = build_grid(1, 5.0, 64)
-    cfg = OperatorConfig(alpha=1.5, method="quadrature", exterior="conservative")
-    out = quadrature_fraclap(Field(g, np.ones(64)), cfg, check_decay=False)
-    assert np.max(np.abs(out.values)) < 1e-12
-
-
 def test_quadrature_parity():
     g = build_grid(1, 15.0, 128)
     cfg = OperatorConfig(alpha=0.7, method="quadrature")
@@ -271,15 +264,6 @@ def test_split_rejects_bad_radius():
     for r in (0.0, -1.0, 10.0, 20.0):
         with pytest.raises(ValueError):
             split_fraclap(f, cfg, r=r)
-
-
-def test_split_constant_conservative_zero():
-    g = build_grid(1, 10.0, 64)
-    cfg = OperatorConfig(alpha=1.0, method="quadrature", exterior="conservative")
-    c = Field(g, np.ones(64))
-    near, far, _ = split_fraclap(c, cfg, r=g.h)
-    assert np.max(np.abs(near.values)) < 1e-13
-    assert np.max(np.abs(far.values)) < 1e-13
 
 
 def test_capped_convolution_lower_bound():
