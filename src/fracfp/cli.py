@@ -1,13 +1,14 @@
 """Reproducible experiment runner: configs in, CSV + verdict report out.
 
-Configs are either JSON documents or ``key = value`` lines; unknown keys are
-hard errors.  Every run validates the parameter constraints its suite relies
-on before any computation, executes deterministically (fixed seeds, fixed
-reduction order for emitted scalars), writes monitors.csv / steady.csv /
-rates.csv / report.txt into the output directory, and exits 0 only when all
-verdicts pass (1 on verification failure, 2 on usage or config errors, 3 on
-a crash).  Several configs run one after another, each into <out>/<name>,
-and the run exits with the largest code of its configs.
+Configs are either JSON documents or ``key = value`` lines; unknown and
+repeated keys are hard errors.  Every run validates the parameter
+constraints its suite relies on before any computation, executes
+deterministically (fixed seeds, fixed reduction order for emitted scalars),
+writes monitors.csv / steady.csv / rates.csv / report.txt into the output
+directory, and exits 0 only when all verdicts pass (1 on verification
+failure, 2 on usage or config errors, 3 on a crash).  Several configs run
+one after another, each into <out>/<name>, and the run exits with the
+largest code of its configs.
 """
 
 from __future__ import annotations
@@ -114,22 +115,34 @@ def _coerce(key: str, raw: str, where: str):
         raise ConfigError(f"cannot parse value for {key!r}{where}: {raw!r}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a key given twice is a ConfigError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"repeated config key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
 def parse_config(path: str | Path, suite: str | None = None) -> ScenarioConfig:
     """Read a scenario config, a JSON object or key = value lines, apply the
     --suite override, then validate once.  Both formats share one grammar,
     each value's text parsed by its field's type: a JSON string is that text
     as written and any other JSON value its JSON text, so 1.7 is no int and
-    true no float, while null means None as none and auto do."""
+    true no float, while null means None as none and auto do.  A key set
+    twice is a ConfigError, not the later value."""
     text = Path(path).read_text(encoding="utf-8")
     items = []  # (key, value text, where)
     if text.lstrip().startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         items = [(key, raw if isinstance(raw, str) else json.dumps(raw), "")
                  for key, raw in doc.items()]
     else:
+        first = {}  # key -> the line that set it
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -137,6 +150,9 @@ def parse_config(path: str | Path, suite: str | None = None) -> ScenarioConfig:
             if "=" not in body:
                 raise ConfigError(f"expected key = value on line {lineno}: {line!r}")
             key, raw = (part.strip() for part in body.split("=", 1))
+            if key in first:
+                raise ConfigError(f"repeated config key {key!r} on lines {first[key]} and {lineno}")
+            first[key] = lineno
             items.append((key, raw, f" (line {lineno})"))
     values = {key: _coerce(key, raw, where) for key, raw, where in items}
     if suite:

@@ -49,11 +49,6 @@ check, (mass - mass0) / max(|mass0|, ||f0||_1), so a field of roundoff mass
 (one Fourier mode) drifts against its L1 norm.  A lane that fails either
 check drops out with the lanes after it, and the earliest failing step
 overall is raised as a CheckFailure.
-
-Also here: the viscosity-regularized generator (a validation mode, applied
-but never stepped, with a truncated kernel, a cut-off force and an added
-eps*Laplacian), and the Duhamel identity check
-e^{tL} = e^{tB} + e^{tL} * A e^{tB} on dense matrices.
 """
 
 from __future__ import annotations
@@ -64,29 +59,22 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 
-from fracfp.grid import CheckFailure, Field, Grid, smooth_indicator, weight_field
+from fracfp.grid import CheckFailure, Field, Grid, weight_field
 from fracfp.operators import (
     OperatorConfig,
     _jump_matrix,  # not called here: perfbench/spans.py LAYERS patches this binding
-    assemble_generator_matrix,
-    drift_matrix,
+    assemble_generator_matrix,  # not called here: perfbench/spans.py LAYERS patches this binding
     drift_step_matrix,
-    far_kernel,
     fourier_multiply,
-    get_stencil,
+    get_stencil,  # not called here: perfbench/spans.py LAYERS patches this binding
     lane_product,
-    laplacian_matrix,
     max_drift_speed,
-    offset_matrix,
     orbit_maps,
-    plain_conv_kernel,
     quadrature_symbol,
     readonly,
     spectral_symbol,
     symmetries,
-    windowed_kernel,
 )
 
 __all__ = [
@@ -95,8 +83,6 @@ __all__ = [
     "auto_dt",
     "step_size",
     "evolve",
-    "radial_cutoff",
-    "duhamel_residual",
 ]
 
 MASS_DRIFT_TOL = 1e-6
@@ -400,95 +386,3 @@ def evolve(
         entropy=mon[6] if ref_inv is not None else None,
         meta={"dt": dt, "nsteps": nsteps, "advances": i, "lanes": lanes},
     )
-
-
-# ---------------------------------------------------------------------------
-# viscosity-regularized generator (validation mode)
-# ---------------------------------------------------------------------------
-
-
-def radial_cutoff(grid: Grid, eps: float) -> Field:
-    """Radially decreasing cutoff: 1 on B(0, 1/eps), 0 outside B(0, 2/eps)."""
-    return Field(grid, smooth_indicator(grid, 1.0 / eps))
-
-
-def viscosity_generator_apply(f: Field, eps: float, cfg: OperatorConfig) -> Field:
-    """Lambda_eps f = eps*Lap f + I_eps(f) + div(E_eps f).
-
-    I_eps truncates the jump kernel to eps < |z| < 1/eps; E_eps = E * chi_eps
-    with the radial cutoff; the Laplacian is the standard 3/5-point stencil
-    (laplacian_matrix, fields extended by zero).
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    grid = f.grid
-    st = get_stencil(grid, windowed_kernel(cfg.alpha, grid.d, eps))
-    jump = st.apply(f.values)
-
-    chi = radial_cutoff(grid, eps).values
-    # div(E * chi f) = div(E_eps f) with E_eps = chi E evaluated at faces;
-    # using the product at cell values keeps the flux form conservative.
-    # Upwind whatever cfg.drift says: the regularized generator is a
-    # monotone (Metzler) operator.
-    d_up = drift_matrix(grid, cfg.force_field(), "upwind")
-    drift = (d_up @ (f.values * chi).ravel()).reshape(grid.shape)
-    lap = (laplacian_matrix(grid) @ f.values.ravel()).reshape(grid.shape)
-    return f.with_values(jump + drift + eps * lap)
-
-
-# ---------------------------------------------------------------------------
-# Duhamel identity on dense matrices
-# ---------------------------------------------------------------------------
-
-
-def duhamel_residual(
-    t: float,
-    grid: Grid,
-    cfg: OperatorConfig,
-    splitting: str = "kernel",
-    r: float | None = None,
-    M: float = 5.0,
-    R: float = 2.0,
-    n_quad: int = 2048,
-) -> float:
-    """Residual of e^{tL} = e^{tB} + e^{tL} * A e^{tB} in the entrywise max norm.
-
-    splitting = "kernel": A = kappa^c-convolution at radius r (bounded part),
-    B = L - A.  splitting = "cutoff": A = M chi_R with a smooth radial cutoff
-    supported in B_2R, B = L - A.  The time convolution is composite Simpson
-    with n_quad intervals (>= 64).
-    """
-    if n_quad < 64 or n_quad % 2:
-        raise ValueError("n_quad must be an even number >= 64")
-    lam = assemble_generator_matrix(grid, cfg).mat
-    if splitting == "kernel":
-        rr = r if r is not None else grid.h
-        ker = plain_conv_kernel(grid, far_kernel(cfg.alpha, grid.d, rr))
-        a = offset_matrix(ker, grid.n, grid.n)
-    elif splitting == "cutoff":
-        a = M * np.diag(smooth_indicator(grid, R).ravel(order="C"))
-    elif splitting == "none":
-        a = np.zeros_like(lam)
-    else:
-        raise ValueError(f"unknown splitting {splitting!r}")
-    b = lam - a
-
-    if t == 0.0:
-        return 0.0  # all three terms collapse to the identity
-
-    dt = t / n_quad
-    e_lam_dt = expm(lam * dt)
-    e_b_dt = expm(b * dt)
-    # Simpson sum of e^{(t-s_k)L} A e^{s_k B} in one forward pass:
-    # X_{k+1} = e^{dt L} X_k + c_{k+1} A e^{s_{k+1} B}, with X_0 = c_0 A
-    coef = np.ones(n_quad + 1)
-    coef[1:-1:2] = 4.0
-    coef[2:-1:2] = 2.0
-    v = np.eye(grid.size)  # e^{s_k B}
-    simpson = coef[0] * a
-    for k in range(1, n_quad + 1):
-        v = e_b_dt @ v
-        simpson = e_lam_dt @ simpson + coef[k] * (a @ v)
-    simpson *= dt / 3.0
-    resid = expm(lam * t) - expm(b * t) - simpson
-    return float(np.max(np.abs(resid)))

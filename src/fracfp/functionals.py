@@ -24,13 +24,11 @@ from functools import reduce
 
 import numpy as np
 
-from fracfp.grid import Field, Grid, integrate, weight_field
+from fracfp.grid import Field, Grid, weight_field
 from fracfp.operators import (
-    JumpKernel,
     OperatorConfig,
-    cell_tables,
     fourier_multiply,
-    get_stencil,
+    get_stencil,  # not called here: perfbench/spans.py LAYERS patches this binding
     norm_constant,
     quadrature_symbol,
 )
@@ -40,13 +38,8 @@ __all__ = [
     "signed_power",
     "carre_du_champ",
     "p_dissipation_field",
-    "p_dissipation",
-    "sobolev_seminorm",
-    "confinement_profile",
     "threshold_p_gamma",
-    "relative_entropy",
     "poincare_wirtinger_check",
-    "local_mean_control_check",
     "gp_equivalence_ratios",
     "nash_chain_check",
     "field_bank",
@@ -96,80 +89,8 @@ def p_dissipation_field(u: Field, p: float, cfg: OperatorConfig) -> Field:
     return carre_du_champ(u, up, cfg)
 
 
-def p_dissipation(u: Field, p: float, cfg: OperatorConfig) -> float:
-    """int D_p(u): zero iff u is constant on the grid, else > 0."""
-    return integrate(p_dissipation_field(u, p, cfg))
-
-
 # ---------------------------------------------------------------------------
-# fractional Sobolev seminorms
-# ---------------------------------------------------------------------------
-
-
-def _seminorm_kernel(d: int, s: float, p: float) -> JumpKernel:
-    """The kernel c_{s,d} |z|^{-d-ps} of the W^{s,p} seminorm (alpha = ps).
-    c_{s,d} is fixed to c_{2s,d}/2, the unique choice consistent with Parseval
-    at p = 2 (|u|_{H^s}^2 = int |2 pi xi|^{2s}|u^|^2)."""
-    return JumpKernel(c=norm_constant(2.0 * s, d) / 2.0, alpha=p * s, d=d)
-
-
-def _seminorm_weights(grid: Grid, s: float, p: float) -> np.ndarray:
-    """Offset weights for iint |u(y)-u(x)|^p / |y-x|^{d+ps}, mollified by |z|^p:
-    the cell_tables weights at q = p, a read-only table of shape (2n+1,)*d
-    whose center holds the self-cell weight that multiplies |grad u|^p."""
-    return cell_tables(grid, _seminorm_kernel(grid.d, s, p), p)[0]
-
-
-def _half_offsets(n: int, d: int):
-    """The offsets J in (-n, n)^d whose first nonzero entry is positive: one
-    of each pair J, -J."""
-    for lead in range(d):
-        for first in range(1, n):
-            for rest in itertools.product(range(-n + 1, n), repeat=d - 1 - lead):
-                yield (0,) * lead + (first,) + rest
-
-
-def sobolev_seminorm(
-    u: Field, s: float, p: float = 2.0, include_exterior: bool = False
-) -> float:
-    """|u|_{W^{s,p}} on in-box pairs, with the self-cell carried by |grad u|^p.
-
-    With include_exterior the pairs with one point outside the box are added
-    (the field is extended by zero there), giving the whole-space seminorm of
-    the extension; constants then pick up their boundary jump, so the default
-    keeps in-box pairs only (zero iff constant).
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    grid = u.grid
-    # sum_x sum_J w_J |u(x+z_J) - u(x)|^p by direct offset loop is O(N^2);
-    # the |.|^p prevents a convolution shortcut, so keep N small
-    if grid.size > 96**2:
-        raise ValueError(f"seminorm restricted to n^d <= {96**2}")
-    w = _seminorm_weights(grid, float(s), float(p))
-    v = u.values
-    n, vol = grid.n, grid.cell_volume
-    total = 0.0
-    if include_exterior:
-        ext = get_stencil(grid, _seminorm_kernel(grid.d, float(s), float(p))).ext_mass
-        total += 2.0 * float(np.sum(np.abs(v) ** p * ext)) * vol
-    # |u(x+z) - u(x)| summed over x is the same for z and -z
-    for off in _half_offsets(n, grid.d):
-        ww = w[tuple(n + j for j in off)]
-        if ww == 0.0:
-            continue
-        hi = tuple(slice(max(0, j), n + min(0, j)) for j in off)
-        lo = tuple(slice(max(0, -j), n + min(0, -j)) for j in off)
-        total += 2.0 * ww * float(np.sum(np.abs(v[hi] - v[lo]) ** p)) * vol
-    grad = reduce(np.hypot, np.reshape(np.gradient(v, grid.h), (grid.d,) + grid.shape))
-    total += w[(n,) * grid.d] * float(np.sum(np.abs(grad) ** p)) * vol
-    return float(total ** (1.0 / p))
-
-
-# ---------------------------------------------------------------------------
-# confinement profile
+# admissible-exponent threshold
 # ---------------------------------------------------------------------------
 
 
@@ -180,57 +101,6 @@ def threshold_p_gamma(k: float, gamma: float, d: int) -> float:
     return 1.0 + k / (d + gamma - 2.0 - k)
 
 
-def confinement_profile(grid: Grid, cfg: OperatorConfig, k: float, p: float):
-    """phi_{m,p} = div(E)/q - E . grad(m)/m nodewise, plus the drift envelope.
-
-    div(E) uses centered differences; grad(m)/m = k x / <x>^2 is analytic.
-    For gamma > 2 also fits (a, b) with phi <= b 1_Omega - a <x>^(gamma-2)
-    and reports the threshold p_gamma; p >= p_gamma is flagged.
-    """
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
-    q = p / (p - 1.0)
-    br2 = 1.0 + grid.radius2()
-    coords = grid.coords()
-    e = cfg.force_field().components(coords)
-    div_e = sum(np.gradient(ea, grid.h, axis=a) for a, ea in enumerate(e))
-    e_dot_x = sum(ea * xa for ea, xa in zip(e, coords))
-    phi = div_e / q - k * e_dot_x / br2
-    out = {"phi": Field(grid, phi), "p_gamma": threshold_p_gamma(k, cfg.gamma, grid.d)}
-    out["p_admissible"] = p < out["p_gamma"]
-    if cfg.gamma > 2:
-        decay = np.sqrt(br2) ** (cfg.gamma - 2.0)
-        outer = grid.radius2() > (grid.L / 4.0) ** 2
-        a = float(np.min(-phi[outer] / decay[outer]))
-        b = float(np.max(phi + max(a, 0.0) * decay))
-        out["envelope"] = (a, b)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# relative entropy
-# ---------------------------------------------------------------------------
-
-
-def relative_entropy(f: Field, ref: Field, p: float, cfg: OperatorConfig):
-    """(int |f|^p F^(1-p), -p int D_p(f/F) F): value and dissipation.
-
-    The dissipation is nonpositive for every input pair with F > 0 (each pair
-    term of D_p is a product of increments with matching monotonicity).
-    """
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (1, 2], got {p}")
-    fv, rv = f.values, ref.values
-    if np.min(rv) <= 0.0:
-        raise ValueError("reference state must be strictly positive")
-    vol = f.grid.cell_volume
-    value = float(np.sum(np.abs(fv) ** p * rv ** (1.0 - p)) * vol)
-    h = f.with_values(fv / rv)
-    dp = p_dissipation_field(h, p, cfg).values
-    dissipation = float(-p * np.sum(dp * rv) * vol)
-    return value, dissipation
-
-
 # ---------------------------------------------------------------------------
 # fractional Poincare-Wirtinger checks
 # ---------------------------------------------------------------------------
@@ -238,29 +108,6 @@ def relative_entropy(f: Field, ref: Field, p: float, cfg: OperatorConfig):
 
 def _omega_mask(grid: Grid, radius: float) -> np.ndarray:
     return grid.radius2() <= radius**2
-
-
-def local_mean_control_check(u: Field, mu: Field, radius: float, p: float, cfg: OperatorConfig):
-    """0 <= int_Om u^(p-1)(u - <u>_mu,Om) mu <= C int_Om D_p(u) mu.
-
-    C = diam(Om)^(d+alpha) ||mu||_inf(Om) / (c_{alpha,d} mu(Om)); the kernel
-    constant enters because D_p carries the normalized kernel.
-    """
-    grid = u.grid
-    om = _omega_mask(grid, radius)
-    vol = grid.cell_volume
-    muv = mu.values
-    mu_om = float(np.sum(muv[om]) * vol)
-    if mu_om <= 0.0:
-        raise ValueError("mu has no mass on Omega")
-    mean = float(np.sum((u.values * muv)[om]) * vol) / mu_om
-    middle = float(
-        np.sum((signed_power(u.values, p - 1.0) * (u.values - mean) * muv)[om]) * vol
-    )
-    dp = p_dissipation_field(u, p, cfg).values
-    c_pw = _pw_constant(grid, om, muv, mu_om, cfg.alpha)
-    rhs = c_pw * float(np.sum((dp * muv)[om]) * vol)
-    return {"middle": middle, "rhs": rhs, "c_pw": c_pw, "passes": -1e-12 <= middle <= rhs * (1 + 1e-9) + 1e-15}
 
 
 def _pw_constant(grid: Grid, om: np.ndarray, muv: np.ndarray, mu_om: float, alpha: float) -> float:

@@ -12,8 +12,8 @@ integral(u) ~ sum(u) * h^d.
 
 Weights are powers of the Japanese bracket <x> = sqrt(1 + |x|^2).  Also here,
 what every module shares: CheckFailure, the one exception a numerical check
-raises (the CLI turns it into a FAIL record), the Gaussian probe density, the
-smoothstep radial cutoff and the least-squares line fit.
+raises (the CLI turns it into a FAIL record), the Gaussian probe density and
+the least-squares line fit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["CheckFailure", "Grid", "Field", "build_grid", "weight_field", "integrate",
-           "normalized_gaussian", "smooth_indicator", "line_fit"]
+           "normalized_gaussian", "line_fit"]
 
 
 class CheckFailure(ArithmeticError):
@@ -166,12 +166,6 @@ def normalized_gaussian(grid: Grid) -> Field:
     """The probe density exp(-|x|^2), normalized to unit mass."""
     vals = np.exp(-grid.radius2())
     return Field(grid, vals / (np.sum(vals) * grid.cell_volume))
-
-
-def smooth_indicator(grid: Grid, R: float) -> np.ndarray:
-    """Smoothstep radial cutoff with 1_{B_R} <= chi <= 1_{B_2R}."""
-    s = np.clip((np.sqrt(grid.radius2()) - R) / R, 0.0, 1.0)
-    return 1.0 - (3.0 * s**2 - 2.0 * s**3)
 
 
 def line_fit(x: np.ndarray, y: np.ndarray):

@@ -15,11 +15,11 @@ Two routes to the jump operator I = Lap^(alpha/2):
 
 One cached builder, cell_tables, integrates a radial kernel over the lattice
 cells (product-integration weights for S(z)/|z|^q and plain cell masses); the
-operator stencil, the capped-kernel convolution and the W^{s,p} seminorm
-weights of the functionals module all read their tables from it.  A radial
-kernel's cell integral depends only on the offsets' absolute values, up to
-their order, so the 2d tables and the periodic-image fold integrate each cell
-once, on one symmetry wedge (_wedge_cells).
+operator stencil reads its tables from it, and so do the capped-kernel
+convolution and the W^{s,p} seminorm weights of tests/paper_checks.py.  A
+radial kernel's cell integral depends only on the offsets' absolute values,
+up to their order, so the 2d tables and the periodic-image fold integrate
+each cell once, on one symmetry wedge (_wedge_cells).
 
 The standalone quadrature operator (quadrature_fraclap) extends fields by
 zero outside the box and charges the analytic exterior kernel mass to -u(x):
@@ -68,22 +68,15 @@ __all__ = [
     "verify_force_hypotheses",
     "spectral_fraclap",
     "quadrature_fraclap",
-    "split_fraclap",
     "box_frequencies",
     "fourier_multiply",
     "convolve_same",
-    "capped_convolution",
     "drift_matrix",
     "drift_step_matrix",
     "symmetries",
     "orbit_maps",
-    "laplacian_matrix",
     "generator_apply",
-    "adjoint_apply",
     "assemble_generator_matrix",
-    "offset_matrix",
-    "fraclap_of_weight",
-    "fraclap_reference",
 ]
 
 MAX_DENSE = 4096  # dense-assembly guard on n^d
@@ -250,20 +243,6 @@ class JumpKernel:
 
 def full_kernel(alpha: float, d: int) -> JumpKernel:
     return JumpKernel(c=norm_constant(alpha, d), alpha=alpha, d=d)
-
-
-def far_kernel(alpha: float, d: int, r: float) -> JumpKernel:
-    return JumpKernel(c=norm_constant(alpha, d), alpha=alpha, d=d, cap_r=r)
-
-
-def near_kernel(alpha: float, d: int, r: float) -> JumpKernel:
-    return JumpKernel(c=norm_constant(alpha, d), alpha=alpha, d=d, near_of=r)
-
-
-def windowed_kernel(alpha: float, d: int, eps: float) -> JumpKernel:
-    return JumpKernel(
-        c=norm_constant(alpha, d), alpha=alpha, d=d, lo=eps, hi=1.0 / eps
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -624,49 +603,8 @@ def quadrature_fraclap(f: Field, cfg: OperatorConfig) -> Field:
     return f.with_values(st.apply(f.values))
 
 
-def split_fraclap(f: Field, cfg: OperatorConfig, r: float | None = None):
-    """Kernel splitting I = I_near + I_far at radius r.
-
-    near uses the compensated kernel (kappa - kappa(r))_+ supported in |z| < r,
-    far the bounded kernel kappa^c = min(kappa, kappa(r)).  The discrete cell
-    weights are additive in the kernel, so near + far equals the full
-    quadrature operator to machine precision.  Returns (near, far, Kc) with
-    Kc the analytic L1 mass of kappa^c.
-    """
-    grid = f.grid
-    if r is None:
-        r = grid.h
-    if not 0.0 < r < grid.L:
-        raise ValueError(f"split radius must lie in (0, L), got {r}")
-    near_st = get_stencil(grid, near_kernel(cfg.alpha, grid.d, r))
-    far_st = get_stencil(grid, far_kernel(cfg.alpha, grid.d, r))
-    near = f.with_values(near_st.apply(f.values))
-    far = f.with_values(far_st.apply(f.values))
-    kc = far_kernel(cfg.alpha, grid.d, r).l1_mass()
-    return near, far, kc
-
-
-@lru_cache(maxsize=32)
-def plain_conv_kernel(grid: Grid, kernel: JumpKernel) -> np.ndarray:
-    """Cell-mass convolution stencil for a bounded kernel (no singularity):
-    the cell_tables masses with the self-cell mass at the center."""
-    ker = cell_tables(grid, kernel, 2.0)[1].copy()
-    ker[(grid.n,) * grid.d] = _self_cell(kernel, grid, 0.0)
-    return readonly(ker)
-
-
-def capped_convolution(f: Field, cfg: OperatorConfig, r: float) -> Field:
-    """kappa^c * f for the bounded far kernel: nonnegative for f >= 0.
-
-    The capped kernel is bounded, so plain cell masses give a second-order
-    convolution rule with all weights nonnegative (positivity is structural).
-    """
-    ker = plain_conv_kernel(f.grid, far_kernel(cfg.alpha, f.grid.d, r))
-    return f.with_values(convolve_same(f.values, ker))
-
-
 # ---------------------------------------------------------------------------
-# drift and Laplacian: sparse matrices over the interior faces
+# drift: sparse matrices over the interior faces
 # ---------------------------------------------------------------------------
 
 
@@ -738,18 +676,6 @@ def drift_matrix(grid: Grid, force: ForceField, drift: str) -> sp.csr_array:
         else:
             maps.append(sp.diags_array(ep) @ s_hi + sp.diags_array(em) @ s_lo)
     return readonly(_face_divergence(grid, maps))
-
-
-@lru_cache(maxsize=16)
-def laplacian_matrix(grid: Grid) -> sp.csr_array:
-    """The 3/5-point Laplacian, fields extended by zero outside the box:
-    (sum_a S_hi^T S_lo + S_lo^T S_hi - 2d I) / h^2."""
-    out = -2.0 * grid.d * sp.eye_array(grid.size, format="csr")
-    for s_hi, s_lo in _face_pickers(grid):
-        out = out + s_hi.T @ s_lo + s_lo.T @ s_hi
-    out = out.tocsr()
-    out.data /= grid.h**2
-    return readonly(out)
 
 
 @lru_cache(maxsize=16)
@@ -912,7 +838,7 @@ def orbit_maps(grid: Grid, axes: tuple, swaps: tuple = ()) -> MappingProxyType:
 
 
 # ---------------------------------------------------------------------------
-# the generator Lambda = I + div(E .) and its adjoint
+# the generator Lambda = I + div(E .)
 # ---------------------------------------------------------------------------
 
 
@@ -936,13 +862,6 @@ def generator_apply(f: Field, cfg: OperatorConfig) -> Field:
     return f.with_values(jump_apply(f, cfg).values + drift.reshape(f.grid.shape))
 
 
-def adjoint_apply(g: Field, cfg: OperatorConfig) -> Field:
-    """Lambda^* g = I(g) - E . grad g, the drift through the transpose of
-    drift_matrix; Lambda^* 1 = 0 to roundoff."""
-    drift = drift_matrix(g.grid, cfg.force_field(), cfg.drift).T @ g.values.ravel()
-    return g.with_values(jump_apply(g, cfg).values + drift.reshape(g.grid.shape))
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Dense realization of Lambda on the sectors of its symmetry group.
@@ -960,9 +879,10 @@ class GeneratorMatrix:
 
     ``cfg`` names the jump the sectors hold: its method is always
     "quadrature", so generator_apply(f, gm.cfg) is Lambda without a matrix.
-    ``mat``, the full N x N matrix, is built on first access, for the tests
-    and the small-N instruments (b_semigroup_decay, duhamel_residual).  The
-    arrays are read-only, and the object compares and hashes by identity, so
+    ``mat``, the full N x N matrix, is built on first access; no CLI route
+    reads it, only the tests and the dense instruments of
+    tests/paper_checks.py (b_semigroup_decay, duhamel_residual).  The arrays
+    are read-only, and the object compares and hashes by identity, so
     caches can key on it."""
 
     grid: Grid
@@ -1016,14 +936,6 @@ def _gather(table: np.ndarray, center: int, n: int, cols: np.ndarray) -> np.ndar
     return table[tuple(index)].reshape(n**d, len(cols))
 
 
-def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:
-    """Dense matrix of a translation-invariant operator on the n^d nodes in
-    row-major order: the entry of nodes (i, j) is table[(center + i_a - j_a)
-    mod m per axis a], m the table's axis length.  A circulant row (m = n)
-    has center 0; an offset kernel over -n..n (m = 2n + 1) has center n."""
-    return _gather(table, center, n, np.arange(n**table.ndim))
-
-
 def _generator_sectors(grid: Grid, cfg: OperatorConfig, maps: MappingProxyType) -> dict:
     """Lambda on the sectors of maps (orbit_maps), keyed alike: (matrix,
     maps), the jump sector plus the sparse drift folded onto it."""
@@ -1067,76 +979,6 @@ def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatri
     return GeneratorMatrix(grid=grid, cfg=cfg, axes=axes, swaps=swaps,
                            sectors=_generator_sectors(grid, cfg, orbit_maps(grid, axes, swaps)),
                            max_abs=_max_abs(grid, _jump_row(grid, cfg.alpha), drift))
-
-
-# ---------------------------------------------------------------------------
-# semi-analytic fractional Laplacian of smooth non-decaying functions (1d)
-# ---------------------------------------------------------------------------
-
-
-def fraclap_reference(
-    func: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, alpha: float
-) -> np.ndarray:
-    """High-precision I(func) at points xs by adaptive quadrature (d = 1).
-
-    Uses the symmetrized form int_0^inf (u(x+z) + u(x-z) - 2u(x)) kappa(z) dz
-    with the substitution w = z^(2-alpha) on z in (0, 1), which removes the
-    endpoint singularity, and an infinite-range quadrature beyond.  Works for
-    any smooth func with growth below |x|^alpha (weights, Gaussians, ...).
-    """
-    from scipy import integrate  # its only user; not loaded by the CLI
-
-    c = norm_constant(alpha, 1)
-    p = 1.0 / (2.0 - alpha)
-    z_floor = 1e-4  # below this the centered second difference cancels badly
-    out = np.empty(np.shape(xs), dtype=float)
-    flat = out.ravel()
-    for i, x in enumerate(np.ravel(np.asarray(xs, dtype=float))):
-        u0 = float(func(x))
-
-        def second_diff(z):
-            return func(x + z) + func(x - z) - 2.0 * u0
-
-        g_floor = second_diff(z_floor) / z_floor**2  # ~ u''(x)
-
-        def inner(w):
-            z = w**p
-            if z < z_floor:
-                return g_floor
-            return second_diff(z) / z**2
-
-        near, _ = integrate.quad(inner, 0.0, 1.0, limit=200)
-        near *= c * p  # kappa z^2 dz = c z^(1-alpha) dz = (c/p') dw under w = z^(2-alpha)
-
-        def outer(z):
-            return second_diff(z) * z ** (-1.0 - alpha)
-
-        # u(x -+ z) can localize near z = |x|; split there so the adaptive
-        # quadrature cannot step over the bump on the infinite range
-        zcut = max(2.0 * abs(x) + 20.0, 50.0)
-        pts = sorted({min(max(q, 1.0), zcut) for q in (abs(x) - 8, abs(x), abs(x) + 8)})
-        far1, _ = integrate.quad(outer, 1.0, zcut, points=pts, limit=400)
-        far2, _ = integrate.quad(outer, zcut, np.inf, limit=200)
-        flat[i] = near + c * (far1 + far2)
-    return out
-
-
-@lru_cache(maxsize=32)
-def fraclap_of_weight(grid: Grid, k: float, alpha: float) -> Field:
-    """I(<x>^k) on the grid with the analytic exterior (d = 1, k < alpha).
-
-    Weight fields grow, so zero-extension is useless; the quadrature runs
-    over the analytic weight on all of R.
-    """
-    if grid.d != 1:
-        raise NotImplementedError("analytic-exterior weight action is 1d only")
-    if not k < alpha:
-        raise ValueError(f"need k < alpha for I(<x>^k) to be finite, got k={k}")
-
-    def m(x):
-        return (1.0 + np.asarray(x) ** 2) ** (k / 2.0)
-
-    return Field(grid, readonly(fraclap_reference(m, grid.axis, alpha)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,36 +23,39 @@ import pytest
 from fracfp.grid import Field, build_grid, integrate
 from fracfp.operators import (
     OperatorConfig,
-    adjoint_apply,
     assemble_generator_matrix,
-    fraclap_of_weight,
-    fraclap_reference,
     generator_apply,
     jump_apply,
     quadrature_fraclap,
     spectral_fraclap,
 )
-from fracfp.evolution import SchemeConfig, duhamel_residual, evolve
+from fracfp.evolution import SchemeConfig, evolve
 from fracfp.functionals import (
     carre_du_champ,
     field_bank,
     gp_equivalence_ratios,
     nash_chain_check,
     poincare_wirtinger_check,
-    relative_entropy,
     weighted_norm,
 )
 from fracfp.rates import (
     decay_fit,
     harris_contraction,
     lyapunov_check,
-    polynomial_rate_check,
-    regularization_slope,
 )
 from fracfp.steady import (
     leading_eigenpair,
     steady_by_evolution,
     steady_by_linear_solve,
+)
+from paper_checks import (
+    adjoint_apply,
+    duhamel_residual,
+    fraclap_of_weight,
+    fraclap_reference,
+    polynomial_rate_check,
+    regularization_slope,
+    relative_entropy,
 )
 
 

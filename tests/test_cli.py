@@ -76,6 +76,16 @@ def test_json_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, key, v
     assert not (tmp_path / "o").exists()
 
 
+def test_repeated_json_key_is_a_config_error(tmp_path, capsys):
+    # json.loads alone would keep the later value
+    p = write_cfg(tmp_path, '{"name": "r", "d": 1, "n": 64, "alpha": 1, "alpha": 1.5}', "scenario.json")
+    with pytest.raises(ConfigError, match="repeated config key 'alpha'"):
+        parse_config(p)
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: repeated config key 'alpha'")
+    assert not (tmp_path / "o").exists()
+
+
 def test_parse_comments_and_blank_lines(tmp_path):
     p = write_cfg(tmp_path, "# heading\n\nname = c  # trailing\nalpha = 1.2\n")
     cfg = parse_config(p)
@@ -242,6 +252,8 @@ BATCH_BODY = "d = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\nsuite = evolve\nh
     ("diffusion_solver = cg", "unknown diffusion solver"),
     ("cfl = 2", "unknown config key 'cfl'"),
     ("out = elsewhere", "unknown config key 'out'"),
+    # BATCH_BODY sets alpha on line 6: the first value does not silently lose
+    ("alpha = 1.5", "repeated config key 'alpha' on lines 2 and 6"),
     ("dt = 5", "CFL"),
     ("dt = -0.01", "CFL"),
     # a name is one path component: a batch writes into <out>/<name>
@@ -254,7 +266,9 @@ BATCH_BODY = "d = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\nsuite = evolve\nh
     ("name = tab\tbed", "one path component"),
 ])
 def test_scheme_and_operator_keys_are_config_errors(tmp_path, capsys, line, match):
-    p = write_cfg(tmp_path, f"name = v\n{line}\n" + BATCH_BODY)
+    # a key is set once: a name case takes the place of the name line
+    head = "" if line.startswith("name") else "name = v\n"
+    p = write_cfg(tmp_path, f"{head}{line}\n" + BATCH_BODY)
     with pytest.raises(ConfigError, match=match):
         parse_config(p)
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -266,7 +280,8 @@ def test_scheme_and_operator_keys_are_config_errors(tmp_path, capsys, line, matc
                                         ("p = 1", "inequalities"), ("p = 0.5", "inequalities"),
                                         ("horizon = inf", "evolve"), ("L = inf", "evolve")])
 def test_horizon_and_seed_are_config_errors(tmp_path, capsys, line, suite):
-    p = write_cfg(tmp_path, f"name = v\nd = 1\nL = 10\nn = 64\nsuite = {suite}\n{line}\n")
+    # no L line: the "L = inf" case sets L once (a repeated key is an error of its own)
+    p = write_cfg(tmp_path, f"name = v\nd = 1\nn = 64\nsuite = {suite}\n{line}\n")
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {line.split()[0]} = ")
 

@@ -20,12 +20,10 @@ from fracfp.evolution import (
     _diffusion_multiplier,
     _implicit_factor,
     auto_dt,
-    duhamel_residual,
     evolve,
-    radial_cutoff,
     step_size,
-    viscosity_generator_apply,
 )
+from paper_checks import duhamel_residual, radial_cutoff, viscosity_generator_apply
 
 
 def normalized_gaussian(grid, s2=1.0):
@@ -217,7 +215,8 @@ def test_entropy_reference_must_be_positive():
 
 
 def test_viscosity_truncated_kernel_annihilates_constants():
-    from fracfp.operators import get_stencil, windowed_kernel
+    from fracfp.operators import get_stencil
+    from paper_checks import windowed_kernel
 
     g = build_grid(1, 10.0, 128)
     st = get_stencil(g, windowed_kernel(1.0, 1, 0.2))
@@ -244,7 +243,8 @@ def test_viscosity_consistency_monotone_in_eps():
 def test_viscosity_generator_is_by_action_formula(d, n):
     # the upwind drift of the cut-off density plus eps times the 3/5-point
     # Laplacian, written out on Fields; centered cfg.drift leaves it upwind
-    from fracfp.operators import get_stencil, windowed_kernel
+    from fracfp.operators import get_stencil
+    from paper_checks import windowed_kernel
 
     g = build_grid(d, 10.0, n)
     cfg = OperatorConfig(alpha=1.0, gamma=2.5, method="quadrature", drift="centered")

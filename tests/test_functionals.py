@@ -9,20 +9,22 @@ from fracfp.grid import Field, build_grid, integrate, weight_field
 from fracfp.operators import OperatorConfig, _jump_row, jump_apply, spectral_fraclap
 from fracfp.functionals import (
     carre_du_champ,
-    confinement_profile,
     field_bank,
     gp_equivalence_ratios,
-    local_mean_control_check,
     nash_chain_check,
-    p_dissipation,
     poincare_wirtinger_check,
-    relative_entropy,
     signed_power,
-    sobolev_seminorm,
     threshold_p_gamma,
     weighted_norm,
 )
-from fracfp.functionals import _seminorm_weights
+from paper_checks import (
+    _seminorm_weights,
+    confinement_profile,
+    local_mean_control_check,
+    p_dissipation,
+    relative_entropy,
+    sobolev_seminorm,
+)
 
 
 # method "quadrature": jump_apply(., CFG) is the generator's periodic circulant J

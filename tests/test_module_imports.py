@@ -1,6 +1,8 @@
 """Static checks on the fracfp sources: imports between modules, settings
-that some caller actually sets, the remaining branches on the dimension and
-the exception classes."""
+that some caller actually sets, the remaining branches on the dimension,
+the exception classes, and that the package holds only what the program
+runs.  The checks on the instruments also scan tests/paper_checks.py, the
+paper checks that only tests run."""
 
 import ast
 from collections import Counter, defaultdict
@@ -8,6 +10,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fracfp"
 TESTS = Path(__file__).resolve().parent
+PAPER_CHECKS = TESTS / "paper_checks.py"
 
 # (importing module, name): why the private import stays
 ALLOWED = {
@@ -17,6 +20,11 @@ ALLOWED = {
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def _sources() -> list[Path]:
+    """The src/fracfp modules and tests/paper_checks.py."""
+    return sorted(PACKAGE.glob("*.py")) + [PAPER_CHECKS]
 
 
 def test_no_private_cross_module_imports():
@@ -46,16 +54,23 @@ def _calls_by_name(trees) -> dict:
 # the cell quadrature of a radial kernel: exact radial moments, Gauss-Legendre
 # cells, the angular rule and the polar self cell
 CELL_QUADRATURE = ("moment", "gl_cell_integrals_2d", "theta_quad", "_self_cell")
+# (module, function) outside operators that calls it: why
+CELL_QUADRATURE_CALLERS = {
+    ("paper_checks", "plain_conv_kernel"):
+        "the capped-kernel convolution stencil: the cell_tables masses, the self-cell mass at the center",
+}
 
 
 def test_only_operators_runs_the_cell_quadrature():
-    """Every kernel table comes from operators (cell_tables and the stencil,
-    fold and convolution built on it); no other module re-derives one."""
+    """Every kernel table comes from operators (cell_tables and the stencil
+    and fold built on it) or from a listed caller that completes one of its
+    tables; no other module re-derives one."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in _sources():
         if path.stem == "operators":
             continue
-        calls = _calls_by_name([_parse(path)])
+        calls = _calls_by_name([node for node in _parse(path).body
+                                if (path.stem, getattr(node, "name", None)) not in CELL_QUADRATURE_CALLERS])
         found += [f"{path.name}:{call.lineno} calls {name}"
                   for name in CELL_QUADRATURE for call in calls[name]]
     assert not found, "\n".join(found)
@@ -87,9 +102,11 @@ def _dataclass_fields(tree: ast.Module, cls: str) -> list:
 
 
 def _sources_and_calls() -> tuple[dict, dict]:
-    """The src/fracfp trees by module, and the calls in them and in tests."""
-    src = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    trees = list(src.values()) + [_parse(path) for path in sorted(TESTS.glob("*.py"))]
+    """The trees of src/fracfp and tests/paper_checks.py by module, and the
+    calls in them and in the other tests."""
+    src = {path.stem: _parse(path) for path in _sources()}
+    trees = list(src.values()) + [_parse(path) for path in sorted(TESTS.glob("*.py"))
+                                  if path != PAPER_CHECKS]
     return src, _calls_by_name(trees)
 
 
@@ -129,7 +146,7 @@ def _passed(calls: dict, func: str, name: str, index: int | None) -> list:
 def test_every_setting_is_set_by_some_caller():
     """A parameter default, or a config field, that no caller sets is a
     constant in disguise: each one doubles the configurations tests would
-    have to cover.  Scans src/fracfp and tests."""
+    have to cover.  Scans src/fracfp, tests/paper_checks.py and the tests."""
     src, calls = _sources_and_calls()
     found = [f"{stem}.{fn}({name}) is never passed" for stem, fn, name, index in _defaulted(src)
              if not _passed(calls, fn, name, index)]
@@ -150,9 +167,10 @@ def test_every_setting_is_set_by_some_caller():
 def test_no_private_setting_has_one_caller_value():
     """A defaulted parameter of a private function that every caller setting
     it sets to the same constant is a second function behind a flag: the
-    default serves some callers and the one value the rest.  Scans the call
-    sites in src/fracfp and tests; an expression other than a constant
-    counts as varying."""
+    default serves some callers and the one value the rest.  Scans the
+    functions and call sites of src/fracfp and tests/paper_checks.py and the
+    call sites of the tests; an expression other than a constant counts as
+    varying."""
     src, calls = _sources_and_calls()
     found = []
     for stem, fn, name, index in _defaulted(src):
@@ -174,7 +192,7 @@ D_FORKS = [
      "1d exact image masses in blocks of images, 2d Gauss-Legendre image lattice on one wedge"),
     ("operators", "get_stencil",
      "1d cumulative sums and exact tail, 2d convolutions and angular tail"),
-    ("operators", "fraclap_of_weight", "the analytic-exterior reference quadrature is 1d"),
+    ("paper_checks", "fraclap_of_weight", "the analytic-exterior reference quadrature is 1d"),
 ]
 
 
@@ -203,7 +221,7 @@ def test_every_dimension_fork_is_listed():
     """A new comparison of d with a constant (a parallel 1d / 2d branch)
     fails here until it is listed in D_FORKS with its reason; a removed one
     must leave the list too."""
-    found = Counter((path.stem, fn) for path in sorted(PACKAGE.glob("*.py"))
+    found = Counter((path.stem, fn) for path in _sources()
                     for fn in _forks(_parse(path), "<module>"))
     listed = Counter((mod, fn) for mod, fn, _ in D_FORKS)
     assert found == listed, (f"unlisted: {sorted((found - listed).elements())}; "
@@ -255,7 +273,7 @@ def test_one_orbit_map_builder():
     gather serves it and offset_matrix only), and grid exports no fold
     helpers."""
     callers, built, gathers = [], [], []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in _sources():
         for fn in ast.walk(_parse(path)):
             if isinstance(fn, ast.FunctionDef):
                 calls = _calls_by_name([fn])
@@ -264,7 +282,7 @@ def test_one_orbit_map_builder():
                 gathers += [(path.stem, fn.name)] * len(calls["_gather"])
     assert sorted(callers) == ORBIT_MAP_CALLERS
     assert sorted(set(built)) == [("operators", "_orbit_map"), ("operators", "orbit_maps")]
-    assert sorted(gathers) == [("operators", "_jump_matrix"), ("operators", "offset_matrix")]
+    assert sorted(gathers) == [("operators", "_jump_matrix"), ("paper_checks", "offset_matrix")]
     tree = _parse(PACKAGE / "grid.py")
     exported = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
                     and getattr(node.targets[0], "id", None) == "__all__")
@@ -330,3 +348,68 @@ def test_only_operators_calls_scipys_private_kernels():
                     and getattr(node.value, "id", None) in PRIVATE_KERNELS}
     assert not found, "\n".join(found)
     assert callers == set(PRIVATE_KERNELS.items())
+
+
+def _exported(tree: ast.Module) -> list:
+    """The names of a module's __all__ (none without one)."""
+    return next((ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "__all__"), [])
+
+
+def test_every_exported_name_is_defined():
+    """Each name in a module's __all__, fracfp.__all__ included, is bound at
+    the module's top level (def, class, assignment or import): a name that
+    moved away fails here, not at a `from fracfp.<module> import *`."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound |= {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+        found += [f"{path.stem}.__all__ names {name}" for name in _exported(tree) if name not in bound]
+    assert not found, "\n".join(found)
+
+
+# (module, function): the entries of `fracfp run`
+ENTRY_POINTS = [("cli", "main"), ("cli", "parse_config"), ("cli", "run_scenario")]
+
+
+def test_every_definition_is_reached():
+    """src/fracfp holds what the program runs: every top-level function and
+    class is reached from ENTRY_POINTS, the names of fracfp.__all__ or a
+    module-level statement, through the names that reached code loads (its
+    own module's definitions and those it imports from fracfp).  A paper
+    instrument that only tests call belongs in tests/paper_checks.py."""
+    trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    defs, names = {}, {}  # (module, name) -> node; module -> {name: (module, name)}
+    for stem, tree in trees.items():
+        names[stem] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[stem, node.name] = node
+                names[stem][node.name] = (stem, node.name)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fracfp."):
+                home = node.module.split(".", 1)[1]
+                names[stem].update({alias.asname or alias.name: (home, alias.name) for alias in node.names})
+
+    def loaded(stem, node) -> list:
+        return [names[stem][n.id] for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in names[stem]]
+
+    todo = ENTRY_POINTS + [names["__init__"][name] for name in _exported(trees["__init__"])]
+    todo += [key for stem, tree in trees.items() for node in tree.body
+             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) for key in loaded(stem, node)]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in defs and key not in reached:
+            reached.add(key)
+            todo += loaded(key[0], defs[key])
+    assert set(ENTRY_POINTS) <= reached
+    unreached = sorted(f"{stem}.{name}" for stem, name in defs if (stem, name) not in reached)
+    assert not unreached, f"not reached from the program: {unreached}"

@@ -11,26 +11,28 @@ from fracfp.grid import Field, build_grid, integrate, weight_field
 from fracfp.operators import (
     ForceField,
     OperatorConfig,
-    adjoint_apply,
     assemble_generator_matrix,
-    capped_convolution,
     convolve_same,
     drift_matrix,
-    fraclap_of_weight,
     fourier_multiply,
-    fraclap_reference,
     generator_apply,
-    laplacian_matrix,
     make_force,
     norm_constant,
-    offset_matrix,
     orbit_maps,
     quadrature_fraclap,
     spectral_fraclap,
     spectral_symbol,
-    split_fraclap,
     symmetries,
     verify_force_hypotheses,
+)
+from paper_checks import (
+    adjoint_apply,
+    capped_convolution,
+    fraclap_of_weight,
+    fraclap_reference,
+    laplacian_matrix,
+    offset_matrix,
+    split_fraclap,
 )
 
 
@@ -109,7 +111,7 @@ def test_convolve_same_2d_matches_direct_double_sum():
 
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
 def test_offset_matrix_matches_capped_convolution(d, n):
-    from fracfp.operators import far_kernel, plain_conv_kernel
+    from paper_checks import far_kernel, plain_conv_kernel
 
     g = build_grid(d, 6.0, n)
     cfg = OperatorConfig(alpha=0.8, method="quadrature")
@@ -129,7 +131,8 @@ def test_offset_matrix_matches_capped_convolution(d, n):
 def test_capped_convolution_reads_the_stencil_mass_table(d, n):
     # one cell quadrature: plain_conv_kernel is the mass table the stencil's
     # exterior mass is built from, with the self-cell mass put at the center
-    from fracfp.operators import cell_tables, far_kernel, get_stencil, plain_conv_kernel
+    from fracfp.operators import cell_tables, get_stencil
+    from paper_checks import far_kernel, plain_conv_kernel
 
     g = build_grid(d, 6.0, n)
     kernel = far_kernel(0.8, d, 2.0 * g.h)
@@ -441,14 +444,12 @@ def test_cached_arrays_are_read_only():
         cell_tables,
         drift_matrix,
         drift_step_matrix,
-        far_kernel,
         full_kernel,
         get_stencil,
-        plain_conv_kernel,
         quadrature_symbol,
         spectral_symbol,
-        windowed_kernel,
     )
+    from paper_checks import far_kernel, plain_conv_kernel, windowed_kernel
 
     g = build_grid(1, 10.0, 64)
     sparse = [drift_matrix(g, make_force(2.0), drift) for drift in ("upwind", "centered")]
@@ -498,6 +499,7 @@ def test_only_the_circulant_row_is_folded(monkeypatch):
     # the periodic-image fold serves quadrature_symbol and _jump_matrix only;
     # windowed, near and far stencils are built without it
     from fracfp import operators
+    from paper_checks import far_kernel, near_kernel, windowed_kernel
 
     def no_fold(*args):
         raise AssertionError("stencil build ran the periodic fold")
@@ -505,8 +507,8 @@ def test_only_the_circulant_row_is_folded(monkeypatch):
     monkeypatch.setattr(operators, "_fold_kernel", no_fold)
     for d, n in ((1, 64), (2, 8)):
         g = build_grid(d, 8.0, n)
-        for kernel in (operators.windowed_kernel(0.8, d, 0.25), operators.near_kernel(0.8, d, g.h),
-                       operators.far_kernel(0.8, d, g.h), operators.full_kernel(0.8, d)):
+        for kernel in (windowed_kernel(0.8, d, 0.25), near_kernel(0.8, d, g.h),
+                       far_kernel(0.8, d, g.h), operators.full_kernel(0.8, d)):
             st = operators.get_stencil.__wrapped__(g, kernel)  # a fresh build, not a cache hit
             assert st.ker.shape == (2 * n + 1,) * d
 
@@ -543,7 +545,8 @@ def test_fold_kernel_matches_the_image_loop(d, n, alpha):
 @pytest.mark.parametrize("q", [2.0, 1.3])
 @pytest.mark.parametrize("n", [16, 32])
 def test_wedge_cell_tables_match_the_cell_loop(n, q):
-    from fracfp.operators import cell_tables, full_kernel, windowed_kernel
+    from fracfp.operators import cell_tables, full_kernel
+    from paper_checks import windowed_kernel
 
     g = build_grid(2, 10.0, n)
     for kernel in (full_kernel(1.0, 2), windowed_kernel(0.7, 2, 0.25)):

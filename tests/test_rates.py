@@ -16,18 +16,20 @@ from fracfp.operators import (
 )
 from fracfp.evolution import evolve
 from fracfp.rates import (
-    b_semigroup_decay,
     decay_fit,
     harris_bank,
     harris_contraction,
     harris_seminorm,
     lyapunov_check,
+    semigroup,
+    semigroup_apply,
+)
+from paper_checks import (
+    b_semigroup_decay,
     near_delta,
     ode_envelope_check,
     polynomial_rate_check,
     regularization_slope,
-    semigroup,
-    semigroup_apply,
     weighted_opnorm,
 )
 

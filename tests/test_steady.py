@@ -12,7 +12,6 @@ from fracfp.operators import (
     ForceField,
     OperatorConfig,
     assemble_generator_matrix,
-    laplacian_matrix,
     orbit_maps,
     symmetries,
 )
@@ -23,6 +22,7 @@ from fracfp.steady import (
     steady_by_linear_solve,
     tail_exponent,
 )
+from paper_checks import laplacian_matrix
 
 
 @pytest.fixture(scope="module")
