@@ -4,15 +4,16 @@ The drift substep is an explicit conservative flux-form update (CFL-limited;
 upwind Heun by default, Lax-Wendroff when the operator asks for centered
 drift), precomposed into one sparse banded matrix (drift_step_matrix), so a
 substep is one matvec: scipy's compiled csr_matvec, the kernel D @ v runs,
-called directly on the matrix's arrays (operators.lane_product).  For upwind
-that matrix is (I + P @ P)/2 with P = I + tau*D >= 0 under the CFL bound: a
-column-stochastic matrix, so positivity and mass survive the substep.  The jump
-substep is one fourier_multiply: the exact spectral exp(-(2 pi |xi|)^alpha dt)
-(unconditionally stable, exactly mass preserving) or backward Euler with the
-periodized quadrature circulant, an FFT divide by 1 - dt*lambda_k (lambda_k:
-quadrature_symbol).  That M-matrix inverse is a column-stochastic kernel, so
-positivity and mass hold to FFT roundoff at any grid size.  A step is
-half-drift / full-jump / half-drift (the drift matrix at tau = dt/2).
+called directly on the matrix's arrays (operators.CSR.lane_product).  For
+upwind that matrix is (I + P @ P)/2 with P = I + tau*D >= 0 under the CFL
+bound: a column-stochastic matrix, so positivity and mass survive the
+substep.  The jump substep is one fourier_multiply: the exact spectral
+exp(-(2 pi |xi|)^alpha dt) (unconditionally stable, exactly mass
+preserving) or backward Euler with the periodized quadrature circulant, an
+FFT divide by 1 - dt*lambda_k (lambda_k: quadrature_symbol).  That M-matrix
+inverse is a column-stochastic kernel, so positivity and mass hold to FFT
+roundoff at any grid size.  A step is half-drift / full-jump / half-drift
+(the drift matrix at tau = dt/2).
 
 The step loop works on raw ndarrays: Field validation happens at the API
 boundary (the initial field and the snapshots).  ``evolve``, the one entry,
@@ -58,17 +59,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from fracfp.grid import CheckFailure, Field, Grid, weight_field
 from fracfp.operators import (
+    CSR,
     OperatorConfig,
     _jump_matrix,  # not called here: perfbench/spans.py LAYERS patches this binding
     assemble_generator_matrix,  # not called here: perfbench/spans.py LAYERS patches this binding
     drift_step_matrix,
     fourier_multiply,
     get_stencil,  # not called here: perfbench/spans.py LAYERS patches this binding
-    lane_product,
     max_drift_speed,
     orbit_maps,
     quadrature_symbol,
@@ -168,9 +168,9 @@ def _reflection_axes(grid: Grid, force, drift: str, tau: float) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _even_block(grid: Grid, force, drift: str, tau: float, omap) -> sp.csr_array:
+def _even_block(grid: Grid, force, drift: str, tau: float, omap) -> CSR:
     """drift_step_matrix folded onto the orbit map omap (OrbitMap.fold)."""
-    return readonly(omap.fold(drift_step_matrix(grid, force, drift, tau)))
+    return omap.fold(drift_step_matrix(grid, force, drift, tau))
 
 
 class _Stepper:
@@ -187,7 +187,7 @@ class _Stepper:
         self.key = (grid, cfg.force_field(), cfg.drift, 0.5 * self.dt)
         self.drift = drift_step_matrix(*self.key)
         # the drift substep: per lane, the one csr_matvec call that D @ v makes
-        self._drift = lane_product(self.drift)
+        self._drift = self.drift.lane_product()
         multiplier = (_diffusion_multiplier if scheme.diffusion_solver == "exact-spectral"
                       else _implicit_factor)
         self.mult = multiplier(grid, cfg.alpha, self.dt)
@@ -202,7 +202,7 @@ class _Stepper:
         self.map = next(iter(orbit_maps(self.grid, axes).values()))[0]
         if axes:
             self.drift = _even_block(*self.key, self.map)
-            self._drift = lane_product(self.drift)
+            self._drift = self.drift.lane_product()
             self.mult = self.mult[self.grid.half(axes)]
         self.even = axes
 

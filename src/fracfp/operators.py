@@ -38,6 +38,13 @@ normalization matching the Fourier multiplier; both routes cross-validate it.
 The drift div(E f) has one realization, the sparse flux-form matrix
 drift_matrix (upwind or centered faces): the generator applies it, the
 adjoint its transpose, and the time stepper and dense assembly build on it.
+
+No scipy package is imported: _load_compiled loads the three compiled
+modules the package calls from their files (pocketfft for the Fourier
+multipliers, sparsetools for the read-only CSR type of the sparse matrices,
+and the Pade kernels of expm), so no scipy __init__ runs.  CSR calls the
+sparsetools kernels as scipy.sparse does, and expm the Pade kernels as
+scipy.linalg.expm does: their results are scipy's bit for bit.
 """
 
 from __future__ import annotations
@@ -53,9 +60,11 @@ from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
-import scipy
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
+# numpy 2 loads these subpackages on first use: importing them here keeps
+# that cost in set-up, not in the first route that calls them
+import numpy.fft
+import numpy.polynomial
+import numpy.random
 
 from fracfp.grid import Field, Grid
 
@@ -82,11 +91,9 @@ __all__ = [
 MAX_DENSE = 4096  # dense-assembly guard on n^d
 
 
-def readonly(a):
-    """Mark a cached result immutable: every caller shares the one array (for
-    a sparse matrix, its data, indices and indptr arrays)."""
-    for arr in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
-        arr.flags.writeable = False
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array immutable: every caller shares the one array."""
+    a.flags.writeable = False
     return a
 
 
@@ -168,48 +175,20 @@ class OperatorConfig:
 
 @dataclass(frozen=True)
 class JumpKernel:
-    """Radial jump kernel c |z|^(-d-alpha), optionally capped, compensated or windowed.
-
-    cap_r:   kappa -> min(kappa, kappa(cap_r))            (bounded far kernel)
-    near_of: kappa -> (kappa - kappa(near_of))_+           (compensated near kernel)
-    lo, hi:  radial window; kernel vanishes outside [lo, hi].
-    """
+    """Radial jump kernel c |z|^(-d-alpha)."""
 
     c: float
     alpha: float
     d: int
-    cap_r: float | None = None
-    near_of: float | None = None
-    lo: float = 0.0
-    hi: float = math.inf
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore"):
-            v = self.c * r ** (-self.d - self.alpha)
-        if self.cap_r is not None:
-            v = np.minimum(v, self.c * self.cap_r ** (-self.d - self.alpha))
-        if self.near_of is not None:
-            v = np.maximum(v - self.c * self.near_of ** (-self.d - self.alpha), 0.0)
-        v = np.where((r >= self.lo) & (r <= self.hi), v, 0.0)
-        return v
+            return self.c * r ** (-self.d - self.alpha)
 
     def _segments(self):
         """(a, b, power_coeff, const_value) pieces with kernel = power + const."""
-        cap = self.c * self.cap_r ** (-self.d - self.alpha) if self.cap_r else None
-        sub = self.c * self.near_of ** (-self.d - self.alpha) if self.near_of else None
-        if self.near_of is not None:
-            segs = [(0.0, self.near_of, self.c, -sub)]
-        elif self.cap_r is not None:
-            segs = [(0.0, self.cap_r, 0.0, cap), (self.cap_r, math.inf, self.c, 0.0)]
-        else:
-            segs = [(0.0, math.inf, self.c, 0.0)]
-        out = []
-        for a, b, cp, cv in segs:
-            a2, b2 = max(a, self.lo), min(b, self.hi)
-            if b2 > a2:
-                out.append((a2, b2, cp, cv))
-        return out
+        return [(0.0, math.inf, self.c, 0.0)]
 
     def moment(self, a, b, m: float):
         """Radial moment integral of kappa(r) r^m over [a, b], vectorized in a, b.
@@ -235,36 +214,68 @@ class JumpKernel:
             total += np.where(w, piece, 0.0)
         return total
 
-    def l1_mass(self) -> float:
-        """Analytic ||kappa||_L1 over R^d (infinite for the uncapped kernel)."""
-        surf = 2.0 * math.pi ** (self.d / 2.0) / math.gamma(self.d / 2.0)  # |S^(d-1)|
-        return float(surf * self.moment(0.0, math.inf, self.d - 1))
-
 
 def full_kernel(alpha: float, d: int) -> JumpKernel:
     return JumpKernel(c=norm_constant(alpha, d), alpha=alpha, d=d)
 
 
 # ---------------------------------------------------------------------------
-# FFT layer: Fourier multipliers (pocketfft) and zero-padded convolutions (numpy.fft)
+# scipy's compiled modules, loaded from their files
 # ---------------------------------------------------------------------------
 
+SCIPY = Path(importlib.util.find_spec("scipy").origin).parent
 
-def _load_pocketfft():
-    """scipy's compiled pocketfft module, loaded from its file under the name
-    scipy.fft gives it.  Importing it through scipy.fft would run
-    scipy/fft/__init__.py, which loads all of scipy.special."""
-    where = Path(scipy.__file__).parent / "fft" / "_pocketfft"
+
+def _load_compiled(name: str):
+    """scipy's compiled module scipy.<name>, loaded from its file under that
+    name, without running any scipy package's __init__: scipy/fft's loads all
+    of scipy.special, and scipy/sparse's and scipy/linalg's load the
+    array-API layer of scipy._lib, which imports numpy.f2py and numpy.testing."""
+    package, _, module = name.rpartition(".")
+    where = SCIPY.joinpath(*package.split("."))
     finder = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec("scipy.fft._pocketfft.pypocketfft")
+    spec = finder.find_spec(f"scipy.{name}")
     if spec is None:
-        raise ImportError(f"no compiled pypocketfft module in {where}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+        raise ImportError(f"no compiled {module} module in {where}")
+    compiled = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compiled)
+    return compiled
 
 
-pypocketfft = _load_pocketfft()
+pypocketfft = _load_compiled("fft._pocketfft.pypocketfft")
+_sparsetools = _load_compiled("sparse._sparsetools")
+_matfuncs_expm = _load_compiled("linalg._matfuncs_expm")
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """e^a for a square float64 matrix a, a new array, as scipy.linalg.expm
+    computes it.  A diagonal a gives the exponentials of its diagonal.  On a
+    matrix with entries both above and below its diagonal, scipy's compiled
+    kernels run as scipy calls them (Al-Mohy and Higham, SIAM J. Matrix
+    Anal. Appl. 2009): pick_pade_structure picks the Pade order m and the
+    scaling 2^-s (scaling its copy of a in place), pade_UV_calc leaves the
+    order-m Pade approximant in that copy, and s squarings raise it to e^a.
+    A triangular matrix, which scipy takes on a branch of its own, raises
+    ValueError."""
+    lower, upper = np.tril(a, -1).any(), np.triu(a, 1).any()
+    if not (lower or upper):
+        return np.diag(np.exp(np.diag(a)))
+    if not (lower and upper):
+        raise ValueError("expm takes no triangular matrix")
+    work = np.empty((5,) + a.shape)
+    work[0] = a
+    m, s = _matfuncs_expm.pick_pade_structure(work)
+    if m < 0 or _matfuncs_expm.pade_UV_calc(work, m) != 0:
+        raise RuntimeError("expm: scipy's Pade kernels failed")
+    out = work[0].copy()
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+# ---------------------------------------------------------------------------
+# FFT layer: Fourier multipliers (pocketfft) and zero-padded convolutions (numpy.fft)
+# ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=64)
@@ -604,6 +615,145 @@ def quadrature_fraclap(f: Field, cfg: OperatorConfig) -> Field:
 
 
 # ---------------------------------------------------------------------------
+# sparse matrices: a read-only CSR type on scipy's compiled sparsetools
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A read-only sparse matrix in compressed sparse row form: row i holds
+    data[indptr[i]:indptr[i + 1]] in the columns indices[indptr[i]:...].
+
+    Each operation calls scipy's compiled sparsetools kernels as
+    scipy.sparse's csr_array calls them, with the same inputs in the same
+    order, so its result has scipy.sparse's indptr, indices and data bit for
+    bit, the order of the entries within a row included (a product or a sum
+    of matrices that are not canonical keeps its kernel's order, and drops
+    the entries that it computes as 0).  The index dtype is int32, or int64
+    when from_coo gets wider indices, as in scipy.sparse."""
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):
+        nnz = int(self.indptr[-1])  # a kernel's output arrays may be longer
+        for name in ("indices", "data"):
+            if len(getattr(self, name)) > nnz:
+                object.__setattr__(self, name, getattr(self, name)[:nnz].copy())
+        for arr in self.arrays:
+            arr.flags.writeable = False
+
+    @property
+    def arrays(self) -> tuple:
+        return self.indptr, self.indices, self.data
+
+    def _empty(self, rows: int, room: int) -> tuple:
+        """Output indptr, indices and data for a kernel."""
+        return np.empty(rows + 1, self.indices.dtype), np.empty(room, self.indices.dtype), np.empty(room)
+
+    @classmethod
+    def from_coo(cls, data: np.ndarray, row: np.ndarray, col: np.ndarray, shape: tuple) -> "CSR":
+        """The matrix of the entries data at (row, col), duplicates summed, as
+        scipy.sparse.csr_array((data, (row, col)), shape) builds it: coo_tocsr,
+        then, unless that is canonical, the indices sorted within each row
+        and the duplicates summed in that order."""
+        (m, n), nnz, idx = shape, len(data), np.result_type(np.int32, row, col)
+        indptr, indices, out = np.empty(m + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+        _sparsetools.coo_tocsr(m, n, nnz, row.astype(idx), col.astype(idx), data, indptr, indices, out)
+        if not _sparsetools.csr_has_canonical_format(m, indptr, indices):
+            if not _sparsetools.csr_has_sorted_indices(m, indptr, indices):
+                _sparsetools.csr_sort_indices(m, indptr, indices, out)
+            _sparsetools.csr_sum_duplicates(m, n, indptr, indices, out)
+        return cls(shape, indptr, indices, out)
+
+    @classmethod
+    def diag(cls, values: np.ndarray) -> "CSR":
+        """The diagonal matrix of values, without its zero entries, as
+        scipy.sparse.diags_array(values).tocsr() holds it."""
+        live = values != 0
+        indptr = np.concatenate([[0], np.cumsum(live)]).astype(np.int32)
+        return cls((len(values),) * 2, indptr, np.flatnonzero(live).astype(np.int32), values[live])
+
+    def coo(self) -> tuple:
+        """(row, col, data) of the stored entries, in storage order."""
+        row = np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype), np.diff(self.indptr))
+        return row, self.indices, self.data
+
+    def _binop(self, other: "CSR", kernel) -> "CSR":
+        """self op other through csr_plus_csr or csr_minus_csr."""
+        out = self._empty(self.shape[0], len(self.data) + len(other.data))
+        kernel(*self.shape, *self.arrays, *other.arrays, *out)
+        return CSR(self.shape, *out)
+
+    def __add__(self, other: "CSR") -> "CSR":
+        return self._binop(other, _sparsetools.csr_plus_csr)
+
+    def __sub__(self, other: "CSR") -> "CSR":
+        return self._binop(other, _sparsetools.csr_minus_csr)
+
+    def __mul__(self, scalar: float) -> "CSR":
+        return CSR(self.shape, self.indptr, self.indices, self.data * scalar)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar: float) -> "CSR":
+        return CSR(self.shape, self.indptr, self.indices, self.data / scalar)
+
+    def __matmul__(self, other):
+        """The product with a CSR matrix (csr_matmat: each row's entries in
+        the kernel's order), with a vector (csr_matvec) or with the columns
+        of a 2d array (csr_matvecs); the dense products are new arrays."""
+        m, n = self.shape
+        if isinstance(other, CSR):
+            k = other.shape[1]
+            room = _sparsetools.csr_matmat_maxnnz(m, k, *self.arrays[:2], *other.arrays[:2])
+            out = self._empty(m, room)
+            _sparsetools.csr_matmat(m, k, *self.arrays, *other.arrays, *out)
+            return CSR((m, k), *out)
+        if other.ndim == 1:
+            out = np.zeros(m)
+            _sparsetools.csr_matvec(m, n, *self.arrays, other, out)
+            return out
+        out = np.zeros((m, other.shape[1]))
+        _sparsetools.csr_matvecs(m, n, other.shape[1], *self.arrays, other.ravel(), out.ravel())
+        return out
+
+    @property
+    def T(self) -> "CSR":
+        """The transpose, through csr_tocsc: each row's entries in column
+        order, as scipy.sparse's tocsc (and the tocsr of a CSC) give them."""
+        out = self._empty(self.shape[1], len(self.data))
+        _sparsetools.csr_tocsc(*self.shape, *self.arrays, *out)
+        return CSR(self.shape[::-1], *out)
+
+    def eliminate_zeros(self) -> "CSR":
+        """The matrix without its stored zeros (csr_eliminate_zeros)."""
+        out = tuple(arr.copy() for arr in self.arrays)
+        _sparsetools.csr_eliminate_zeros(*self.shape, *out)
+        return CSR(self.shape, *out)
+
+    def lane_product(self) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> self @ x for the square matrix self, on one field or on each
+        lane of a stack whose trailing axes hold shape[1] values: one
+        csr_matvec call per lane into a zeroed output, which is self @ x bit
+        for bit without its per-call dispatch."""
+        m, n = self.shape
+        if m != n:
+            raise ValueError("lane_product needs a square matrix")
+        args = (m, n, *self.arrays)
+
+        def apply(values: np.ndarray) -> np.ndarray:
+            out = np.zeros(values.shape)
+            for x, y in zip(values.reshape(-1, n), out.reshape(-1, n)):
+                _sparsetools.csr_matvec(*args, x, y)
+            return out
+
+        return apply
+
+
+# ---------------------------------------------------------------------------
 # drift: sparse matrices over the interior faces
 # ---------------------------------------------------------------------------
 
@@ -627,34 +777,33 @@ def _face_velocities(grid: Grid, force: ForceField) -> tuple[np.ndarray, ...]:
 
 
 def _face_pickers(grid: Grid) -> list:
-    """Per axis, the sparse (S_hi, S_lo) that pick the node above and below
-    each interior face, rows in the row-major order of the face arrays."""
-    n, d = grid.n, grid.d
-    out = []
-    for axis in range(d):
-        out.append(tuple(
-            reduce(sp.kron, [sp.eye_array(n - 1, n, k=k) if a == axis else sp.eye_array(n)
-                             for a in range(d)]).tocsr()
-            for k in (1, 0)))
-    return out
+    """Per axis, the (S_hi, S_lo) that pick the node above and below each
+    interior face: one entry 1 per row, rows in the row-major order of the
+    face arrays."""
+    n, nodes = grid.n, np.arange(grid.size, dtype=np.int32).reshape(grid.shape)
+    faces = grid.size // n * (n - 1)
+    return [tuple(CSR((faces, grid.size), np.arange(faces + 1, dtype=np.int32),
+                      np.take(nodes, np.arange(k, k + n - 1), axis).ravel(), np.ones(faces))
+                  for k in (1, 0))
+            for axis in range(grid.d)]
 
 
-def _face_divergence(grid: Grid, face_maps) -> sp.csr_array:
+def _face_divergence(grid: Grid, face_maps) -> CSR:
     """Sum over axes of Div_a @ F_a, Div_a = (S_lo - S_hi)^T / h, for per-axis
     maps F_a from node values to interior-face fluxes: (F[i+1/2] - F[i-1/2]) / h
     per axis, with zero flux through the box boundary faces.  Each axis term
-    divides its summed entries by h, which fixes the rounding of every entry."""
+    divides its summed entries by h, which fixes the rounding of every entry.
+    The term is (F_a^T (S_lo - S_hi))^T, the product scipy.sparse forms for
+    the CSC (S_lo - S_hi)^T times F_a, and then its CSR layout."""
     out = None
     for (s_hi, s_lo), face in zip(_face_pickers(grid), face_maps):
-        term = ((s_lo - s_hi).T @ face).tocsr()
-        term.data /= grid.h
+        term = (face.T @ (s_lo - s_hi)).T / grid.h
         out = term if out is None else out + term
-    out.eliminate_zeros()
-    return out
+    return out.eliminate_zeros()
 
 
 @lru_cache(maxsize=16)
-def drift_matrix(grid: Grid, force: ForceField, drift: str) -> sp.csr_array:
+def drift_matrix(grid: Grid, force: ForceField, drift: str) -> CSR:
     """The drift generator D = div(E .) in conservative flux form, as a sparse
     matrix on the row-major node order.  The generator applies D, the adjoint
     D^T = -E . grad, and the stepper and dense assembly build on D.
@@ -672,14 +821,14 @@ def drift_matrix(grid: Grid, force: ForceField, drift: str) -> sp.csr_array:
     for a, (s_hi, s_lo) in enumerate(_face_pickers(grid)):
         ep, em = faces[2 * a].ravel(), faces[2 * a + 1].ravel()
         if drift == "centered":
-            maps.append(sp.diags_array(ep + em) @ (0.5 * (s_hi + s_lo)))
+            maps.append(CSR.diag(ep + em) @ (0.5 * (s_hi + s_lo)))
         else:
-            maps.append(sp.diags_array(ep) @ s_hi + sp.diags_array(em) @ s_lo)
-    return readonly(_face_divergence(grid, maps))
+            maps.append(CSR.diag(ep) @ s_hi + CSR.diag(em) @ s_lo)
+    return _face_divergence(grid, maps)
 
 
 @lru_cache(maxsize=16)
-def drift_step_matrix(grid: Grid, force: ForceField, drift: str, tau: float) -> sp.csr_array:
+def drift_step_matrix(grid: Grid, force: ForceField, drift: str, tau: float) -> CSR:
     """One explicit drift substep of length tau as a sparse matrix.
 
     upwind: Heun, H = (I + P @ P)/2 with P = I + tau D, second order in time
@@ -692,39 +841,19 @@ def drift_step_matrix(grid: Grid, force: ForceField, drift: str, tau: float) -> 
     the tau^2 term stabilizes the centered average (dispersive, not monotone;
     used by the second-order steady-state routes, not the positivity suites).
     """
-    eye = sp.eye_array(grid.size, format="csr")
+    eye = CSR.diag(np.ones(grid.size))
     if drift != "centered":
         p = eye + tau * drift_matrix(grid, force, drift)
-        return readonly(0.5 * (eye + p @ p))
+        return 0.5 * (eye + p @ p)
     faces = _face_velocities(grid, force)
     e_node = force.components(grid.coords())
     c = tau / (2.0 * grid.h)
     maps = []
     for a, (s_hi, s_lo) in enumerate(_face_pickers(grid)):
-        e_face = sp.diags_array((faces[2 * a] + faces[2 * a + 1]).ravel())
-        lw = 0.5 * (s_hi + s_lo) + c * (s_hi - s_lo) @ sp.diags_array(e_node[a].ravel())
+        e_face = CSR.diag((faces[2 * a] + faces[2 * a + 1]).ravel())
+        lw = 0.5 * (s_hi + s_lo) + c * (s_hi - s_lo) @ CSR.diag(e_node[a].ravel())
         maps.append(e_face @ lw)
-    return readonly(eye + tau * _face_divergence(grid, maps))
-
-
-def lane_product(mat: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> mat @ x for the square CSR matrix mat, on one field or on each
-    lane of a stack whose trailing axes hold mat.shape[1] values.  Each lane
-    is one call of scipy.sparse's compiled csr_matvec, the kernel that
-    mat @ x runs, on mat's own arrays into a zeroed output, so it is
-    mat @ x bit for bit, without the per-call dispatch of mat @ x."""
-    m, n = mat.shape
-    if mat.format != "csr" or m != n:
-        raise ValueError("lane_product needs a square CSR matrix")
-    args = (m, n, mat.indptr, mat.indices, mat.data)
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        out = np.zeros(values.shape)
-        for x, y in zip(values.reshape(-1, n), out.reshape(-1, n)):
-            _sparsetools.csr_matvec(*args, x, y)
-        return out
-
-    return apply
+    return eye + tau * _face_divergence(grid, maps)
 
 
 def max_drift_speed(grid: Grid, force: ForceField) -> float:
@@ -737,14 +866,27 @@ def max_drift_speed(grid: Grid, force: ForceField) -> float:
     return total
 
 
-def symmetries(grid: Grid, mat: sp.csr_array) -> tuple:
+def symmetries(grid: Grid, mat: CSR) -> tuple:
     """(axes, swaps): the axes whose reflection x_a -> -x_a, and the pairs of
-    them whose swap x_a <-> x_b, leave the sparse node matrix mat exactly
-    unchanged, mat[perm][:, perm] equal to mat entry for entry."""
+    them whose swap x_a <-> x_b, leave the sparse node matrix mat, which has
+    no duplicate entries, exactly unchanged: mat[perm][:, perm] equal to mat
+    entry for entry, a stored zero equal to an absent entry."""
     nodes = np.arange(grid.size).reshape(grid.shape)
+    row, col, data = mat.coo()
+    live = data != 0
+    row, col, data = row[live], col[live], data[live]
+
+    def entries(key):
+        order = np.argsort(key)
+        return key[order], data[order]
+
+    keys, values = entries(row * grid.size + col)
 
     def invariant(perm):
-        return (mat[perm.ravel()][:, perm.ravel()] != mat).nnz == 0
+        # mat[perm][:, perm] holds the entry (r, c) of mat at (perm^-1 r, perm^-1 c)
+        inverse = np.argsort(perm.ravel())
+        moved = entries(inverse[row] * grid.size + inverse[col])
+        return np.array_equal(moved[0], keys) and np.array_equal(moved[1], values)
 
     axes = tuple(a for a in range(grid.d) if invariant(np.flip(nodes, a)))
     return axes, tuple(p for p in itertools.combinations(axes, 2) if invariant(np.swapaxes(nodes, *p)))
@@ -779,15 +921,15 @@ class OrbitMap:
         """The field of the sector with the coefficients coef."""
         return (coef.ravel()[self.index] * self.weight).reshape(self.shape)
 
-    def fold(self, mat: sp.csr_array) -> sp.csr_array:
+    def fold(self, mat: CSR) -> CSR:
         """The sparse node matrix mat, which commutes with the group, on the
         coefficients, a new matrix: its rows on reps, each column added into
         its orbit with its weight, entry by entry, duplicates summed."""
-        mat = mat.tocoo()
-        keep = (self.reps[self.index[mat.row]] == mat.row) & (self.weight[mat.col] != 0)
-        row, col = mat.row[keep], mat.col[keep]
-        return sp.csr_array((mat.data[keep] * self.weight[col], (self.index[row], self.index[col])),
-                            shape=(len(self.reps),) * 2)
+        row, col, data = mat.coo()
+        keep = (self.reps[self.index[row]] == row) & (self.weight[col] != 0)
+        row, col = row[keep], col[keep]
+        return CSR.from_coo(data[keep] * self.weight[col], self.index[row], self.index[col],
+                            (len(self.reps),) * 2)
 
 
 def _orbit_map(shape: tuple, images: list, chars: list) -> OrbitMap:
@@ -918,8 +1060,7 @@ def _jump_matrix(grid: Grid, alpha: float, omap: OrbitMap | None = None) -> np.n
     c the row of _jump_row (in 1d, c[i - j] + s c[i + j + 1] for parity s)."""
     omap = omap or orbit_maps(grid, ())[(), 1][0]
     live = np.flatnonzero(omap.weight)
-    orbit_sum = sp.csr_array((omap.weight[live], (omap.index[live], live)),
-                             shape=(len(omap.reps), grid.size))
+    orbit_sum = CSR.from_coo(omap.weight[live], omap.index[live], live, (len(omap.reps), grid.size))
     # the transpose, as c is even (c[x - rep_k] = c[rep_k - x]); its gather
     # is freed before the copy
     transposed = orbit_sum @ _gather(_jump_row(grid, alpha), 0, grid.n, omap.reps)
@@ -943,22 +1084,22 @@ def _generator_sectors(grid: Grid, cfg: OperatorConfig, maps: MappingProxyType) 
     out = {}
     for key, omaps in maps.items():
         mat = _jump_matrix(grid, cfg.alpha, omaps[0])
-        part = omaps[0].fold(drift).tocoo()
-        mat[part.row, part.col] += part.data  # summed duplicates: no repeated (row, col)
+        row, col, data = omaps[0].fold(drift).coo()
+        mat[row, col] += data  # summed duplicates: no repeated (row, col)
         out[key] = (readonly(mat), omaps)
     return out
 
 
-def _max_abs(grid: Grid, row: np.ndarray, drift: sp.csr_array) -> float:
+def _max_abs(grid: Grid, row: np.ndarray, drift: CSR) -> float:
     """max |J + D| over the full matrix, from the circulant row of J and the
     sparse D, which changes the entries it touches: it couples neighbours
     only, not around the box, so every off-diagonal offset class keeps its
     J value at a wrap-around entry, and the diagonal unless D has all of it."""
-    coo = drift.tocoo()
-    pos = zip(np.unravel_index(coo.row, grid.shape), np.unravel_index(coo.col, grid.shape))
+    rows, cols, data = drift.coo()
+    pos = zip(np.unravel_index(rows, grid.shape), np.unravel_index(cols, grid.shape))
     offset = np.ravel_multi_index(tuple((r - c) % grid.n for r, c in pos), grid.shape)
-    kept = row.ravel()[int(np.count_nonzero(coo.row == coo.col) == grid.size):]
-    return float(max(np.abs(row.ravel()[offset] + coo.data).max(initial=0.0), np.abs(kept).max()))
+    kept = row.ravel()[int(np.count_nonzero(rows == cols) == grid.size):]
+    return float(max(np.abs(row.ravel()[offset] + data).max(initial=0.0), np.abs(kept).max()))
 
 
 def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatrix:

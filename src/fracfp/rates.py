@@ -14,10 +14,9 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from fracfp.grid import CheckFailure, Grid, line_fit, weight_field
-from fracfp.operators import GeneratorMatrix, readonly
+from fracfp.operators import GeneratorMatrix, expm, readonly
 from fracfp.evolution import evolve  # not called here: perfbench/spans.py LAYERS patches this binding
 from fracfp.functionals import cosine_noise
 

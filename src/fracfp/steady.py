@@ -17,7 +17,9 @@ one block per sector (GeneratorMatrix.sectors: at n = 32 in 2d, 136, 120,
 256 standing for two, 136 and 120 unknowns for 1024 nodes).  The stationary
 state lies in the fully even sector, which the linear-solve route solves
 alone; the eigenpair route takes the spectrum of every sector and the
-eigenvectors of the fully even one.
+eigenvectors of the fully even one.  Both call numpy.linalg (solve, eig,
+eigvals); eig returns a real spectrum as real arrays, which the eigenpair
+route reads as it reads a complex one.
 
 For the quadratic-potential drift E = x the equilibrium is explicit in
 Fourier space: F^(xi) = exp(-(2 pi |xi|)^alpha / alpha); at alpha = 1 this is
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import reduce
 
 import numpy as np
-from scipy import linalg as _la
+from numpy import linalg as _la
 
 from fracfp.grid import (
     CheckFailure,
@@ -171,7 +173,7 @@ def steady_by_linear_solve(gm: GeneratorMatrix) -> SteadyState:
     a[j0, :] = grid.cell_volume * omap.sizes
     b = np.zeros(len(a))
     b[j0] = 1.0
-    sol = _la.solve(a, b, overwrite_a=True)
+    sol = _la.solve(a, b)
     resid_rows = block @ sol
     resid_rows[j0] = 0.0
     field = _finalize(grid, omap.lift(sol), "linear-solve")

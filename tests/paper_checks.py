@@ -7,10 +7,10 @@ call them, and not in the fracfp package, whose modules hold what
 function builds on:
 
 * grid: the smoothstep radial cutoff;
-* operators: the capped, compensated and windowed kernels, the kernel
-  splitting and the capped-kernel convolution, the 3/5-point Laplacian, the
-  adjoint, the dense offset matrix, and the adaptive reference quadrature
-  with its analytic-exterior weight action (1d);
+* operators: the capped, compensated and windowed kernels (KernelVariant),
+  the kernel splitting and the capped-kernel convolution, the 3/5-point
+  Laplacian, the adjoint, the dense offset matrix, and the adaptive
+  reference quadrature with its analytic-exterior weight action (1d);
 * functionals: the integrated p-dissipation, the W^{s,p} seminorm, the
   confinement profile, the relative entropy and the local-mean control;
 * evolution: the viscosity-regularized generator (applied, never stepped)
@@ -25,15 +25,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import expm
 
 from fracfp.grid import Field, Grid, integrate, line_fit, weight_field
 from fracfp.operators import (
+    CSR,
     GeneratorMatrix,
     JumpKernel,
     OperatorConfig,
@@ -77,16 +78,66 @@ def smooth_indicator(grid: Grid, R: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def far_kernel(alpha: float, d: int, r: float) -> JumpKernel:
-    return JumpKernel(c=norm_constant(alpha, d), alpha=alpha, d=d, cap_r=r)
+@dataclass(frozen=True)
+class KernelVariant(JumpKernel):
+    """Radial jump kernel c |z|^(-d-alpha), optionally capped, compensated or windowed.
+
+    cap_r:   kappa -> min(kappa, kappa(cap_r))            (bounded far kernel)
+    near_of: kappa -> (kappa - kappa(near_of))_+           (compensated near kernel)
+    lo, hi:  radial window; kernel vanishes outside [lo, hi].
+    """
+
+    cap_r: float | None = None
+    near_of: float | None = None
+    lo: float = 0.0
+    hi: float = math.inf
+
+    def value(self, r):
+        r = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore"):
+            v = self.c * r ** (-self.d - self.alpha)
+        if self.cap_r is not None:
+            v = np.minimum(v, self.c * self.cap_r ** (-self.d - self.alpha))
+        if self.near_of is not None:
+            v = np.maximum(v - self.c * self.near_of ** (-self.d - self.alpha), 0.0)
+        v = np.where((r >= self.lo) & (r <= self.hi), v, 0.0)
+        return v
+
+    def _segments(self):
+        """(a, b, power_coeff, const_value) pieces with kernel = power + const."""
+        cap = self.c * self.cap_r ** (-self.d - self.alpha) if self.cap_r else None
+        sub = self.c * self.near_of ** (-self.d - self.alpha) if self.near_of else None
+        if self.near_of is not None:
+            segs = [(0.0, self.near_of, self.c, -sub)]
+        elif self.cap_r is not None:
+            segs = [(0.0, self.cap_r, 0.0, cap), (self.cap_r, math.inf, self.c, 0.0)]
+        else:
+            segs = [(0.0, math.inf, self.c, 0.0)]
+        out = []
+        for a, b, cp, cv in segs:
+            a2, b2 = max(a, self.lo), min(b, self.hi)
+            if b2 > a2:
+                out.append((a2, b2, cp, cv))
+        return out
+
+    def l1_mass(self) -> float:
+        """Analytic ||kappa||_L1 over R^d (infinite for the uncapped kernel)."""
+        surf = 2.0 * math.pi ** (self.d / 2.0) / math.gamma(self.d / 2.0)  # |S^(d-1)|
+        return float(surf * self.moment(0.0, math.inf, self.d - 1))
 
 
-def near_kernel(alpha: float, d: int, r: float) -> JumpKernel:
-    return JumpKernel(c=norm_constant(alpha, d), alpha=alpha, d=d, near_of=r)
 
 
-def windowed_kernel(alpha: float, d: int, eps: float) -> JumpKernel:
-    return JumpKernel(
+def far_kernel(alpha: float, d: int, r: float) -> KernelVariant:
+    return KernelVariant(c=norm_constant(alpha, d), alpha=alpha, d=d, cap_r=r)
+
+
+def near_kernel(alpha: float, d: int, r: float) -> KernelVariant:
+    return KernelVariant(c=norm_constant(alpha, d), alpha=alpha, d=d, near_of=r)
+
+
+def windowed_kernel(alpha: float, d: int, eps: float) -> KernelVariant:
+    return KernelVariant(
         c=norm_constant(alpha, d), alpha=alpha, d=d, lo=eps, hi=1.0 / eps
     )
 
@@ -133,15 +184,13 @@ def capped_convolution(f: Field, cfg: OperatorConfig, r: float) -> Field:
 
 
 @lru_cache(maxsize=16)
-def laplacian_matrix(grid: Grid) -> sp.csr_array:
+def laplacian_matrix(grid: Grid) -> CSR:
     """The 3/5-point Laplacian, fields extended by zero outside the box:
     (sum_a S_hi^T S_lo + S_lo^T S_hi - 2d I) / h^2."""
-    out = -2.0 * grid.d * sp.eye_array(grid.size, format="csr")
+    out = -2.0 * grid.d * CSR.diag(np.ones(grid.size))
     for s_hi, s_lo in _face_pickers(grid):
         out = out + s_hi.T @ s_lo + s_lo.T @ s_hi
-    out = out.tocsr()
-    out.data /= grid.h**2
-    return readonly(out)
+    return out / grid.h**2
 
 
 def adjoint_apply(g: Field, cfg: OperatorConfig) -> Field:

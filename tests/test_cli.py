@@ -748,25 +748,34 @@ def test_monitors_csv_rows_are_the_formatted_columns(tmp_path):
 
 
 def test_cli_import_leaves_out_unused_scipy_subpackages(tmp_path):
-    # concurrent.futures itself comes with scipy.sparse (numpy.testing), but
-    # not its thread pool; glob is the shell's job.  The all-suite run catches
-    # a route that loads one of them late, the run of two configs a runner
-    # that does.
+    # scipy.sparse and scipy.linalg would bring scipy._lib's array-API layer,
+    # with numpy.f2py, numpy.testing and concurrent.futures; glob is the
+    # shell's job.  A 2d steady run (eig, eigvals, solve) and a 1d all-suite
+    # run (expm too) reach every dense route, and run_scenario imports no
+    # module at all: a route that loads one late fails here, and the run of
+    # two configs catches a runner that does.
     src = Path(fracfp.__file__).resolve().parents[1]
-    cfg = write_cfg(tmp_path, "name = i\nd = 1\nL = 10\nn = 64\nsuite = all\nhorizon = 1\n")
+    cfgs = [str(write_cfg(tmp_path, "name = s\nd = 2\nL = 10\nn = 16\nsuite = steady\n", "s.cfg")),
+            str(write_cfg(tmp_path, "name = i\nd = 1\nL = 10\nn = 64\nsuite = all\nhorizon = 1\n"))]
     pair = [str(write_cfg(tmp_path, f"name = {name}\n" + BATCH_BODY, f"{name}.cfg")) for name in "jk"]
     code = ("import sys, fracfp.cli\n"
-            "unused = ('scipy.signal', 'scipy.integrate', 'scipy.fft', 'scipy.special',"
-            " 'concurrent.futures.thread', 'glob')\n"
+            "unused = ('scipy.signal', 'scipy.integrate', 'scipy.fft', 'scipy.special', 'scipy.sparse',"
+            " 'scipy.linalg', 'scipy._lib._util', 'numpy.f2py', 'numpy.testing', 'concurrent.futures',"
+            " 'glob')\n"
             "print([m for m in unused if m in sys.modules])\n"
-            f"fracfp.cli.run_scenario(fracfp.cli.parse_config({str(cfg)!r}), {str(tmp_path / 'o')!r})\n"
+            f"for cfg in {cfgs!r}:\n"
+            "    scenario = fracfp.cli.parse_config(cfg)\n"
+            "    before = set(sys.modules)\n"
+            f"    fracfp.cli.run_scenario(scenario, {str(tmp_path)!r} + '/' + scenario.name)\n"
+            "    print(sorted(set(sys.modules) - before))\n"
             "print([m for m in unused if m in sys.modules])\n"
             f"print(fracfp.cli.main(['run', *{pair!r}, '--out', {str(tmp_path / 'b')!r}]))\n"
             "print([m for m in unused if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.splitlines() == ["[]", "[]", f"{pair[0]}: PASS", f"{pair[1]}: PASS", "0", "[]"]
+    assert out.stdout.splitlines() == ["[]", "[]", "[]", "[]",
+                                       f"{pair[0]}: PASS", f"{pair[1]}: PASS", "0", "[]"]
 
 
 # the benchmark workloads (perfbench/run.py), written out

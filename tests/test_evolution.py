@@ -24,6 +24,7 @@ from fracfp.evolution import (
     step_size,
 )
 from paper_checks import duhamel_residual, radial_cutoff, viscosity_generator_apply
+from sparse_reference import to_scipy
 
 
 def normalized_gaussian(grid, s2=1.0):
@@ -137,7 +138,7 @@ def test_drift_substep_matrix_is_two_stage_formula(d, n, drift):
     ref = two_stage_drift(f, cfg, tau)
     assert np.max(np.abs(st._drift(f.values) - ref)) <= 1e-14 * np.max(np.abs(ref))
     # column-stochastic: every substep conserves mass
-    assert np.max(np.abs(st.drift.sum(axis=0) - 1.0)) <= 1e-14
+    assert np.max(np.abs(to_scipy(st.drift).sum(axis=0) - 1.0)) <= 1e-14
     if drift == "upwind":
         # Heun (I + P @ P)/2 with P = I + tau D >= 0 under the CFL bound
         assert st.drift.data.min() >= 0.0
@@ -570,7 +571,7 @@ def test_folded_drift_is_the_half_grid_fold_bit_for_bit(d, L, n, drift):
     st = _Stepper(g, cfg, SchemeConfig())
     assert st.axes == tuple(range(d))
     whole = drift_step_matrix(g, cfg.force_field(), drift, 0.5 * st.dt)
-    want = fold_reference.fold_sparse(g, whole, st.axes)
+    want = fold_reference.fold_sparse(g, to_scipy(whole), st.axes)
     rng = np.random.default_rng(3)
 
     def substep_is_the_product(mat):

@@ -58,6 +58,7 @@ CELL_QUADRATURE = ("moment", "gl_cell_integrals_2d", "theta_quad", "_self_cell")
 CELL_QUADRATURE_CALLERS = {
     ("paper_checks", "plain_conv_kernel"):
         "the capped-kernel convolution stencil: the cell_tables masses, the self-cell mass at the center",
+    ("paper_checks", "KernelVariant"): "l1_mass: the exact radial moment of the capped kernel over R^d",
 }
 
 
@@ -290,13 +291,13 @@ def test_one_orbit_map_builder():
     assert not [name for name in defined if "fold" in name or name == "along"]
 
 
-# scipy's compiled kernels that the time step calls directly (operators loads
-# pypocketfft from its file and imports _sparsetools), and the operators
-# function that is the one caller of each
-PRIVATE_KERNELS = {"pypocketfft": "fourier_multiply", "_sparsetools": "lane_product"}
+# scipy's compiled modules that operators loads from their files, and the
+# operators function or class that is the one caller of each
+PRIVATE_KERNELS = {"pypocketfft": "fourier_multiply", "_sparsetools": "CSR", "_matfuncs_expm": "expm"}
 # scipy subpackages no module imports: scipy.fft's package loads scipy.special,
-# and its public transforms would bypass fourier_multiply
-UNUSED_SCIPY = ("scipy.fft", "scipy.special")
+# and its public transforms would bypass fourier_multiply; scipy.sparse and
+# scipy.linalg load the array-API layer of scipy._lib (numpy.f2py, numpy.testing)
+UNUSED_SCIPY = ("scipy.fft", "scipy.special", "scipy.sparse", "scipy.linalg")
 
 
 def _imported(tree: ast.Module) -> list[str]:
@@ -331,9 +332,9 @@ def _names(tree: ast.Module) -> set[str]:
 
 
 def test_only_operators_calls_scipys_private_kernels():
-    """operators alone names scipy's private FFT and sparse kernels, only
-    fourier_multiply and lane_product call them, and no module imports
-    scipy.fft or scipy.special."""
+    """operators alone names scipy's compiled FFT, sparse and expm modules,
+    only fourier_multiply, the CSR type and expm call them, and no module
+    imports a scipy subpackage of UNUSED_SCIPY."""
     found, callers = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
@@ -343,7 +344,8 @@ def test_only_operators_calls_scipys_private_kernels():
             found += [f"{path.name} names {kernel}" for kernel in PRIVATE_KERNELS
                       for name in _names(tree) if name and kernel in name]
             continue
-        callers |= {(node.value.id, fn.name) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        callers |= {(node.value.id, fn.name) for fn in tree.body
+                    if isinstance(fn, (ast.FunctionDef, ast.ClassDef))
                     for node in ast.walk(fn) if isinstance(node, ast.Attribute)
                     and getattr(node.value, "id", None) in PRIVATE_KERNELS}
     assert not found, "\n".join(found)

@@ -34,6 +34,7 @@ from paper_checks import (
     offset_matrix,
     split_fraclap,
 )
+from sparse_reference import to_scipy
 
 
 def gaussian_field(grid, s2=1.0):
@@ -622,14 +623,14 @@ def test_drift_matrix_is_drift_apply_by_columns(d, n, drift):
     g = build_grid(d, 8.0, n)
     cfg = OperatorConfig(alpha=1.0, gamma=2.5, drift=drift)
     mat = drift_matrix(g, cfg.force_field(), drift)
-    assert np.array_equal(mat.toarray(), ref.by_action(g, lambda f: ref.drift_apply(f, cfg)))
+    assert np.array_equal(to_scipy(mat).toarray(), ref.by_action(g, lambda f: ref.drift_apply(f, cfg)))
 
 
 @pytest.mark.parametrize("d,n,drift", DRIFT_CASES)
 def test_drift_matrix_transpose_is_drift_adjoint_apply(d, n, drift):
     g = build_grid(d, 8.0, n)
     cfg = OperatorConfig(alpha=1.0, gamma=2.5, drift=drift)
-    mat = drift_matrix(g, cfg.force_field(), drift).T.toarray()
+    mat = to_scipy(drift_matrix(g, cfg.force_field(), drift)).T.toarray()
     adj = ref.by_action(g, lambda f: ref.drift_adjoint_apply(f, cfg))
     assert np.allclose(mat, adj, rtol=0.0, atol=1e-14 * np.abs(adj).max())
 
@@ -637,7 +638,7 @@ def test_drift_matrix_transpose_is_drift_adjoint_apply(d, n, drift):
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
 def test_laplacian_matrix_is_stencil_by_columns(d, n):
     g = build_grid(d, 8.0, n)
-    assert np.array_equal(laplacian_matrix(g).toarray(), ref.by_action(g, ref.discrete_laplacian))
+    assert np.array_equal(to_scipy(laplacian_matrix(g)).toarray(), ref.by_action(g, ref.discrete_laplacian))
 
 
 def test_drift_2d_divergence_identity():
@@ -645,6 +646,59 @@ def test_drift_2d_divergence_identity():
     for drift in DRIFTS:
         out = drift_of(g, 2.0, drift, np.ones((32, 32)))
         assert np.max(np.abs(out[4:-4, 4:-4] - 2.0)) < 1e-12
+
+
+# ---------------------------------------------------------------- CSR layer
+
+
+CSR_CASES = {
+    "1d-2048": (1, 20.0, 2048, make_force(2.0)),
+    "1d-512-gamma-1.5": (1, 10.0, 512, make_force(1.5)),
+    "1d-shifted": (1, 10.0, 64, ForceField(2.0, lambda p: p - 0.5)),
+    "2d-32": (2, 10.0, 32, make_force(2.0)),
+    "2d-16-gamma-2.5": (2, 10.0, 16, make_force(2.5)),
+    **{name: (2, 3.0, 8, force) for name, (d, force, *_) in MAP_CASES.items()
+       if d == 2 and force is not None},
+}
+
+
+@pytest.mark.parametrize("drift", DRIFTS)
+@pytest.mark.parametrize("name", sorted(CSR_CASES))
+def test_csr_builds_are_scipy_sparse_bit_for_bit(name, drift):
+    # the CSR type runs the sparsetools kernels as scipy.sparse runs them:
+    # the drift matrix, the drift substep and their fold onto every sector
+    # have scipy.sparse's indptr, indices and data, the order of the entries
+    # within a row and the index dtype included; the symmetries, the
+    # products with a vector (also through the transpose) and the orbit sums
+    # of the dense jump sectors are scipy.sparse's too
+    from fracfp.evolution import auto_dt
+    from fracfp.operators import _gather, _jump_matrix, _jump_row, drift_step_matrix
+
+    import sparse_reference as sref
+
+    d, L, n, force = CSR_CASES[name]
+    g = build_grid(d, L, n)
+    tau = 0.5 * auto_dt(g, OperatorConfig(alpha=1.0, force=force))
+    mats = [drift_matrix(g, force, drift), drift_step_matrix(g, force, drift, tau)]
+    refs = [sref.drift_matrix(g, force, drift), sref.drift_step_matrix(g, force, drift, tau)]
+    axes, swaps = symmetries(g, mats[0])
+    assert (axes, swaps) == sref.symmetries(g, refs[0])
+    assert symmetries(g, mats[1]) == sref.symmetries(g, refs[1])
+    v = np.cos(0.37 * np.arange(g.size))
+    for mat, want in zip(mats, refs):
+        assert np.array_equal(mat @ v, want @ v) and np.array_equal(mat.T @ v, want.T @ v)
+    sector_maps = [maps[0] for maps in orbit_maps(g, axes, swaps).values()]
+    pairs = list(zip(mats, refs)) + [(omap.fold(mat), sref.fold(omap, want))
+                                     for omap in sector_maps for mat, want in zip(mats, refs)]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    if g.size <= 1024:
+        row = _jump_row(g, 1.0)
+        for omap in sector_maps:
+            gather = _gather(row, 0, g.n, omap.reps)
+            assert np.array_equal(_jump_matrix(g, 1.0, omap), (sref.orbit_sum(omap, g.size) @ gather).T)
 
 
 # ---------------------------------------------------------------- generator

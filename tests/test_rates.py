@@ -4,7 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
+
+from fracfp import operators
 
 from fracfp.grid import CheckFailure, Field, build_grid, weight_field
 from fracfp.operators import (
@@ -16,6 +19,7 @@ from fracfp.operators import (
 )
 from fracfp.evolution import evolve
 from fracfp.rates import (
+    _adjoint,
     decay_fit,
     harris_bank,
     harris_contraction,
@@ -437,3 +441,19 @@ def test_exponential_convergence_rate_positive():
     rep = decay_fit(np.array(tr.times), np.array(diffs), window=(2.0, 9.0))
     assert rep.fitted > 0.0
     assert rep.r2 > 0.99
+
+
+@pytest.mark.parametrize("d, L, n", [(1, 10.0, 512), (2, 10.0, 32)])
+def test_expm_is_scipy_linalg_expm_bit_for_bit(d, L, n):
+    # operators.expm calls scipy's compiled Pade kernels as scipy.linalg.expm
+    # calls them: on the adjoint sectors of the checks-1d and dense-2d
+    # generators, at the time the CLI samples and at t = 0 (a diagonal
+    # matrix, scipy's other branch), the same bits
+    gm = assemble_generator_matrix(build_grid(d, L, n),
+                                   OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature"))
+    for key in gm.sectors:
+        for t in (1.0, 0.0):
+            a = _adjoint(gm, key) * t
+            assert np.array_equal(operators.expm(a), scipy.linalg.expm(a))
+    with pytest.raises(ValueError, match="triangular"):
+        operators.expm(np.triu(np.ones((3, 3))))

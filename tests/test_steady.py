@@ -23,6 +23,7 @@ from fracfp.steady import (
     tail_exponent,
 )
 from paper_checks import laplacian_matrix
+from sparse_reference import to_scipy
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +222,7 @@ def test_complex_leading_eigenvalue_fails_the_real_check(monkeypatch):
 
     def complex_pair(a, *args, **kwargs):
         lam, vecs = eig(a, *args, **kwargs)
+        lam = lam.astype(complex)  # numpy's eig returns a real spectrum as a real array
         if a is even:
             lam[np.argsort(-lam.real)[:2]] = [1j * imag, -1j * imag]
         return lam, vecs
@@ -230,6 +232,38 @@ def test_complex_leading_eigenvalue_fails_the_real_check(monkeypatch):
         leading_eigenpair(gm)
     assert exc.value.check == "leading-eigenvalue-real"
     assert exc.value.measured == imag and exc.value.tolerance == 1e-8 * gm.max_abs
+
+
+def test_real_spectrum_gives_the_records_of_a_complex_one(monkeypatch):
+    # numpy's eig returns a real spectrum as real arrays, where scipy's
+    # returned complex ones: the fully even sector of 2d-upwind has a real
+    # spectrum, and the records are those of the same arrays made complex
+    gm = _eig_case("2d-upwind")
+    even = next(iter(gm.sectors.values()))[0]
+    assert np.linalg.eig(even)[0].dtype.kind == "f"
+    lam, vec, gap = leading_eigenpair(gm)
+    eig, eigvals = steady._la.eig, steady._la.eigvals
+    monkeypatch.setattr(steady._la, "eig", lambda a: tuple(x.astype(complex) for x in eig(a)))
+    monkeypatch.setattr(steady._la, "eigvals", lambda a: eigvals(a).astype(complex))
+    lam_c, vec_c, gap_c = leading_eigenpair(gm)
+    assert (lam, gap) == (lam_c, gap_c)
+    assert np.array_equal(vec.values, vec_c.values)
+
+
+@pytest.mark.parametrize("name", sorted(EIG_CASES))
+def test_dense_routes_agree_with_scipy_linalg(name, monkeypatch):
+    # the routes call numpy.linalg; scipy.linalg's solve, eig and eigvals
+    # take the same arguments, and their LAPACK build may differ from
+    # numpy's in the last bits only
+    gm = _eig_case(name)
+    got = (steady_by_linear_solve(gm).field.values, *leading_eigenpair(gm))
+    monkeypatch.setattr(steady, "_la", scipy.linalg)
+    want = (steady_by_linear_solve(gm).field.values, *leading_eigenpair(gm))
+    (sol, lam, vec, gap), (sol_ref, lam_ref, vec_ref, gap_ref) = got, want
+    assert np.abs(sol - sol_ref).max() <= 1e-12 * np.abs(sol_ref).max()
+    assert abs(lam - lam_ref) <= 1e-12 * gm.max_abs
+    assert abs(gap - gap_ref) <= 1e-12 * abs(gap_ref)
+    assert np.abs(vec.values - vec_ref.values).max() <= 1e-12 * np.abs(vec_ref.values).max()
 
 
 def parity_block(mat, grid, axes, signs):
@@ -294,9 +328,9 @@ def test_fold_sparse_is_the_parity_block(d, n, axes):
     assert symmetries(g, lap)[0] == tuple(range(d))
     for swaps in {(), symmetries(g, lap)[1] if axes == (0, 1) else ()}:
         for key, (omap, *_) in orbit_maps(g, axes, swaps).items():
-            ref = sector_reference(lap.toarray(), g, axes, swaps, key)
+            ref = sector_reference(to_scipy(lap).toarray(), g, axes, swaps, key)
             # the entries at the planes sum up to three terms, in another order
-            assert np.abs(omap.fold(lap).toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+            assert np.abs(to_scipy(omap.fold(lap)).toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_max_abs_without_drift():
@@ -361,15 +395,16 @@ def _shifted(p):
 
 
 def full_matrix_routes(gm):
-    """The bordered solve and the leading pair on the full matrix gm.mat."""
+    """The bordered solve and the leading pair on the full matrix gm.mat,
+    through numpy.linalg as the routes call it."""
     grid = gm.grid
     a = gm.mat.copy()
     j0 = int(np.argmin(grid.radius2().ravel()))
     a[j0, :] = grid.cell_volume
     b = np.zeros(grid.size)
     b[j0] = 1.0
-    sol = scipy.linalg.solve(a, b)
-    lam, vecs = scipy.linalg.eig(gm.mat)
+    sol = np.linalg.solve(a, b)
+    lam, vecs = np.linalg.eig(gm.mat)
     k = int(np.argmax(lam.real))
     vec = vecs[:, k].real
     vec = vec / (np.sum(vec) * grid.cell_volume)
