@@ -12,7 +12,6 @@ from fracfp.operators import (
     OperatorConfig,
     generator_apply,
     make_force,
-    quadrature_fraclap,
     spectral_fraclap,
 )
 from fracfp.evolution import SchemeConfig, Trajectory, evolve
@@ -27,7 +26,6 @@ __all__ = [
     "ForceField",
     "make_force",
     "spectral_fraclap",
-    "quadrature_fraclap",
     "generator_apply",
     "SchemeConfig",
     "Trajectory",

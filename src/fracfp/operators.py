@@ -21,12 +21,7 @@ radial kernel's cell integral depends only on the offsets' absolute values,
 up to their order, so the 2d tables and the periodic-image fold integrate
 each cell once, on one symmetry wedge (_wedge_cells).
 
-The standalone quadrature operator (quadrature_fraclap) extends fields by
-zero outside the box and charges the analytic exterior kernel mass to -u(x):
-faithful to the whole-space operator for decaying fields, but the box loses
-mass through outward jumps.
-
-The GENERATOR instead wraps jumps around the box: the periodized process has
+The GENERATOR wraps jumps around the box: the periodized process has
 the whole-space symbol exactly, so the wrapped quadrature stencil (circulant
 fold plus the kernel mass of all periodic images) is the real-space twin of
 the spectral route, with exact mass conservation.  Generator matrices, time
@@ -76,10 +71,8 @@ __all__ = [
     "make_force",
     "verify_force_hypotheses",
     "spectral_fraclap",
-    "quadrature_fraclap",
     "box_frequencies",
     "fourier_multiply",
-    "convolve_same",
     "drift_matrix",
     "drift_step_matrix",
     "symmetries",
@@ -186,33 +179,18 @@ class JumpKernel:
         with np.errstate(divide="ignore"):
             return self.c * r ** (-self.d - self.alpha)
 
-    def _segments(self):
-        """(a, b, power_coeff, const_value) pieces with kernel = power + const."""
-        return [(0.0, math.inf, self.c, 0.0)]
-
     def moment(self, a, b, m: float):
         """Radial moment integral of kappa(r) r^m over [a, b], vectorized in a, b.
 
         m = 0 and 2 feed the 1d cell weights; m = 1 and 3 feed the polar
         integrals used in 2d; fractional m serves the W^{s,p} seminorms.
         """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        total = np.zeros(np.broadcast(a, b).shape)
-        for sa, sb, cp, cv in self._segments():
-            lo = np.maximum(a, sa)
-            hi = np.minimum(b, sb)
-            w = hi > lo
-            lo = np.where(w, lo, 1.0)
-            hi = np.where(w, hi, 1.0)
-            piece = np.zeros_like(total)
-            if cp != 0.0:
-                q = m - self.d - self.alpha  # never -1 for alpha in (0,2), m in {0..3}
-                piece += cp * (hi ** (q + 1) - lo ** (q + 1)) / (q + 1)
-            if cv != 0.0:
-                piece += cv * (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
-            total += np.where(w, piece, 0.0)
-        return total
+        lo = np.maximum(np.asarray(a, dtype=float), 0.0)
+        hi = np.asarray(b, dtype=float)
+        w = hi > lo
+        lo, hi = np.where(w, lo, 1.0), np.where(w, hi, 1.0)
+        q1 = m - self.d - self.alpha + 1  # never 0 for alpha in (0,2), m in {0..3}
+        return np.where(w, self.c * (hi**q1 - lo**q1) / q1, 0.0)
 
 
 def full_kernel(alpha: float, d: int) -> JumpKernel:
@@ -274,7 +252,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# FFT layer: Fourier multipliers (pocketfft) and zero-padded convolutions (numpy.fft)
+# FFT layer: Fourier multipliers (pocketfft)
 # ---------------------------------------------------------------------------
 
 
@@ -324,20 +302,6 @@ def fourier_multiply(values: np.ndarray, mult: np.ndarray, even=()) -> np.ndarra
     for a in cos:
         spec = pypocketfft.dct(spec, 3, (a,), 2, spec if spec.flags.c_contiguous else None, 1)
     return spec
-
-
-def convolve_same(values: np.ndarray, ker: np.ndarray) -> np.ndarray:
-    """Linear convolution of values with ker (zero padding, no wrap-around),
-    cropped to the centered values.shape block: ker's center acts at offset 0.
-
-    The unscaled inverse is scaled once by 1/N, N the padded size, not once
-    per axis: that keeps 2d sums bit-identical to the earlier scipy route."""
-    axes = tuple(range(values.ndim))
-    full = tuple(a + b - 1 for a, b in zip(values.shape, ker.shape))
-    spec = np.fft.rfftn(values, full, axes=axes) * np.fft.rfftn(ker, full, axes=axes)
-    out = np.fft.irfftn(spec, full, axes=axes, norm="forward") * (1.0 / math.prod(full))
-    return out[tuple(slice((f - s) // 2, (f - s) // 2 + s)
-                     for f, s in zip(full, values.shape))].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -446,28 +410,6 @@ def cell_tables(grid: Grid, kernel: JumpKernel, q: float) -> tuple[np.ndarray, n
     return readonly(w[index]), readonly(m0[index])
 
 
-@dataclass(frozen=True)
-class JumpStencil:
-    """Discrete realization of a jump kernel on a grid.
-
-    ker      convolution kernel over offsets, shape (2n+1,)*d, zero center;
-    deg_in   per-node total pair weight toward in-box targets;
-    ext_mass per-node exterior kernel mass (plain cell masses + analytic
-             beyond-range tail).
-    apply(u) is the jump of the zero extension of u: the in-box pair sum
-    minus (deg_in + ext_mass) u.
-    The arrays are read-only: get_stencil caches and shares them.
-    """
-
-    grid: Grid
-    ker: np.ndarray
-    deg_in: np.ndarray
-    ext_mass: np.ndarray
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return convolve_same(values, self.ker) - self.deg_in * values - self.ext_mass * values
-
-
 IMAGE_BLOCK = 50  # periodic images per block of 1d cell moments: bounds the temporaries
 
 
@@ -490,7 +432,7 @@ def _fold_kernel(grid: Grid, alpha: float) -> np.ndarray:
     invariant under the reflections and the axis swap.
     """
     kernel = full_kernel(alpha, grid.d)
-    ker = get_stencil(grid, kernel).ker
+    ker = get_stencil(grid, kernel)
     n, d, h = grid.n, grid.d, grid.h
     out = np.zeros(grid.shape)
     i = np.arange(-n, n + 1) % n
@@ -522,38 +464,24 @@ def _fold_kernel(grid: Grid, alpha: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def get_stencil(grid: Grid, kernel: JumpKernel) -> JumpStencil:
-    """The operator stencil of a kernel: the cell_tables weights at q = 2, so
-    the smooth factor S(z)/|z|^2 meets the kernel moment kappa |z|^2.  The
-    z = 0 term carries (1/2) d_a^2 u times weights[center] / d along each
-    axis a (the center weight is the hat at 0 in 1d; in 2d the self-cell
-    moment int_cell kappa |z|^2, whose parts int_cell kappa z_a^2 are equal by
-    the swap symmetry), moved onto the nearest-neighbour offsets as the
-    discrete second derivative."""
+def get_stencil(grid: Grid, kernel: JumpKernel) -> np.ndarray:
+    """The operator stencil of a kernel, the read-only offset row (2n+1,)*d
+    that _fold_kernel folds: the cell_tables weights at q = 2, so the smooth
+    factor S(z)/|z|^2 meets the kernel moment kappa |z|^2.  The z = 0 term
+    carries (1/2) d_a^2 u times weights[center] / d along each axis a (the
+    center weight is the hat at 0 in 1d; in 2d the self-cell moment
+    int_cell kappa |z|^2, whose parts int_cell kappa z_a^2 are equal by the
+    swap symmetry), moved onto the nearest-neighbour offsets as the discrete
+    second derivative: the center is 0."""
     n, h, d = grid.n, grid.h, grid.d
-    weights, masses = cell_tables(grid, kernel, 2.0)
+    weights = cell_tables(grid, kernel, 2.0)[0]
     ker = weights.copy()
     center = (n,) * d
     ker[center] = 0.0
     axis_term = 0.5 * (weights[center] / d) / h**2
     for a, s in itertools.product(range(d), (-1, 1)):
         ker[tuple(n + s * (b == a) for b in range(d))] += axis_term
-    if d == 1:
-        idx = np.arange(n)
-        cnu = np.concatenate([[0.0], np.cumsum(ker[n + 1 :])])
-        deg_in = cnu[n - 1 - idx] + cnu[idx]
-        cw = np.concatenate([[0.0], np.cumsum(masses[n + 1 :])])
-        beyond = float(kernel.moment((n + 0.5) * h, math.inf, 0))
-        ext = (cw[n] - cw[n - 1 - idx]) + (cw[n] - cw[idx]) + 2.0 * beyond
-        return JumpStencil(grid, *map(readonly, (ker, deg_in, ext)))
-    ones = np.ones(grid.shape)
-    deg_in = convolve_same(ones, ker)
-    # exterior: plain masses of not-covered cells + analytic beyond-square tail
-    zmax = (n + 0.5) * h
-    beyond = 8.0 * theta_quad(lambda t: kernel.moment(zmax / np.cos(t), math.inf, 1),
-                              0.0, math.pi / 4)
-    ext = (float(masses.sum()) - convolve_same(ones, masses)) + beyond
-    return JumpStencil(grid, *map(readonly, (ker, deg_in, ext)))
+    return readonly(ker)
 
 
 # ---------------------------------------------------------------------------
@@ -583,35 +511,6 @@ def quadrature_symbol(grid: Grid, alpha: float) -> np.ndarray:
 def spectral_fraclap(f: Field, alpha: float) -> Field:
     """I(f) through the Fourier multiplier (periodic interpretation of the box)."""
     return f.with_values(fourier_multiply(f.values, spectral_symbol(f.grid, float(alpha))))
-
-
-BOUNDARY_DECAY_TOL = 1e-3
-
-
-def check_boundary_decay(f: Field) -> float:
-    """Largest boundary-layer value relative to the max; raises above
-    BOUNDARY_DECAY_TOL."""
-    v = np.abs(f.values)
-    top = float(v.max())
-    if top == 0.0:
-        return 0.0
-    edge = max(float(np.take(v, i, axis=a).max()) for a in range(v.ndim) for i in (0, -1))
-    ratio = edge / top
-    if ratio > BOUNDARY_DECAY_TOL:
-        raise ValueError(
-            f"field does not decay at the box boundary (edge/max = {ratio:.3e} "
-            f"> {BOUNDARY_DECAY_TOL:g}); the zero-extension truncation error would dominate"
-        )
-    return ratio
-
-
-def quadrature_fraclap(f: Field, cfg: OperatorConfig) -> Field:
-    """I(f) through the singular-integral quadrature on the whole space: f is
-    extended by zero and the analytic exterior kernel mass is charged to
-    -f(x), so f must decay at the box boundary (check_boundary_decay)."""
-    check_boundary_decay(f)
-    st = get_stencil(f.grid, full_kernel(cfg.alpha, f.grid.d))
-    return f.with_values(st.apply(f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +891,7 @@ def jump_apply(f: Field, cfg: OperatorConfig) -> Field:
     mass is conserved exactly (column sums zero, dual to Lambda^* 1 = 0) and
     both routes share one equilibrium up to quadrature error.  Its
     quadrature case is the jump of the carre du champ and the inequality
-    checks (functionals); the zero-extension operator is quadrature_fraclap.
+    checks (functionals).
     """
     symbol = spectral_symbol if cfg.method == "spectral" else quadrature_symbol
     return f.with_values(fourier_multiply(f.values, symbol(f.grid, float(cfg.alpha))))

@@ -25,7 +25,7 @@ def fold_kernel_loop(grid, alpha: float) -> np.ndarray:
     (P - r) + m P for m = 1..500 (r = k h, P = 2L), and in 2d the cells at
     c + m P for m in [-6, 6) per axis outside the stencil's m in {0, -1}."""
     kernel = full_kernel(alpha, grid.d)
-    ker = get_stencil(grid, kernel).ker
+    ker = get_stencil(grid, kernel)
     n, h, period = grid.n, grid.h, 2.0 * grid.L
     out = np.zeros(grid.shape)
     i = np.arange(-n, n + 1) % n

@@ -8,7 +8,8 @@ function builds on:
 
 * grid: the smoothstep radial cutoff;
 * operators: the capped, compensated and windowed kernels (KernelVariant),
-  the kernel splitting and the capped-kernel convolution, the 3/5-point
+  the zero-extension box stencil and the whole-space quadrature operator on
+  it, the kernel splitting and the capped-kernel convolution, the 3/5-point
   Laplacian, the adjoint, the dense offset matrix, and the adaptive
   reference quadrature with its analytic-exterior weight action (1d);
 * functionals: the integrated p-dissipation, the W^{s,p} seminorm, the
@@ -43,12 +44,13 @@ from fracfp.operators import (
     _self_cell,
     assemble_generator_matrix,
     cell_tables,
-    convolve_same,
     drift_matrix,
+    full_kernel,
     get_stencil,
     jump_apply,
     norm_constant,
     readonly,
+    theta_quad,
 )
 from fracfp.functionals import (
     _omega_mask,
@@ -103,6 +105,20 @@ class KernelVariant(JumpKernel):
         v = np.where((r >= self.lo) & (r <= self.hi), v, 0.0)
         return v
 
+    def moment(self, a, b, m: float):
+        """Summed over the pieces of _segments: JumpKernel.moment for the power
+        part (cp is c or 0), the closed form of a constant for the rest."""
+        total = np.zeros(np.broadcast(np.asarray(a, dtype=float), np.asarray(b, dtype=float)).shape)
+        for sa, sb, cp, cv in self._segments():
+            lo, hi = np.maximum(a, sa), np.minimum(b, sb)
+            if cp != 0.0:
+                total = total + super().moment(lo, hi, m)
+            if cv != 0.0:
+                w = hi > lo
+                lo, hi = np.where(w, lo, 1.0), np.where(w, hi, 1.0)
+                total = total + np.where(w, cv * (hi ** (m + 1) - lo ** (m + 1)) / (m + 1), 0.0)
+        return total
+
     def _segments(self):
         """(a, b, power_coeff, const_value) pieces with kernel = power + const."""
         cap = self.c * self.cap_r ** (-self.d - self.alpha) if self.cap_r else None
@@ -126,8 +142,6 @@ class KernelVariant(JumpKernel):
         return float(surf * self.moment(0.0, math.inf, self.d - 1))
 
 
-
-
 def far_kernel(alpha: float, d: int, r: float) -> KernelVariant:
     return KernelVariant(c=norm_constant(alpha, d), alpha=alpha, d=d, cap_r=r)
 
@@ -140,6 +154,95 @@ def windowed_kernel(alpha: float, d: int, eps: float) -> KernelVariant:
     return KernelVariant(
         c=norm_constant(alpha, d), alpha=alpha, d=d, lo=eps, hi=1.0 / eps
     )
+
+
+def convolve_same(values: np.ndarray, ker: np.ndarray) -> np.ndarray:
+    """Linear convolution of values with ker (zero padding, no wrap-around),
+    cropped to the centered values.shape block: ker's center acts at offset 0.
+
+    The unscaled inverse is scaled once by 1/N, N the padded size, not once
+    per axis: that keeps 2d sums bit-identical to the earlier scipy route."""
+    axes = tuple(range(values.ndim))
+    full = tuple(a + b - 1 for a, b in zip(values.shape, ker.shape))
+    spec = np.fft.rfftn(values, full, axes=axes) * np.fft.rfftn(ker, full, axes=axes)
+    out = np.fft.irfftn(spec, full, axes=axes, norm="forward") * (1.0 / math.prod(full))
+    return out[tuple(slice((f - s) // 2, (f - s) // 2 + s)
+                     for f, s in zip(full, values.shape))].copy()
+
+
+@dataclass(frozen=True)
+class JumpStencil:
+    """Discrete realization of a jump kernel on a grid.
+
+    ker      convolution kernel over offsets, shape (2n+1,)*d, zero center;
+    deg_in   per-node total pair weight toward in-box targets;
+    ext_mass per-node exterior kernel mass (plain cell masses + analytic
+             beyond-range tail).
+    apply(u) is the jump of the zero extension of u: the in-box pair sum
+    minus (deg_in + ext_mass) u.
+    The arrays are read-only: box_stencil caches and shares them.
+    """
+
+    grid: Grid
+    ker: np.ndarray
+    deg_in: np.ndarray
+    ext_mass: np.ndarray
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return convolve_same(values, self.ker) - self.deg_in * values - self.ext_mass * values
+
+
+@lru_cache(maxsize=64)
+def box_stencil(grid: Grid, kernel: JumpKernel) -> JumpStencil:
+    """The zero-extension box stencil of a kernel, on the get_stencil row and
+    the cell_tables masses."""
+    n, h, d = grid.n, grid.h, grid.d
+    ker, masses = get_stencil(grid, kernel), cell_tables(grid, kernel, 2.0)[1]
+    if d == 1:
+        idx = np.arange(n)
+        cnu = np.concatenate([[0.0], np.cumsum(ker[n + 1 :])])
+        deg_in = cnu[n - 1 - idx] + cnu[idx]
+        cw = np.concatenate([[0.0], np.cumsum(masses[n + 1 :])])
+        beyond = float(kernel.moment((n + 0.5) * h, math.inf, 0))
+        ext = (cw[n] - cw[n - 1 - idx]) + (cw[n] - cw[idx]) + 2.0 * beyond
+        return JumpStencil(grid, ker, *map(readonly, (deg_in, ext)))
+    ones = np.ones(grid.shape)
+    deg_in = convolve_same(ones, ker)
+    # exterior: plain masses of not-covered cells + analytic beyond-square tail
+    zmax = (n + 0.5) * h
+    beyond = 8.0 * theta_quad(lambda t: kernel.moment(zmax / np.cos(t), math.inf, 1),
+                              0.0, math.pi / 4)
+    ext = (float(masses.sum()) - convolve_same(ones, masses)) + beyond
+    return JumpStencil(grid, ker, *map(readonly, (deg_in, ext)))
+
+
+BOUNDARY_DECAY_TOL = 1e-3
+
+
+def check_boundary_decay(f: Field) -> float:
+    """Largest boundary-layer value relative to the max; raises above
+    BOUNDARY_DECAY_TOL."""
+    v = np.abs(f.values)
+    top = float(v.max())
+    if top == 0.0:
+        return 0.0
+    edge = max(float(np.take(v, i, axis=a).max()) for a in range(v.ndim) for i in (0, -1))
+    ratio = edge / top
+    if ratio > BOUNDARY_DECAY_TOL:
+        raise ValueError(
+            f"field does not decay at the box boundary (edge/max = {ratio:.3e} "
+            f"> {BOUNDARY_DECAY_TOL:g}); the zero-extension truncation error would dominate"
+        )
+    return ratio
+
+
+def quadrature_fraclap(f: Field, cfg: OperatorConfig) -> Field:
+    """I(f) through the singular-integral quadrature on the whole space: f is
+    extended by zero and the analytic exterior kernel mass is charged to
+    -f(x), so f must decay at the box boundary (check_boundary_decay)."""
+    check_boundary_decay(f)
+    st = box_stencil(f.grid, full_kernel(cfg.alpha, f.grid.d))
+    return f.with_values(st.apply(f.values))
 
 
 def split_fraclap(f: Field, cfg: OperatorConfig, r: float | None = None):
@@ -156,12 +259,9 @@ def split_fraclap(f: Field, cfg: OperatorConfig, r: float | None = None):
         r = grid.h
     if not 0.0 < r < grid.L:
         raise ValueError(f"split radius must lie in (0, L), got {r}")
-    near_st = get_stencil(grid, near_kernel(cfg.alpha, grid.d, r))
-    far_st = get_stencil(grid, far_kernel(cfg.alpha, grid.d, r))
-    near = f.with_values(near_st.apply(f.values))
-    far = f.with_values(far_st.apply(f.values))
-    kc = far_kernel(cfg.alpha, grid.d, r).l1_mass()
-    return near, far, kc
+    near, far = near_kernel(cfg.alpha, grid.d, r), far_kernel(cfg.alpha, grid.d, r)
+    return (f.with_values(box_stencil(grid, near).apply(f.values)),
+            f.with_values(box_stencil(grid, far).apply(f.values)), far.l1_mass())
 
 
 @lru_cache(maxsize=32)
@@ -330,7 +430,7 @@ def sobolev_seminorm(
     n, vol = grid.n, grid.cell_volume
     total = 0.0
     if include_exterior:
-        ext = get_stencil(grid, _seminorm_kernel(grid.d, float(s), float(p))).ext_mass
+        ext = box_stencil(grid, _seminorm_kernel(grid.d, float(s), float(p))).ext_mass
         total += 2.0 * float(np.sum(np.abs(v) ** p * ext)) * vol
     # |u(x+z) - u(x)| summed over x is the same for z and -z
     for off in _half_offsets(n, grid.d):
@@ -434,7 +534,7 @@ def viscosity_generator_apply(f: Field, eps: float, cfg: OperatorConfig) -> Fiel
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     grid = f.grid
-    st = get_stencil(grid, windowed_kernel(cfg.alpha, grid.d, eps))
+    st = box_stencil(grid, windowed_kernel(cfg.alpha, grid.d, eps))
     jump = st.apply(f.values)
 
     chi = radial_cutoff(grid, eps).values

@@ -26,7 +26,6 @@ from fracfp.operators import (
     assemble_generator_matrix,
     generator_apply,
     jump_apply,
-    quadrature_fraclap,
     spectral_fraclap,
 )
 from fracfp.evolution import SchemeConfig, evolve
@@ -54,6 +53,7 @@ from paper_checks import (
     fraclap_of_weight,
     fraclap_reference,
     polynomial_rate_check,
+    quadrature_fraclap,
     regularization_slope,
     relative_entropy,
 )

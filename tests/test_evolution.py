@@ -216,11 +216,10 @@ def test_entropy_reference_must_be_positive():
 
 
 def test_viscosity_truncated_kernel_annihilates_constants():
-    from fracfp.operators import get_stencil
-    from paper_checks import windowed_kernel
+    from paper_checks import box_stencil, windowed_kernel
 
     g = build_grid(1, 10.0, 128)
-    st = get_stencil(g, windowed_kernel(1.0, 1, 0.2))
+    st = box_stencil(g, windowed_kernel(1.0, 1, 0.2))
     # the in-box pair sum of 1 is deg_in, so only the exterior mass is left
     out = st.apply(np.ones(128))
     assert np.max(np.abs(out + st.ext_mass)) < 1e-13
@@ -230,7 +229,7 @@ def test_viscosity_consistency_monotone_in_eps():
     g = build_grid(1, 20.0, 512)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature")
     f = Field(g, np.exp(-g.axis**2))
-    from fracfp.operators import quadrature_fraclap
+    from paper_checks import quadrature_fraclap
 
     lam = quadrature_fraclap(f, cfg).values + ref.drift_divergence(f, make_force(2.0)).values
     errs = []
@@ -244,14 +243,13 @@ def test_viscosity_consistency_monotone_in_eps():
 def test_viscosity_generator_is_by_action_formula(d, n):
     # the upwind drift of the cut-off density plus eps times the 3/5-point
     # Laplacian, written out on Fields; centered cfg.drift leaves it upwind
-    from fracfp.operators import get_stencil
-    from paper_checks import windowed_kernel
+    from paper_checks import box_stencil, windowed_kernel
 
     g = build_grid(d, 10.0, n)
     cfg = OperatorConfig(alpha=1.0, gamma=2.5, method="quadrature", drift="centered")
     f = Field(g, np.exp(-g.radius2() / 4.0))
     eps = 0.2
-    jump = get_stencil(g, windowed_kernel(cfg.alpha, d, eps)).apply(f.values)
+    jump = box_stencil(g, windowed_kernel(cfg.alpha, d, eps)).apply(f.values)
     cut = f.with_values(f.values * radial_cutoff(g, eps).values)
     want = (jump + ref.drift_divergence(cut, cfg.force_field()).values
             + eps * ref.discrete_laplacian(f).values)

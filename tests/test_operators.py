@@ -12,14 +12,12 @@ from fracfp.operators import (
     ForceField,
     OperatorConfig,
     assemble_generator_matrix,
-    convolve_same,
     drift_matrix,
     fourier_multiply,
     generator_apply,
     make_force,
     norm_constant,
     orbit_maps,
-    quadrature_fraclap,
     spectral_fraclap,
     spectral_symbol,
     symmetries,
@@ -28,10 +26,12 @@ from fracfp.operators import (
 from paper_checks import (
     adjoint_apply,
     capped_convolution,
+    convolve_same,
     fraclap_of_weight,
     fraclap_reference,
     laplacian_matrix,
     offset_matrix,
+    quadrature_fraclap,
     split_fraclap,
 )
 from sparse_reference import to_scipy
@@ -132,8 +132,8 @@ def test_offset_matrix_matches_capped_convolution(d, n):
 def test_capped_convolution_reads_the_stencil_mass_table(d, n):
     # one cell quadrature: plain_conv_kernel is the mass table the stencil's
     # exterior mass is built from, with the self-cell mass put at the center
-    from fracfp.operators import cell_tables, get_stencil
-    from paper_checks import far_kernel, plain_conv_kernel
+    from fracfp.operators import cell_tables
+    from paper_checks import box_stencil, far_kernel, plain_conv_kernel
 
     g = build_grid(d, 6.0, n)
     kernel = far_kernel(0.8, d, 2.0 * g.h)
@@ -144,7 +144,7 @@ def test_capped_convolution_reads_the_stencil_mass_table(d, n):
     assert np.array_equal(ker[off_center], masses[off_center])
     assert masses[(n,) * d] == 0.0 and ker[(n,) * d] > 0.0
     # covered plus exterior mass is the same kernel mass at every node
-    total = get_stencil(g, kernel).ext_mass + convolve_same(np.ones(g.shape), masses)
+    total = box_stencil(g, kernel).ext_mass + convolve_same(np.ones(g.shape), masses)
     assert np.allclose(total, total.flat[0], rtol=1e-12, atol=0.0)
 
 
@@ -446,17 +446,16 @@ def test_cached_arrays_are_read_only():
         drift_matrix,
         drift_step_matrix,
         full_kernel,
-        get_stencil,
         quadrature_symbol,
         spectral_symbol,
     )
-    from paper_checks import far_kernel, plain_conv_kernel, windowed_kernel
+    from paper_checks import box_stencil, far_kernel, plain_conv_kernel, windowed_kernel
 
     g = build_grid(1, 10.0, 64)
     sparse = [drift_matrix(g, make_force(2.0), drift) for drift in ("upwind", "centered")]
     sparse += [drift_step_matrix(g, make_force(2.0), drift, 0.01) for drift in ("upwind", "centered")]
     sparse.append(laplacian_matrix(g))
-    stencils = [get_stencil(g, full_kernel(1.0, 1)), get_stencil(g, windowed_kernel(1.0, 1, 0.2))]
+    stencils = [box_stencil(g, full_kernel(1.0, 1)), box_stencil(g, windowed_kernel(1.0, 1, 0.2))]
     cached = [
         *(arr for m in sparse for arr in (m.data, m.indices, m.indptr)),
         *(arr for st in stencils for arr in (st.ker, st.deg_in, st.ext_mass)),
@@ -510,8 +509,8 @@ def test_only_the_circulant_row_is_folded(monkeypatch):
         g = build_grid(d, 8.0, n)
         for kernel in (windowed_kernel(0.8, d, 0.25), near_kernel(0.8, d, g.h),
                        far_kernel(0.8, d, g.h), operators.full_kernel(0.8, d)):
-            st = operators.get_stencil.__wrapped__(g, kernel)  # a fresh build, not a cache hit
-            assert st.ker.shape == (2 * n + 1,) * d
+            row = operators.get_stencil.__wrapped__(g, kernel)  # a fresh build, not a cache hit
+            assert row.shape == (2 * n + 1,) * d
 
 
 @pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
