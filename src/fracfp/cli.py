@@ -283,8 +283,10 @@ def _suite_evolve(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> No
 
 def _suite_steady(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> None:
     grid = cfg.grid()
-    op_ev = cfg.operator()
-    ss_ev = steady_by_evolution(grid, op_ev, cfg.scheme(), tol=1e-5)
+    # the evolve suite, when it ran, has stepped the same probe: resume from its states
+    tr = artifacts.get("trajectory")
+    ss_ev = steady_by_evolution(grid, cfg.operator(), cfg.scheme(), tol=1e-5,
+                                path=None if tr is None else tr.path)
     artifacts["steady"] = ss_ev
     report.add("steady-mass", ss_ev.mass, 1e-10, abs(ss_ev.mass - 1.0) <= 1e-10, 1.0)
     minf = float(ss_ev.field.values.min())

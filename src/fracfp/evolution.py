@@ -27,7 +27,8 @@ steady_by_evolution visited from the same f0, ``SteadyState.path``) every
 unit chunk whose start state is known runs as its own lane, side by side,
 and each full chunk must end bit for bit on the next path state: that
 equality certifies the replay, and a path made from another start or
-scheme raises.
+scheme raises.  Every run returns the chunk-start states it passed in the
+same format (Trajectory.path), and steady_by_evolution resumes from them.
 
 Reflection fold.  An odd force field (E(-x) = -E(x) along an axis) maps
 fields even along that axis to even fields.  The stepper finds the axes
@@ -82,6 +83,7 @@ __all__ = [
     "Trajectory",
     "auto_dt",
     "step_size",
+    "step_count",
     "evolve",
 ]
 
@@ -107,7 +109,10 @@ class SchemeConfig:
 @dataclass
 class Trajectory:
     """Snapshots plus per-step scalar monitors of one evolution run; meta
-    holds dt, nsteps, the stacked steps made (advances) and the lanes."""
+    holds dt, nsteps, the stacked steps made (advances) and the lanes.
+    ``path`` is the read-only stack of the states at steps j * ceil(1/dt),
+    j = 0 .. nsteps // ceil(1/dt): f0 first, then one state per unit-time
+    chunk, as SteadyState.path holds them."""
 
     grid: Grid
     times: np.ndarray
@@ -120,6 +125,7 @@ class Trajectory:
     linfm: np.ndarray
     entropy: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    path: np.ndarray | None = field(default=None, repr=False)
 
     def monitor_columns(self):
         ent = (
@@ -210,7 +216,8 @@ class _Stepper:
         return self._drift(fourier_multiply(self._drift(values), self.mult, self.even))
 
 
-def _step_count(T: float, dt: float) -> int:
+def step_count(T: float, dt: float) -> int:
+    """The steps of dt that a run to horizon T makes: ceil(T / dt)."""
     return int(math.ceil(T / dt - 1e-9))
 
 
@@ -233,12 +240,13 @@ def evolve(
     from f0 under the same operator and scheme (``SteadyState.path``; chunk
     j starts at step j * ceil(1/dt)).  The chunks whose start is in the path
     run side by side as lanes of one stack, and the result equals the
-    single-lane run bit for bit.  ValueError when path[0] is not f0 or a
-    full chunk does not end exactly on the next path state.  CheckFailure at
-    the earliest step whose mass sum is not finite ("non-finite-values",
-    measured = that sum, tolerance inf) or whose mass drifted by more than
-    MASS_DRIFT_TOL ("mass-drift", measured = the drift), its step counted
-    from the start of the run.
+    single-lane run bit for bit.  The result's ``path`` holds the states
+    at every chunk start the run passed, in the same format.  ValueError
+    when path[0] is not f0 or a full chunk does not end exactly on the
+    next path state.  CheckFailure at the earliest step whose mass sum is
+    not finite ("non-finite-values", measured = that sum, tolerance inf) or
+    whose mass drifted by more than MASS_DRIFT_TOL ("mass-drift", measured
+    = the drift), its step counted from the start of the run.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
@@ -246,8 +254,8 @@ def evolve(
     grid = f0.grid
     st = _Stepper(grid, cfg, scheme)
     dt = st.dt
-    nsteps = _step_count(T, dt)
-    chunk = _step_count(1.0, dt)  # steps between consecutive path states
+    nsteps = step_count(T, dt)
+    chunk = step_count(1.0, dt)  # steps between consecutive path states
     mw = weight_field(grid, scheme.monitor_weight).values
 
     if path is None:
@@ -318,6 +326,7 @@ def evolve(
     scale = max(abs(mass0), np.abs(v[:1]).sum(axis=axes).tolist()[0] * vol) or 1.0
     rel0 = mass0 / scale
     snaps = {0: v[0].copy()} if 0 in want else {}  # step -> state, lifted at the end
+    marks = []  # the last lane's states at its chunk ends, lifted at the end
     failure = None
     lo, hi, i, b = 0, lanes, 0, 0  # live lanes lo..hi-1, i steps into each, b in the block
     # an overflow or invalid operation leaves a non-finite sum, which the
@@ -332,6 +341,8 @@ def evolve(
             for j, kk in snap_at.get(i, ()):
                 if lo <= j < hi:
                     snaps[kk] = v[j - lo].copy()
+            if i % chunk == 0 and hi == lanes:
+                marks.append(v[lanes - 1 - lo].copy())
             if b < K and i != chunk and i != last:
                 continue
             # the block: steps i - b + 1 .. i of lanes lo .. hi - 1, column
@@ -385,4 +396,5 @@ def evolve(
         linfm=mon[3],
         entropy=mon[6] if ref_inv is not None else None,
         meta={"dt": dt, "nsteps": nsteps, "advances": i, "lanes": lanes},
+        path=readonly(np.stack([*path[:lanes], *map(st.map.lift, marks)])),
     )

@@ -39,7 +39,11 @@ modules the package calls from their files (pocketfft for the Fourier
 multipliers, sparsetools for the read-only CSR type of the sparse matrices,
 and the Pade kernels of expm), so no scipy __init__ runs.  CSR calls the
 sparsetools kernels as scipy.sparse does, and expm the Pade kernels as
-scipy.linalg.expm does: their results are scipy's bit for bit.
+scipy.linalg.expm does: their results are scipy's bit for bit.  Every run
+calls pocketfft and sparsetools, which load with this module; the Pade
+kernels load on the first expm, as numpy.random loads on the first seeded
+bank (numpy 2 loads it on first use), so a run that calls neither loads
+neither.
 """
 
 from __future__ import annotations
@@ -55,11 +59,11 @@ from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
-# numpy 2 loads these subpackages on first use: importing them here keeps
+# numpy 2 loads these subpackages on first use: every run calls numpy.fft,
+# and the 2d wedge quadrature calls leggauss, so importing them here keeps
 # that cost in set-up, not in the first route that calls them
 import numpy.fft
 import numpy.polynomial
-import numpy.random
 
 from fracfp.grid import Field, Grid
 
@@ -222,7 +226,12 @@ def _load_compiled(name: str):
 
 pypocketfft = _load_compiled("fft._pocketfft.pypocketfft")
 _sparsetools = _load_compiled("sparse._sparsetools")
-_matfuncs_expm = _load_compiled("linalg._matfuncs_expm")
+
+
+@lru_cache(maxsize=1)
+def _pade_kernels():
+    """scipy's compiled Pade kernels, loaded on the first expm."""
+    return _load_compiled("linalg._matfuncs_expm")
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -242,6 +251,7 @@ def expm(a: np.ndarray) -> np.ndarray:
         raise ValueError("expm takes no triangular matrix")
     work = np.empty((5,) + a.shape)
     work[0] = a
+    _matfuncs_expm = _pade_kernels()
     m, s = _matfuncs_expm.pick_pade_structure(work)
     if m < 0 or _matfuncs_expm.pade_UV_calc(work, m) != 0:
         raise RuntimeError("expm: scipy's Pade kernels failed")

@@ -52,7 +52,7 @@ from fracfp.operators import (
     generator_apply,
     readonly,
 )
-from fracfp.evolution import SchemeConfig, evolve
+from fracfp.evolution import SchemeConfig, evolve, step_count, step_size
 
 __all__ = [
     "SteadyState",
@@ -70,10 +70,12 @@ class SteadyState:
 
     The evolution route also keeps ``path``: the read-only stack of the
     states it visited at the start of each unit-time chunk, path[j] at
-    chunk j (its probe f0 first, its last unnormalized state last).  evolve
-    replays a run from the same f0 and scheme on it: each chunk whose start
-    is known becomes one lane of a stacked step, certified by ending bit for
-    bit on the next path state.  The other routes have no path.
+    chunk j (its probe f0 first, its last unnormalized state last), the
+    format of Trajectory.path.  evolve replays a run from the same f0 and
+    scheme on it: each chunk whose start is known becomes one lane of a
+    stacked step, certified by ending bit for bit on the next path state.
+    A route resumed from an evolve run's path keeps the same states, bit for
+    bit.  The other routes have no path.
     """
 
     field: Field
@@ -118,15 +120,20 @@ def steady_by_evolution(
     scheme: SchemeConfig | None = None,
     tol: float = 1e-5,
     f0: Field | None = None,
+    path: np.ndarray | None = None,
 ) -> SteadyState:
     """Evolve a probe density until ||f(t + 1) - f(t)||_{L^1} < tol.
 
     Requires gamma > 2 - alpha (no equilibrium is claimed outside that
-    range).  Raises CheckFailure "horizon" when HORIZON_CAP passes first
-    (measured = the last L1 increment, tolerance = tol), and passes on the
-    CheckFailure of a failed evolve step; both count their step from the
-    start of the route.  The result keeps the chunk-start states as
-    ``path``.
+    range).  ``path`` may hold states the route would visit, already
+    stepped from the same f0 under the same operator and scheme: the
+    Trajectory.path of an evolve run from f0.  The route reads its
+    increments off those states and steps only after the last of them;
+    ValueError when path[0] is not f0.  Raises CheckFailure "horizon" when
+    HORIZON_CAP passes first (measured = the last L1 increment, tolerance =
+    tol), and passes on the CheckFailure of a failed evolve step; both
+    count their step from the start of the route, resumed chunks included.
+    The result keeps the chunk-start states as ``path``.
     """
     if not cfg.gamma > 2.0 - cfg.alpha:
         raise ValueError(
@@ -135,28 +142,30 @@ def steady_by_evolution(
             "the jumps at infinity"
         )
     scheme = scheme or SchemeConfig()
-    cur = f0 if f0 is not None else normalized_gaussian(grid)
-    path = [cur.values]
-    t, steps = 0.0, 0
+    cur = (f0 if f0 is not None else normalized_gaussian(grid)).values
+    if path is None:
+        path = cur[None]
+    elif path.shape[1:] != grid.shape or not np.array_equal(path[0], cur):
+        raise ValueError("path[0] is not f0: the path starts from another field")
+    dt = step_size(grid, cfg, scheme)
+    chunk = step_count(1.0, dt)  # the steps of one unit-time evolve
+    states = list(path)  # states[j]: the state at time j
     vol = grid.cell_volume
-    while t < HORIZON_CAP:
-        try:
-            tr = evolve(cur, 1.0, cfg, scheme)
-        except CheckFailure as exc:
-            exc.step += steps  # count along the route, not within the chunk
-            raise
-        nxt = tr.snapshots[-1]
-        diff = float(np.sum(np.abs(nxt.values - cur.values)) * vol)
-        cur = nxt
-        path.append(cur.values)
-        t += 1.0
-        steps += tr.meta["nsteps"]
+    for t in range(1, math.ceil(HORIZON_CAP) + 1):
+        if t == len(states):
+            try:
+                states.append(evolve(Field(grid, cur), 1.0, cfg, scheme).snapshots[-1].values)
+            except CheckFailure as exc:
+                exc.step += (t - 1) * chunk  # count along the route, not within the chunk
+                raise
+        diff = float(np.sum(np.abs(states[t] - cur)) * vol)
+        cur = states[t]
         if diff < tol:
-            field = _finalize(grid, cur.values, "evolution")
+            field = _finalize(grid, cur, "evolution")
             res = float(np.max(np.abs(generator_apply(field, cfg).values)))
             return SteadyState(field=field, route="evolution", residual=res,
-                               path=readonly(np.stack(path)))
-    raise CheckFailure("horizon", diff, tol, steps, tr.meta["dt"])
+                               path=readonly(np.stack(states[: t + 1])))
+    raise CheckFailure("horizon", diff, tol, t * chunk, dt)
 
 
 def steady_by_linear_solve(gm: GeneratorMatrix) -> SteadyState:

@@ -710,6 +710,52 @@ def test_breakdown_is_a_fail_record(tmp_path, capsys, monkeypatch):
     assert record.endswith(f"tol=1e-14 -> FAIL at step {steps} (t={'%.17g' % (steps * dt)})")
     assert report[-1] == "FAIL"
 
+    # after an evolve suite the steady route resumes from its states: one
+    # chunk read off them (horizon 1), or both (horizon 3), and the step
+    # still counts from the start of the route
+    for horizon in (1, 3):
+        q = write_cfg(tmp_path, p.read_text().replace("suite = evolve\nhorizon = 1",
+                                                      f"suite = all\nhorizon = {horizon}"))
+        assert main(["run", str(q), "--out", str(tmp_path / f"a{horizon}")]) == 1
+        capsys.readouterr()
+        report = (tmp_path / f"a{horizon}" / "report.txt").read_text().splitlines()
+        assert "mass-conservation: " in "".join(report)
+        record = next(line for line in report if line.startswith("steady-horizon:"))
+        assert record.endswith(f"tol=1e-14 -> FAIL at step {steps} (t={'%.17g' % (steps * dt)})")
+
+
+@pytest.mark.parametrize("body,horizon", [
+    ("d = 1\nL = 10\nn = 64\n", 10.0),
+    ("d = 1\nL = 10\nn = 64\n", 2.0),
+    ("d = 1\nL = 10\nn = 64\nmethod = quadrature\ndiffusion_solver = implicit-matrix\n", 10.0),
+    ("d = 2\nL = 8\nn = 16\n", 10.0),
+    ("d = 2\nL = 8\nn = 16\n", 3.0),
+])
+def test_steady_suite_resumes_from_the_evolve_suite(tmp_path, body, horizon, monkeypatch):
+    # the evolve suite has stepped the steady route's probe: the route reads
+    # the chunks its horizon covers off the trajectory's path and steps only
+    # the rest, to the fresh route's field and path, bit for bit
+    from fracfp import steady
+
+    cfg = parse_config(write_cfg(tmp_path, body + f"suite = all\nhorizon = {horizon}\n"))
+    fresh = steady.steady_by_evolution(cfg.grid(), cfg.operator(), cfg.scheme(), tol=1e-5)
+    report, artifacts = fracfp.cli.RunReport(scenario=cfg), {}
+    fracfp.cli._suite_evolve(cfg, report, artifacts)
+    tr = artifacts["trajectory"]
+    calls, evolve = [], steady.evolve
+    monkeypatch.setattr(steady, "evolve", lambda *a, **kw: calls.append(1) or evolve(*a, **kw))
+    fracfp.cli._suite_steady(cfg, report, artifacts)
+    ss = artifacts["steady"]
+    assert len(calls) == max(0, len(fresh.path) - len(tr.path))
+    assert len(tr.path) == tr.meta["nsteps"] // fracfp.evolution.step_count(1.0, tr.meta["dt"]) + 1
+    # the long horizons cover every chunk; the short ones step after the resumed chunks
+    assert (len(calls) == 0) == (horizon == 10.0)
+    assert np.array_equal(ss.field.values, fresh.field.values)
+    assert np.array_equal(ss.path, fresh.path) and not ss.path.flags.writeable
+    alone = fracfp.cli.RunReport(scenario=cfg)
+    fracfp.cli._suite_steady(cfg, alone, {})
+    assert [r.line() for r in report.records[3:]] == [r.line() for r in alone.records]
+
 
 def test_lyapunov_breakdown_is_a_fail_record(tmp_path, capsys):
     # on a small box Lambda^* m is not pushed down in the outer region: no
@@ -750,19 +796,36 @@ def test_monitors_csv_rows_are_the_formatted_columns(tmp_path):
 def test_cli_import_leaves_out_unused_scipy_subpackages(tmp_path):
     # scipy.sparse and scipy.linalg would bring scipy._lib's array-API layer,
     # with numpy.f2py, numpy.testing and concurrent.futures; glob is the
-    # shell's job.  A 2d steady run (eig, eigvals, solve) and a 1d all-suite
-    # run (expm too) reach every dense route, and run_scenario imports no
-    # module at all: a route that loads one late fails here, and the run of
-    # two configs catches a runner that does.
+    # shell's job.  The seeded banks' numpy.random and the Pade kernels of
+    # expm load at first use: importing fracfp.cli loads neither, a 2d steady
+    # run (eig, eigvals, solve) and a 1d rates run too large for the expm
+    # checks load no module at all, and a 1d all-suite run (expm and the
+    # seeded bank too) loads exactly numpy.random with what its import
+    # brings, and the expm module.  The run of two configs catches a runner
+    # that loads a module.
     src = Path(fracfp.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    lazy = ["numpy.random", "scipy.linalg._matfuncs_expm"]
+    # what `import numpy.random` adds to a process that has imported fracfp.cli
+    code = ("import sys, fracfp.cli\n"
+            "before = set(sys.modules)\n"
+            "import numpy.random\n"
+            "print(*(set(sys.modules) - before))\n")
+    random_adds = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                     text=True, check=True, timeout=120).stdout.split())
+    assert lazy[0] in random_adds
     cfgs = [str(write_cfg(tmp_path, "name = s\nd = 2\nL = 10\nn = 16\nsuite = steady\n", "s.cfg")),
+            str(write_cfg(tmp_path, "name = r\nd = 1\nL = 10\nn = 2048\nsuite = rates\nhorizon = 1\n",
+                          "r.cfg")),
             str(write_cfg(tmp_path, "name = i\nd = 1\nL = 10\nn = 64\nsuite = all\nhorizon = 1\n"))]
+    assert parse_config(cfgs[1]).grid().size > fracfp.rates.HARRIS_MAX_SIZE
     pair = [str(write_cfg(tmp_path, f"name = {name}\n" + BATCH_BODY, f"{name}.cfg")) for name in "jk"]
     code = ("import sys, fracfp.cli\n"
             "unused = ('scipy.signal', 'scipy.integrate', 'scipy.fft', 'scipy.special', 'scipy.sparse',"
             " 'scipy.linalg', 'scipy._lib._util', 'numpy.f2py', 'numpy.testing', 'concurrent.futures',"
             " 'glob')\n"
             "print([m for m in unused if m in sys.modules])\n"
+            f"print([m for m in {lazy!r} if m in sys.modules])\n"
             f"for cfg in {cfgs!r}:\n"
             "    scenario = fracfp.cli.parse_config(cfg)\n"
             "    before = set(sys.modules)\n"
@@ -771,10 +834,10 @@ def test_cli_import_leaves_out_unused_scipy_subpackages(tmp_path):
             "print([m for m in unused if m in sys.modules])\n"
             f"print(fracfp.cli.main(['run', *{pair!r}, '--out', {str(tmp_path / 'b')!r}]))\n"
             "print([m for m in unused if m in sys.modules])\n")
-    env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.splitlines() == ["[]", "[]", "[]", "[]",
+    all_suite = str(sorted(random_adds | {lazy[1]}))
+    assert out.stdout.splitlines() == ["[]", "[]", "[]", "[]", all_suite, "[]",
                                        f"{pair[0]}: PASS", f"{pair[1]}: PASS", "0", "[]"]
 
 

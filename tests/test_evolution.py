@@ -21,6 +21,7 @@ from fracfp.evolution import (
     _implicit_factor,
     auto_dt,
     evolve,
+    step_count,
     step_size,
 )
 from paper_checks import duhamel_residual, radial_cutoff, viscosity_generator_apply
@@ -428,6 +429,26 @@ def test_evolve_on_a_path_is_the_single_lane_run(d, drift, solver, monkeypatch):
         assert len(one.snapshots) == len(lanes.snapshots)
         for a, b in zip(one.snapshots, lanes.snapshots):
             assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("solver", ["exact-spectral", "implicit-matrix"])
+def test_trajectory_path_holds_the_chunk_starts(d, solver):
+    # the states at steps j * chunk, j = 0 .. nsteps // chunk: those of a
+    # single-lane run, read-only, and the same from a run on lanes
+    g, cfg, scheme, ss = _steady_path(d, "upwind", solver)
+    f0 = normalized_gaussian(g)
+    for T in (0.5, 2.5, len(ss.path) + 1.7):
+        one = evolve(f0, T, cfg, scheme)
+        dt, nsteps = one.meta["dt"], one.meta["nsteps"]
+        chunk = step_count(1.0, dt)
+        assert len(one.path) == nsteps // chunk + 1 and not one.path.flags.writeable
+        marks = evolve(f0, T, cfg, scheme, output_times=np.arange(len(one.path)) * chunk * dt)
+        snaps = {round(t / dt): snap.values for t, snap in zip(marks.times, marks.snapshots)}
+        for j, state in enumerate(one.path):
+            assert np.array_equal(state, snaps[j * chunk])
+        lanes = evolve(f0, T, cfg, scheme, path=ss.path)
+        assert np.array_equal(lanes.path, one.path)
 
 
 def test_evolve_rejects_a_foreign_path():

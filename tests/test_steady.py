@@ -511,6 +511,34 @@ def test_evolution_route_keeps_its_path():
     assert np.array_equal(ss.path[-1] / (np.sum(ss.path[-1]) * g.h), ss.field.values)
 
 
+def test_evolution_route_resumes_from_an_evolve_path(monkeypatch):
+    g = build_grid(1, 10.0, 64)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="spectral")
+    fresh = steady_by_evolution(g, cfg, tol=1e-4)
+    calls = []
+    evolve = steady.evolve
+    monkeypatch.setattr(steady, "evolve", lambda *a, **kw: calls.append(1) or evolve(*a, **kw))
+    for T in (len(fresh.path) + 0.5, 2.0):
+        path = evolve(normalized_gaussian(g), T, cfg).path
+        calls.clear()
+        ss = steady_by_evolution(g, cfg, tol=1e-4, path=path)
+        assert len(calls) == max(0, len(fresh.path) - len(path))
+        assert (len(calls) == 0) == (T > 2.0)  # all chunks read off the path, or the first two
+        assert np.array_equal(ss.field.values, fresh.field.values)
+        assert np.array_equal(ss.path, fresh.path)
+
+
+def test_evolution_route_rejects_a_path_from_another_field():
+    g = build_grid(1, 10.0, 64)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="spectral")
+    f0 = normalized_gaussian(g)
+    path = steady.evolve(f0.with_values(np.roll(f0.values, 1)), 2.0, cfg).path
+    with pytest.raises(ValueError, match=r"path\[0\] is not f0"):
+        steady_by_evolution(g, cfg, tol=1e-4, path=path)
+    with pytest.raises(ValueError, match=r"path\[0\] is not f0"):
+        steady_by_evolution(g, cfg, tol=1e-4, path=path[:, :32])
+
+
 def test_evolution_route_failure_counts_steps_along_the_route(monkeypatch):
     g = build_grid(1, 10.0, 64)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="spectral")
