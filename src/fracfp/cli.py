@@ -47,6 +47,7 @@ from fracfp.functionals import (
 )
 from fracfp.rates import HARRIS_MAX_SIZE, decay_fit, harris_contraction, lyapunov_check
 from fracfp.steady import (
+    MAX_EIGEN_SECTOR,
     closed_form_equilibrium,
     leading_eigenpair,
     steady_by_evolution,
@@ -301,15 +302,18 @@ def _suite_steady(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> No
         report.add("tail-fit-quality", r2, 0.9, r2 > 0.9)
         artifacts["tail_exponent"] = a_hat
 
-    if grid.size <= MAX_DENSE:
-        gm = _generator(cfg, artifacts)
+    # each dense route factors the sectors it reads: the solve the fully
+    # even one, the eigenpair every one; their orders gate them
+    gm = _generator(cfg, artifacts)
+    vol = grid.cell_volume
+    if gm.sector_sizes[0] <= MAX_DENSE:
         ss_lin = steady_by_linear_solve(gm)
-        vol = grid.cell_volume
         gap_routes = float(np.sum(np.abs(ss_lin.field.values - ss_ev.field.values)) * vol)
         # the two routes share the periodized generator up to quadrature and
         # drift-scheme differences
         tol_routes = 1e-2 if cfg.drift == "centered" else 5e-2
         report.add("route-agreement-L1", gap_routes, tol_routes, gap_routes <= tol_routes)
+    if max(gm.sector_sizes) <= MAX_EIGEN_SECTOR:  # at most MAX_DENSE: the solve ran
         try:
             lam, vec, gap = leading_eigenpair(gm)
         except CheckFailure as exc:
@@ -324,7 +328,6 @@ def _suite_steady(cfg: ScenarioConfig, report: RunReport, artifacts: dict) -> No
 
     if cfg.gamma == 2.0:
         oracle = closed_form_equilibrium(cfg.alpha, grid)
-        vol = grid.cell_volume
         d_oracle = float(np.sum(np.abs(ss_ev.field.values - oracle.values)) * vol)
         # box-model floor scales like 1/L; the tolerance tracks it
         tol_o = 3.0 / cfg.L

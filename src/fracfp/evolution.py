@@ -22,12 +22,12 @@ makes the one csr_matvec call of a single-lane run once per lane, one batched
 fourier_multiply (pocketfft, called as scipy.fft calls it) per jump substep
 serves every lane, and the monitors reduce each lane over its trailing axes,
 so every lane is bit for bit the field a single-lane run computes.  Without a
-path the stack has one lane.  With a path (the unit-time states that
-steady_by_evolution visited from the same f0, ``SteadyState.path``) every
-unit chunk whose start state is known runs as its own lane, side by side,
-and each full chunk must end bit for bit on the next path state: that
-equality certifies the replay, and a path made from another start or
-scheme raises.  Every run returns the chunk-start states it passed in the
+path the stack has one lane.  With a path (the states that
+steady_by_evolution visited from the same f0 at the starts of its chunks of
+ceil(1/dt) steps, ``SteadyState.path``) every chunk whose start state is
+known runs as its own lane, side by side, and each full chunk must end bit
+for bit on the next path state: that equality certifies the replay, and a
+path made from another start or scheme raises.  Every run returns the chunk-start states it passed in the
 same format (Trajectory.path), and steady_by_evolution resumes from them.
 
 Reflection fold.  An odd force field (E(-x) = -E(x) along an axis) maps
@@ -111,8 +111,8 @@ class Trajectory:
     """Snapshots plus per-step scalar monitors of one evolution run; meta
     holds dt, nsteps, the stacked steps made (advances) and the lanes.
     ``path`` is the read-only stack of the states at steps j * ceil(1/dt),
-    j = 0 .. nsteps // ceil(1/dt): f0 first, then one state per unit-time
-    chunk, as SteadyState.path holds them."""
+    j = 0 .. nsteps // ceil(1/dt): f0 first, then one state per chunk of
+    ceil(1/dt) steps, as SteadyState.path holds them."""
 
     grid: Grid
     times: np.ndarray
@@ -236,8 +236,8 @@ def evolve(
     time (never interpolated).  When a positive reference F is attached the
     p = 2 relative-entropy monitor int f^2 / F is recorded as well.
 
-    ``path`` holds the states at the starts of consecutive unit-time chunks
-    from f0 under the same operator and scheme (``SteadyState.path``; chunk
+    ``path`` holds the states at the starts of consecutive chunks of
+    ceil(1/dt) steps from f0 under the same operator and scheme (``SteadyState.path``; chunk
     j starts at step j * ceil(1/dt)).  The chunks whose start is in the path
     run side by side as lanes of one stack, and the result equals the
     single-lane run bit for bit.  The result's ``path`` holds the states

@@ -14,18 +14,21 @@ Two routes to the jump operator I = Lap^(alpha/2):
   All pair weights are nonnegative, so every jump matrix is Metzler.
 
 One cached builder, cell_tables, integrates a radial kernel over the lattice
-cells (product-integration weights for S(z)/|z|^q and plain cell masses); the
-operator stencil reads its tables from it, and so do the capped-kernel
-convolution and the W^{s,p} seminorm weights of tests/paper_checks.py.  A
-radial kernel's cell integral depends only on the offsets' absolute values,
-up to their order, so the 2d tables and the periodic-image fold integrate
-each cell once, on one symmetry wedge (_wedge_cells).
+cells (product-integration weights for S(z)/|z|^q); the operator stencil
+reads its table from it, and so do the W^{s,p} seminorm weights of
+tests/paper_checks.py.  A radial kernel's cell integral depends only on the
+offsets' absolute values, up to their order, so the 2d tables and the
+periodic-image fold integrate each cell once, on one symmetry wedge
+(_wedge_cells).
 
 The GENERATOR wraps jumps around the box: the periodized process has
 the whole-space symbol exactly, so the wrapped quadrature stencil (circulant
 fold plus the kernel mass of all periodic images) is the real-space twin of
 the spectral route, with exact mass conservation.  Generator matrices, time
 integration and the semigroup machinery all live on this periodized box.
+The dense generator is held as its symmetry sectors, each built on the
+first read (GeneratorMatrix): a route pays for the sectors it factors, and
+its cap counts their unknowns, not the n^d nodes.
 
 The kernel is kappa_alpha(z) = c_{alpha,d} |z|^(-d-alpha) with the unique
 normalization matching the Fourier multiplier; both routes cross-validate it.
@@ -51,6 +54,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -85,7 +89,7 @@ __all__ = [
     "assemble_generator_matrix",
 ]
 
-MAX_DENSE = 4096  # dense-assembly guard on n^d
+MAX_DENSE = 4096  # cap of the dense solve's fully even sector, and of n^d for GeneratorMatrix.mat
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -362,7 +366,7 @@ def _self_cell(kernel: JumpKernel, grid: Grid, power: float) -> float:
     return theta_quad(ray, 0.0, 2.0 * math.pi)
 
 
-WEDGE_NODES = 1 << 16  # quadrature nodes per batch of _wedge_cells: bounds its temporaries
+WEDGE_NODES = 1 << 14  # quadrature nodes per batch of _wedge_cells: bounds its temporaries
 
 
 def _wedge_cells(kernel: JumpKernel, top: int, h: float, npts: int, moment: float):
@@ -382,19 +386,17 @@ def _wedge_cells(kernel: JumpKernel, top: int, h: float, npts: int, moment: floa
 
 
 @lru_cache(maxsize=64)
-def cell_tables(grid: Grid, kernel: JumpKernel, q: float) -> tuple[np.ndarray, np.ndarray]:
+def cell_tables(grid: Grid, kernel: JumpKernel, q: float) -> np.ndarray:
     """The cell quadrature of a radial kernel on the offsets -n..n per axis:
-    read-only (weights, masses), each of shape (2n+1,)*d, offset 0 at the center.
-
-    weights: product-integration weights for a smooth factor g(z) = S(z)/|z|^q
-      against kappa |z|^q.  In 1d g is interpolated piecewise-linearly on the
-      offset nodes and the kernel moments are integrated exactly against each
-      hat (exact for linear g, so no first-moment sampling error); the center
-      holds the hat at 0 over both sides.  In 2d g is sampled at cell centers
-      against Gauss-Legendre cell integrals of kappa |z|^q, evaluated on one
-      symmetry wedge (_wedge_cells); the center holds the self-cell moment.
-    masses: plain cell masses int_cell kappa, 0 at the center.
-    Both tables are exactly even along each axis, and in 2d exactly symmetric.
+    the read-only product-integration weights, of shape (2n+1,)*d, offset 0
+    at the center, for a smooth factor g(z) = S(z)/|z|^q against kappa |z|^q.
+    In 1d g is interpolated piecewise-linearly on the offset nodes and the
+    kernel moments are integrated exactly against each hat (exact for linear
+    g, so no first-moment sampling error); the center holds the hat at 0
+    over both sides.  In 2d g is sampled at cell centers against
+    Gauss-Legendre cell integrals of kappa |z|^q, evaluated on one symmetry
+    wedge (_wedge_cells); the center holds the self-cell moment.  The table
+    is exactly even along each axis, and in 2d exactly symmetric.
     """
     n, h = grid.n, grid.h
     if grid.d == 1:
@@ -404,20 +406,15 @@ def cell_tables(grid: Grid, kernel: JumpKernel, q: float) -> tuple[np.ndarray, n
         gw = np.zeros(n + 1)
         gw[1:] += (mm1 - zn[:-1] * mm) / h  # rising side of the hat at z_j
         gw[:-1] += (zn[1:] * mm - mm1) / h  # falling side of the hat at z_{j-1}
-        zc = zn[1:]
-        w = gw[1:] / zc**q
-        m0 = kernel.moment(zc - h / 2, zc + h / 2, 0)
-        return (readonly(np.concatenate([w[::-1], [2.0 * gw[0]], w])),
-                readonly(np.concatenate([m0[::-1], [0.0], m0])))
-    m0, mq = _wedge_cells(kernel, n, h, 10, q)
+        w = gw[1:] / zn[1:]**q
+        return readonly(np.concatenate([w[::-1], [2.0 * gw[0]], w]))
+    mq = _wedge_cells(kernel, n, h, 10, q)[1]
     off = np.arange(n + 1) * h
     rr2 = off[:, None] ** 2 + off[None, :] ** 2
     rr2[0, 0] = 1.0
     w = mq / rr2 ** (q / 2)
     w[0, 0] = _self_cell(kernel, grid, q)
-    m0[0, 0] = 0.0
-    index = np.ix_(*[np.abs(np.arange(-n, n + 1))] * 2)
-    return readonly(w[index]), readonly(m0[index])
+    return readonly(w[np.ix_(*[np.abs(np.arange(-n, n + 1))] * 2)])
 
 
 IMAGE_BLOCK = 50  # periodic images per block of 1d cell moments: bounds the temporaries
@@ -484,7 +481,7 @@ def get_stencil(grid: Grid, kernel: JumpKernel) -> np.ndarray:
     swap symmetry), moved onto the nearest-neighbour offsets as the discrete
     second derivative: the center is 0."""
     n, h, d = grid.n, grid.h, grid.d
-    weights = cell_tables(grid, kernel, 2.0)[0]
+    weights = cell_tables(grid, kernel, 2.0)
     ker = weights.copy()
     center = (n,) * d
     ker[center] = 0.0
@@ -783,7 +780,8 @@ def symmetries(grid: Grid, mat: CSR) -> tuple:
     nodes = np.arange(grid.size).reshape(grid.shape)
     row, col, data = mat.coo()
     live = data != 0
-    row, col, data = row[live], col[live], data[live]
+    # the flat keys row * N + col pass CSR's int32 from N^2 > 2^31 on (2d n = 256)
+    row, col, data = row[live].astype(np.intp), col[live], data[live]
 
     def entries(key):
         order = np.argsort(key)
@@ -913,6 +911,27 @@ def generator_apply(f: Field, cfg: OperatorConfig) -> Field:
     return f.with_values(jump_apply(f, cfg).values + drift.reshape(f.grid.shape))
 
 
+class _Sectors(Mapping):
+    """Lambda on the sectors of maps (orbit_maps), keyed alike and in the
+    same order: key -> (matrix, maps), the matrix read-only and built on
+    the first read of its key (_generator_sector), then kept."""
+
+    def __init__(self, grid: Grid, cfg: OperatorConfig, maps: MappingProxyType):
+        self._grid, self._cfg, self._maps, self._built = grid, cfg, maps, {}
+
+    def __getitem__(self, key):
+        if key not in self._built:
+            maps = self._maps[key]
+            self._built[key] = (_generator_sector(self._grid, self._cfg, maps[0]), maps)
+        return self._built[key]
+
+    def __iter__(self):
+        return iter(self._maps)
+
+    def __len__(self) -> int:
+        return len(self._maps)
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Dense realization of Lambda on the sectors of its symmetry group.
@@ -921,35 +940,65 @@ class GeneratorMatrix:
     drift_matrix exactly unchanged (symmetries); the periodic jump part,
     whose row is exactly even and symmetric, commutes with all of them, so
     Lambda is block diagonal in the symmetry-adapted basis (Cantoni and
-    Butler, Linear Algebra Appl. 1976).  ``sectors[key]`` is (matrix, maps)
-    for each sector of orbit_maps(grid, axes, swaps): Lambda on the
-    coefficients of maps[0], its spectrum counted once per map; with no
-    symmetry the one sector, ((), 1), is the whole matrix.  Lambda^* on a
-    sector is G^-1 B^T G, B its matrix and G the diagonal of its orbit
-    sizes.  ``max_abs`` is max |Lambda| over the full matrix.
+    Butler, Linear Algebra Appl. 1976).  ``maps`` is orbit_maps(grid, axes,
+    swaps), and ``sectors[key]`` is (matrix, maps[key]) for each of its
+    sectors, the fully even one first: Lambda on the coefficients of
+    maps[key][0], its spectrum counted once per map; with no symmetry the
+    one sector, ((), 1), is the whole matrix.  A sector's matrix is built
+    the first time it is read and kept, so a route pays for the sectors it
+    factors only: the bordered solve and lyapunov_check read the fully even
+    one, the eigenpair and harris_contraction all of them.
+    ``sector_sizes`` gives the sectors' orders without building any.
+    Lambda^* on a sector is G^-1 B^T G, B its matrix and G the diagonal of
+    its orbit sizes.  ``max_abs``, max |Lambda| over the full matrix, is
+    computed on first read, without a matrix.
 
     ``cfg`` names the jump the sectors hold: its method is always
     "quadrature", so generator_apply(f, gm.cfg) is Lambda without a matrix.
-    ``mat``, the full N x N matrix, is built on first access; no CLI route
-    reads it, only the tests and the dense instruments of
-    tests/paper_checks.py (b_semigroup_decay, duhamel_residual).  The arrays
-    are read-only, and the object compares and hashes by identity, so
-    caches can key on it."""
+    ``mat``, the full N x N matrix on n^d <= MAX_DENSE nodes, is built on
+    first access; no CLI route reads it, only the tests and the dense
+    instruments of tests/paper_checks.py (b_semigroup_decay,
+    duhamel_residual).  The arrays are read-only, and the object compares
+    and hashes by identity, so caches can key on it."""
 
     grid: Grid
     cfg: OperatorConfig
     axes: tuple
-    sectors: dict
-    max_abs: float
+    maps: MappingProxyType
     swaps: tuple = ()
 
     @property
     def size(self) -> int:
         return self.grid.size
 
+    @property
+    def sector_sizes(self) -> tuple:
+        """The orders of the sectors' matrices, in the order of sectors."""
+        return tuple(len(maps[0].reps) for maps in self.maps.values())
+
+    @cached_property
+    def sectors(self) -> Mapping:
+        return _Sectors(self.grid, self.cfg, self.maps)
+
+    @cached_property
+    def max_abs(self) -> float:
+        """max |J + D| over the full matrix, from the circulant row of J and
+        the sparse D, which changes the entries it touches: it couples
+        neighbours only, not around the box, so every off-diagonal offset
+        class keeps its J value at a wrap-around entry, and the diagonal
+        unless D has all of it."""
+        grid, row = self.grid, _jump_row(self.grid, self.cfg.alpha).ravel()
+        rows, cols, data = drift_matrix(grid, self.cfg.force_field(), self.cfg.drift).coo()
+        pos = zip(np.unravel_index(rows, grid.shape), np.unravel_index(cols, grid.shape))
+        offset = np.ravel_multi_index(tuple((r - c) % grid.n for r, c in pos), grid.shape)
+        kept = row[int(np.count_nonzero(rows == cols) == grid.size):]
+        return float(max(np.abs(row[offset] + data).max(initial=0.0), np.abs(kept).max()))
+
     @cached_property
     def mat(self) -> np.ndarray:
-        return _generator_sectors(self.grid, self.cfg, orbit_maps(self.grid, ()))[(), 1][0]
+        if self.size > MAX_DENSE:
+            raise ValueError(f"dense N x N matrix limited to n^d <= {MAX_DENSE}, got {self.size}")
+        return _generator_sector(self.grid, self.cfg, orbit_maps(self.grid, ())[(), 1][0])
 
 
 def _jump_row(grid: Grid, alpha: float) -> np.ndarray:
@@ -961,19 +1010,26 @@ def _jump_row(grid: Grid, alpha: float) -> np.ndarray:
     return c
 
 
+GATHER_BYTES = 1 << 19  # bytes of one block of _jump_matrix's gather: bounds its temporaries
+
+
 def _jump_matrix(grid: Grid, alpha: float, omap: OrbitMap | None = None) -> np.ndarray:
     """The periodic-wrap quadrature jump on the sector of omap (by default
     the identity: the full circulant, symmetric Metzler with zero column
     sums and eigenvalues quadrature_symbol), a new array.  Its entry (k, l)
     sums weight[x] c[rep_k - x] over the nodes x of orbit l in node order,
-    c the row of _jump_row (in 1d, c[i - j] + s c[i + j + 1] for parity s)."""
+    c the row of _jump_row (in 1d, c[i - j] + s c[i + j + 1] for parity s).
+    The rows are built in blocks of representatives, each from a gather of
+    at most GATHER_BYTES; every entry is summed as in one block."""
     omap = omap or orbit_maps(grid, ())[(), 1][0]
     live = np.flatnonzero(omap.weight)
     orbit_sum = CSR.from_coo(omap.weight[live], omap.index[live], live, (len(omap.reps), grid.size))
-    # the transpose, as c is even (c[x - rep_k] = c[rep_k - x]); its gather
-    # is freed before the copy
-    transposed = orbit_sum @ _gather(_jump_row(grid, alpha), 0, grid.n, omap.reps)
-    return np.ascontiguousarray(transposed.T)
+    row, out = _jump_row(grid, alpha), np.empty((len(omap.reps),) * 2)
+    step = max(1, GATHER_BYTES // (8 * grid.size))
+    for s in range(0, len(omap.reps), step):
+        # the rows' transpose, as c is even (c[x - rep_k] = c[rep_k - x])
+        out[s:s + step] = (orbit_sum @ _gather(row, 0, grid.n, omap.reps[s:s + step])).T
+    return out
 
 
 def _gather(table: np.ndarray, center: int, n: int, cols: np.ndarray) -> np.ndarray:
@@ -986,49 +1042,31 @@ def _gather(table: np.ndarray, center: int, n: int, cols: np.ndarray) -> np.ndar
     return table[tuple(index)].reshape(n**d, len(cols))
 
 
-def _generator_sectors(grid: Grid, cfg: OperatorConfig, maps: MappingProxyType) -> dict:
-    """Lambda on the sectors of maps (orbit_maps), keyed alike: (matrix,
-    maps), the jump sector plus the sparse drift folded onto it."""
-    drift = drift_matrix(grid, cfg.force_field(), cfg.drift)
-    out = {}
-    for key, omaps in maps.items():
-        mat = _jump_matrix(grid, cfg.alpha, omaps[0])
-        row, col, data = omaps[0].fold(drift).coo()
-        mat[row, col] += data  # summed duplicates: no repeated (row, col)
-        out[key] = (readonly(mat), omaps)
-    return out
-
-
-def _max_abs(grid: Grid, row: np.ndarray, drift: CSR) -> float:
-    """max |J + D| over the full matrix, from the circulant row of J and the
-    sparse D, which changes the entries it touches: it couples neighbours
-    only, not around the box, so every off-diagonal offset class keeps its
-    J value at a wrap-around entry, and the diagonal unless D has all of it."""
-    rows, cols, data = drift.coo()
-    pos = zip(np.unravel_index(rows, grid.shape), np.unravel_index(cols, grid.shape))
-    offset = np.ravel_multi_index(tuple((r - c) % grid.n for r, c in pos), grid.shape)
-    kept = row.ravel()[int(np.count_nonzero(rows == cols) == grid.size):]
-    return float(max(np.abs(row.ravel()[offset] + data).max(initial=0.0), np.abs(kept).max()))
+def _generator_sector(grid: Grid, cfg: OperatorConfig, omap: OrbitMap) -> np.ndarray:
+    """Lambda on the sector of omap, read-only: the jump sector plus the
+    sparse drift folded onto it."""
+    mat = _jump_matrix(grid, cfg.alpha, omap)
+    row, col, data = omap.fold(drift_matrix(grid, cfg.force_field(), cfg.drift)).coo()
+    mat[row, col] += data  # summed duplicates: no repeated (row, col)
+    return readonly(mat)
 
 
 def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatrix:
-    """Dense generator Lambda on n^d <= 4096 nodes, as its sectors under the
-    reflections and the axis swap that leave the drift unchanged
-    (_generator_sectors), without the N x N matrix.
+    """Dense generator Lambda on the sectors of the reflections and the axis
+    swap that leave the drift unchanged: their orbit maps, with no sector
+    matrix built yet (GeneratorMatrix.sectors builds each on first read)
+    and no N x N matrix.  The routes cap the sectors they factor: MAX_DENSE
+    for the solve's fully even sector, and steady.MAX_EIGEN_SECTOR for the
+    eigenpair's largest one.
 
     The jump part always uses the periodic quadrature circulant: the
     spectral multiplier has no Metzler matrix realization, and the maximum
     principle plus Krein-Rutman structure require nonnegative off-diagonal
     jump entries, and the matrix's cfg says so.
     """
-    if grid.size > MAX_DENSE:
-        raise ValueError(f"dense assembly limited to n^d <= {MAX_DENSE}, got {grid.size}")
     cfg = replace(cfg, method="quadrature")
-    drift = drift_matrix(grid, cfg.force_field(), cfg.drift)
-    axes, swaps = symmetries(grid, drift)
-    return GeneratorMatrix(grid=grid, cfg=cfg, axes=axes, swaps=swaps,
-                           sectors=_generator_sectors(grid, cfg, orbit_maps(grid, axes, swaps)),
-                           max_abs=_max_abs(grid, _jump_row(grid, cfg.alpha), drift))
+    axes, swaps = symmetries(grid, drift_matrix(grid, cfg.force_field(), cfg.drift))
+    return GeneratorMatrix(grid=grid, cfg=cfg, axes=axes, swaps=swaps, maps=orbit_maps(grid, axes, swaps))
 
 
 # ---------------------------------------------------------------------------

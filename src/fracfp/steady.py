@@ -15,9 +15,11 @@ Group Theoretical Methods and Their Applications, 1992), split the fields
 into sectors (operators.orbit_maps), and the matrix is block diagonal with
 one block per sector (GeneratorMatrix.sectors: at n = 32 in 2d, 136, 120,
 256 standing for two, 136 and 120 unknowns for 1024 nodes).  The stationary
-state lies in the fully even sector, which the linear-solve route solves
-alone; the eigenpair route takes the spectrum of every sector and the
-eigenvectors of the fully even one.  Both call numpy.linalg (solve, eig,
+state lies in the fully even sector, which the linear-solve route builds
+and solves alone, on up to operators.MAX_DENSE unknowns (2080 at 2d
+n = 128); the eigenpair route builds every sector, takes the spectrum of
+each and the eigenvectors of the fully even one, with at most
+MAX_EIGEN_SECTOR unknowns in any.  Both call numpy.linalg (solve, eig,
 eigvals); eig returns a real spectrum as real arrays, which the eigenpair
 route reads as it reads a complex one.
 
@@ -46,6 +48,7 @@ from fracfp.grid import (
     normalized_gaussian,
 )
 from fracfp.operators import (
+    MAX_DENSE,
     GeneratorMatrix,
     OperatorConfig,
     box_frequencies,
@@ -55,6 +58,7 @@ from fracfp.operators import (
 from fracfp.evolution import SchemeConfig, evolve, step_count, step_size
 
 __all__ = [
+    "MAX_EIGEN_SECTOR",
     "SteadyState",
     "closed_form_equilibrium",
     "steady_by_evolution",
@@ -69,11 +73,12 @@ class SteadyState:
     """A stationary state (mass 1) from one route, with its generator residual.
 
     The evolution route also keeps ``path``: the read-only stack of the
-    states it visited at the start of each unit-time chunk, path[j] at
-    chunk j (its probe f0 first, its last unnormalized state last), the
-    format of Trajectory.path.  evolve replays a run from the same f0 and
-    scheme on it: each chunk whose start is known becomes one lane of a
-    stacked step, certified by ending bit for bit on the next path state.
+    states it visited at the start of each chunk of ceil(1/dt) steps,
+    path[j] at chunk j (its probe f0 first, its last unnormalized state
+    last), the format of Trajectory.path.  evolve replays a run from the
+    same f0 and scheme on it: each chunk whose start is known becomes one
+    lane of a stacked step, certified by ending bit for bit on the next path
+    state.
     A route resumed from an evolve run's path keeps the same states, bit for
     bit.  The other routes have no path.
     """
@@ -88,7 +93,10 @@ class SteadyState:
         return integrate(self.field)
 
 
-HORIZON_CAP = 400.0  # steady_by_evolution gives up after this much evolution time
+# steady_by_evolution gives up after this many chunks of ceil(1/dt) steps: a
+# chunk is at least one time unit, so the cap is at least 400 time units
+# (about 411 at 2d L = 8, n = 16, where a chunk is 16 steps of dt = 0.0643)
+HORIZON_CAP = 400.0
 
 
 def _finalize(grid: Grid, values: np.ndarray, route: str) -> Field:
@@ -122,7 +130,9 @@ def steady_by_evolution(
     f0: Field | None = None,
     path: np.ndarray | None = None,
 ) -> SteadyState:
-    """Evolve a probe density until ||f(t + 1) - f(t)||_{L^1} < tol.
+    """Evolve a probe density, one chunk of ceil(1/dt) steps at a time,
+    until the L1 increment over a chunk, ||f(t + chunk dt) - f(t)||_{L^1},
+    falls below tol.
 
     Requires gamma > 2 - alpha (no equilibrium is claimed outside that
     range).  ``path`` may hold states the route would visit, already
@@ -130,9 +140,10 @@ def steady_by_evolution(
     Trajectory.path of an evolve run from f0.  The route reads its
     increments off those states and steps only after the last of them;
     ValueError when path[0] is not f0.  Raises CheckFailure "horizon" when
-    HORIZON_CAP passes first (measured = the last L1 increment, tolerance =
-    tol), and passes on the CheckFailure of a failed evolve step; both
-    count their step from the start of the route, resumed chunks included.
+    HORIZON_CAP chunks pass first (measured = the last L1 increment,
+    tolerance = tol), and passes on the CheckFailure of a failed evolve
+    step; both count their step from the start of the route, resumed chunks
+    included.
     The result keeps the chunk-start states as ``path``.
     """
     if not cfg.gamma > 2.0 - cfg.alpha:
@@ -148,8 +159,8 @@ def steady_by_evolution(
     elif path.shape[1:] != grid.shape or not np.array_equal(path[0], cur):
         raise ValueError("path[0] is not f0: the path starts from another field")
     dt = step_size(grid, cfg, scheme)
-    chunk = step_count(1.0, dt)  # the steps of one unit-time evolve
-    states = list(path)  # states[j]: the state at time j
+    chunk = step_count(1.0, dt)  # the ceil(1/dt) steps of one evolve of horizon 1
+    states = list(path)  # states[j]: the state after j chunks
     vol = grid.cell_volume
     for t in range(1, math.ceil(HORIZON_CAP) + 1):
         if t == len(states):
@@ -174,8 +185,13 @@ def steady_by_linear_solve(gm: GeneratorMatrix) -> SteadyState:
     conditioning) replaced by the unit-mass constraint, each representative
     weighted by the cell volume times its orbit size.  The column sums of
     Lambda vanish, so sizes^T B = 0 for the sector matrix B, and the
-    replaced row holds to roundoff as well."""
+    replaced row holds to roundoff as well.  Builds that sector only;
+    ValueError when it has more than MAX_DENSE unknowns."""
     grid = gm.grid
+    even = gm.sector_sizes[0]
+    if even > MAX_DENSE:
+        raise ValueError(f"dense solve limited to a fully even sector of <= {MAX_DENSE} "
+                         f"unknowns, got {even}")
     block, (omap,) = next(iter(gm.sectors.values()))
     a = block.copy()
     j0 = int(np.argmin(omap.restrict(grid.radius2())))
@@ -189,6 +205,11 @@ def steady_by_linear_solve(gm: GeneratorMatrix) -> SteadyState:
     return SteadyState(field=field, route="linear-solve", residual=float(np.max(np.abs(resid_rows))))
 
 
+# the largest sector leading_eigenpair factors: numpy.linalg.eigvals took
+# 27 s on the 4096-unknown sector of 2d n = 128 and 3.4 s on its 2016 and
+# 2080 ones (one BLAS thread, 2-core Xeon); 2048 keeps the eigen records of
+# 1d n = 4096, whose two sectors have 2048 unknowns each
+MAX_EIGEN_SECTOR = 2048
 # roundoff bound on the leading pair: ||A v - lambda v||_inf against max|A| ||v||_inf,
 # and the eigenvector's mass against its L1 norm
 RESIDUAL_TOL = 1e-10
@@ -215,7 +236,13 @@ def leading_eigenpair(gm: GeneratorMatrix):
     applied without a matrix (generator_apply with gm.cfg), which checks the
     sector, its fold and the lift: "spectral-abscissa",
     "leading-eigenvalue-real", "eigenvector-mass" and "eigenpair-residual".
+    Builds every sector; ValueError, before building any, when one has
+    more than MAX_EIGEN_SECTOR unknowns.
     """
+    largest = max(gm.sector_sizes)
+    if largest > MAX_EIGEN_SECTOR:
+        raise ValueError(f"dense eigenpair limited to sectors of <= {MAX_EIGEN_SECTOR} "
+                         f"unknowns, got {largest}")
     grid, scale = gm.grid, gm.max_abs
     even = next(iter(gm.sectors))
     lam, vecs = _la.eig(gm.sectors[even][0])

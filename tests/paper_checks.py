@@ -42,6 +42,7 @@ from fracfp.operators import (
     _face_pickers,
     _gather,
     _self_cell,
+    _wedge_cells,
     assemble_generator_matrix,
     cell_tables,
     drift_matrix,
@@ -193,11 +194,28 @@ class JumpStencil:
 
 
 @lru_cache(maxsize=64)
+def cell_masses(grid: Grid, kernel: JumpKernel) -> np.ndarray:
+    """The plain cell masses int_cell kappa of a radial kernel on the offsets
+    -n..n per axis, 0 at the center: read-only, of shape (2n+1,)*d, exactly
+    even along each axis and in 2d exactly symmetric.  In 1d exact radial
+    moments; in 2d the Gauss-Legendre cell integrals of cell_tables, on the
+    same symmetry wedge."""
+    n, h = grid.n, grid.h
+    if grid.d == 1:
+        zc = np.arange(1, n + 1) * h
+        m0 = kernel.moment(zc - h / 2, zc + h / 2, 0)
+        return readonly(np.concatenate([m0[::-1], [0.0], m0]))
+    m0 = _wedge_cells(kernel, n, h, 10, 0.0)[0]
+    m0[0, 0] = 0.0
+    return readonly(m0[np.ix_(*[np.abs(np.arange(-n, n + 1))] * 2)])
+
+
+@lru_cache(maxsize=64)
 def box_stencil(grid: Grid, kernel: JumpKernel) -> JumpStencil:
     """The zero-extension box stencil of a kernel, on the get_stencil row and
-    the cell_tables masses."""
+    the cell masses."""
     n, h, d = grid.n, grid.h, grid.d
-    ker, masses = get_stencil(grid, kernel), cell_tables(grid, kernel, 2.0)[1]
+    ker, masses = get_stencil(grid, kernel), cell_masses(grid, kernel)
     if d == 1:
         idx = np.arange(n)
         cnu = np.concatenate([[0.0], np.cumsum(ker[n + 1 :])])
@@ -267,8 +285,8 @@ def split_fraclap(f: Field, cfg: OperatorConfig, r: float | None = None):
 @lru_cache(maxsize=32)
 def plain_conv_kernel(grid: Grid, kernel: JumpKernel) -> np.ndarray:
     """Cell-mass convolution stencil for a bounded kernel (no singularity):
-    the cell_tables masses with the self-cell mass at the center."""
-    ker = cell_tables(grid, kernel, 2.0)[1].copy()
+    the cell masses with the self-cell mass at the center."""
+    ker = cell_masses(grid, kernel).copy()
     ker[(grid.n,) * grid.d] = _self_cell(kernel, grid, 0.0)
     return readonly(ker)
 
@@ -394,7 +412,7 @@ def _seminorm_weights(grid: Grid, s: float, p: float) -> np.ndarray:
     """Offset weights for iint |u(y)-u(x)|^p / |y-x|^{d+ps}, mollified by |z|^p:
     the cell_tables weights at q = p, a read-only table of shape (2n+1,)*d
     whose center holds the self-cell weight that multiplies |grad u|^p."""
-    return cell_tables(grid, _seminorm_kernel(grid.d, s, p), p)[0]
+    return cell_tables(grid, _seminorm_kernel(grid.d, s, p), p)
 
 
 def _half_offsets(n: int, d: int):

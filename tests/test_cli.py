@@ -648,6 +648,27 @@ def test_no_cli_route_builds_the_full_matrix(tmp_path, monkeypatch, d, n):
     assert len(calls) == {1: 2, 2: 5}[d] and all(len(args[2].reps) < n**d for args in calls)
 
 
+def test_steady_suite_at_2d_n128_solves_its_fully_even_sector(tmp_path, monkeypatch):
+    # 16384 nodes: the solve builds and factors the 2080-unknown fully even
+    # sector alone, and the routes agree at the same 5e-2; the 4096-unknown
+    # sector is above MAX_EIGEN_SECTOR, so there is no eigenpair and no
+    # eigen record
+    sizes, jump_matrix = [], fracfp.operators._jump_matrix
+
+    def counting(grid, alpha, omap=None):
+        sizes.append(len(omap.reps))
+        return jump_matrix(grid, alpha, omap)
+
+    monkeypatch.setattr(fracfp.operators, "_jump_matrix", counting)
+    cfg = ScenarioConfig(name="big", d=2, L=10.0, n=128, alpha=1.0, gamma=2.0, k=0.5, suite="steady")
+    report = run_scenario(cfg, tmp_path / "o")
+    records = {r.name: r for r in report.records}
+    agreement = records["route-agreement-L1"]
+    assert agreement.passed and agreement.tolerance == 5e-2
+    assert not {"leading-eigenvalue", "spectral-gap", "eigenvector-matches-solve"} & set(records)
+    assert report.overall_pass and sizes == [2080]
+
+
 def test_rates_suite_2d_n32_has_the_harris_records(tmp_path, capsys):
     # N = 1024 is at the dense expm cap
     p = write_cfg(tmp_path, "name = h\nd = 2\nL = 10\nn = 32\nalpha = 1.0\ngamma = 2.0\nk = 0.5\n"

@@ -56,8 +56,10 @@ def _calls_by_name(trees) -> dict:
 CELL_QUADRATURE = ("moment", "gl_cell_integrals_2d", "theta_quad", "_self_cell")
 # (module, function) outside operators that calls it: why
 CELL_QUADRATURE_CALLERS = {
+    ("paper_checks", "cell_masses"):
+        "the plain cell masses, which no src caller reads: 1d exact moments, 2d the cell_tables wedge",
     ("paper_checks", "plain_conv_kernel"):
-        "the capped-kernel convolution stencil: the cell_tables masses, the self-cell mass at the center",
+        "the capped-kernel convolution stencil: the cell masses, the self-cell mass at the center",
     ("paper_checks", "KernelVariant"): "l1_mass: the exact radial moment of the capped kernel over R^d",
     ("paper_checks", "box_stencil"): "the exterior mass beyond the offsets: a radial moment, in 2d over the angle",
 }
@@ -193,6 +195,7 @@ D_FORKS = [
      "1d product-integration hats, 2d Gauss-Legendre cells on one symmetry wedge"),
     ("operators", "_fold_kernel",
      "1d exact image masses in blocks of images, 2d Gauss-Legendre image lattice on one wedge"),
+    ("paper_checks", "cell_masses", "1d exact radial moments, 2d Gauss-Legendre cells on one wedge"),
     ("paper_checks", "box_stencil",
      "1d cumulative sums and exact tail, 2d convolutions and angular tail"),
     ("paper_checks", "fraclap_of_weight", "the analytic-exterior reference quadrature is 1d"),

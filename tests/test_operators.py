@@ -132,12 +132,11 @@ def test_offset_matrix_matches_capped_convolution(d, n):
 def test_capped_convolution_reads_the_stencil_mass_table(d, n):
     # one cell quadrature: plain_conv_kernel is the mass table the stencil's
     # exterior mass is built from, with the self-cell mass put at the center
-    from fracfp.operators import cell_tables
-    from paper_checks import box_stencil, far_kernel, plain_conv_kernel
+    from paper_checks import box_stencil, cell_masses, far_kernel, plain_conv_kernel
 
     g = build_grid(d, 6.0, n)
     kernel = far_kernel(0.8, d, 2.0 * g.h)
-    masses = cell_tables(g, kernel, 2.0)[1]
+    masses = cell_masses(g, kernel)
     ker = plain_conv_kernel(g, kernel)
     off_center = np.ones(ker.shape, dtype=bool)
     off_center[(n,) * d] = False
@@ -449,7 +448,7 @@ def test_cached_arrays_are_read_only():
         quadrature_symbol,
         spectral_symbol,
     )
-    from paper_checks import box_stencil, far_kernel, plain_conv_kernel, windowed_kernel
+    from paper_checks import box_stencil, cell_masses, far_kernel, plain_conv_kernel, windowed_kernel
 
     g = build_grid(1, 10.0, 64)
     sparse = [drift_matrix(g, make_force(2.0), drift) for drift in ("upwind", "centered")]
@@ -473,7 +472,8 @@ def test_cached_arrays_are_read_only():
     # them with their orbit maps
     g2 = build_grid(2, 10.0, 16)
     cached += [
-        *cell_tables(g2, full_kernel(1.0, 2), 2.0),
+        cell_tables(g2, full_kernel(1.0, 2), 2.0),
+        cell_masses(g2, full_kernel(1.0, 2)),
         _fold_kernel(g2, 1.0),
     ]
     gm2 = assemble_generator_matrix(g2, OperatorConfig(alpha=1.0, method="quadrature"))
@@ -546,11 +546,11 @@ def test_fold_kernel_matches_the_image_loop(d, n, alpha):
 @pytest.mark.parametrize("n", [16, 32])
 def test_wedge_cell_tables_match_the_cell_loop(n, q):
     from fracfp.operators import cell_tables, full_kernel
-    from paper_checks import windowed_kernel
+    from paper_checks import cell_masses, windowed_kernel
 
     g = build_grid(2, 10.0, n)
     for kernel in (full_kernel(1.0, 2), windowed_kernel(0.7, 2, 0.25)):
-        for table, ref_table in zip(cell_tables(g, kernel, q),
+        for table, ref_table in zip((cell_tables(g, kernel, q), cell_masses(g, kernel)),
                                     fold_reference.cell_tables_2d_loop(g, kernel, q)):
             assert np.abs(table - ref_table).max() <= 1e-14 * np.abs(ref_table).max()
             assert np.array_equal(table, table.T) and np.array_equal(table, np.flip(table, 0))
@@ -808,11 +808,61 @@ def test_matrix_leading_eigen_structure():
     assert lam[order[1]].real < -1e-3
 
 
-def test_matrix_size_guard():
+def test_matrix_size_guard(monkeypatch):
+    # assembly builds no matrix, so it runs at any size; each guard sits
+    # where a matrix is built, and raises before building one: the N x N
+    # matrix on n^d, the solve on its fully even sector and the eigenpair on
+    # its largest sector
+    from fracfp import operators
+    from fracfp.steady import MAX_EIGEN_SECTOR, leading_eigenpair, steady_by_linear_solve
+
+    def no_build(*args):
+        raise AssertionError("a guarded route built a sector")
+
+    monkeypatch.setattr(operators, "_jump_matrix", no_build)
     g = build_grid(2, 10.0, 128)  # 16384 nodes
     cfg = OperatorConfig(alpha=1.0, method="quadrature")
-    with pytest.raises(ValueError, match="dense"):
-        assemble_generator_matrix(g, cfg)
+    gm = assemble_generator_matrix(g, cfg)
+    assert gm.sector_sizes == (2080, 2016, 4096, 2080, 2016)
+    with pytest.raises(ValueError, match="dense N x N matrix"):
+        gm.mat
+    assert max(gm.sector_sizes) > MAX_EIGEN_SECTOR
+    with pytest.raises(ValueError, match="dense eigenpair"):
+        leading_eigenpair(gm)
+    # 2d n = 256: the symmetries are found on 65536 nodes (their flat keys
+    # pass 2^31), and the fully even sector has 8256 > MAX_DENSE unknowns
+    gm = assemble_generator_matrix(build_grid(2, 10.0, 256), cfg)
+    assert (gm.axes, gm.swaps) == ((0, 1), ((0, 1),))
+    assert gm.sector_sizes[0] == 8256 > operators.MAX_DENSE
+    with pytest.raises(ValueError, match="dense solve"):
+        steady_by_linear_solve(gm)
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (1, 512), (2, 16), (2, 32), (2, 64)])
+def test_sectors_in_row_blocks_equal_the_one_block_build(d, n, monkeypatch):
+    # each sector, built on its first read from gathers in blocks of
+    # representatives (GATHER_BYTES, or 7 representatives a block), equals
+    # the build from one gather of all of them bit for bit, the jump alone
+    # and with the drift folded on
+    from fracfp import operators
+
+    g = build_grid(d, 10.0, n)
+    cfg = OperatorConfig(alpha=1.2, gamma=2.0, method="quadrature")
+    gm = assemble_generator_matrix(g, cfg)
+    drift = drift_matrix(g, cfg.force_field(), cfg.drift)
+    maps = [group[0] for group in gm.maps.values()]
+    built = [gm.sectors[key][0] for key in gm.maps]
+    jumps = []
+    for budget in (operators.GATHER_BYTES, 7 * 8 * g.size):
+        monkeypatch.setattr(operators, "GATHER_BYTES", budget)
+        jumps.append([operators._jump_matrix(g, 1.2, omap) for omap in maps])
+    monkeypatch.setattr(operators, "GATHER_BYTES", 8 * g.size**2)  # one block
+    for k, omap in enumerate(maps):
+        one = operators._jump_matrix(g, 1.2, omap)
+        assert all(np.array_equal(blocked[k], one) for blocked in jumps)
+        row, col, data = omap.fold(drift).coo()
+        one[row, col] += data
+        assert np.array_equal(built[k], one) and not built[k].flags.writeable
 
 
 def test_matrix_2d_structure():

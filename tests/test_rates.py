@@ -247,9 +247,10 @@ def test_lyapunov_drift_at_origin(generator_256):
 
 
 def test_harris_contraction_identity(generator_256):
+    # P_0 = e^{0 Lambda^*} is the identity, here on the one sector of no
+    # symmetry, the full matrix
     g = generator_256.grid
-    ident = GeneratorMatrix(grid=g, cfg=generator_256.cfg, axes=(), max_abs=0.0,
-                            sectors={((), 1): (np.zeros((256, 256)), orbit_maps(g, ())[(), 1])})
+    ident = GeneratorMatrix(grid=g, cfg=generator_256.cfg, axes=(), maps=orbit_maps(g, ()))
     assert harris_contraction(ident, 0.0, 0.5, 0.4) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -206,7 +206,10 @@ def test_eigenpair_certificate_sees_a_wrong_lift(monkeypatch):
     assert node != omap.reps[j0]
     weight = omap.weight.copy()
     weight[node] = -weight[node]
-    monkeypatch.setitem(gm.sectors, key, (mat, (dataclasses.replace(omap, weight=weight),)))
+    # the sectors as a plain dict in place of the lazy mapping: the cached
+    # property reads the instance's own entry
+    sectors = {**gm.sectors, key: (mat, (dataclasses.replace(omap, weight=weight),))}
+    monkeypatch.setitem(vars(gm), "sectors", sectors)
     with pytest.raises(CheckFailure, match="eigenpair-residual") as exc:
         leading_eigenpair(gm)
     assert exc.value.measured > exc.value.tolerance == steady.RESIDUAL_TOL * gm.max_abs
@@ -427,6 +430,33 @@ def test_shifted_force_has_one_block_the_full_matrix(d, n):
     lam, vec, gap = leading_eigenpair(gm)
     assert (lam, gap) == (lam_ref, gap_ref)
     assert np.array_equal(vec.values.ravel(), vec_ref)
+
+
+def test_routes_build_only_the_sectors_they_read(monkeypatch):
+    # assembly builds no sector; the solve and lyapunov_check build the fully
+    # even one, the eigenpair and harris_contraction the others, each sector
+    # once, and the built sector is the one every route reads after
+    from fracfp import operators
+    from fracfp.rates import harris_contraction, lyapunov_check
+
+    built, jump_matrix = [], operators._jump_matrix
+
+    def recording(grid, alpha, omap=None):
+        built.append(omap)
+        return jump_matrix(grid, alpha, omap)
+
+    monkeypatch.setattr(operators, "_jump_matrix", recording)
+    gm = _eig_case("2d-upwind")
+    even, *others = (group[0] for group in gm.maps.values())
+    assert built == [] and len(others) == 4
+    steady_by_linear_solve(gm)
+    lyapunov_check(gm, [1.0], 0.5)
+    assert built == [even]
+    mat = gm.sectors[next(iter(gm.maps))][0]
+    leading_eigenpair(gm)
+    harris_contraction(gm, 1.0, 0.5, 0.4)
+    assert built == [even, *others]
+    assert next(iter(gm.sectors.values()))[0] is mat
 
 
 def test_linear_solve_matches_the_full_bordered_matrix():
