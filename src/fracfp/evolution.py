@@ -88,7 +88,7 @@ __all__ = [
 ]
 
 MASS_DRIFT_TOL = 1e-6
-CFL = 0.9  # the automatic step is CFL * h / max|E|
+CFL = 0.9  # the automatic step is CFL * h / (sum over axes of the largest face speed)
 POSITIVITY_FLOOR = 1e-12  # times ||f0||_inf
 MONITOR_BLOCK_BYTES = 1 << 17  # evolve reduces its monitors over blocks of about this many bytes
 
@@ -139,7 +139,9 @@ class Trajectory:
 
 
 def auto_dt(grid: Grid, cfg: OperatorConfig) -> float:
-    """The drift CFL bound CFL * h / max|E| (CFL * h without drift)."""
+    """The drift CFL bound CFL * h / s (CFL * h without drift), with s =
+    max_drift_speed: the sum over axes of the largest face speed |E_a|,
+    which in 2d is not max|E|."""
     speed = max_drift_speed(grid, cfg.force_field())
     if speed == 0.0:
         return CFL * grid.h

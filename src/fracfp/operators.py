@@ -33,9 +33,15 @@ its cap counts their unknowns, not the n^d nodes.
 The kernel is kappa_alpha(z) = c_{alpha,d} |z|^(-d-alpha) with the unique
 normalization matching the Fourier multiplier; both routes cross-validate it.
 
-The drift div(E f) has one realization, the sparse flux-form matrix
-drift_matrix (upwind or centered faces): the generator applies it, the
-adjoint its transpose, and the time stepper and dense assembly build on it.
+The drift div(E f) has one realization, the finite-volume flux form
+(LeVeque, Finite Volume Methods for Hyperbolic Problems, 2002): each
+interior face carries the flux w_hi f_hi + w_lo f_lo, and one builder,
+_flux_form, writes sum_a (F[i+1/2] - F[i-1/2]) / h entry by entry into a
+sparse matrix.  The upwind and centered drift_matrix and the Lax-Wendroff
+substep of drift_step_matrix differ only in their two weights per face.
+The generator applies drift_matrix, the adjoint paper check its transpose
+(through scipy.sparse, in tests/), and the time stepper and dense assembly
+build on it.
 
 No scipy package is imported: _load_compiled loads the three compiled
 modules the package calls from their files (pocketfft for the Fourier
@@ -530,13 +536,15 @@ class CSR:
     """A read-only sparse matrix in compressed sparse row form: row i holds
     data[indptr[i]:indptr[i + 1]] in the columns indices[indptr[i]:...].
 
-    Each operation calls scipy's compiled sparsetools kernels as
-    scipy.sparse's csr_array calls them, with the same inputs in the same
-    order, so its result has scipy.sparse's indptr, indices and data bit for
-    bit, the order of the entries within a row included (a product or a sum
-    of matrices that are not canonical keeps its kernel's order, and drops
-    the entries that it computes as 0).  The index dtype is int32, or int64
-    when from_coo gets wider indices, as in scipy.sparse."""
+    The operations the package calls (from_coo, diag, the sum, the product
+    with a scalar, a matrix, a vector or columns, and lane_product) call
+    scipy's compiled sparsetools kernels as scipy.sparse's csr_array calls
+    them, with the same inputs in the same order, so each result has
+    scipy.sparse's indptr, indices and data bit for bit, the order of the
+    entries within a row included (a product or a sum of matrices that are
+    not canonical keeps its kernel's order, and drops the entries that it
+    computes as 0).  The index dtype is int32, or int64 when from_coo gets
+    wider indices, as in scipy.sparse."""
 
     shape: tuple
     indptr: np.ndarray
@@ -587,25 +595,16 @@ class CSR:
         row = np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype), np.diff(self.indptr))
         return row, self.indices, self.data
 
-    def _binop(self, other: "CSR", kernel) -> "CSR":
-        """self op other through csr_plus_csr or csr_minus_csr."""
-        out = self._empty(self.shape[0], len(self.data) + len(other.data))
-        kernel(*self.shape, *self.arrays, *other.arrays, *out)
-        return CSR(self.shape, *out)
-
     def __add__(self, other: "CSR") -> "CSR":
-        return self._binop(other, _sparsetools.csr_plus_csr)
-
-    def __sub__(self, other: "CSR") -> "CSR":
-        return self._binop(other, _sparsetools.csr_minus_csr)
+        """self + other through csr_plus_csr."""
+        out = self._empty(self.shape[0], len(self.data) + len(other.data))
+        _sparsetools.csr_plus_csr(*self.shape, *self.arrays, *other.arrays, *out)
+        return CSR(self.shape, *out)
 
     def __mul__(self, scalar: float) -> "CSR":
         return CSR(self.shape, self.indptr, self.indices, self.data * scalar)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "CSR":
-        return CSR(self.shape, self.indptr, self.indices, self.data / scalar)
 
     def __matmul__(self, other):
         """The product with a CSR matrix (csr_matmat: each row's entries in
@@ -625,20 +624,6 @@ class CSR:
         out = np.zeros((m, other.shape[1]))
         _sparsetools.csr_matvecs(m, n, other.shape[1], *self.arrays, other.ravel(), out.ravel())
         return out
-
-    @property
-    def T(self) -> "CSR":
-        """The transpose, through csr_tocsc: each row's entries in column
-        order, as scipy.sparse's tocsc (and the tocsr of a CSC) give them."""
-        out = self._empty(self.shape[1], len(self.data))
-        _sparsetools.csr_tocsc(*self.shape, *self.arrays, *out)
-        return CSR(self.shape[::-1], *out)
-
-    def eliminate_zeros(self) -> "CSR":
-        """The matrix without its stored zeros (csr_eliminate_zeros)."""
-        out = tuple(arr.copy() for arr in self.arrays)
-        _sparsetools.csr_eliminate_zeros(*self.shape, *out)
-        return CSR(self.shape, *out)
 
     def lane_product(self) -> Callable[[np.ndarray], np.ndarray]:
         """x -> self @ x for the square matrix self, on one field or on each
@@ -682,37 +667,40 @@ def _face_velocities(grid: Grid, force: ForceField) -> tuple[np.ndarray, ...]:
     return tuple(map(readonly, out))
 
 
-def _face_pickers(grid: Grid) -> list:
-    """Per axis, the (S_hi, S_lo) that pick the node above and below each
-    interior face: one entry 1 per row, rows in the row-major order of the
-    face arrays."""
-    n, nodes = grid.n, np.arange(grid.size, dtype=np.int32).reshape(grid.shape)
-    faces = grid.size // n * (n - 1)
-    return [tuple(CSR((faces, grid.size), np.arange(faces + 1, dtype=np.int32),
-                      np.take(nodes, np.arange(k, k + n - 1), axis).ravel(), np.ones(faces))
-                  for k in (1, 0))
-            for axis in range(grid.d)]
-
-
-def _face_divergence(grid: Grid, face_maps) -> CSR:
-    """Sum over axes of Div_a @ F_a, Div_a = (S_lo - S_hi)^T / h, for per-axis
-    maps F_a from node values to interior-face fluxes: (F[i+1/2] - F[i-1/2]) / h
-    per axis, with zero flux through the box boundary faces.  Each axis term
-    divides its summed entries by h, which fixes the rounding of every entry.
-    The term is (F_a^T (S_lo - S_hi))^T, the product scipy.sparse forms for
-    the CSC (S_lo - S_hi)^T times F_a, and then its CSR layout."""
-    out = None
-    for (s_hi, s_lo), face in zip(_face_pickers(grid), face_maps):
-        term = (face.T @ (s_lo - s_hi)).T / grid.h
-        out = term if out is None else out + term
-    return out.eliminate_zeros()
+def _flux_form(grid: Grid, weights) -> CSR:
+    """The matrix of sum_a (F[i+1/2] - F[i-1/2]) / h for the interior-face
+    fluxes F = w_hi f_hi + w_lo f_lo, one face-shaped (w_hi, w_lo) per axis a
+    (f_hi, f_lo the nodes above and below the face); no flux crosses the
+    box boundary faces.  Entry by entry: w_hi / h above the diagonal,
+    -w_lo / h below it, and ((-w_hi below) + w_lo above) / h on it, the
+    axes added in order; exact zeros are not stored.  These are the roundings
+    of scipy.sparse's face-picker products (tests/sparse_reference.py), bit
+    for bit.  The entries go to from_coo row by row in column order, so it
+    neither sorts nor sums them."""
+    nodes = np.arange(grid.size, dtype=np.int32).reshape(grid.shape)
+    lower, upper, diag = [], [], 0.0
+    for a, (w_hi, w_lo) in enumerate(weights):
+        lo, hi = (tuple(slice(k, k + grid.n - 1) if b == a else slice(None) for b in range(grid.d))
+                  for k in (0, 1))
+        sub, sup, term = np.zeros((3, *grid.shape))
+        sub[hi], sup[lo], term[hi] = -w_lo / grid.h, w_hi / grid.h, -w_hi
+        term[lo] += w_lo
+        diag = diag + term / grid.h
+        step = grid.size // grid.n ** (a + 1)  # the node stride of axis a
+        lower.append((nodes - step, sub))
+        upper.insert(0, (nodes + step, sup))
+    col, data = (np.stack(x, axis=-1).ravel() for x in zip(*lower, (nodes, diag), *upper))
+    row = np.repeat(nodes.ravel(), 2 * grid.d + 1)
+    live = data != 0
+    return CSR.from_coo(data[live], row[live], col[live], (grid.size,) * 2)
 
 
 @lru_cache(maxsize=16)
 def drift_matrix(grid: Grid, force: ForceField, drift: str) -> CSR:
     """The drift generator D = div(E .) in conservative flux form, as a sparse
-    matrix on the row-major node order.  The generator applies D, the adjoint
-    D^T = -E . grad, and the stepper and dense assembly build on D.
+    matrix on the row-major node order (_flux_form).  The generator applies
+    D, the adjoint D^T = -E . grad, and the stepper and dense assembly build
+    on D.
 
     upwind:   each face takes the value from the side mass flows from
               (velocity -E), flux E+ f_hi + E- f_lo: D is Metzler (discrete
@@ -723,14 +711,10 @@ def drift_matrix(grid: Grid, force: ForceField, drift: str) -> CSR:
     (to roundoff): D^T 1 = 0.
     """
     faces = _face_velocities(grid, force)
-    maps = []
-    for a, (s_hi, s_lo) in enumerate(_face_pickers(grid)):
-        ep, em = faces[2 * a].ravel(), faces[2 * a + 1].ravel()
-        if drift == "centered":
-            maps.append(CSR.diag(ep + em) @ (0.5 * (s_hi + s_lo)))
-        else:
-            maps.append(CSR.diag(ep) @ s_hi + CSR.diag(em) @ s_lo)
-    return _face_divergence(grid, maps)
+    pairs = zip(faces[::2], faces[1::2])
+    if drift == "centered":
+        pairs = [((ep + em) * 0.5,) * 2 for ep, em in pairs]
+    return _flux_form(grid, pairs)
 
 
 @lru_cache(maxsize=16)
@@ -743,23 +727,26 @@ def drift_step_matrix(grid: Grid, force: ForceField, drift: str, tau: float) -> 
     confining family, so P >= 0 entrywise: every entry of H is a sum of
     nonnegative products, H is column-stochastic, and the substep keeps
     positivity and mass exactly.
-    centered: Lax-Wendroff flux E_face [f_face + tau/(2h) (E_node f)_hi-lo];
-    the tau^2 term stabilizes the centered average (dispersive, not monotone;
-    used by the second-order steady-state routes, not the positivity suites).
+    centered: Lax-Wendroff flux E_face [f_face + tau/(2h) (E_node f)_hi-lo],
+    the face weights E_face (1/2 + c E_hi) and E_face (1/2 - c E_lo) of
+    _flux_form with c = tau/(2h), and H = I + tau D_LW; the tau^2 term
+    stabilizes the centered average (dispersive, not monotone; used by the
+    second-order steady-state routes, not the positivity suites).
     """
     eye = CSR.diag(np.ones(grid.size))
     if drift != "centered":
+        # csr_matmat's entry order in P @ P fixes the bits of every step
         p = eye + tau * drift_matrix(grid, force, drift)
         return 0.5 * (eye + p @ p)
     faces = _face_velocities(grid, force)
     e_node = force.components(grid.coords())
     c = tau / (2.0 * grid.h)
-    maps = []
-    for a, (s_hi, s_lo) in enumerate(_face_pickers(grid)):
-        e_face = CSR.diag((faces[2 * a] + faces[2 * a + 1]).ravel())
-        lw = 0.5 * (s_hi + s_lo) + c * (s_hi - s_lo) @ CSR.diag(e_node[a].ravel())
-        maps.append(e_face @ lw)
-    return eye + tau * _face_divergence(grid, maps)
+    weights = []
+    for a in range(grid.d):
+        e_face = faces[2 * a] + faces[2 * a + 1]
+        e_lo, e_hi = (np.take(e_node[a], np.arange(k, k + grid.n - 1), a) for k in (0, 1))
+        weights.append((e_face * (0.5 + c * e_hi), e_face * (0.5 + c * -e_lo)))
+    return eye + tau * _flux_form(grid, weights)
 
 
 def max_drift_speed(grid: Grid, force: ForceField) -> float:

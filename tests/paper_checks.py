@@ -39,7 +39,6 @@ from fracfp.operators import (
     GeneratorMatrix,
     JumpKernel,
     OperatorConfig,
-    _face_pickers,
     _gather,
     _self_cell,
     _wedge_cells,
@@ -63,6 +62,7 @@ from fracfp.functionals import (
 )
 from fracfp.evolution import auto_dt, evolve
 from fracfp.rates import MIN_FIT_POINTS, RateReport, decay_fit
+from sparse_reference import to_scipy
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +304,23 @@ def capped_convolution(f: Field, cfg: OperatorConfig, r: float) -> Field:
 @lru_cache(maxsize=16)
 def laplacian_matrix(grid: Grid) -> CSR:
     """The 3/5-point Laplacian, fields extended by zero outside the box:
-    (sum_a S_hi^T S_lo + S_lo^T S_hi - 2d I) / h^2."""
-    out = -2.0 * grid.d * CSR.diag(np.ones(grid.size))
-    for s_hi, s_lo in _face_pickers(grid):
-        out = out + s_hi.T @ s_lo + s_lo.T @ s_hi
-    return out / grid.h**2
+    1 / h^2 at each pair of neighbour nodes, both ways, and -2d / h^2 on the
+    whole diagonal (zero extension, not a flux form)."""
+    nodes = np.arange(grid.size, dtype=np.int32).reshape(grid.shape)
+    row, col = [nodes.ravel()], [nodes.ravel()]
+    for a in range(grid.d):
+        lo, hi = (np.take(nodes, np.arange(k, k + grid.n - 1), a).ravel() for k in (0, 1))
+        row += [lo, hi]
+        col += [hi, lo]
+    row, col = np.concatenate(row), np.concatenate(col)
+    data = np.where(row == col, -2.0 * grid.d, 1.0) / grid.h**2
+    return CSR.from_coo(data, row, col, (grid.size,) * 2)
 
 
 def adjoint_apply(g: Field, cfg: OperatorConfig) -> Field:
-    """Lambda^* g = I(g) - E . grad g, the drift through the transpose of
-    drift_matrix; Lambda^* 1 = 0 to roundoff."""
-    drift = drift_matrix(g.grid, cfg.force_field(), cfg.drift).T @ g.values.ravel()
+    """Lambda^* g = I(g) - E . grad g, the drift through scipy.sparse's
+    transpose of drift_matrix; Lambda^* 1 = 0 to roundoff."""
+    drift = to_scipy(drift_matrix(g.grid, cfg.force_field(), cfg.drift)).T @ g.values.ravel()
     return g.with_values(jump_apply(g, cfg).values + drift.reshape(g.grid.shape))
 
 

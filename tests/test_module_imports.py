@@ -299,6 +299,11 @@ def test_one_orbit_map_builder():
 # scipy's compiled modules that operators loads from their files, and the
 # operators function or class that is the one caller of each
 PRIVATE_KERNELS = {"pypocketfft": "fourier_multiply", "_sparsetools": "CSR", "_matfuncs_expm": "expm"}
+# the sparsetools kernels that CSR calls: the surface on which its results
+# must stay scipy.sparse's bit for bit, which grows only on purpose
+CSR_KERNELS = {"coo_tocsr", "csr_has_canonical_format", "csr_has_sorted_indices", "csr_sort_indices",
+               "csr_sum_duplicates", "csr_plus_csr", "csr_matmat_maxnnz", "csr_matmat", "csr_matvec",
+               "csr_matvecs"}
 # scipy subpackages no module imports: scipy.fft's package loads scipy.special,
 # and its public transforms would bypass fourier_multiply; scipy.sparse and
 # scipy.linalg load the array-API layer of scipy._lib (numpy.f2py, numpy.testing)
@@ -338,9 +343,10 @@ def _names(tree: ast.Module) -> set[str]:
 
 def test_only_operators_calls_scipys_private_kernels():
     """operators alone names scipy's compiled FFT, sparse and expm modules,
-    only fourier_multiply, the CSR type and expm call them, and no module
-    imports a scipy subpackage of UNUSED_SCIPY."""
-    found, callers = [], set()
+    only fourier_multiply, the CSR type and expm call them, CSR calls
+    exactly the sparsetools kernels of CSR_KERNELS, and no module imports a
+    scipy subpackage of UNUSED_SCIPY."""
+    found, calls = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
         found += [f"{path.name} imports {name}" for name in _imported(tree)
@@ -349,12 +355,13 @@ def test_only_operators_calls_scipys_private_kernels():
             found += [f"{path.name} names {kernel}" for kernel in PRIVATE_KERNELS
                       for name in _names(tree) if name and kernel in name]
             continue
-        callers |= {(node.value.id, fn.name) for fn in tree.body
-                    if isinstance(fn, (ast.FunctionDef, ast.ClassDef))
-                    for node in ast.walk(fn) if isinstance(node, ast.Attribute)
-                    and getattr(node.value, "id", None) in PRIVATE_KERNELS}
+        calls |= {(node.value.id, fn.name, node.attr) for fn in tree.body
+                  if isinstance(fn, (ast.FunctionDef, ast.ClassDef))
+                  for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) in PRIVATE_KERNELS}
     assert not found, "\n".join(found)
-    assert callers == set(PRIVATE_KERNELS.items())
+    assert {(module, caller) for module, caller, _ in calls} == set(PRIVATE_KERNELS.items())
+    assert {kernel for module, _, kernel in calls if module == "_sparsetools"} == CSR_KERNELS
 
 
 def _exported(tree: ast.Module) -> list:
