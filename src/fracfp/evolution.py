@@ -219,8 +219,9 @@ class _Stepper:
 
 
 def step_count(T: float, dt: float) -> int:
-    """The steps of dt that a run to horizon T makes: ceil(T / dt)."""
-    return int(math.ceil(T / dt - 1e-9))
+    """The steps of dt that a run to horizon T > 0 makes: ceil(T / dt), and
+    at least one when T is below 1e-9 dt."""
+    return max(1, int(math.ceil(T / dt - 1e-9)))
 
 
 def evolve(

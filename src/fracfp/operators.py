@@ -26,9 +26,10 @@ the whole-space symbol exactly, so the wrapped quadrature stencil (circulant
 fold plus the kernel mass of all periodic images) is the real-space twin of
 the spectral route, with exact mass conservation.  Generator matrices, time
 integration and the semigroup machinery all live on this periodized box.
-The dense generator is held as its symmetry sectors, each built on the
-first read (GeneratorMatrix): a route pays for the sectors it factors, and
-its cap counts their unknowns, not the n^d nodes.
+The dense generator is its orbit maps and one accessor of its symmetry
+sectors, each built on the first call (GeneratorMatrix.sector): a route
+pays for the sectors it factors, and its cap counts their unknowns, not
+the n^d nodes.  No route builds the N x N matrix.
 
 The kernel is kappa_alpha(z) = c_{alpha,d} |z|^(-d-alpha) with the unique
 normalization matching the Fourier multiplier; both routes cross-validate it.
@@ -60,7 +61,6 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -95,7 +95,7 @@ __all__ = [
     "assemble_generator_matrix",
 ]
 
-MAX_DENSE = 4096  # cap of the dense solve's fully even sector, and of n^d for GeneratorMatrix.mat
+MAX_DENSE = 4096  # cap of the dense solve's fully even sector
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -336,7 +336,8 @@ def _gauss_legendre(npts: int):
 
 
 def gl_cell_integrals_2d(kernel: JumpKernel, centers1, centers2, h, npts=10, moment=2.0):
-    """Gauss-Legendre integrals of kappa and kappa*|z|^moment over square cells."""
+    """Gauss-Legendre integrals of kappa*|z|^moment over square cells (at
+    moment 0 the cell masses, kappa alone)."""
     gx, gw = _gauss_legendre(npts)
     gx = 0.5 * h * gx  # nodes relative to cell center
     gw = 0.5 * h * gw
@@ -345,10 +346,9 @@ def gl_cell_integrals_2d(kernel: JumpKernel, centers1, centers2, h, npts=10, mom
     w2d = gw[:, None] * gw[None, :]
     r = np.hypot(z1, z2)
     kv = kernel.value(r)
-    m0 = np.sum(kv * w2d, axis=(-2, -1))
-    if moment == 0:
-        return m0, m0  # r**0 is 1: the moment table is the mass table
-    return m0, np.sum(kv * r**moment * w2d, axis=(-2, -1))
+    if moment != 0:
+        kv = kv * r**moment
+    return np.sum(kv * w2d, axis=(-2, -1))
 
 
 def theta_quad(f, a, b):
@@ -376,19 +376,20 @@ WEDGE_NODES = 1 << 14  # quadrature nodes per batch of _wedge_cells: bounds its 
 
 
 def _wedge_cells(kernel: JumpKernel, top: int, h: float, npts: int, moment: float):
-    """gl_cell_integrals_2d on the cells centered at (a h, b h), 0 <= a, b <= top:
-    (m0, mm), each of shape (top + 1, top + 1) and exactly symmetric.  A radial
-    kernel's cell integral depends only on (|a|, |b|) up to their order, so
-    each cell is evaluated once, on the wedge a <= b, in batches of at most
-    WEDGE_NODES quadrature nodes, and mirrored across the diagonal."""
+    """gl_cell_integrals_2d at moment on the cells centered at (a h, b h),
+    0 <= a, b <= top: a new table of shape (top + 1, top + 1), exactly
+    symmetric.  A radial kernel's cell integral depends only on (|a|, |b|) up
+    to their order, so each cell is evaluated once, on the wedge a <= b, in
+    batches of at most WEDGE_NODES quadrature nodes, and mirrored across the
+    diagonal."""
     a, b = np.triu_indices(top + 1)
-    m0, mm = np.empty((2, top + 1, top + 1))
+    out = np.empty((top + 1, top + 1))
     step = max(1, WEDGE_NODES // npts**2)
     for s in range(0, len(a), step):
         ia, ib = a[s:s + step], b[s:s + step]
-        m0[ia, ib], mm[ia, ib] = gl_cell_integrals_2d(kernel, ia * h, ib * h, h, npts, moment)
-    m0[b, a], mm[b, a] = m0[a, b], mm[a, b]
-    return m0, mm
+        out[ia, ib] = gl_cell_integrals_2d(kernel, ia * h, ib * h, h, npts, moment)
+    out[b, a] = out[a, b]
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -414,7 +415,7 @@ def cell_tables(grid: Grid, kernel: JumpKernel, q: float) -> np.ndarray:
         gw[:-1] += (zn[1:] * mm - mm1) / h  # falling side of the hat at z_{j-1}
         w = gw[1:] / zn[1:]**q
         return readonly(np.concatenate([w[::-1], [2.0 * gw[0]], w]))
-    mq = _wedge_cells(kernel, n, h, 10, q)[1]
+    mq = _wedge_cells(kernel, n, h, 10, q)
     off = np.arange(n + 1) * h
     rr2 = off[:, None] ** 2 + off[None, :] ** 2
     rr2[0, 0] = 1.0
@@ -467,7 +468,7 @@ def _fold_kernel(grid: Grid, alpha: float) -> np.ndarray:
         # [-6n, 6n) per axis (|m| <= 6 periods; the remainder is negligible
         # at 2d tolerances) outside the stencil band [-n, n)^2, each folded
         # modulo n with one reshape-sum
-        m0 = _wedge_cells(kernel, 6 * n, h, 4, 0.0)[0]
+        m0 = _wedge_cells(kernel, 6 * n, h, 4, 0.0)
         cells = m0[np.ix_(*[np.abs(np.arange(-6 * n, 6 * n))] * 2)]
         cells[5 * n:7 * n, 5 * n:7 * n] = 0.0
         out += cells.reshape(12, n, 12, n).sum(axis=(0, 2))
@@ -651,20 +652,20 @@ class CSR:
 
 @lru_cache(maxsize=64)
 def _face_velocities(grid: Grid, force: ForceField) -> tuple[np.ndarray, ...]:
-    """E+ and E- per axis at interior faces, zero at the box boundary faces.
+    """The signed face velocity E_a per axis a at the interior faces normal
+    to it, read-only.
 
-    For the confining family the flux at the outer faces vanishes (upwind
-    takes the exterior value, which is zero), so boundary faces carry E = 0
-    and the flux form telescopes to exact mass conservation.
+    No flux crosses the box boundary faces (for the confining family upwind
+    would take the exterior value there, which is zero), so they carry no
+    velocity and the flux form telescopes to exact mass conservation.
     """
     ax = grid.axis
     xf = 0.5 * (ax[:-1] + ax[1:])  # exactly odd, as the axis is
     out = []
     for a in range(grid.d):
         faces = np.meshgrid(*(xf if b == a else ax for b in range(grid.d)), indexing="ij")
-        ef = force.components(faces)[a]
-        out += [np.maximum(ef, 0.0), np.minimum(ef, 0.0)]
-    return tuple(map(readonly, out))
+        out.append(readonly(force.components(faces)[a]))
+    return tuple(out)
 
 
 def _flux_form(grid: Grid, weights) -> CSR:
@@ -703,18 +704,18 @@ def drift_matrix(grid: Grid, force: ForceField, drift: str) -> CSR:
     on D.
 
     upwind:   each face takes the value from the side mass flows from
-              (velocity -E), flux E+ f_hi + E- f_lo: D is Metzler (discrete
-              maximum principle), and D^T differences on the downwind side.
-    centered: flux (E+ + E-) (f_hi + f_lo)/2: second order and conservative
-              but not Metzler; D^T takes face-averaged centered differences.
+              (velocity -E), flux max(E, 0) f_hi + min(E, 0) f_lo: D is
+              Metzler (discrete maximum principle), and D^T differences on
+              the downwind side.
+    centered: flux E (f_hi + f_lo)/2: second order and conservative but not
+              Metzler; D^T takes face-averaged centered differences.
     No flux crosses the box boundary faces, so the columns of D sum to zero
     (to roundoff): D^T 1 = 0.
     """
     faces = _face_velocities(grid, force)
-    pairs = zip(faces[::2], faces[1::2])
     if drift == "centered":
-        pairs = [((ep + em) * 0.5,) * 2 for ep, em in pairs]
-    return _flux_form(grid, pairs)
+        return _flux_form(grid, [(e * 0.5,) * 2 for e in faces])
+    return _flux_form(grid, [(np.maximum(e, 0.0), np.minimum(e, 0.0)) for e in faces])
 
 
 @lru_cache(maxsize=16)
@@ -738,25 +739,19 @@ def drift_step_matrix(grid: Grid, force: ForceField, drift: str, tau: float) -> 
         # csr_matmat's entry order in P @ P fixes the bits of every step
         p = eye + tau * drift_matrix(grid, force, drift)
         return 0.5 * (eye + p @ p)
-    faces = _face_velocities(grid, force)
     e_node = force.components(grid.coords())
     c = tau / (2.0 * grid.h)
     weights = []
-    for a in range(grid.d):
-        e_face = faces[2 * a] + faces[2 * a + 1]
+    for a, e_face in enumerate(_face_velocities(grid, force)):
         e_lo, e_hi = (np.take(e_node[a], np.arange(k, k + grid.n - 1), a) for k in (0, 1))
         weights.append((e_face * (0.5 + c * e_hi), e_face * (0.5 + c * -e_lo)))
     return eye + tau * _flux_form(grid, weights)
 
 
 def max_drift_speed(grid: Grid, force: ForceField) -> float:
-    """Sum over axes of the largest face speed; drives the CFL bound."""
-    faces = _face_velocities(grid, force)
-    total = 0.0
-    for axis in range(grid.d):
-        ep, em = faces[2 * axis], faces[2 * axis + 1]
-        total += max(float(np.max(ep, initial=0.0)), float(np.max(-em, initial=0.0)))
-    return total
+    """Sum over axes of the largest interior-face speed max|E_a|; drives the
+    CFL bound."""
+    return sum(float(np.max(np.abs(e), initial=0.0)) for e in _face_velocities(grid, force))
 
 
 def symmetries(grid: Grid, mat: CSR) -> tuple:
@@ -898,27 +893,6 @@ def generator_apply(f: Field, cfg: OperatorConfig) -> Field:
     return f.with_values(jump_apply(f, cfg).values + drift.reshape(f.grid.shape))
 
 
-class _Sectors(Mapping):
-    """Lambda on the sectors of maps (orbit_maps), keyed alike and in the
-    same order: key -> (matrix, maps), the matrix read-only and built on
-    the first read of its key (_generator_sector), then kept."""
-
-    def __init__(self, grid: Grid, cfg: OperatorConfig, maps: MappingProxyType):
-        self._grid, self._cfg, self._maps, self._built = grid, cfg, maps, {}
-
-    def __getitem__(self, key):
-        if key not in self._built:
-            maps = self._maps[key]
-            self._built[key] = (_generator_sector(self._grid, self._cfg, maps[0]), maps)
-        return self._built[key]
-
-    def __iter__(self):
-        return iter(self._maps)
-
-    def __len__(self) -> int:
-        return len(self._maps)
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Dense realization of Lambda on the sectors of its symmetry group.
@@ -928,25 +902,22 @@ class GeneratorMatrix:
     whose row is exactly even and symmetric, commutes with all of them, so
     Lambda is block diagonal in the symmetry-adapted basis (Cantoni and
     Butler, Linear Algebra Appl. 1976).  ``maps`` is orbit_maps(grid, axes,
-    swaps), and ``sectors[key]`` is (matrix, maps[key]) for each of its
-    sectors, the fully even one first: Lambda on the coefficients of
-    maps[key][0], its spectrum counted once per map; with no symmetry the
-    one sector, ((), 1), is the whole matrix.  A sector's matrix is built
-    the first time it is read and kept, so a route pays for the sectors it
-    factors only: the bordered solve and lyapunov_check read the fully even
-    one, the eigenpair and harris_contraction all of them.
-    ``sector_sizes`` gives the sectors' orders without building any.
+    swaps), the fully even sector first, and ``sector(key)`` is Lambda on
+    the coefficients of maps[key][0], its spectrum counted once per map of
+    maps[key]; with no symmetry the one sector, ((), 1), is the whole
+    matrix.  A sector is built on its first call and kept, so a route pays
+    for the sectors it factors only: the bordered solve and lyapunov_check
+    build the fully even one, the eigenpair and harris_contraction all of
+    them.  ``sector_sizes`` gives the sectors' orders without building any.
     Lambda^* on a sector is G^-1 B^T G, B its matrix and G the diagonal of
     its orbit sizes.  ``max_abs``, max |Lambda| over the full matrix, is
-    computed on first read, without a matrix.
+    computed on first read, without a matrix; no route builds the N x N
+    matrix.
 
     ``cfg`` names the jump the sectors hold: its method is always
     "quadrature", so generator_apply(f, gm.cfg) is Lambda without a matrix.
-    ``mat``, the full N x N matrix on n^d <= MAX_DENSE nodes, is built on
-    first access; no CLI route reads it, only the tests and the dense
-    instruments of tests/paper_checks.py (b_semigroup_decay,
-    duhamel_residual).  The arrays are read-only, and the object compares
-    and hashes by identity, so caches can key on it."""
+    The arrays are read-only, and the object compares and hashes by
+    identity, so caches can key on it."""
 
     grid: Grid
     cfg: OperatorConfig
@@ -960,12 +931,19 @@ class GeneratorMatrix:
 
     @property
     def sector_sizes(self) -> tuple:
-        """The orders of the sectors' matrices, in the order of sectors."""
+        """The orders of the sectors' matrices, in the order of maps."""
         return tuple(len(maps[0].reps) for maps in self.maps.values())
 
     @cached_property
-    def sectors(self) -> Mapping:
-        return _Sectors(self.grid, self.cfg, self.maps)
+    def _built(self) -> dict:
+        return {}
+
+    def sector(self, key: tuple) -> np.ndarray:
+        """Lambda on the coefficients of maps[key][0], read-only: built on
+        the first call (_generator_sector), then kept."""
+        if key not in self._built:
+            self._built[key] = _generator_sector(self.grid, self.cfg, self.maps[key][0])
+        return self._built[key]
 
     @cached_property
     def max_abs(self) -> float:
@@ -981,12 +959,6 @@ class GeneratorMatrix:
         kept = row[int(np.count_nonzero(rows == cols) == grid.size):]
         return float(max(np.abs(row[offset] + data).max(initial=0.0), np.abs(kept).max()))
 
-    @cached_property
-    def mat(self) -> np.ndarray:
-        if self.size > MAX_DENSE:
-            raise ValueError(f"dense N x N matrix limited to n^d <= {MAX_DENSE}, got {self.size}")
-        return _generator_sector(self.grid, self.cfg, orbit_maps(self.grid, ())[(), 1][0])
-
 
 def _jump_row(grid: Grid, alpha: float) -> np.ndarray:
     """The circulant row c of the periodic-wrap jump: _fold_kernel off offset
@@ -1000,15 +972,14 @@ def _jump_row(grid: Grid, alpha: float) -> np.ndarray:
 GATHER_BYTES = 1 << 19  # bytes of one block of _jump_matrix's gather: bounds its temporaries
 
 
-def _jump_matrix(grid: Grid, alpha: float, omap: OrbitMap | None = None) -> np.ndarray:
-    """The periodic-wrap quadrature jump on the sector of omap (by default
-    the identity: the full circulant, symmetric Metzler with zero column
+def _jump_matrix(grid: Grid, alpha: float, omap: OrbitMap) -> np.ndarray:
+    """The periodic-wrap quadrature jump on the sector of omap (on the
+    identity map the full circulant, symmetric Metzler with zero column
     sums and eigenvalues quadrature_symbol), a new array.  Its entry (k, l)
     sums weight[x] c[rep_k - x] over the nodes x of orbit l in node order,
     c the row of _jump_row (in 1d, c[i - j] + s c[i + j + 1] for parity s).
     The rows are built in blocks of representatives, each from a gather of
     at most GATHER_BYTES; every entry is summed as in one block."""
-    omap = omap or orbit_maps(grid, ())[(), 1][0]
     live = np.flatnonzero(omap.weight)
     orbit_sum = CSR.from_coo(omap.weight[live], omap.index[live], live, (len(omap.reps), grid.size))
     row, out = _jump_row(grid, alpha), np.empty((len(omap.reps),) * 2)
@@ -1041,10 +1012,10 @@ def _generator_sector(grid: Grid, cfg: OperatorConfig, omap: OrbitMap) -> np.nda
 def assemble_generator_matrix(grid: Grid, cfg: OperatorConfig) -> GeneratorMatrix:
     """Dense generator Lambda on the sectors of the reflections and the axis
     swap that leave the drift unchanged: their orbit maps, with no sector
-    matrix built yet (GeneratorMatrix.sectors builds each on first read)
-    and no N x N matrix.  The routes cap the sectors they factor: MAX_DENSE
-    for the solve's fully even sector, and steady.MAX_EIGEN_SECTOR for the
-    eigenpair's largest one.
+    matrix built yet (GeneratorMatrix.sector builds each on its first
+    call).  The routes cap the sectors they factor: MAX_DENSE for the
+    solve's fully even sector, and steady.MAX_EIGEN_SECTOR for the
+    eigenpair's largest one; none builds the N x N matrix.
 
     The jump part always uses the periodic quadrature circulant: the
     spectral multiplier has no Metzler matrix realization, and the maximum

@@ -9,7 +9,6 @@ statements.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -38,7 +37,6 @@ class RateReport:
     window: tuple[float, float]
     r2: float
     verdict: str  # {"bound-respected", "violated"}
-    prefactor: float = math.nan
     details: dict = field(default_factory=dict)
 
     @property
@@ -100,7 +98,6 @@ def decay_fit(
         window=(float(ts[0]), float(ts[-1])),
         r2=r2,
         verdict="bound-respected" if respected else "violated",
-        prefactor=float(anchor),
         details={"n_points": int(len(ts))},
     )
 
@@ -146,8 +143,8 @@ _SEMIGROUPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _adjoint(gm: GeneratorMatrix, key: tuple) -> np.ndarray:
     """Lambda^* on the sector key of gm: G^-1 B^T G, B the sector matrix and
     G the diagonal of its orbit sizes (B^T when they are all equal)."""
-    mat, (omap, *_) = gm.sectors[key]
-    return (mat * (omap.sizes[:, None] / omap.sizes)).T
+    sizes = gm.maps[key][0].sizes
+    return (gm.sector(key) * (sizes[:, None] / sizes)).T
 
 
 def semigroup(gm: GeneratorMatrix, t: float, key: tuple) -> np.ndarray:
@@ -167,7 +164,7 @@ def semigroup_apply(gm: GeneratorMatrix, t: float, phi: np.ndarray) -> np.ndarra
     """P_t phi for an observable phi on the grid: phi's part in each sector,
     through each of its maps, moved by the sector's semigroup, summed."""
     return sum(omap.lift(semigroup(gm, t, key) @ omap.project(phi))
-               for key, (_, maps) in gm.sectors.items() for omap in maps)
+               for key, maps in gm.maps.items() for omap in maps)
 
 
 def harris_contraction(gm: GeneratorMatrix, t: float, k: float, lambda_w: float) -> float:
@@ -204,7 +201,7 @@ def lyapunov_check(gm: GeneratorMatrix, t_samples, k: float) -> dict:
     when a <= 0: Lambda^* m is not pushed down.
     """
     grid = gm.grid
-    even, (_, (omap,)) = next(iter(gm.sectors.items()))
+    even, (omap,) = next(iter(gm.maps.items()))
     m = omap.restrict(weight_field(grid, k).values)
     z = _adjoint(gm, even) @ m
     outer = omap.restrict(grid.radius2()) >= (grid.L / 2.0) ** 2

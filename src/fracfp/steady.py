@@ -13,13 +13,13 @@ and the cell-centered grid), and the axis swap where it commutes too (a
 radial force in 2d: the symmetry group of the square; Fassler and Stiefel,
 Group Theoretical Methods and Their Applications, 1992), split the fields
 into sectors (operators.orbit_maps), and the matrix is block diagonal with
-one block per sector (GeneratorMatrix.sectors: at n = 32 in 2d, 136, 120,
-256 standing for two, 136 and 120 unknowns for 1024 nodes).  The stationary
-state lies in the fully even sector, which the linear-solve route builds
-and solves alone, on up to operators.MAX_DENSE unknowns (2080 at 2d
-n = 128); the eigenpair route builds every sector, takes the spectrum of
-each and the eigenvectors of the fully even one, with at most
-MAX_EIGEN_SECTOR unknowns in any.  Both call numpy.linalg (solve, eig,
+one block per sector (GeneratorMatrix.sector, on the orbit maps of
+GeneratorMatrix.maps: at n = 32 in 2d, 136, 120, 256 standing for two, 136
+and 120 unknowns for 1024 nodes).  The stationary state lies in the fully
+even sector, which the linear-solve route builds and solves alone, on up
+to operators.MAX_DENSE unknowns (2080 at 2d n = 128); the eigenpair route
+builds every sector, takes the spectrum of each and the eigenvectors of
+the fully even one, with at most MAX_EIGEN_SECTOR unknowns in any.  Both call numpy.linalg (solve, eig,
 eigvals); eig returns a real spectrum as real arrays, which the eigenpair
 route reads as it reads a complex one.
 
@@ -70,7 +70,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SteadyState:
-    """A stationary state (mass 1) from one route, with its generator residual.
+    """A stationary state (mass 1) from one route.
 
     The evolution route also keeps ``path``: the read-only stack of the
     states it visited at the start of each chunk of ceil(1/dt) steps,
@@ -84,8 +84,6 @@ class SteadyState:
     """
 
     field: Field
-    route: str
-    residual: float  # ||Lambda F||_inf through the conservative generator
     path: np.ndarray | None = dataclass_field(default=None, repr=False, compare=False)
 
     @property
@@ -172,9 +170,7 @@ def steady_by_evolution(
         diff = float(np.sum(np.abs(states[t] - cur)) * vol)
         cur = states[t]
         if diff < tol:
-            field = _finalize(grid, cur, "evolution")
-            res = float(np.max(np.abs(generator_apply(field, cfg).values)))
-            return SteadyState(field=field, route="evolution", residual=res,
+            return SteadyState(field=_finalize(grid, cur, "evolution"),
                                path=readonly(np.stack(states[: t + 1])))
     raise CheckFailure("horizon", diff, tol, t * chunk, dt)
 
@@ -192,17 +188,13 @@ def steady_by_linear_solve(gm: GeneratorMatrix) -> SteadyState:
     if even > MAX_DENSE:
         raise ValueError(f"dense solve limited to a fully even sector of <= {MAX_DENSE} "
                          f"unknowns, got {even}")
-    block, (omap,) = next(iter(gm.sectors.values()))
-    a = block.copy()
+    key, (omap,) = next(iter(gm.maps.items()))
+    a = gm.sector(key).copy()
     j0 = int(np.argmin(omap.restrict(grid.radius2())))
     a[j0, :] = grid.cell_volume * omap.sizes
     b = np.zeros(len(a))
     b[j0] = 1.0
-    sol = _la.solve(a, b)
-    resid_rows = block @ sol
-    resid_rows[j0] = 0.0
-    field = _finalize(grid, omap.lift(sol), "linear-solve")
-    return SteadyState(field=field, route="linear-solve", residual=float(np.max(np.abs(resid_rows))))
+    return SteadyState(field=_finalize(grid, omap.lift(_la.solve(a, b)), "linear-solve"))
 
 
 # the largest sector leading_eigenpair factors: numpy.linalg.eigvals took
@@ -244,21 +236,21 @@ def leading_eigenpair(gm: GeneratorMatrix):
         raise ValueError(f"dense eigenpair limited to sectors of <= {MAX_EIGEN_SECTOR} "
                          f"unknowns, got {largest}")
     grid, scale = gm.grid, gm.max_abs
-    even = next(iter(gm.sectors))
-    lam, vecs = _la.eig(gm.sectors[even][0])
-    spectra = {key: lam if key == even else _la.eigvals(mat) for key, (mat, _) in gm.sectors.items()}
+    even = next(iter(gm.maps))
+    lam, vecs = _la.eig(gm.sector(even))
+    spectra = {key: lam if key == even else _la.eigvals(gm.sector(key)) for key in gm.maps}
     key = max(spectra, key=lambda s: spectra[s].real.max())  # the even sector on ties
     if key != even:
         # its eigenvector is odd under some reflection or the swap: of zero
         # mass, it fails below
-        lam, vecs = _la.eig(gm.sectors[key][0])
+        lam, vecs = _la.eig(gm.sector(key))
     k = int(np.argmax(lam.real))
     lam = lam[k]
     if lam.real > 1e-8 * scale:
         raise CheckFailure("spectral-abscissa", lam.real, 1e-8 * scale)
     if abs(lam.imag) > 1e-8 * scale:
         raise CheckFailure("leading-eigenvalue-real", abs(lam.imag), 1e-8 * scale)
-    vec = gm.sectors[key][1][0].lift(vecs[:, k].real)
+    vec = gm.maps[key][0].lift(vecs[:, k].real)
     mass = float(np.sum(vec) * grid.cell_volume)
     l1 = float(np.sum(np.abs(vec)) * grid.cell_volume)
     if abs(mass) <= RESIDUAL_TOL * l1:
@@ -268,7 +260,7 @@ def leading_eigenpair(gm: GeneratorMatrix):
     resid = float(np.abs(applied - lam.real * vec).max() / np.abs(vec).max())
     if resid > RESIDUAL_TOL * scale:
         raise CheckFailure("eigenpair-residual", resid, RESIDUAL_TOL * scale)
-    reals = np.sort(np.concatenate([np.tile(spec.real, len(gm.sectors[s][1]))
+    reals = np.sort(np.concatenate([np.tile(spec.real, len(gm.maps[s]))
                                     for s, spec in spectra.items()]))
     gap = float(lam.real - reals[-2])
     return float(lam.real), Field(grid, vec), gap

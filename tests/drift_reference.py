@@ -48,8 +48,8 @@ def drift_divergence(f: Field, force: ForceField) -> Field:
     faces = _face_velocities(grid, force)
     v = f.values
     slices = face_slices(grid.d)
-    fluxes = [faces[2 * a] * v[hi] + faces[2 * a + 1] * v[lo]
-              for a, (hi, lo) in enumerate(slices)]
+    fluxes = [np.maximum(e, 0.0) * v[hi] + np.minimum(e, 0.0) * v[lo]
+              for e, (hi, lo) in zip(faces, slices)]
     return f.with_values(flux_divergence(fluxes, v.shape, grid.h, slices))
 
 
@@ -59,10 +59,10 @@ def drift_gradient_adjoint(g: Field, force: ForceField) -> Field:
     faces = _face_velocities(g.grid, force)
     v = g.values
     out = np.zeros_like(v)
-    for a, (hi, lo) in enumerate(face_slices(g.grid.d)):
+    for e, (hi, lo) in zip(faces, face_slices(g.grid.d)):
         dv = (v[hi] - v[lo]) / g.grid.h
-        out[hi] -= faces[2 * a] * dv
-        out[lo] -= faces[2 * a + 1] * dv
+        out[hi] -= np.maximum(e, 0.0) * dv
+        out[lo] -= np.minimum(e, 0.0) * dv
     return g.with_values(out)
 
 
@@ -72,8 +72,7 @@ def drift_divergence_centered(f: Field, force: ForceField) -> Field:
     faces = _face_velocities(grid, force)
     v = f.values
     slices = face_slices(grid.d)
-    fluxes = [(faces[2 * a] + faces[2 * a + 1]) * 0.5 * (v[hi] + v[lo])
-              for a, (hi, lo) in enumerate(slices)]
+    fluxes = [e * 0.5 * (v[hi] + v[lo]) for e, (hi, lo) in zip(faces, slices)]
     return f.with_values(flux_divergence(fluxes, v.shape, grid.h, slices))
 
 
@@ -83,8 +82,8 @@ def drift_gradient_adjoint_centered(g: Field, force: ForceField) -> Field:
     faces = _face_velocities(g.grid, force)
     v = g.values
     out = np.zeros_like(v)
-    for a, (hi, lo) in enumerate(face_slices(g.grid.d)):
-        dv = (faces[2 * a] + faces[2 * a + 1]) * (v[hi] - v[lo]) / g.grid.h
+    for e, (hi, lo) in zip(faces, face_slices(g.grid.d)):
+        dv = e * (v[hi] - v[lo]) / g.grid.h
         out[hi] -= 0.5 * dv
         out[lo] -= 0.5 * dv
     return g.with_values(out)

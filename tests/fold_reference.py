@@ -42,7 +42,7 @@ def fold_kernel_loop(grid, alpha: float) -> np.ndarray:
         for m2 in range(-6, 6):
             if m1 in (0, -1) and m2 in (0, -1):
                 continue
-            out += gl_cell_integrals_2d(kernel, c1 + period * m1, c2 + period * m2, h, npts=4)[0]
+            out += gl_cell_integrals_2d(kernel, c1 + period * m1, c2 + period * m2, h, npts=4, moment=0.0)
     return out
 
 
@@ -53,7 +53,7 @@ def cell_tables_2d_loop(grid, kernel, q: float):
     n, h = grid.n, grid.h
     off = np.arange(-n, n + 1) * h
     c1, c2 = np.meshgrid(off, off, indexing="ij")
-    m0, mq = gl_cell_integrals_2d(kernel, c1, c2, h, moment=q)
+    m0, mq = (gl_cell_integrals_2d(kernel, c1, c2, h, moment=m) for m in (0.0, q))
     rr2 = c1**2 + c2**2
     rr2[n, n] = 1.0
     w = mq / rr2 ** (q / 2)

@@ -10,8 +10,9 @@ function builds on:
 * operators: the capped, compensated and windowed kernels (KernelVariant),
   the zero-extension box stencil and the whole-space quadrature operator on
   it, the kernel splitting and the capped-kernel convolution, the 3/5-point
-  Laplacian, the adjoint, the dense offset matrix, and the adaptive
-  reference quadrature with its analytic-exterior weight action (1d);
+  Laplacian, the adjoint, the dense offset matrix and the full N x N
+  generator matrix, and the adaptive reference quadrature with its
+  analytic-exterior weight action (1d);
 * functionals: the integrated p-dissipation, the W^{s,p} seminorm, the
   confinement profile, the relative entropy and the local-mean control;
 * evolution: the viscosity-regularized generator (applied, never stepped)
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable
@@ -40,6 +42,7 @@ from fracfp.operators import (
     JumpKernel,
     OperatorConfig,
     _gather,
+    _generator_sector,
     _self_cell,
     _wedge_cells,
     assemble_generator_matrix,
@@ -49,6 +52,7 @@ from fracfp.operators import (
     get_stencil,
     jump_apply,
     norm_constant,
+    orbit_maps,
     readonly,
     theta_quad,
 )
@@ -205,7 +209,7 @@ def cell_masses(grid: Grid, kernel: JumpKernel) -> np.ndarray:
         zc = np.arange(1, n + 1) * h
         m0 = kernel.moment(zc - h / 2, zc + h / 2, 0)
         return readonly(np.concatenate([m0[::-1], [0.0], m0]))
-    m0 = _wedge_cells(kernel, n, h, 10, 0.0)[0]
+    m0 = _wedge_cells(kernel, n, h, 10, 0.0)
     m0[0, 0] = 0.0
     return readonly(m0[np.ix_(*[np.abs(np.arange(-n, n + 1))] * 2)])
 
@@ -330,6 +334,23 @@ def offset_matrix(table: np.ndarray, n: int, center: int) -> np.ndarray:
     mod m per axis a], m the table's axis length.  A circulant row (m = n)
     has center 0; an offset kernel over -n..n (m = 2n + 1) has center n."""
     return _gather(table, center, n, np.arange(n**table.ndim))
+
+
+FULL_MATRIX_MAX = 4096  # the n^d cap of full_matrix
+# generator -> its N x N matrix; an entry goes with its generator
+_FULL_MATRICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def full_matrix(gm: GeneratorMatrix) -> np.ndarray:
+    """Lambda as one read-only N x N matrix on n^d <= FULL_MATRIX_MAX nodes:
+    the sector of the identity orbit map, built once per generator and kept
+    only while gm lives.  No route builds it; the tests compare the sectors
+    and the dense instruments with it."""
+    if gm.size > FULL_MATRIX_MAX:
+        raise ValueError(f"dense N x N matrix limited to n^d <= {FULL_MATRIX_MAX}, got {gm.size}")
+    if gm not in _FULL_MATRICES:
+        _FULL_MATRICES[gm] = _generator_sector(gm.grid, gm.cfg, orbit_maps(gm.grid, ())[(), 1][0])
+    return _FULL_MATRICES[gm]
 
 
 def fraclap_reference(
@@ -591,7 +612,7 @@ def duhamel_residual(
     """
     if n_quad < 64 or n_quad % 2:
         raise ValueError("n_quad must be an even number >= 64")
-    lam = assemble_generator_matrix(grid, cfg).mat
+    lam = full_matrix(assemble_generator_matrix(grid, cfg))
     if splitting == "kernel":
         rr = r if r is not None else grid.h
         ker = plain_conv_kernel(grid, far_kernel(cfg.alpha, grid.d, rr))
@@ -834,7 +855,7 @@ def b_semigroup_decay(
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     chi = smooth_indicator(grid, R).ravel(order="C")
-    b = gm.mat - M * np.diag(chi)
+    b = full_matrix(gm) - M * np.diag(chi)
     m_in = weight_field(grid, k).values.ravel(order="C")
     m_out = m_in**theta
     norms = []

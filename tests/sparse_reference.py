@@ -45,12 +45,12 @@ def face_divergence(grid, face_maps) -> sp.csr_array:
 def drift_matrix(grid, force, drift: str) -> sp.csr_array:
     faces = _face_velocities(grid, force)
     maps = []
-    for a, (s_hi, s_lo) in enumerate(face_pickers(grid)):
-        ep, em = faces[2 * a].ravel(), faces[2 * a + 1].ravel()
+    for e, (s_hi, s_lo) in zip(faces, face_pickers(grid)):
+        e = e.ravel()
         if drift == "centered":
-            maps.append(sp.diags_array(ep + em) @ (0.5 * (s_hi + s_lo)))
+            maps.append(sp.diags_array(e) @ (0.5 * (s_hi + s_lo)))
         else:
-            maps.append(sp.diags_array(ep) @ s_hi + sp.diags_array(em) @ s_lo)
+            maps.append(sp.diags_array(np.maximum(e, 0.0)) @ s_hi + sp.diags_array(np.minimum(e, 0.0)) @ s_lo)
     return face_divergence(grid, maps)
 
 
@@ -59,12 +59,11 @@ def drift_step_matrix(grid, force, drift: str, tau: float) -> sp.csr_array:
     if drift != "centered":
         p = eye + tau * drift_matrix(grid, force, drift)
         return 0.5 * (eye + p @ p)
-    faces = _face_velocities(grid, force)
     e_node = force.components(grid.coords())
     c = tau / (2.0 * grid.h)
     maps = []
     for a, (s_hi, s_lo) in enumerate(face_pickers(grid)):
-        e_face = sp.diags_array((faces[2 * a] + faces[2 * a + 1]).ravel())
+        e_face = sp.diags_array(_face_velocities(grid, force)[a].ravel())
         lw = 0.5 * (s_hi + s_lo) + c * (s_hi - s_lo) @ sp.diags_array(e_node[a].ravel())
         maps.append(e_face @ lw)
     return eye + tau * face_divergence(grid, maps)

@@ -52,6 +52,7 @@ from paper_checks import (
     duhamel_residual,
     fraclap_of_weight,
     fraclap_reference,
+    full_matrix,
     polynomial_rate_check,
     quadrature_fraclap,
     regularization_slope,
@@ -383,7 +384,7 @@ def test_criterion_10_structural_identities():
 
     gm = assemble_generator_matrix(g2, cfg)
     lam, vec, gap = leading_eigenpair(gm)
-    scale = float(np.abs(gm.mat).max())
+    scale = float(np.abs(full_matrix(gm)).max())
     ok4 = verdict(
         "10",
         "leading eigenvalue 0 within 1e-8 scale, positive simple eigenvector",

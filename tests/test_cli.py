@@ -199,6 +199,15 @@ def test_main_exit_codes(tmp_path, tiny_cfg_text, capsys):
         assert exc.value.code == 2
 
 
+def test_a_horizon_below_a_step_passes(tmp_path):
+    # horizon 1e-12 makes one step of the evolve suite, and its records pass
+    p = write_cfg(tmp_path, "name = short\nd = 1\nL = 10\nn = 64\nalpha = 1.0\ngamma = 2.0\n"
+                            "suite = evolve\nhorizon = 1e-12\n")
+    assert main(["run", str(p), "--out", str(tmp_path / "short")]) == 0
+    monitors = (tmp_path / "short" / "monitors.csv").read_text().splitlines()
+    assert len(monitors) == 3  # the header, step 0 and the one step
+
+
 def test_main_suite_override(tmp_path):
     p = write_cfg(
         tmp_path,
@@ -415,7 +424,7 @@ def test_all_suite_assembles_one_generator(tmp_path, monkeypatch):
     names = [r.name for r in report.records]
     for name in ("route-agreement-L1", "leading-eigenvalue", "lyapunov-gamma1", "harris-contraction"):
         assert name in names
-    assert len(built) == 1 and not built[0].mat.flags.writeable
+    assert len(built) == 1 and not any(built[0].sector(key).flags.writeable for key in built[0].maps)
     assert expms == [(32, 32)] * 2  # one per parity block of the radial force
 
 
@@ -655,7 +664,7 @@ def test_steady_suite_at_2d_n128_solves_its_fully_even_sector(tmp_path, monkeypa
     # eigen record
     sizes, jump_matrix = [], fracfp.operators._jump_matrix
 
-    def counting(grid, alpha, omap=None):
+    def counting(grid, alpha, omap):
         sizes.append(len(omap.reps))
         return jump_matrix(grid, alpha, omap)
 

@@ -12,6 +12,7 @@ from fracfp.operators import (
     drift_step_matrix,
     fourier_multiply,
     make_force,
+    orbit_maps,
     quadrature_symbol,
 )
 from fracfp.evolution import (
@@ -98,7 +99,8 @@ def test_implicit_factor_is_dense_backward_euler(d, n, alpha):
     dt = 0.1
     v = np.random.default_rng(7).standard_normal(g.shape)
     fft = fourier_multiply(v, _implicit_factor(g, alpha, dt)).ravel()
-    dense = np.linalg.solve(np.eye(g.size) - dt * _jump_matrix(g, alpha), v.ravel())
+    jump = _jump_matrix(g, alpha, orbit_maps(g, ())[(), 1][0])
+    dense = np.linalg.solve(np.eye(g.size) - dt * jump, v.ravel())
     assert np.max(np.abs(fft - dense)) <= 1e-12 * np.max(np.abs(dense))
     assert quadrature_symbol(g, alpha).flat[0] == 0.0
 
@@ -120,7 +122,7 @@ def two_stage_drift(f, cfg, tau):
         ef = e_node[a] * v
         avg = 0.5 * (np.delete(v, 0, axis=a) + np.delete(v, -1, axis=a))
         dif = np.diff(ef, axis=a)
-        flux = (faces[2 * a] + faces[2 * a + 1]) * (avg + tau / (2.0 * g.h) * dif)
+        flux = faces[a] * (avg + tau / (2.0 * g.h) * dif)
         pad = [(0, 0)] * g.d
         pad[a] = (1, 1)
         div += np.diff(np.pad(flux, pad), axis=a) / g.h
@@ -179,6 +181,19 @@ def test_evolve_rejects_bad_horizon():
     cfg = OperatorConfig(alpha=1.0)
     with pytest.raises(ValueError):
         evolve(normalized_gaussian(g), -1.0, cfg)
+
+
+def test_a_horizon_below_a_step_makes_one_step():
+    # T / dt - 1e-9 rounds up to 0 below T = 1e-9 dt: a positive horizon
+    # still makes one step
+    g = build_grid(1, 10.0, 64)
+    cfg = OperatorConfig(alpha=1.0, gamma=2.0)
+    dt = auto_dt(g, cfg)
+    assert step_count(1e-12, dt) == step_count(dt, dt) == 1
+    tr = evolve(normalized_gaussian(g), 1e-12, cfg)
+    assert tr.meta["nsteps"] == 1 and len(tr.mass) == 2
+    one = evolve(normalized_gaussian(g), dt, cfg)
+    assert np.array_equal(tr.snapshots[-1].values, one.snapshots[-1].values)
 
 
 def test_strang_splitting_order():

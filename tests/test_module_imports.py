@@ -106,6 +106,24 @@ def _dataclass_fields(tree: ast.Module, cls: str) -> list:
     return [st.target.id for st in body if isinstance(st, ast.AnnAssign)]
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(getattr(dec, "func", dec), "id", None) == "dataclass" for dec in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """A dataclass field that no code reads is state kept for nobody: each
+    field of a src/fracfp dataclass is loaded as an attribute somewhere in
+    src/fracfp or tests/, matched by name as _calls_by_name matches calls."""
+    src = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = list(src.values()) + [_parse(path) for path in sorted(TESTS.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = [f"{stem}.{cls.name}.{name} is never read" for stem, tree in src.items()
+             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+             for name in _dataclass_fields(tree, cls.name) if name not in read]
+    assert not found, "\n".join(found)
+
+
 def _sources_and_calls() -> tuple[dict, dict]:
     """The trees of src/fracfp and tests/paper_checks.py by module, and the
     calls in them and in the other tests."""
@@ -266,9 +284,8 @@ def test_two_exception_classes():
 # of the orbit maps of the symmetry sectors
 ORBIT_MAP_CALLERS = [
     ("evolution", "fold"),  # _Stepper.fold: the even sector of the stepped reflections
-    ("operators", "_jump_matrix"),  # without a map: the identity one
-    ("operators", "assemble_generator_matrix"),  # GeneratorMatrix.sectors
-    ("operators", "mat"),  # GeneratorMatrix.mat: the one sector of no symmetry
+    ("operators", "assemble_generator_matrix"),  # GeneratorMatrix.maps, read by GeneratorMatrix.sector
+    ("paper_checks", "full_matrix"),  # the tests' N x N matrix: the one sector of no symmetry
 ]
 
 

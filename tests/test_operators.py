@@ -29,6 +29,7 @@ from paper_checks import (
     convolve_same,
     fraclap_of_weight,
     fraclap_reference,
+    full_matrix,
     laplacian_matrix,
     offset_matrix,
     quadrature_fraclap,
@@ -465,7 +466,7 @@ def test_cached_arrays_are_read_only():
         _diffusion_multiplier(g, 1.0, 0.01),
         quadrature_symbol(g, 1.0),
         _implicit_factor(g, 1.0, 0.01),
-        assemble_generator_matrix(g, OperatorConfig(alpha=1.0, method="quadrature")).mat,
+        full_matrix(assemble_generator_matrix(g, OperatorConfig(alpha=1.0, method="quadrature"))),
         plain_conv_kernel(g, far_kernel(1.0, 1, g.h)),
     ]
     # the 2d tables built on one symmetry wedge, and the sectors built on
@@ -477,8 +478,9 @@ def test_cached_arrays_are_read_only():
         _fold_kernel(g2, 1.0),
     ]
     gm2 = assemble_generator_matrix(g2, OperatorConfig(alpha=1.0, method="quadrature"))
-    for mat, maps in gm2.sectors.values():
-        cached += [mat, *(arr for omap in maps for arr in (omap.index, omap.weight, omap.reps, omap.sizes))]
+    for key, maps in gm2.maps.items():
+        cached.append(gm2.sector(key))
+        cached += [arr for omap in maps for arr in (omap.index, omap.weight, omap.reps, omap.sizes)]
     # the analytic-exterior weight action (1d)
     cached.append(fraclap_of_weight(g, 0.5, 1.0).values)
     for arr in cached:
@@ -520,7 +522,7 @@ def test_full_jump_matrix_is_the_circulant_of_the_symbol(d, n):
     from fracfp.operators import _fold_kernel, _jump_matrix, quadrature_symbol
 
     g = build_grid(d, 8.0, n)
-    a = _jump_matrix(g, 1.2)
+    a = _jump_matrix(g, 1.2, orbit_maps(g, ())[(), 1][0])
     c = _fold_kernel(g, 1.2).copy()
     c.flat[0] = 0.0
     assert np.all(np.diag(a) == -c.sum())
@@ -567,7 +569,7 @@ def test_jump_row_and_blocks_are_exactly_symmetric(d, n):
     for axis in range(d):
         assert np.array_equal(c, np.roll(np.flip(c, axis), 1, axis))
     assert np.array_equal(c, c.T)
-    a = _jump_matrix(g, 1.2)
+    a = _jump_matrix(g, 1.2, orbit_maps(g, ())[(), 1][0])
     assert np.array_equal(a, a.T)
     for (omap,) in orbit_maps(g, tuple(range(d))).values():
         blk = _jump_matrix(g, 1.2, omap)
@@ -775,14 +777,12 @@ def gen_matrix():
 
 
 def test_matrix_column_sums_zero(gen_matrix):
-    _, _, gm = gen_matrix
-    scale = np.abs(gm.mat).max()
-    assert np.abs(gm.mat.sum(axis=0)).max() < 1e-10 * scale
+    mat = full_matrix(gen_matrix[2])
+    assert np.abs(mat.sum(axis=0)).max() < 1e-10 * np.abs(mat).max()
 
 
 def test_matrix_metzler(gen_matrix):
-    _, _, gm = gen_matrix
-    off = gm.mat.copy()
+    off = full_matrix(gen_matrix[2]).copy()
     np.fill_diagonal(off, np.inf)
     assert off.min() >= 0.0
 
@@ -791,7 +791,7 @@ def test_matrix_matches_apply(gen_matrix):
     g, cfg, gm = gen_matrix
     rng = np.random.default_rng(5)
     v = rng.standard_normal(g.n) * np.exp(-g.axis**2 / 50.0)
-    mv = gm.mat @ v
+    mv = full_matrix(gm) @ v
     av = generator_apply(Field(g, v), cfg).values
     assert np.max(np.abs(mv - av)) < 1e-12 * max(1.0, np.max(np.abs(mv)))
 
@@ -801,24 +801,25 @@ def test_adjoint_matrix_matches_adjoint_apply(gen_matrix):
     rng = np.random.default_rng(6)
     v = rng.standard_normal(g.n) * np.exp(-g.axis**2 / 50.0)
     av = adjoint_apply(Field(g, v), cfg).values
-    assert np.max(np.abs(gm.mat.T @ v - av)) < 1e-12 * max(1.0, np.max(np.abs(av)))
+    assert np.max(np.abs(full_matrix(gm).T @ v - av)) < 1e-12 * max(1.0, np.max(np.abs(av)))
 
 
 def test_matrix_leading_eigen_structure():
     g = build_grid(1, 20.0, 64)
     cfg = OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature")
     gm = assemble_generator_matrix(g, cfg)
-    lam = np.linalg.eigvals(gm.mat)
+    mat = full_matrix(gm)
+    lam = np.linalg.eigvals(mat)
     order = np.argsort(-lam.real)
-    assert abs(lam[order[0]]) < 1e-8 * np.abs(gm.mat).max()
+    assert abs(lam[order[0]]) < 1e-8 * np.abs(mat).max()
     assert lam[order[1]].real < -1e-3
 
 
 def test_matrix_size_guard(monkeypatch):
     # assembly builds no matrix, so it runs at any size; each guard sits
-    # where a matrix is built, and raises before building one: the N x N
-    # matrix on n^d, the solve on its fully even sector and the eigenpair on
-    # its largest sector
+    # where a matrix is built, and raises before building one: the tests'
+    # N x N matrix on n^d, the solve on its fully even sector and the
+    # eigenpair on its largest sector
     from fracfp import operators
     from fracfp.steady import MAX_EIGEN_SECTOR, leading_eigenpair, steady_by_linear_solve
 
@@ -831,7 +832,7 @@ def test_matrix_size_guard(monkeypatch):
     gm = assemble_generator_matrix(g, cfg)
     assert gm.sector_sizes == (2080, 2016, 4096, 2080, 2016)
     with pytest.raises(ValueError, match="dense N x N matrix"):
-        gm.mat
+        full_matrix(gm)
     assert max(gm.sector_sizes) > MAX_EIGEN_SECTOR
     with pytest.raises(ValueError, match="dense eigenpair"):
         leading_eigenpair(gm)
@@ -846,7 +847,7 @@ def test_matrix_size_guard(monkeypatch):
 
 @pytest.mark.parametrize("d, n", [(1, 64), (1, 512), (2, 16), (2, 32), (2, 64)])
 def test_sectors_in_row_blocks_equal_the_one_block_build(d, n, monkeypatch):
-    # each sector, built on its first read from gathers in blocks of
+    # each sector, built on its first call from gathers in blocks of
     # representatives (GATHER_BYTES, or 7 representatives a block), equals
     # the build from one gather of all of them bit for bit, the jump alone
     # and with the drift folded on
@@ -857,7 +858,7 @@ def test_sectors_in_row_blocks_equal_the_one_block_build(d, n, monkeypatch):
     gm = assemble_generator_matrix(g, cfg)
     drift = drift_matrix(g, cfg.force_field(), cfg.drift)
     maps = [group[0] for group in gm.maps.values()]
-    built = [gm.sectors[key][0] for key in gm.maps]
+    built = [gm.sector(key) for key in gm.maps]
     jumps = []
     for budget in (operators.GATHER_BYTES, 7 * 8 * g.size):
         monkeypatch.setattr(operators, "GATHER_BYTES", budget)
@@ -875,13 +876,13 @@ def test_matrix_2d_structure():
     g = build_grid(2, 8.0, 16)
     cfg = OperatorConfig(alpha=1.2, gamma=2.0, method="quadrature")
     gm = assemble_generator_matrix(g, cfg)
-    scale = np.abs(gm.mat).max()
-    assert np.abs(gm.mat.sum(axis=0)).max() < 1e-10 * scale
-    off = gm.mat.copy()
+    mat = full_matrix(gm)
+    assert np.abs(mat.sum(axis=0)).max() < 1e-10 * np.abs(mat).max()
+    off = mat.copy()
     np.fill_diagonal(off, np.inf)
     assert off.min() >= 0.0
     rng = np.random.default_rng(9)
     v = rng.standard_normal((16, 16)) * np.exp(-g.radius2() / 20.0)
-    mv = gm.mat @ v.ravel()
+    mv = mat @ v.ravel()
     av = generator_apply(Field(g, v), cfg).values.ravel()
     assert np.max(np.abs(mv - av)) < 1e-12 * max(1.0, np.max(np.abs(mv)))

@@ -30,6 +30,7 @@ from fracfp.rates import (
 )
 from paper_checks import (
     b_semigroup_decay,
+    full_matrix,
     near_delta,
     ode_envelope_check,
     polynomial_rate_check,
@@ -240,7 +241,7 @@ def test_lyapunov_drift_at_origin(generator_256):
     # Lambda^* m at the node nearest 0 is the pure jump action (E(0) = 0)
     g = generator_256.grid
     m = weight_field(g, 0.5).values
-    z = generator_256.mat.T @ m
+    z = full_matrix(generator_256).T @ m
     i0 = np.argmin(np.abs(g.axis))
     assert np.isfinite(z[i0])
     assert z[i0] > 0.0  # the weight is subharmonic at its minimum
@@ -313,7 +314,7 @@ def test_seminorm_matches_the_pairwise_formula():
 
 
 def test_one_semigroup_per_generator(generator_256):
-    for key in generator_256.sectors:
+    for key in generator_256.maps:
         pt = semigroup(generator_256, 1.0, key)
         assert semigroup(generator_256, 1.0, key) is pt
         assert not pt.flags.writeable
@@ -344,10 +345,10 @@ SEMIGROUP_CASES = {
 
 def full_lyapunov_and_harris(gm, pt, k, t):
     """lyapunov_check's (a, b, c, gamma_t) and harris_contraction on the full
-    matrix gm.mat and the full semigroup pt = expm(t gm.mat.T)."""
+    matrix full_matrix(gm) and the full semigroup pt = expm(t full_matrix(gm).T)."""
     grid = gm.grid
     m = weight_field(grid, k).values.ravel()
-    z = gm.mat.T @ m
+    z = full_matrix(gm).T @ m
     outer = (grid.radius2() >= (grid.L / 2.0) ** 2).ravel()
     a = 0.9 * float(np.min(-z[outer] / m[outer]))
     b = float(np.max(z + a * m))
@@ -368,15 +369,15 @@ def test_block_semigroup_matches_the_full_expm(name):
     gm = assemble_generator_matrix(
         build_grid(d, 10.0, n), OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature", force=force))
     if name == "2d":  # the radial force: sectors of the square's symmetry group
-        sizes = {int(size) for _, maps in gm.sectors.values() for size in maps[0].sizes}
+        sizes = {int(size) for maps in gm.maps.values() for size in maps[0].sizes}
         assert gm.swaps == ((0, 1),) and sizes == {4, 8}
-    pt = expm(gm.mat.T)
+    pt = expm(full_matrix(gm).T)
     rng = np.random.default_rng(3)
     for _ in range(3):
         phi = rng.standard_normal(gm.grid.shape)
         ref = (pt @ phi.ravel()).reshape(phi.shape)
         assert np.abs(semigroup_apply(gm, 1.0, phi) - ref).max() <= 1e-12 * np.abs(ref).max()
-    for key, (_, maps) in gm.sectors.items():
+    for key, maps in gm.maps.items():
         # the sector on the part of phi in it, through each of its maps, is
         # P_t on that part
         for omap in maps:
@@ -452,7 +453,7 @@ def test_expm_is_scipy_linalg_expm_bit_for_bit(d, L, n):
     # matrix, scipy's other branch), the same bits
     gm = assemble_generator_matrix(build_grid(d, L, n),
                                    OperatorConfig(alpha=1.0, gamma=2.0, method="quadrature"))
-    for key in gm.sectors:
+    for key in gm.maps:
         for t in (1.0, 0.0):
             a = _adjoint(gm, key) * t
             assert np.array_equal(operators.expm(a), scipy.linalg.expm(a))
