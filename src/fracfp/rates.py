@@ -60,7 +60,6 @@ def decay_fit(
     values,
     model: str = "exponential",
     predicted: float | None = None,
-    window: tuple[float, float] | None = None,
 ) -> RateReport:
     """Least-squares decay fit of a positive scalar series.
 
@@ -76,9 +75,6 @@ def decay_fit(
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0.0):
         raise ValueError("decay fit requires strictly positive values")
-    if window is not None:
-        mask = (ts >= window[0]) & (ts <= window[1])
-        ts, values = ts[mask], values[mask]
     if len(ts) < MIN_FIT_POINTS:
         raise CheckFailure("rate-fit-window", len(ts), MIN_FIT_POINTS)
     if ts[-1] <= ts[0]:
@@ -123,17 +119,18 @@ def harris_seminorm(phi: np.ndarray, m_lam: np.ndarray) -> float:
         lam = r
 
 
-def harris_bank(grid: Grid, k: float, lambda_w: float, count: int = 50) -> list:
-    """Seeded observables: +-m_lambda, coordinates, band-limited noise."""
+def harris_bank(grid: Grid, k: float, lambda_w: float) -> list:
+    """50 seeded observables: +-m_lambda, the coordinates, then band-limited
+    noise drawn in order from one seeded stream."""
     rng = np.random.default_rng(411)
     m_lam = 1.0 + lambda_w * grid.bracket() ** k
     out = [m_lam, -m_lam]
     for c in grid.coords():
         out.append(c.copy())
-    while len(out) < count:
+    while len(out) < 50:
         # about 10 modes in all (10 in 1d, 3 x 3 in 2d), the phase on axis 0
         out.append(cosine_noise(grid, rng, round(10 ** (1 / grid.d)), 4.0, 0))
-    return out[:count]
+    return out
 
 
 # generator -> {(t, key): sector of P_t}; an entry goes with its generator

@@ -11,8 +11,9 @@ function builds on:
   the zero-extension box stencil and the whole-space quadrature operator on
   it, the kernel splitting and the capped-kernel convolution, the 3/5-point
   Laplacian, the adjoint, the dense offset matrix and the full N x N
-  generator matrix, and the adaptive reference quadrature with its
-  analytic-exterior weight action (1d);
+  generator matrix, the adaptive reference quadrature with its
+  analytic-exterior weight action (1d), and the growth and confinement
+  hypotheses on a force field;
 * functionals: the integrated p-dissipation, the W^{s,p} seminorm, the
   confinement profile, the relative entropy and the local-mean control;
 * evolution: the viscosity-regularized generator (applied, never stepped)
@@ -38,6 +39,7 @@ from scipy.linalg import expm
 from fracfp.grid import Field, Grid, integrate, line_fit, weight_field
 from fracfp.operators import (
     CSR,
+    ForceField,
     GeneratorMatrix,
     JumpKernel,
     OperatorConfig,
@@ -47,6 +49,7 @@ from fracfp.operators import (
     _wedge_cells,
     assemble_generator_matrix,
     cell_tables,
+    confinement_ratio,
     drift_matrix,
     full_kernel,
     get_stencil,
@@ -418,6 +421,28 @@ def fraclap_of_weight(grid: Grid, k: float, alpha: float) -> Field:
     return Field(grid, readonly(fraclap_reference(m, grid.axis, alpha)))
 
 
+def verify_force_hypotheses(force: ForceField, gamma: float, grid: Grid) -> dict:
+    """Empirical constants for the growth and confinement hypotheses.
+
+    Returns sup |grad E| / <x>^(gamma-2), the confinement ratio of
+    operators.confinement_ratio (over nodes with |x| > h), plus a count of
+    the nodes where E.x < 0.  grad E uses centered differences with step h.
+    """
+    coords = grid.coords()
+    e = force.components(coords)
+    grad_norm = np.sqrt(sum(np.gradient(ea, grid.h, axis=b) ** 2 for ea in e for b in range(grid.d)))
+    ex = sum(ea * xa for ea, xa in zip(e, coords))
+    sup_grad = float(np.max(grad_norm / grid.bracket() ** (gamma - 2.0)))
+    inf_conf = confinement_ratio(force, gamma, grid)
+    negative = ex < -1e-14 * np.max(np.abs(ex))
+    return {
+        "sup_grad_ratio": sup_grad,
+        "inf_confinement_ratio": inf_conf,
+        "negative_confinement_nodes": int(np.count_nonzero(negative)),
+        "passes": bool(np.isfinite(sup_grad) and inf_conf > 0.0 and not negative.any()),
+    }
+
+
 # ---------------------------------------------------------------------------
 # fracfp.functionals
 # ---------------------------------------------------------------------------
@@ -588,8 +613,8 @@ def viscosity_generator_apply(f: Field, eps: float, cfg: OperatorConfig) -> Fiel
     # Upwind whatever cfg.drift says: the regularized generator is a
     # monotone (Metzler) operator.
     d_up = drift_matrix(grid, cfg.force_field(), "upwind")
-    drift = (d_up @ (f.values * chi).ravel()).reshape(grid.shape)
-    lap = (laplacian_matrix(grid) @ f.values.ravel()).reshape(grid.shape)
+    drift = d_up.lane_product()(f.values * chi)
+    lap = laplacian_matrix(grid).lane_product()(f.values)
     return f.with_values(jump + drift + eps * lap)
 
 

@@ -1,12 +1,17 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fracfp
 import fracfp.cli
@@ -15,6 +20,7 @@ import fracfp.operators
 import fracfp.rates
 
 from fracfp.cli import (
+    SUITES,
     ConfigError,
     ScenarioConfig,
     main,
@@ -369,6 +375,51 @@ def test_crash_exits_3(tmp_path, capsys, monkeypatch):
     assert out[1].startswith(f"{tmp_path / 'd.cfg'}: ERROR ConfigError: ")
 
 
+@st.composite
+def small_configs(draw) -> dict:
+    """A config on a small grid (1d n <= 64, 2d n = 8) with a short horizon,
+    every key drawn but dt, k_bar and seed.  k is drawn as a share of its
+    bound min(alpha, 1), which it passes now and then: 43 of the 100 configs
+    are config errors."""
+    d = draw(st.sampled_from([1, 2]))
+    alpha = draw(st.floats(0.05, 1.95))
+    return {
+        "name": draw(st.sampled_from(["a", "b-1", "c_2"])),
+        "d": d,
+        "L": draw(st.floats(0.5, 30.0)),
+        "n": draw(st.sampled_from([8, 16, 32, 64] if d == 1 else [8])),
+        "alpha": alpha,
+        "gamma": draw(st.floats(1.0, 3.5)),
+        "k": min(alpha, 1.0) * draw(st.floats(0.05, 1.05)),
+        "p": draw(st.floats(1.02, 2.5)),
+        "method": draw(st.sampled_from(["spectral", "quadrature"])),
+        "drift": draw(st.sampled_from(["upwind", "centered"])),
+        "diffusion_solver": draw(st.sampled_from(["exact-spectral", "implicit-matrix"])),
+        "horizon": draw(st.floats(0.05, 2.0)),
+        "suite": draw(st.sampled_from(SUITES)),
+    }
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs())
+def test_every_config_is_a_verdict_or_a_config_error(values):
+    # no config crashes: each exits 0 (PASS) or 1 (FAIL) with a report whose
+    # last line says so, or 2 (config error) with no report
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "c.cfg"
+        p.write_text("".join(f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+                             for key, value in values.items()))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["run", str(p), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 1, 2), err.getvalue()
+        report = Path(tmp) / "o" / "report.txt"
+        if code == 2:
+            assert not report.exists()
+        else:
+            assert report.read_text().splitlines()[-1] == ("PASS", "FAIL")[code]
+
+
 def test_short_tail_window_is_a_fail_record(tmp_path, capsys):
     # n = 8: the window [L/4, 3L/4] holds 4 nodes, too few for the tail fit;
     # the other steady records are still written, and so are the other suites
@@ -558,6 +609,22 @@ def test_nonpositive_steady_state_is_no_poincare_weight(tmp_path, capsys):
     assert float(record.split("measured=")[1].split()[0]) < 0.0
     assert not any(line.startswith("poincare-wirtinger-bank:") for line in report)
     assert report[-1] == "FAIL"
+
+
+def test_inequalities_suite_alone_has_a_positive_poincare_weight(tmp_path, capsys):
+    # without the steady suite the Poincare weight is <x>^-(d+1), positive on
+    # every box: exp(-|x|^2) underflowed to 0 beyond |x| = 27.3 and made
+    # poincare-weight-positive read 0 on this box
+    p = write_cfg(
+        tmp_path,
+        "name = wide\nd = 1\nL = 30\nn = 32\nalpha = 0.5\ngamma = 2\nk = 0.3\n"
+        "suite = inequalities\n",
+    )
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    assert "poincare-wirtinger-bank: measured=20 predicted=20 tol=20 -> pass" in report
+    assert report[-1] == "PASS"
 
 
 def test_failed_eigenpair_is_a_fail_record(tmp_path, capsys, monkeypatch):

@@ -543,18 +543,18 @@ def full_grid_run(f0, nsteps, cfg, scheme):
     the stepper as it was before the fold."""
     g = f0.grid
     dt = step_size(g, cfg, scheme)
-    drift = drift_step_matrix(g, cfg.force_field(), cfg.drift, 0.5 * dt)
+    drift = drift_step_matrix(g, cfg.force_field(), cfg.drift, 0.5 * dt).lane_product()
     mult = (_diffusion_multiplier if scheme.diffusion_solver == "exact-spectral"
             else _implicit_factor)(g, cfg.alpha, dt)
     v = f0.values
     for _ in range(nsteps):
-        spec = np.fft.rfft((drift @ v.ravel()).reshape(g.shape))
+        spec = np.fft.rfft(drift(v))
         for a in range(g.d - 1):
             spec = np.fft.fft(spec, axis=a)
         spec *= mult
         for a in range(g.d - 1):
             spec = np.fft.ifft(spec, axis=a)
-        v = (drift @ np.fft.irfft(spec, g.n).ravel()).reshape(g.shape)
+        v = drift(np.fft.irfft(spec, g.n))
     return dt, v
 
 
@@ -616,7 +616,7 @@ def test_folded_drift_is_the_half_grid_fold_bit_for_bit(d, L, n, drift):
             for lane, out in zip(v.reshape(-1, mat.shape[1]), got.reshape(-1, mat.shape[0])):
                 assert np.array_equal(out, mat @ lane)
 
-    substep_is_the_product(whole)
+    substep_is_the_product(to_scipy(whole))
     st.fold(st.axes)
     substep_is_the_product(want)
     for got, ref_arr in ((st.drift.data, want.data), (st.drift.indices, want.indices),

@@ -12,6 +12,7 @@ from fracfp.operators import (
     ForceField,
     OperatorConfig,
     assemble_generator_matrix,
+    confinement_ratio,
     drift_matrix,
     fourier_multiply,
     generator_apply,
@@ -21,7 +22,6 @@ from fracfp.operators import (
     spectral_fraclap,
     spectral_symbol,
     symmetries,
-    verify_force_hypotheses,
 )
 from paper_checks import (
     adjoint_apply,
@@ -34,6 +34,7 @@ from paper_checks import (
     offset_matrix,
     quadrature_fraclap,
     split_fraclap,
+    verify_force_hypotheses,
 )
 from sparse_reference import to_scipy
 
@@ -400,7 +401,7 @@ DRIFTS = ("upwind", "centered")
 
 def drift_of(grid, gamma, drift, values):
     """drift_matrix @ values, shaped like the field."""
-    return (drift_matrix(grid, make_force(gamma), drift) @ values.ravel()).reshape(grid.shape)
+    return drift_matrix(grid, make_force(gamma), drift).lane_product()(values)
 
 
 def test_drift_zero_field():
@@ -693,7 +694,8 @@ def test_csr_builds_are_scipy_sparse_bit_for_bit(name, drift):
     assert symmetries(g, mats[1]) == sref.symmetries(g, refs[1])
     v = np.cos(0.37 * np.arange(g.size))
     for mat, want in zip(mats, refs):
-        assert np.array_equal(mat @ v, want @ v) and np.array_equal(to_scipy(mat).T @ v, want.T @ v)
+        assert np.array_equal(mat.lane_product()(v), want @ v)
+        assert np.array_equal(to_scipy(mat).T @ v, want.T @ v)
     sector_maps = [maps[0] for maps in orbit_maps(g, axes, swaps).values()]
     pairs = list(zip(mats, refs)) + [(omap.fold(mat), sref.fold(omap, want))
                                      for omap in sector_maps for mat, want in zip(mats, refs)]
@@ -706,6 +708,33 @@ def test_csr_builds_are_scipy_sparse_bit_for_bit(name, drift):
         for omap in sector_maps:
             gather = _gather(row, 0, g.n, omap.reps)
             assert np.array_equal(_jump_matrix(g, 1.0, omap), (sref.orbit_sum(omap, g.size) @ gather).T)
+
+
+# (d, L, n, force): the canonical field on both sides of gamma = 2 and the
+# custom fields of CSR_CASES, on their grids
+CONFINEMENT_CASES = {
+    **{f"{d}d-gamma-{gamma:g}": (d, 10.0, 64 if d == 1 else 16, make_force(gamma))
+       for d in (1, 2) for gamma in (1.5, 2.0, 3.0)},
+    **{name: case for name, case in CSR_CASES.items() if case[3].func is not None},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFINEMENT_CASES))
+def test_confinement_ratio_is_the_instruments(name):
+    # the force-hypotheses record reads the confinement entry of the paper's
+    # force instrument bit for bit: the infimum over |x| > h of
+    # E.x / (<x>^(gamma-2) |x|^2), 1 on the canonical field
+    d, L, n, force = CONFINEMENT_CASES[name]
+    g = build_grid(d, L, n)
+    ratio = confinement_ratio(force, force.gamma, g)
+    assert ratio == verify_force_hypotheses(force, force.gamma, g)["inf_confinement_ratio"]
+    x = g.nodes()
+    r2 = np.sum(x**2, axis=1)
+    ex = np.sum(force.at(x) * x, axis=1)
+    want = np.min((ex / ((1.0 + r2) ** ((force.gamma - 2.0) / 2.0) * r2))[r2 > g.h**2])
+    assert ratio == pytest.approx(want, rel=1e-12, abs=1e-12)
+    if force.func is None:
+        assert ratio == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------- generator
